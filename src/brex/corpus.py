@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,11 +180,17 @@ def load_embeddings(path) -> EmbeddingStore:
             if word in vectors:
                 continue  # keep first occurrence
             try:
-                vec = np.array([float(x) for x in values], dtype=np.float64)
+                floats = [float(x) for x in values]
             except ValueError as exc:
                 raise EmbeddingFormatError(
                     f"{path}: line {lineno}: non-numeric component ({exc})"
                 ) from None
+            # the sum is NaN or infinite whenever a component is; it can also
+            # overflow on huge finite components, which the exact test clears
+            if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+                raise EmbeddingFormatError(
+                    f"{path}: line {lineno}: non-finite component (nan or inf)")
+            vec = np.array(floats, dtype=np.float64)
             vec.setflags(write=False)
             vectors[word] = vec
     if dimension is None:

@@ -5,11 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .corpus import EntityPair, Instance
 from .engine import match_channels
 from .errors import GoldFormatError
 from .model import Extractor, RunConfig, SeedState
 from .scoring import extractor_signature
+from .similarity import SimilarityGraph
 
 
 def _surface_key(e1: str, e2: str, pairing: str) -> tuple:
@@ -86,13 +89,10 @@ class HitCount(NamedTuple):
 
 def hit_count(instances, seeds: SeedState, cfg: RunConfig) -> HitCount:
     """Iteration-1 seed-hit counts per matching channel plus the disjunction."""
-    by_pair = by_template = either = 0
-    for instance in instances:
-        pair_hit, template_hit = match_channels(instance, seeds, cfg)
-        by_pair += pair_hit
-        by_template += template_hit
-        either += pair_hit or template_hit
-    return HitCount(by_pair, by_template, either)
+    hits = match_channels(SimilarityGraph(instances, cfg.measure, cfg.tau_sim), seeds)
+    return HitCount(int(np.count_nonzero(hits.pos_pair)),
+                    int(np.count_nonzero(hits.pos_template)),
+                    int(np.count_nonzero(hits.matched("brej"))))
 
 
 @dataclass

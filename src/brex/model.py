@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import EmbeddingStore, EntityPair, Instance, SeedFileSpec, Template, \
     TypedEntity, parse_seed_templates
 from .errors import SeedFormatError
@@ -78,6 +80,10 @@ class TemplateSet:
     def __iter__(self):
         return iter(self._items.values())
 
+    def items(self):
+        """(key, template) pairs in insertion order."""
+        return self._items.items()
+
     def copy(self) -> "TemplateSet":
         out = TemplateSet()
         out._items = dict(self._items)
@@ -142,11 +148,37 @@ def build_seed_state(spec: SeedFileSpec, emb: EmbeddingStore,
 
 
 @dataclass
+class SeedHits:
+    """Which instances match one seed state, per channel and polarity.
+
+    Each field holds one bool per row of the bootstrap's instance list.
+    """
+
+    pos_pair: np.ndarray
+    pos_template: np.ndarray
+    neg_pair: np.ndarray
+    neg_template: np.ndarray
+
+    def matched(self, mode: str) -> np.ndarray:
+        """Hop-1 seed match: pair membership (BREE), template similarity
+        (BRET), or their disjunction (BREJ)."""
+        if mode == "bree":
+            return self.pos_pair
+        if mode == "bret":
+            return self.pos_template
+        return self.pos_pair | self.pos_template
+
+
+@dataclass
 class Extractor:
-    """A cluster of instances acting as an extraction pattern."""
+    """A cluster of instances acting as an extraction pattern.
+
+    ``rows`` are the members' positions in the bootstrap's instance list.
+    """
 
     id: int
     members: list[Instance]
+    rows: list[int]
     n_pos: float = 0.0
     n_neg: float = 0.0
     n_unknown: int = 0

@@ -8,16 +8,19 @@ which is the same ratio as 1 / (1 + w_neg*n/p + w_unk*u/p) but stays exact for
 small integer counts. Positive/negative counts are mode-dependent: entity-pair
 membership for BREE, template-set similarity for BRET, and their sum for BREJ
 (an instance matching both channels counts twice). Unknown counts are always
-entity-pair based.
+entity-pair based. Counts read the per-row seed hits the engine computes once
+per iteration (SeedHits).
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from .corpus import Instance
-from .model import Extractor, PairSet, RunConfig, SeedState, TemplateSet
-from .similarity import sim_instance_cluster, sim_instance_templateset
+import numpy as np
+
+from .model import Extractor, RunConfig, SeedHits
+# Not called here: perfbench/op.py traces these names in this module.
+from .similarity import sim_instance_cluster, sim_instance_templateset  # noqa: F401
 
 CATEGORIES = ("NNHC", "NNLC", "NHC", "NLC")
 
@@ -29,46 +32,33 @@ def reliability(n_pos: float, n_neg: float, n_unknown: float,
     return n_pos / (n_pos + w_neg * n_neg + w_unk * n_unknown)
 
 
-def count_positives(extractor: Extractor, pairs: PairSet, templates: TemplateSet,
-                    cfg: RunConfig) -> float:
-    """Count members matching the given seed sets under the mode's channels."""
+def count_positives(extractor: Extractor, by_pair: np.ndarray,
+                    by_template: np.ndarray, cfg: RunConfig) -> float:
+    """Count members matching seeds under the mode's channels, given the
+    per-row pair and template hits of one polarity (see SeedHits)."""
+    rows = extractor.rows
     pair_count = 0
     if cfg.mode in ("bree", "brej"):
-        pair_count = sum(1 for m in extractor.members if m.pair in pairs)
+        pair_count = int(np.count_nonzero(by_pair[rows]))
         if cfg.mode == "bree":
             return float(pair_count)
-    template_count = sum(
-        1 for m in extractor.members
-        if sim_instance_templateset(m, templates, cfg.measure) >= cfg.tau_sim
-    )
+    template_count = int(np.count_nonzero(by_template[rows]))
     if cfg.mode == "bret":
         return float(template_count)
     return float(pair_count + template_count)
 
 
-def count_unknown(extractor: Extractor, state: SeedState) -> int:
+def count_unknown(extractor: Extractor, hits: SeedHits) -> int:
     """Members whose entity pair is in neither the positive nor negative pair set."""
-    return sum(
-        1 for m in extractor.members
-        if m.pair not in state.pos_pairs and m.pair not in state.neg_pairs
-    )
+    rows = extractor.rows
+    return int(np.count_nonzero(~(hits.pos_pair[rows] | hits.neg_pair[rows])))
 
 
-def extractor_confidence(extractor: Extractor, state: SeedState,
-                         cfg: RunConfig) -> float:
-    p = count_positives(extractor, state.pos_pairs, state.pos_templates, cfg)
-    n = count_positives(extractor, state.neg_pairs, state.neg_templates, cfg)
-    u = count_unknown(extractor, state)
-    return reliability(p, n, u, cfg.w_neg, cfg.w_unk)
-
-
-def score_extractor(extractor: Extractor, state: SeedState, cfg: RunConfig) -> None:
+def score_extractor(extractor: Extractor, hits: SeedHits, cfg: RunConfig) -> None:
     """Fill the extractor's count and confidence fields in place."""
-    extractor.n_pos = count_positives(extractor, state.pos_pairs,
-                                      state.pos_templates, cfg)
-    extractor.n_neg = count_positives(extractor, state.neg_pairs,
-                                      state.neg_templates, cfg)
-    extractor.n_unknown = count_unknown(extractor, state)
+    extractor.n_pos = count_positives(extractor, hits.pos_pair, hits.pos_template, cfg)
+    extractor.n_neg = count_positives(extractor, hits.neg_pair, hits.neg_template, cfg)
+    extractor.n_unknown = count_unknown(extractor, hits)
     extractor.confidence = reliability(extractor.n_pos, extractor.n_neg,
                                        extractor.n_unknown, cfg.w_neg, cfg.w_unk)
 
@@ -81,28 +71,11 @@ def soft_or(values) -> float:
     return 1.0 - remainder
 
 
-def instance_cluster_confidence(instance: Instance, extractor: Extractor,
-                                cfg: RunConfig, cache: dict | None = None) -> float:
-    """Scored-extractor confidence times the instance's similarity to it."""
-    return extractor.confidence * sim_instance_cluster(
-        instance, extractor, cfg.measure, cache
-    )
-
-
-def instance_confidence(instance: Instance, extractors, cfg: RunConfig,
-                        cache: dict | None = None) -> float:
-    """Soft-or of per-extractor confidences over the extractors covering the instance.
-
-    An extractor covers the instance when the cluster similarity reaches
-    tau_sim. With no covering extractor the confidence is 0. Extractors must
-    already be scored.
-    """
-    parts = []
-    for extractor in extractors:
-        sim = sim_instance_cluster(instance, extractor, cfg.measure, cache)
-        if sim >= cfg.tau_sim:
-            parts.append(extractor.confidence * sim)
-    return soft_or(parts)
+def instance_confidence(covering) -> float:
+    """Soft-or of confidence times similarity over the extractors covering an
+    instance, given as (scored extractor, similarity) pairs in extractor
+    order; with no covering extractor the confidence is 0."""
+    return soft_or(extractor.confidence * sim for extractor, sim in covering)
 
 
 def categorize_extractor(extractor: Extractor, noisy: bool, cfg: RunConfig) -> str:

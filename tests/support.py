@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from brex.corpus import EntityPair, Instance, Template, TypedEntity
-from brex.model import RunConfig, SeedState
-from brex.similarity import MEASURE_KINDS, SimilarityMeasure
+from brex.model import Extractor, RunConfig, SeedState
+from brex.scoring import reliability, soft_or
+from brex.similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure, \
+    sim_instances
 
 DIM = 6
 
@@ -105,3 +109,133 @@ def random_world(seed, max_instances=50):
         pairing=pairing,
     )
     return instances, state, cfg
+
+
+def graph_for(instances, cfg):
+    """The similarity graph bootstrap builds over ``instances`` under ``cfg``."""
+    return SimilarityGraph(list(instances), cfg.measure, cfg.tau_sim)
+
+
+def extractor_of(instances, rows=None, k=0):
+    """An extractor over the given rows (default: all) of ``instances``."""
+    rows = list(range(len(instances))) if rows is None else list(rows)
+    return Extractor(id=k, members=[instances[r] for r in rows], rows=rows)
+
+
+def mixed_world(seed, pairing, max_instances=40):
+    """random_world with non-unit context vectors, instances sharing one
+    template, and seed templates both from instances and from elsewhere;
+    the seed pairs are keyed under ``pairing``."""
+    instances, state, _ = random_world(seed, max_instances)
+    rng = np.random.default_rng(seed + 1_000_003)
+    mixed = []
+    for k, inst in enumerate(instances):
+        earlier = [m for m in mixed if m.template.type_pair == inst.template.type_pair]
+        if earlier and rng.random() < 0.15:
+            template = earlier[int(rng.integers(len(earlier)))].template
+        else:
+            t = inst.template
+            template = dataclasses.replace(
+                t, v_before=t.v_before * rng.uniform(0.2, 3.0),
+                v_between=t.v_between * rng.uniform(0.2, 3.0),
+                v_after=t.v_after * rng.uniform(0.2, 3.0))
+        mixed.append(dataclasses.replace(inst, template=template))
+    seeds = SeedState.empty(pairing)
+    seeds.merge(state)  # re-keys the pairs; its templates are the unscaled ones
+    for idx in rng.choice(len(mixed), size=int(rng.integers(0, 3)), replace=False):
+        seeds.pos_templates.add(mixed[idx].template)
+    return mixed, seeds
+
+
+def reference_bootstrap(instances, seeds, cfg):
+    """The per-pair bootstrap loop, calling sim_instances for every
+    comparison: the oracle for the graph-based engine.
+
+    Returns (accepted [(id, confidence)], extractors [(member ids, n_pos,
+    n_neg, n_unknown, confidence)], per-iteration (hits, hits_by_pair,
+    hits_by_template, extractors, candidates, accepted_new)).
+    """
+    def sim(a, b):
+        return sim_instances(a, b, cfg.measure)
+
+    def cluster_sim(inst, members):
+        return max(sim(inst, m) for m in members)
+
+    def template_hit(inst, templates):
+        return max((sim(inst, t) for t in templates), default=0.0) >= cfg.tau_sim
+
+    def count(members, pairs, templates):
+        by_pair = sum(m.pair in pairs for m in members)
+        by_template = sum(template_hit(m, templates) for m in members)
+        return float({"bree": by_pair, "bret": by_template,
+                      "brej": by_pair + by_template}[cfg.mode])
+
+    original, grown = seeds.copy(), seeds.copy()
+    accepted, slots, stats, extractors = [], {}, [], []
+    for _ in range(cfg.iterations):
+        by_pair = [i.pair in grown.pos_pairs for i in instances]
+        by_template = [template_hit(i, grown.pos_templates) for i in instances]
+        matched = {"bree": by_pair, "bret": by_template,
+                   "brej": [p or t for p, t in zip(by_pair, by_template)]}[cfg.mode]
+        hits = [i for i, m in zip(instances, matched) if m]
+        if not hits:
+            stats.append((0, sum(by_pair), sum(by_template), 0, 0, 0))
+            break
+        clusters = []
+        for hit in hits:
+            for members in clusters:
+                if cluster_sim(hit, members) >= cfg.tau_sim:
+                    members.append(hit)
+                    break
+            else:
+                clusters.append([hit])
+        grown_clusters = [list(members) for members in clusters]
+        hop1 = {m.id for members in clusters for m in members}
+        for inst in instances:
+            if inst.id in hop1:
+                continue
+            best_idx, best_sim = -1, 0.0
+            for idx, members in enumerate(clusters):
+                value = cluster_sim(inst, members)
+                if value > best_sim:
+                    best_idx, best_sim = idx, value
+            if best_idx >= 0 and best_sim >= cfg.tau_sim:
+                grown_clusters[best_idx].append(inst)
+        state = grown if cfg.score_against == "yield" else original
+        extractors = []
+        for members in grown_clusters:
+            n_pos = count(members, state.pos_pairs, state.pos_templates)
+            n_neg = count(members, state.neg_pairs, state.neg_templates)
+            n_unknown = sum(m.pair not in state.pos_pairs and m.pair not in state.neg_pairs
+                            for m in members)
+            extractors.append(([m.id for m in members], n_pos, n_neg, n_unknown,
+                               reliability(n_pos, n_neg, n_unknown, cfg.w_neg, cfg.w_unk)))
+        cache = SeedState.empty(cfg.pairing)
+        candidates = accepted_new = 0
+        for inst in instances:
+            parts = []
+            for members, (*_, confidence) in zip(grown_clusters, extractors):
+                value = cluster_sim(inst, members)
+                if value >= cfg.tau_sim:
+                    parts.append(confidence * value)
+            if not parts:
+                continue
+            candidates += 1
+            confidence = soft_or(parts)
+            if confidence < cfg.tau_cnf or (
+                    cfg.mode == "brej" and not template_hit(inst, state.pos_templates)):
+                continue
+            if cfg.mode in ("bree", "brej"):
+                cache.pos_pairs.add(inst.pair)
+            if cfg.mode in ("bret", "brej"):
+                cache.pos_templates.add(inst.template)
+            if inst.id not in slots:
+                slots[inst.id] = len(accepted)
+                accepted.append((inst.id, confidence))
+                accepted_new += 1
+            elif confidence > accepted[slots[inst.id]][1]:
+                accepted[slots[inst.id]] = (inst.id, confidence)
+        grown.merge(cache)
+        stats.append((len(hits), sum(by_pair), sum(by_template), len(extractors),
+                      candidates, accepted_new))
+    return accepted, extractors, stats

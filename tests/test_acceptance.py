@@ -4,23 +4,28 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brex
 from brex.cli import main
-from brex.engine import bootstrap, cluster_hop1, expand_hop3, grow_hop2, \
-    match_instance
+from brex.engine import bootstrap, cluster_hop1, cover_hop3, grow_hop2, \
+    match_channels
 from brex.evaluate import load_gold, prf1
-from brex.model import Extractor, RunConfig, SeedState
-from brex.scoring import categorize_extractor, count_positives, \
-    extractor_confidence, reliability, score_extractor, soft_or
+from brex.model import RunConfig, SeedState
+from brex.scoring import categorize_extractor, count_positives, reliability, \
+    score_extractor, soft_or
 from brex.similarity import SimilarityMeasure, sim_instances
 from brex.synth import build_biset_fixture, build_planted_fixture
 
-from support import axis, make_instance, make_template, rand_template, \
-    random_world
+from support import axis, extractor_of, graph_for, make_instance, make_template, \
+    rand_template, random_world
 
 ASYM = SimilarityMeasure("cc-asym")
 MATCH = SimilarityMeasure("match", (0.2, 0.6, 0.2))
@@ -55,9 +60,10 @@ def test_criterion_1_formula_exactness():
     state.pos_pairs.add(members[0].pair)
     state.pos_pairs.add(members[1].pair)
     state.neg_pairs.add(members[2].pair)
-    extractor = Extractor(id=0, members=members)
+    extractor = extractor_of(members)
     cfg = RunConfig(mode="bree", measure=ASYM, w_neg=1.0, w_unk=0.0)
-    via_extractor = extractor_confidence(extractor, state, cfg)
+    score_extractor(extractor, match_channels(graph_for(members, cfg), state), cfg)
+    via_extractor = extractor.confidence
     ok_extractor = abs(via_extractor - 2 / 3) <= 1e-9
     elapsed = time.perf_counter() - started
     report(1, ok_first and ok_second and ok_extractor and elapsed < 1.0,
@@ -94,17 +100,18 @@ def test_criterion_3_joint_scaling_flip():
     state.pos_pairs.add(members[1].pair)
     state.neg_pairs.add(members[2].pair)
     state.pos_templates.add(on_template)
-    extractor = Extractor(id=0, members=members)
+    extractor = extractor_of(members)
 
     cfg_pairs = RunConfig(mode="bree", measure=ASYM, w_neg=1.0, w_unk=0.0,
                           tau_cnf=0.70)
-    score_extractor(extractor, state, cfg_pairs)
+    hits = match_channels(graph_for(members, cfg_pairs), state)
+    score_extractor(extractor, hits, cfg_pairs)
     pair_conf = extractor.confidence
     pair_cat = categorize_extractor(extractor, noisy=False, cfg=cfg_pairs)
 
     cfg_joint = RunConfig(mode="brej", measure=ASYM, w_neg=1.0, w_unk=0.0,
                           tau_cnf=0.70)
-    score_extractor(extractor, state, cfg_joint)
+    score_extractor(extractor, hits, cfg_joint)
     joint_conf = extractor.confidence
     joint_cat = categorize_extractor(extractor, noisy=False, cfg=cfg_joint)
 
@@ -122,16 +129,16 @@ def test_criterion_4_disjunction_law():
                                 tau_sim=cfg.tau_sim, tau_cnf=cfg.tau_cnf,
                                 pairing=cfg.pairing)
                 for mode in ("bree", "bret", "brej")}
-        hits = {mode: {i.id for i in instances if match_instance(i, state, c)}
-                for mode, c in cfgs.items()}
+        seed_hits = match_channels(graph_for(instances, cfg), state)
+        hits = {mode: set(np.flatnonzero(seed_hits.matched(mode)).tolist())
+                for mode in cfgs}
         if hits["brej"] != hits["bree"] | hits["bret"]:
             failures += 1
             continue
-        members = [i for i in instances if i.id in hits["brej"]]
-        if members:
-            extractor = Extractor(id=0, members=members)
-            counts = {mode: count_positives(extractor, state.pos_pairs,
-                                            state.pos_templates, c)
+        if hits["brej"]:
+            extractor = extractor_of(instances, sorted(hits["brej"]))
+            counts = {mode: count_positives(extractor, seed_hits.pos_pair,
+                                            seed_hits.pos_template, c)
                       for mode, c in cfgs.items()}
             if counts["brej"] != counts["bree"] + counts["bret"]:
                 failures += 1
@@ -170,11 +177,10 @@ def test_criterion_5_hop_oracle():
     failures = 0
     for seed in range(100):
         instances, state, cfg = random_world(seed, max_instances=50)
-        hits = [i for i in instances if match_instance(i, state, cfg)]
-        extractors = grow_hop2(cluster_hop1(hits, cfg), instances, cfg)
-        engine_ids = set()
-        for extractor in extractors:
-            engine_ids.update(i.id for i in expand_hop3(extractor, instances, cfg))
+        graph = graph_for(instances, cfg)
+        hits = np.flatnonzero(match_channels(graph, state).matched(cfg.mode))
+        extractors = grow_hop2(graph, cluster_hop1(graph, hits.tolist()))
+        engine_ids = {instances[row].id for row in cover_hop3(graph, extractors)}
         if engine_ids != brute_candidates(instances, state, cfg):
             failures += 1
     elapsed = time.perf_counter() - started
@@ -262,19 +268,32 @@ def test_criterion_7_planted_recovery(planted):
 
 def test_criterion_8_determinism(planted, tmp_path):
     _, paths = planted
+    argv = ["run", "--corpus", str(paths["corpus"]),
+            "--embeddings", str(paths["embeddings"]),
+            "--seeds", str(paths["seeds"]), "--mode", "brej"]
     outputs = []
     for name in ("first", "second"):
         out = tmp_path / name
-        code = main(["run",
-                     "--corpus", str(paths["corpus"]),
-                     "--embeddings", str(paths["embeddings"]),
-                     "--seeds", str(paths["seeds"]),
-                     "--mode", "brej", "--out", str(out)])
+        code = main(argv + ["--out", str(out)])
         assert code == 0
         outputs.append(((out / "accepted.jsonl").read_bytes(),
                         (out / "extractors.jsonl").read_bytes()))
-    ok = outputs[0] == outputs[1]
-    report(8, ok, "two runs produced byte-identical accepted.jsonl and "
+    # fresh processes with one BLAS thread and with the default thread count
+    src = str(Path(brex.__file__).resolve().parent.parent)
+    for threads in ("1", None):
+        out = tmp_path / f"threads-{threads or 'default'}"
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-m", "brex.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True, check=False)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(((out / "accepted.jsonl").read_bytes(),
+                        (out / "extractors.jsonl").read_bytes()))
+    ok = all(output == outputs[0] for output in outputs)
+    report(8, ok, "two in-process runs and two subprocess runs (OPENBLAS_NUM_THREADS=1 "
+                  "and default) produced byte-identical accepted.jsonl and "
                   "extractors.jsonl")
 
 

@@ -56,6 +56,24 @@ class TestRun:
         assert manifest["inputs"]["embeddings"]["sha256"] is None
         assert manifest["inputs"]["corpus"]["sha256"]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_embedding_exits_2(self, data_dir, tmp_path, bad):
+        lines = (data_dir / "embeddings.txt").read_text().splitlines()
+        word, *values = lines[1].split()
+        lines[1] = " ".join([word, bad, *values[1:]])
+        embeddings = tmp_path / "embeddings.txt"
+        embeddings.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code = main(["run",
+                     "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--embeddings", str(embeddings),
+                     "--seeds", str(data_dir / "seeds.json"),
+                     "--out", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "line 2: non-finite" in manifest["error"]
+
     def test_out_of_range_threshold_exits_2(self, data_dir, tmp_path):
         assert main(run_args(data_dir, tmp_path / "r", "--tau-sim", "1.5")) == 2
 

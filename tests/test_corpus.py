@@ -131,6 +131,19 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_component_names_line(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"a 1 0 0\nb 0 {bad} 0\n")
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
+            load_embeddings(path)
+
+    def test_huge_finite_components_accepted(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("a 1e308 1e308 -1e308\n")
+        np.testing.assert_array_equal(load_embeddings(path).lookup("a"),
+                                      [1e308, 1e308, -1e308])
+
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

@@ -1,4 +1,4 @@
-"""Engine: matching, clustering, growth, expansion, checking, and the full loop."""
+"""Engine: matching, clustering, growth, coverage, checking, and the full loop."""
 
 import math
 
@@ -10,15 +10,16 @@ from brex.engine import (
     bootstrap,
     check_instance,
     cluster_hop1,
-    expand_hop3,
+    cover_hop3,
     grow_hop2,
-    match_instance,
+    match_channels,
 )
-from brex.model import Extractor, RunConfig, SeedState
+from brex.model import RunConfig, SeedState
 from brex.scoring import score_extractor
 from brex.similarity import SimilarityMeasure
 
-from support import axis, make_instance, make_template, random_world, unit, vec
+from support import axis, extractor_of, graph_for, make_instance, make_template, \
+    random_world, unit, vec
 
 ASYM = SimilarityMeasure("cc-asym")
 
@@ -30,6 +31,17 @@ def cfg_for(mode="bree", **kwargs):
 
 def between(v):
     return make_template(v_between=v)
+
+
+def match_instance(instance, state, cfg):
+    """Hop-1 seed match of one instance, as bootstrap computes it."""
+    return bool(match_channels(graph_for([instance], cfg), state).matched(cfg.mode)[0])
+
+
+def hop1(hits, cfg):
+    """cluster_hop1 over a graph of the hits alone, as member-id lists."""
+    return [[m.id for m in ex.members] for ex in cluster_hop1(graph_for(hits, cfg),
+                                                             list(range(len(hits))))]
 
 
 class TestMatchInstance:
@@ -91,18 +103,18 @@ class TestMatchInstance:
 class TestClusterHop1:
     def test_mutually_similar_hits_form_one_cluster(self):
         hits = [make_instance(template=between(axis(0))) for _ in range(3)]
-        clusters = cluster_hop1(hits, cfg_for())
+        clusters = hop1(hits, cfg_for())
         assert len(clusters) == 1
-        assert len(clusters[0].members) == 3
+        assert len(clusters[0]) == 3
 
     def test_dissimilar_hits_form_singletons(self):
         hits = [make_instance(template=between(axis(0))),
                 make_instance(template=between(axis(1)))]
-        clusters = cluster_hop1(hits, cfg_for())
-        assert [len(c.members) for c in clusters] == [1, 1]
+        clusters = hop1(hits, cfg_for())
+        assert [len(c) for c in clusters] == [1, 1]
 
     def test_empty_hits(self):
-        assert cluster_hop1([], cfg_for()) == []
+        assert hop1([], cfg_for()) == []
 
     def test_first_fit_in_corpus_order(self):
         u, w = axis(0), axis(1)
@@ -110,94 +122,100 @@ class TestClusterHop1:
         hits = [make_instance(template=between(u), iid="h0"),
                 make_instance(template=between(w), iid="h1"),
                 make_instance(template=between(bridge), iid="h2")]
-        clusters = cluster_hop1(hits, cfg_for(tau_sim=0.7))
+        clusters = hop1(hits, cfg_for(tau_sim=0.7))
         # the bridge joins the first cluster it reaches, not the closest
-        assert [m.id for m in clusters[0].members] == ["h0", "h2"]
+        assert clusters[0] == ["h0", "h2"]
 
 
 class TestGrowHop2:
-    def _theta(self):
-        return [Extractor(id=0, members=[make_instance(template=between(axis(0)),
-                                                       iid="c0")]),
-                Extractor(id=1, members=[make_instance(template=between(axis(1)),
-                                                       iid="c1")])]
+    def _grow(self, probes, cfg):
+        """Two singleton hop-1 clusters c0 (axis 0) and c1 (axis 1), grown over
+        themselves plus the probes; returns member-id lists."""
+        centres = [make_instance(template=between(axis(0)), iid="c0"),
+                   make_instance(template=between(axis(1)), iid="c1")]
+        graph = graph_for(centres + probes, cfg)
+        theta = [extractor_of(graph.instances, [0], k=0),
+                 extractor_of(graph.instances, [1], k=1)]
+        return [[m.id for m in ex.members] for ex in grow_hop2(graph, theta)]
 
     def test_argmax_assignment_is_exclusive(self):
-        theta = self._theta()
         probe = make_instance(template=between(vec(0.9, 0.75)), iid="p")
-        grown = grow_hop2(theta, [probe], cfg_for(tau_sim=0.7))
-        assert [m.id for m in grown[0].members] == ["c0", "p"]
-        assert [m.id for m in grown[1].members] == ["c1"]
+        grown = self._grow([probe], cfg_for(tau_sim=0.7))
+        assert grown[0] == ["c0", "p"]
+        assert grown[1] == ["c1"]
 
     def test_below_threshold_joins_nothing(self):
-        theta = self._theta()
         probe = make_instance(template=between(vec(0.69, 0.0)), iid="p")
-        grown = grow_hop2(theta, [probe], cfg_for(tau_sim=0.7))
-        assert all(len(ex.members) == 1 for ex in grown)
+        grown = self._grow([probe], cfg_for(tau_sim=0.7))
+        assert all(len(members) == 1 for members in grown)
 
     def test_tie_breaks_to_lowest_cluster_id(self):
-        theta = self._theta()
         probe = make_instance(template=between(vec(0.8, 0.8)), iid="p")
-        grown = grow_hop2(theta, [probe], cfg_for(tau_sim=0.7))
-        assert "p" in [m.id for m in grown[0].members]
-        assert "p" not in [m.id for m in grown[1].members]
+        grown = self._grow([probe], cfg_for(tau_sim=0.7))
+        assert "p" in grown[0]
+        assert "p" not in grown[1]
 
     def test_hop1_members_stay_put(self):
-        theta = self._theta()
-        hop1 = theta[1].members[0]
-        grown = grow_hop2(theta, [hop1], cfg_for(tau_sim=0.7))
-        assert [m.id for m in grown[0].members] == ["c0"]
-        assert [m.id for m in grown[1].members] == ["c1"]
+        grown = self._grow([], cfg_for(tau_sim=0.7))
+        assert grown[0] == ["c0"]
+        assert grown[1] == ["c1"]
 
     def test_partition_invariant_random(self):
         for seed in range(15):
             instances, state, cfg = random_world(seed, max_instances=30)
-            hits = [i for i in instances if match_instance(i, state, cfg)]
-            grown = grow_hop2(cluster_hop1(hits, cfg), instances, cfg)
+            graph = graph_for(instances, cfg)
+            hit_rows = np.flatnonzero(match_channels(graph, state).matched(cfg.mode))
+            hits = [instances[row] for row in hit_rows]
+            grown = grow_hop2(graph, cluster_hop1(graph, hit_rows.tolist()))
             seen = [m.id for ex in grown for m in ex.members]
             assert len(seen) == len(set(seen))
             hit_ids = {h.id for h in hits}
             assert hit_ids <= set(seen)
 
 
+def covered(instances, cfg):
+    """Rows cover_hop3 reports for one extractor holding row 0."""
+    graph = graph_for(instances, cfg)
+    return [graph.instances[row] for row in cover_hop3(graph, [extractor_of(instances, [0])])]
+
+
 class TestExpandAndCheck:
-    def _scored(self, members, state, cfg):
-        extractor = Extractor(id=0, members=members)
-        score_extractor(extractor, state, cfg)
-        return extractor
+    def _check(self, instances, state, cfg, row=0):
+        """Score an extractor holding row 0 and check ``row`` against it."""
+        graph = graph_for(instances, cfg)
+        hits = match_channels(graph, state)
+        extractor = extractor_of(instances, [0])
+        score_extractor(extractor, hits, cfg)
+        covering = cover_hop3(graph, [extractor]).get(row, [])
+        return check_instance(covering, hits.pos_template[row], cfg)
 
     def test_members_always_included(self):
         member = make_instance(template=between(axis(0)))
-        extractor = Extractor(id=0, members=[member])
-        out = expand_hop3(extractor, [member], cfg_for())
-        assert out == [member]
+        assert covered([member], cfg_for()) == [member]
 
     def test_near_threshold_inclusion(self):
         member = make_instance(template=between(axis(0)))
-        extractor = Extractor(id=0, members=[member])
         near = make_instance(
             template=between(0.71 * axis(0) + math.sqrt(1 - 0.71**2) * axis(1)))
         far = make_instance(
             template=between(0.69 * axis(0) + math.sqrt(1 - 0.69**2) * axis(1)))
         cfg = cfg_for(tau_sim=0.7)
-        out = expand_hop3(extractor, [member, near, far], cfg)
+        out = covered([member, near, far], cfg)
         assert near in out and far not in out
 
     def test_type_incompatible_excluded(self):
         member = make_instance(template=between(axis(0)))
-        extractor = Extractor(id=0, members=[member])
         alien = make_instance(types=("ORG", "PER"),
                               template=make_template(v_between=axis(0),
                                                      types=("ORG", "PER")))
-        assert alien not in expand_hop3(extractor, [member, alien], cfg_for())
+        assert alien not in covered([member, alien], cfg_for())
 
     def test_check_accepts_above_threshold(self):
         member = make_instance(template=between(axis(0)))
         state = SeedState.empty("ordered")
         state.pos_pairs.add(member.pair)
         cfg = cfg_for("bree", tau_cnf=0.7)
-        extractor = self._scored([member], state, cfg)
-        ok, confidence = check_instance(member, [extractor], state, cfg)
+        ok, confidence = self._check([member], state, cfg)
         assert ok and confidence == pytest.approx(1.0)
 
     def test_brej_check_requires_template_similarity(self):
@@ -205,21 +223,18 @@ class TestExpandAndCheck:
         state = SeedState.empty("ordered")
         state.pos_pairs.add(member.pair)
         cfg = cfg_for("brej", tau_cnf=0.5)
-        extractor = self._scored([member], state, cfg)
-        ok, confidence = check_instance(member, [extractor], state, cfg)
+        ok, confidence = self._check([member], state, cfg)
         assert confidence >= 0.5 and not ok  # empty template set: conjunct fails
         state.pos_templates.add(between(axis(0)))
-        extractor = self._scored([member], state, cfg)
-        ok, _ = check_instance(member, [extractor], state, cfg)
+        ok, _ = self._check([member], state, cfg)
         assert ok
 
     def test_uncovered_instance_rejected_with_zero(self):
         member = make_instance(template=between(axis(0)))
         state = SeedState.empty("ordered")
         cfg = cfg_for("bree")
-        extractor = self._scored([member], state, cfg)
         probe = make_instance(template=between(axis(1)))
-        ok, confidence = check_instance(probe, [extractor], state, cfg)
+        ok, confidence = self._check([member, probe], state, cfg, row=1)
         assert (ok, confidence) == (False, 0.0)
 
 

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brex.model import Extractor, RunConfig, SeedState
+from brex.engine import cover_hop3, match_channels
+from brex.model import RunConfig, SeedState
 from brex.scoring import (
     categorize_extractor,
     count_positives,
     count_unknown,
-    extractor_confidence,
     extractor_signature,
-    instance_cluster_confidence,
     instance_confidence,
     reliability,
     score_extractor,
@@ -20,7 +19,8 @@ from brex.scoring import (
 )
 from brex.similarity import SimilarityMeasure, sim_instance_cluster
 
-from support import axis, make_instance, make_template, rand_template
+from support import axis, extractor_of, graph_for, make_instance, make_template, \
+    rand_template
 
 ASYM = SimilarityMeasure("cc-asym")
 
@@ -82,33 +82,48 @@ def build_seeded_world():
     state.pos_pairs.add(members[1].pair)
     state.neg_pairs.add(members[2].pair)
     state.pos_templates.add(on_template)
-    return Extractor(id=0, members=members), state
+    return extractor_of(members), state
+
+
+def positives(extractor, state, cfg):
+    """count_positives over the state's positive seed hits."""
+    hits = match_channels(graph_for(extractor.members, cfg), state)
+    return count_positives(extractor, hits.pos_pair, hits.pos_template, cfg)
+
+
+def unknowns(extractor, state, cfg=None):
+    hits = match_channels(graph_for(extractor.members, cfg or cfg_for("bree")), state)
+    return count_unknown(extractor, hits)
+
+
+def scored(extractor, state, cfg):
+    score_extractor(extractor, match_channels(graph_for(extractor.members, cfg), state), cfg)
+    return extractor
 
 
 class TestCounts:
     def test_bree_counts_pairs(self):
         extractor, state = build_seeded_world()
         cfg = cfg_for("bree")
-        assert count_positives(extractor, state.pos_pairs, state.pos_templates,
-                               cfg) == 2.0
+        assert positives(extractor, state, cfg) == 2.0
 
     def test_bret_counts_templates(self):
         extractor, state = build_seeded_world()
         cfg = cfg_for("bret")
-        assert count_positives(extractor, state.pos_pairs, state.pos_templates,
-                               cfg) == 4.0
+        assert positives(extractor, state, cfg) == 4.0
 
     def test_brej_is_additive_with_double_counting(self):
         extractor, state = build_seeded_world()
         cfg = cfg_for("brej")
         # m1 matches both channels and contributes 2
-        assert count_positives(extractor, state.pos_pairs, state.pos_templates,
-                               cfg) == 6.0
+        assert positives(extractor, state, cfg) == 6.0
 
     def test_bret_empty_template_set_is_zero(self):
         extractor, state = build_seeded_world()
         cfg = cfg_for("bret")
-        assert count_positives(extractor, state.pos_pairs, [], cfg) == 0.0
+        no_templates = SeedState.empty("ordered")
+        no_templates.pos_pairs.merge(state.pos_pairs)
+        assert positives(extractor, no_templates, cfg) == 0.0
 
     def test_additivity_law_on_random_worlds(self):
         rng = np.random.default_rng(3)
@@ -116,26 +131,23 @@ class TestCounts:
             members = [make_instance(f"E{rng.integers(6)}", f"F{rng.integers(6)}",
                                      rand_template(rng))
                        for _ in range(int(rng.integers(1, 12)))]
-            extractor = Extractor(id=0, members=members)
+            extractor = extractor_of(members)
             state = SeedState.empty("ordered")
             for inst in members[:int(rng.integers(0, len(members) + 1))]:
                 state.pos_pairs.add(inst.pair)
             state.pos_templates.add(rand_template(rng))
-            counts = {
-                mode: count_positives(extractor, state.pos_pairs,
-                                      state.pos_templates, cfg_for(mode))
-                for mode in ("bree", "bret", "brej")
-            }
+            counts = {mode: positives(extractor, state, cfg_for(mode))
+                      for mode in ("bree", "bret", "brej")}
             assert counts["brej"] == counts["bree"] + counts["bret"]
 
     def test_count_unknown(self):
         extractor, state = build_seeded_world()
         # m1, m2 positive; m3 negative; m4..m6 unknown
-        assert count_unknown(extractor, state) == 3
+        assert unknowns(extractor, state) == 3
 
     def test_count_unknown_empty_seeds_counts_all(self):
         extractor, _ = build_seeded_world()
-        assert count_unknown(extractor, SeedState.empty("ordered")) == 6
+        assert unknowns(extractor, SeedState.empty("ordered")) == 6
 
 
 class TestExtractorConfidence:
@@ -143,13 +155,13 @@ class TestExtractorConfidence:
         extractor, state = build_seeded_world()
         cfg = cfg_for("bree", w_neg=1.0, w_unk=1e-9)
         # p=2, n=1, u=3: 2 / (2 + 1 + ~0)
-        assert extractor_confidence(extractor, state, cfg) == pytest.approx(
+        assert scored(extractor, state, cfg).confidence == pytest.approx(
             2 / 3, rel=1e-6)
 
     def test_score_extractor_fills_fields(self):
         extractor, state = build_seeded_world()
         cfg = cfg_for("brej", w_neg=1.0, w_unk=0.0)
-        score_extractor(extractor, state, cfg)
+        scored(extractor, state, cfg)
         assert extractor.n_pos == 6.0
         assert extractor.n_neg == 1.0
         assert extractor.n_unknown == 3
@@ -174,58 +186,61 @@ class TestSoftOr:
         assert combined <= 1.0 + 1e-12
 
 
-class TestInstanceConfidence:
-    def _scored_extractor(self, members, confidence):
-        extractor = Extractor(id=0, members=members)
+def probe_confidence(probe, groups, confidences, cfg):
+    """instance_confidence of ``probe`` over extractors holding the member
+    groups with the given confidences, covered as bootstrap covers it."""
+    instances = [probe] + [m for members in groups for m in members]
+    extractors, start = [], 1
+    for k, (members, confidence) in enumerate(zip(groups, confidences)):
+        extractor = extractor_of(instances, range(start, start + len(members)), k=k)
         extractor.confidence = confidence
-        return extractor
+        extractors.append(extractor)
+        start += len(members)
+    covering = cover_hop3(graph_for(instances, cfg), extractors).get(0, [])
+    return instance_confidence(covering)
 
+
+class TestInstanceConfidence:
     def test_product_of_confidence_and_similarity(self):
         member = make_instance(template=make_template(v_between=axis(0)))
-        extractor = self._scored_extractor([member], 0.8)
         probe = make_instance(
             template=make_template(v_between=0.75 * axis(0) + 0.6614 * axis(1)))
-        value = instance_cluster_confidence(probe, extractor, cfg_for("bree"))
+        value = probe_confidence(probe, [[member]], [0.8], cfg_for("bree"))
         assert value == pytest.approx(0.8 * 0.75, abs=1e-4)
 
     def test_zero_similarity_annihilates(self):
         member = make_instance(template=make_template(v_between=axis(0)))
-        extractor = self._scored_extractor([member], 1.0)
         probe = make_instance(template=make_template(v_between=axis(1)))
-        assert instance_cluster_confidence(probe, extractor, cfg_for("bree")) == 0.0
+        assert probe_confidence(probe, [[member]], [1.0], cfg_for("bree")) == 0.0
 
     def test_no_covering_extractor_gives_zero(self):
         member = make_instance(template=make_template(v_between=axis(0)))
-        extractor = self._scored_extractor([member], 1.0)
         probe = make_instance(template=make_template(v_between=axis(1)))
-        assert instance_confidence(probe, [extractor], cfg_for("bree")) == 0.0
+        assert instance_confidence([]) == 0.0
+        assert probe_confidence(probe, [[member]], [1.0], cfg_for("bree")) == 0.0
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(11)
         cfg = cfg_for("bree", tau_sim=0.6)
         for _ in range(25):
-            extractors = []
-            for k in range(int(rng.integers(1, 8))):
-                members = [make_instance(template=rand_template(rng))
-                           for _ in range(int(rng.integers(1, 5)))]
-                ex = Extractor(id=k, members=members)
-                ex.confidence = float(rng.uniform(0, 1))
-                extractors.append(ex)
+            groups = [[make_instance(template=rand_template(rng))
+                       for _ in range(int(rng.integers(1, 5)))]
+                      for _ in range(int(rng.integers(1, 8)))]
+            confidences = [float(rng.uniform(0, 1)) for _ in groups]
             probe = make_instance(template=rand_template(rng))
             expected = 1.0
-            for ex in extractors:
-                sim = sim_instance_cluster(probe, ex, cfg.measure)
+            for members, confidence in zip(groups, confidences):
+                sim = sim_instance_cluster(probe, members, cfg.measure)
                 if sim >= cfg.tau_sim:
-                    expected *= 1.0 - ex.confidence * sim
+                    expected *= 1.0 - confidence * sim
             expected = 1.0 - expected
-            assert instance_confidence(probe, extractors, cfg) == pytest.approx(
-                expected, abs=1e-12)
+            assert probe_confidence(probe, groups, confidences, cfg) == expected
 
 
 class TestTaxonomy:
     def test_four_way_mapping(self):
         cfg = cfg_for("bree")
-        extractor = Extractor(id=0, members=[make_instance()])
+        extractor = extractor_of([make_instance()])
         extractor.confidence = 0.85
         assert categorize_extractor(extractor, noisy=False, cfg=cfg) == "NNHC"
         assert categorize_extractor(extractor, noisy=True, cfg=cfg) == "NHC"
@@ -236,16 +251,16 @@ class TestTaxonomy:
     def test_joint_counting_flips_category(self):
         extractor, state = build_seeded_world()
         cfg_pairs = cfg_for("bree", w_neg=1.0, w_unk=0.0)
-        score_extractor(extractor, state, cfg_pairs)
+        scored(extractor, state, cfg_pairs)
         assert extractor.confidence == 2 / 3
         assert categorize_extractor(extractor, noisy=False, cfg=cfg_pairs) == "NNLC"
         cfg_joint = cfg_for("brej", w_neg=1.0, w_unk=0.0)
-        score_extractor(extractor, state, cfg_joint)
+        scored(extractor, state, cfg_joint)
         assert extractor.confidence == 6 / 7
         assert categorize_extractor(extractor, noisy=False, cfg=cfg_joint) == "NNHC"
 
 
 def test_signature_is_order_insensitive():
     a, b = make_instance(iid="x1"), make_instance(iid="x2")
-    assert extractor_signature(Extractor(id=0, members=[a, b])) == \
-        extractor_signature(Extractor(id=1, members=[b, a]))
+    assert extractor_signature(extractor_of([a, b], k=0)) == \
+        extractor_signature(extractor_of([b, a], k=1))

@@ -188,11 +188,3 @@ class TestClusterAndTemplateSet:
         seed = make_template(v_between=u)
         assert sim_instance_templateset(probe, [seed], MATCH) == pytest.approx(
             0.6, abs=1e-12)
-
-    def test_cache_reuses_values(self):
-        cache = {}
-        members = [make_instance(), make_instance()]
-        probe = make_instance()
-        first = sim_instance_cluster(probe, members, ASYM, cache)
-        assert len(cache) == 2
-        assert sim_instance_cluster(probe, members, ASYM, cache) == first
