@@ -22,7 +22,8 @@ from .corpus import EntityPair, SeedFileSpec, TypedEntity, extract_instances, \
     load_corpus, load_embeddings, parse_seed_file, reorder_passive
 from .engine import bootstrap
 from .errors import InputError
-from .evaluate import ExtractorSummary, extractor_stats, hit_count, load_gold, prf1
+from .evaluate import ExtractorSummary, GoldKB, extractor_stats, hit_count, \
+    load_gold, prf1
 from .model import MODES, PAIRINGS, SCORE_AGAINST, BootstrapResult, RunConfig, \
     SeedState, build_seed_state
 from .similarity import MEASURE_KINDS, SimilarityMeasure
@@ -61,11 +62,13 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def build_config(args) -> RunConfig:
-    """Merge defaults <- config file <- explicit CLI flags into a RunConfig."""
+def build_config(args, cell: dict | None = None) -> RunConfig:
+    """Merge defaults <- config file <- CLI flags <- sweep cell into a RunConfig."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
 
     def pick(name, default):
+        if cell and name in cell:
+            return cell[name]
         value = getattr(args, name, None)
         if value is not None:
             return value
@@ -156,24 +159,81 @@ def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
         fh.write("\n")
 
 
-def run_pipeline(cfg: RunConfig, corpus, embeddings, seeds, out_dir: Path,
-                 manifest: dict) -> dict:
-    ingested = ingest_inputs(corpus, embeddings, seeds, cfg)
+class RunInputs:
+    """The inputs of `run` or `sweep`: digested once, and ingested once per
+    (pairing, window limits), the config fields ingest reads, so the cells of
+    a sweep share an ingest; for a sweep, also the gold file and threshold."""
+
+    def __init__(self, args):
+        self.paths = (args.corpus, args.embeddings, args.seeds)
+        self.digests = {
+            name: {"path": str(path), "sha256": _sha256(path)}
+            for name, path in zip(("corpus", "embeddings", "seeds"), self.paths)
+        }
+        self.gold_path = getattr(args, "gold", None)
+        self.threshold = getattr(args, "threshold", None)
+        self._ingested: dict[tuple, Ingested] = {}
+
+    def ingest(self, cfg: RunConfig) -> Ingested:
+        key = (cfg.pairing, cfg.limits)
+        if key not in self._ingested:
+            self._ingested[key] = ingest_inputs(*self.paths, cfg)
+        return self._ingested[key]
+
+    def gold(self, relation: str, pairing: str) -> GoldKB | None:
+        if self.gold_path:
+            return load_gold(self.gold_path, relation, pairing)
+        return None
+
+
+def write_report(path, relation: str, accepted, gold: GoldKB,
+                 threshold: float) -> dict:
+    """Score (pair or instance, confidence) records against the gold pairs,
+    write the report to ``path``, print the P/R/F1 table, return the report."""
+    scores = prf1(accepted, gold, threshold=threshold)
+    report = {"relation": relation, "threshold": threshold, "gold_size": len(gold),
+              **scores._asdict()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{'relation':<16}{'#out':>8}{'P':>8}{'R':>8}{'F1':>8}")
+    print(f"{relation:<16}{scores.out_count:>8}"
+          f"{scores.precision:>8.3f}{scores.recall:>8.3f}{scores.f1:>8.3f}")
+    return report
+
+
+def run_pipeline(cfg: RunConfig, inputs: RunInputs, out_dir: Path,
+                 manifest: dict) -> dict | None:
+    """Ingest, bootstrap, write the outputs and print the run summary; with a
+    gold file, also write report.json and return the report."""
+    ingested = inputs.ingest(cfg)
+    relation = ingested.spec.relation
+    gold = inputs.gold(relation, cfg.pairing)
     result = bootstrap(ingested.instances, ingested.seed_state, cfg)
     manifest["iterations"] = result.per_iteration_stats
-    write_outputs(out_dir, ingested.spec.relation, result, ingested.counters)
-    return {
-        "relation": ingested.spec.relation,
+    write_outputs(out_dir, relation, result, ingested.counters)
+    summary = {
+        "relation": relation,
         "out": str(out_dir),
         "accepted": len(result.accepted),
         "extractors": len(result.extractors),
         "diagnostic": result.diagnostic,
         **ingested.counters,
     }
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    if gold is None:
+        return None
+    return write_report(out_dir / "report.json", relation, result.accepted, gold,
+                        inputs.threshold)
 
 
-def _cmd_run(args) -> int:
-    out_dir = Path(args.out)
+def run_cell(args, out_dir: Path, inputs: RunInputs,
+             cell: dict | None = None) -> tuple[int, dict | None]:
+    """One run into ``out_dir`` with the config of ``args`` and ``cell``.
+
+    A manifest with the input digests is written even when the run fails.
+    Returns the exit code and, when ``inputs`` has a gold file, the report.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool": "brex",
@@ -181,22 +241,15 @@ def _cmd_run(args) -> int:
         "status": "failed",
         "error": None,
         "config": None,
-        "inputs": {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in (("corpus", args.corpus),
-                               ("embeddings", args.embeddings),
-                               ("seeds", args.seeds))
-        },
+        "inputs": inputs.digests,
         "iterations": [],
     }
-    code = 0
+    code, report = 0, None
     try:
-        cfg = build_config(args)
+        cfg = build_config(args, cell)
         manifest["config"] = config_dict(cfg)
-        summary = run_pipeline(cfg, args.corpus, args.embeddings, args.seeds,
-                               out_dir, manifest)
+        report = run_pipeline(cfg, inputs, out_dir, manifest)
         manifest["status"] = "ok"
-        print(json.dumps(summary, indent=2, sort_keys=True))
     except (InputError, OSError, ValueError) as exc:
         manifest["error"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)
@@ -209,7 +262,19 @@ def _cmd_run(args) -> int:
         with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return code
+    return code, report
+
+
+def _cmd_run(args) -> int:
+    return run_cell(args, Path(args.out), RunInputs(args))[0]
+
+
+def _read_json(path: Path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON ({exc.msg})") from None
 
 
 def _read_run_dir(run_dir: Path) -> tuple[dict, list[dict]]:
@@ -217,8 +282,9 @@ def _read_run_dir(run_dir: Path) -> tuple[dict, list[dict]]:
     accepted_path = run_dir / "accepted.jsonl"
     if not manifest_path.exists() or not accepted_path.exists():
         raise InputError(f"{run_dir}: not a run directory (missing outputs)")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise InputError(f"{manifest_path}: manifest must be a JSON object")
     rows = []
     with open(accepted_path, encoding="utf-8") as fh:
         for line in fh:
@@ -236,8 +302,7 @@ def _cmd_eval(args) -> int:
         relation = "unknown"
         stats_path = run_dir / "stats.json"
         if stats_path.exists():
-            with open(stats_path, encoding="utf-8") as fh:
-                relation = json.load(fh).get("relation", relation)
+            relation = _read_json(stats_path).get("relation", relation)
         elif rows:
             relation = rows[0]["relation"]
         gold = load_gold(args.gold, relation, pairing)
@@ -246,27 +311,11 @@ def _cmd_eval(args) -> int:
                         TypedEntity(r["e2"], r["e2_type"])), r["confidence"])
             for r in rows
         ]
-        scores = prf1(accepted, gold, threshold=args.threshold)
-    except InputError as exc:
+        out_path = Path(args.out) if args.out else run_dir / "report.json"
+        write_report(out_path, relation, accepted, gold, args.threshold)
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    report = {
-        "relation": relation,
-        "threshold": args.threshold,
-        "gold_size": len(gold),
-        "out_count": scores.out_count,
-        "precision": scores.precision,
-        "recall": scores.recall,
-        "f1": scores.f1,
-    }
-    out_path = Path(args.out) if args.out else run_dir / "report.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"{'relation':<16}{'#out':>8}{'P':>8}{'R':>8}{'F1':>8}")
-    print(f"{relation:<16}{scores.out_count:>8}"
-          f"{scores.precision:>8.3f}{scores.recall:>8.3f}{scores.f1:>8.3f}")
     return 0
 
 
@@ -360,26 +409,19 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    inputs = RunInputs(args)
+    varying = [n for n in names if len(grid[n]) > 1]
     summary_rows = []
     worst = 0
     for index, combo in enumerate(combos):
         cell = dict(zip(names, combo))
-        varying = [n for n in names if len(grid[n]) > 1]
         slug = "_".join(f"{n.replace('_', '-')}-{cell[n]}" for n in varying)
         cell_dir = out_root / (f"cell_{index:03d}" + (f"_{slug}" if slug else ""))
-        cell_args = argparse.Namespace(**vars(args))
-        for name, value in cell.items():
-            setattr(cell_args, name, value)
-        cell_args.out = str(cell_dir)
-        code = _cmd_run(cell_args)
+        code, report = run_cell(args, cell_dir, inputs, cell)
         worst = max(worst, code)
         row = {"cell": cell_dir.name, "params": cell, "exit_code": code}
-        if code == 0 and args.gold:
-            eval_args = argparse.Namespace(run=str(cell_dir), gold=args.gold,
-                                           threshold=args.threshold, out=None)
-            if _cmd_eval(eval_args) == 0:
-                with open(cell_dir / "report.json", encoding="utf-8") as fh:
-                    row["scores"] = json.load(fh)
+        if report is not None:
+            row["scores"] = report
         summary_rows.append(row)
 
     with open(out_root / "sweep_summary.json", "w", encoding="utf-8") as fh:

@@ -28,7 +28,8 @@ import logging
 import numpy as np
 
 from .corpus import Instance
-from .model import BootstrapResult, Extractor, RunConfig, SeedHits, SeedState
+from .model import MODE_CHANNELS, BootstrapResult, Extractor, RunConfig, SeedHits, \
+    SeedState
 from .scoring import instance_confidence, score_extractor
 from .similarity import SimilarityGraph
 # Not called here: perfbench/op.py traces these names in this module.
@@ -147,10 +148,12 @@ def check_instance(covering: list[tuple[Extractor, float]], template_hit: bool,
 
 
 def add_to_cache(instance: Instance, cache: SeedState, cfg: RunConfig) -> None:
-    """Store the accepted instance's items: its pair (BREE), template (BRET), or both."""
-    if cfg.mode in ("bree", "brej"):
+    """Store the accepted instance's items on the mode's channels: its pair,
+    its template, or both."""
+    pairs, templates = MODE_CHANNELS[cfg.mode]
+    if pairs:
         cache.pos_pairs.add(instance.pair)
-    if cfg.mode in ("bret", "brej"):
+    if templates:
         cache.pos_templates.add(instance.template)
 
 
@@ -165,57 +168,49 @@ def bootstrap(instances: list[Instance], seeds: SeedState,
     accepted: list[tuple[Instance, float]] = []
     accepted_index: dict[str, int] = {}
     stats: list[dict] = []
-    extractors: list[Extractor] = []
     diagnostic = None
 
     for iteration in range(1, cfg.iterations + 1):
         cache = SeedState.empty(cfg.pairing)
         hits = match_channels(graph, grown)
         hit_rows = np.flatnonzero(hits.matched(cfg.mode)).tolist()
-        hits_by_pair = int(np.count_nonzero(hits.pos_pair))
-        hits_by_template = int(np.count_nonzero(hits.pos_template))
+        extractors, covered, accepted_new = [], {}, 0
+        if hit_rows:
+            extractors = grow_hop2(graph, cluster_hop1(graph, hit_rows))
+            scoring_hits = hits if original_hits is None else original_hits
+            for extractor in extractors:
+                score_extractor(extractor, scoring_hits, cfg)
 
-        if not hit_rows:
-            stats.append({
-                "iteration": iteration, "hits": 0,
-                "hits_by_pair": hits_by_pair, "hits_by_template": hits_by_template,
-                "extractors": 0, "candidates": 0,
-                "accepted_new": 0, "accepted_total": len(accepted),
-                "yield": grown.sizes(),
-            })
-            if iteration == 1:
-                diagnostic = "no instance matched the initial seeds"
-            break  # the yield cannot change, later iterations are identical
+            covered = cover_hop3(graph, extractors)
+            for row, covering in covered.items():
+                ok, confidence = check_instance(covering, scoring_hits.pos_template[row],
+                                                cfg)
+                if not ok:
+                    continue
+                instance = instances[row]
+                add_to_cache(instance, cache, cfg)
+                slot = accepted_index.get(instance.id)
+                if slot is None:
+                    accepted_index[instance.id] = len(accepted)
+                    accepted.append((instance, confidence))
+                    accepted_new += 1
+                elif confidence > accepted[slot][1]:
+                    accepted[slot] = (instance, confidence)
+            grown.merge(cache)
 
-        extractors = grow_hop2(graph, cluster_hop1(graph, hit_rows))
-        scoring_hits = hits if original_hits is None else original_hits
-        for extractor in extractors:
-            score_extractor(extractor, scoring_hits, cfg)
-
-        covered = cover_hop3(graph, extractors)
-        accepted_new = 0
-        for row, covering in covered.items():
-            ok, confidence = check_instance(covering, scoring_hits.pos_template[row], cfg)
-            if not ok:
-                continue
-            instance = instances[row]
-            add_to_cache(instance, cache, cfg)
-            slot = accepted_index.get(instance.id)
-            if slot is None:
-                accepted_index[instance.id] = len(accepted)
-                accepted.append((instance, confidence))
-                accepted_new += 1
-            elif confidence > accepted[slot][1]:
-                accepted[slot] = (instance, confidence)
-
-        grown.merge(cache)
         stats.append({
             "iteration": iteration, "hits": len(hit_rows),
-            "hits_by_pair": hits_by_pair, "hits_by_template": hits_by_template,
+            "hits_by_pair": int(np.count_nonzero(hits.pos_pair)),
+            "hits_by_template": int(np.count_nonzero(hits.pos_template)),
             "extractors": len(extractors), "candidates": len(covered),
             "accepted_new": accepted_new, "accepted_total": len(accepted),
             "yield": grown.sizes(),
         })
+        if not hit_rows:
+            # The seed sets only grow, so only iteration 1 can match nothing,
+            # and every later iteration would repeat it.
+            diagnostic = "no instance matched the initial seeds"
+            break
         log.info("iteration %d: %d hits, %d extractors, %d candidates, %d accepted",
                  iteration, len(hit_rows), len(extractors), len(covered), accepted_new)
 

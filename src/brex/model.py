@@ -11,7 +11,9 @@ from .corpus import EmbeddingStore, EntityPair, Instance, SeedFileSpec, Template
 from .errors import SeedFormatError
 from .similarity import SimilarityMeasure
 
-MODES = ("bree", "bret", "brej")
+# The seed channels, (entity pairs, templates), a mode matches, counts and grows.
+MODE_CHANNELS = {"bree": (True, False), "bret": (False, True), "brej": (True, True)}
+MODES = tuple(MODE_CHANNELS)
 PAIRINGS = ("ordered", "biset")
 SCORE_AGAINST = ("yield", "original")
 
@@ -160,13 +162,12 @@ class SeedHits:
     neg_template: np.ndarray
 
     def matched(self, mode: str) -> np.ndarray:
-        """Hop-1 seed match: pair membership (BREE), template similarity
-        (BRET), or their disjunction (BREJ)."""
-        if mode == "bree":
-            return self.pos_pair
-        if mode == "bret":
-            return self.pos_template
-        return self.pos_pair | self.pos_template
+        """Hop-1 seed match: pair membership, template similarity, or their
+        disjunction, as the mode's channels say."""
+        pairs, templates = MODE_CHANNELS[mode]
+        if pairs and templates:
+            return self.pos_pair | self.pos_template
+        return self.pos_pair if pairs else self.pos_template
 
 
 @dataclass

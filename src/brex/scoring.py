@@ -18,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-from .model import Extractor, RunConfig, SeedHits
+from .model import MODE_CHANNELS, Extractor, RunConfig, SeedHits
 # Not called here: perfbench/op.py traces these names in this module.
 from .similarity import sim_instance_cluster, sim_instance_templateset  # noqa: F401
 
@@ -36,16 +36,14 @@ def count_positives(extractor: Extractor, by_pair: np.ndarray,
                     by_template: np.ndarray, cfg: RunConfig) -> float:
     """Count members matching seeds under the mode's channels, given the
     per-row pair and template hits of one polarity (see SeedHits)."""
+    pairs, templates = MODE_CHANNELS[cfg.mode]
     rows = extractor.rows
-    pair_count = 0
-    if cfg.mode in ("bree", "brej"):
-        pair_count = int(np.count_nonzero(by_pair[rows]))
-        if cfg.mode == "bree":
-            return float(pair_count)
-    template_count = int(np.count_nonzero(by_template[rows]))
-    if cfg.mode == "bret":
-        return float(template_count)
-    return float(pair_count + template_count)
+    count = 0
+    if pairs:
+        count += int(np.count_nonzero(by_pair[rows]))
+    if templates:
+        count += int(np.count_nonzero(by_template[rows]))
+    return float(count)
 
 
 def count_unknown(extractor: Extractor, hits: SeedHits) -> int:

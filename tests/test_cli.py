@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import brex.cli
 from brex.cli import main
 from brex.synth import build_biset_fixture, build_planted_fixture
 
@@ -127,6 +128,22 @@ class TestEval:
         assert main(["eval", "--run", str(tmp_path / "nope"),
                      "--gold", str(data_dir / "gold.tsv")]) == 2
 
+    def test_missing_gold_exits_2(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        assert main(["eval", "--run", str(out),
+                     "--gold", str(tmp_path / "nope.tsv")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_corrupt_manifest_exits_2(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        (out / "manifest.json").write_text('{"status": "ok", ')
+        assert main(["eval", "--run", str(out),
+                     "--gold", str(data_dir / "gold.tsv")]) == 2
+        assert "manifest.json: invalid JSON" in capsys.readouterr().err
+
     def test_filter_rule_threshold(self, data_dir, tmp_path):
         out = tmp_path / "run"
         assert main(run_args(data_dir, out, "--mode", "brej")) == 0
@@ -192,6 +209,62 @@ class TestSweep:
         assert len(cell_dirs) == 2
         for name in cell_dirs:
             assert (out / name / "accepted.jsonl").exists()
+
+    @pytest.mark.parametrize("gold", ["missing", "malformed"])
+    def test_bad_gold_exits_2_and_writes_summary(self, data_dir, tmp_path, capsys, gold):
+        gold_path = tmp_path / "gold.tsv"
+        if gold == "malformed":
+            gold_path.write_text("Acme Corp without a tab\n")
+        out = tmp_path / "sweep"
+        code = main(["sweep",
+                     "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--embeddings", str(data_dir / "embeddings.txt"),
+                     "--seeds", str(data_dir / "seeds.json"),
+                     "--mode", "bree,brej", "--gold", str(gold_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert [row["exit_code"] for row in summary] == [2, 2]
+        for row in summary:
+            manifest = json.loads((out / row["cell"] / "manifest.json").read_text())
+            assert manifest["status"] == "failed"
+            assert str(gold_path) in manifest["error"]
+
+    def test_cells_equal_standalone_run_and_eval(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        build_biset_fixture().write(data)
+        inputs = ["--corpus", str(data / "corpus.jsonl"),
+                  "--embeddings", str(data / "embeddings.txt"),
+                  "--seeds", str(data / "seeds.json")]
+        gold = str(data / "gold.tsv")
+        ingest = brex.cli.ingest_inputs
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1].pairing)
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(brex.cli, "ingest_inputs", counted)
+        out = tmp_path / "sweep"
+        assert main(["sweep", *inputs, "--mode", "bree,brej",
+                     "--pairing", "ordered,biset", "--gold", gold,
+                     "--out", str(out)]) == 0
+        assert sorted(calls) == ["biset", "ordered"]  # one ingest per pairing
+
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert len(summary) == 4
+        for row in summary:
+            params = row["params"]
+            solo = tmp_path / "solo" / row["cell"]
+            assert main(["run", *inputs, "--mode", params["mode"],
+                         "--pairing", params["pairing"], "--out", str(solo)]) == 0
+            assert main(["eval", "--run", str(solo), "--gold", gold]) == 0
+            for name in ("accepted.jsonl", "extractors.jsonl", "stats.json",
+                         "manifest.json", "report.json"):
+                assert (out / row["cell"] / name).read_bytes() == \
+                    (solo / name).read_bytes(), (row["cell"], name)
+            assert row["scores"] == json.loads((solo / "report.json").read_text())
 
 
 class TestBisetFixtureViaCli:
