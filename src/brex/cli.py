@@ -13,7 +13,9 @@ import hashlib
 import itertools
 import json
 import logging
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +48,25 @@ def _sha256(path) -> str | None:
         return digest.hexdigest()
     except OSError:
         return None
+
+
+@contextmanager
+def _replace_when_done(path: Path):
+    """Open a temp file beside ``path`` for text; once the block exits cleanly
+    it replaces ``path``, so a failed or killed process never leaves a
+    half-written output. A symlink or an existing non-regular file (a device,
+    a pipe) is written through in place instead of being replaced."""
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_config_file(path) -> dict:
@@ -111,7 +132,11 @@ class Ingested:
 def ingest_inputs(corpus_path, embeddings_path, seeds_path, cfg: RunConfig) -> Ingested:
     spec = parse_seed_file(seeds_path)
     loaded = load_corpus(corpus_path, set(spec.type_pair))
-    emb = load_embeddings(embeddings_path)
+    # context vectors only ever look up corpus tokens and seed-template tokens
+    vocab = {tok for sent in loaded.sentences for tok in sent.tokens}
+    vocab.update(tok for text in spec.positive_templates + spec.negative_templates
+                 for tok in text.split())
+    emb = load_embeddings(embeddings_path, vocab)
     extraction = extract_instances(loaded.sentences, emb, cfg.limits, spec.type_pair)
     instances = [
         reorder_passive(inst, loaded.sentences[inst.sentence_ref].pos)
@@ -131,7 +156,7 @@ def ingest_inputs(corpus_path, embeddings_path, seeds_path, cfg: RunConfig) -> I
 
 def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
                   counters: dict) -> None:
-    with open(out_dir / "accepted.jsonl", "w", encoding="utf-8") as fh:
+    with _replace_when_done(out_dir / "accepted.jsonl") as fh:
         for instance, confidence in result.accepted:
             row = {
                 "relation": relation,
@@ -143,7 +168,7 @@ def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
                 "sentence_ref": instance.sentence_ref,
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(out_dir / "extractors.jsonl", "w", encoding="utf-8") as fh:
+    with _replace_when_done(out_dir / "extractors.jsonl") as fh:
         for extractor in result.extractors:
             summary = ExtractorSummary.from_extractor(extractor)
             fh.write(json.dumps(summary.to_dict(), sort_keys=True) + "\n")
@@ -154,7 +179,7 @@ def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
         "accepted_total": len(result.accepted),
         **counters,
     }
-    with open(out_dir / "stats.json", "w", encoding="utf-8") as fh:
+    with _replace_when_done(out_dir / "stats.json") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -186,14 +211,14 @@ class RunInputs:
         return None
 
 
-def write_report(path, relation: str, accepted, gold: GoldKB,
+def write_report(path: Path, relation: str, accepted, gold: GoldKB,
                  threshold: float) -> dict:
     """Score (pair or instance, confidence) records against the gold pairs,
     write the report to ``path``, print the P/R/F1 table, return the report."""
     scores = prf1(accepted, gold, threshold=threshold)
     report = {"relation": relation, "threshold": threshold, "gold_size": len(gold),
               **scores._asdict()}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replace_when_done(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{'relation':<16}{'#out':>8}{'P':>8}{'R':>8}{'F1':>8}")
@@ -259,7 +284,7 @@ def run_cell(args, out_dir: Path, inputs: RunInputs,
         print(f"internal error: {exc}", file=sys.stderr)
         code = 1
     finally:
-        with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        with _replace_when_done(out_dir / "manifest.json") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return code, report
@@ -297,6 +322,9 @@ def _cmd_eval(args) -> int:
     try:
         run_dir = Path(args.run)
         manifest, rows = _read_run_dir(run_dir)
+        if manifest.get("status") != "ok":
+            raise InputError(f"{run_dir}: the run's status is "
+                             f"{manifest.get('status')!r}, not 'ok'; nothing to score")
         cfg_snapshot = manifest.get("config") or {}
         pairing = cfg_snapshot.get("pairing", "ordered")
         relation = "unknown"
@@ -424,7 +452,7 @@ def _cmd_sweep(args) -> int:
             row["scores"] = report
         summary_rows.append(row)
 
-    with open(out_root / "sweep_summary.json", "w", encoding="utf-8") as fh:
+    with _replace_when_done(out_root / "sweep_summary.json") as fh:
         json.dump(summary_rows, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return worst

@@ -18,6 +18,7 @@ vectors bit-identical for any two windows with the same token multiset.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -157,45 +158,106 @@ def unit(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def load_embeddings(path) -> EmbeddingStore:
+# Lines per block of the embedding table: numpy parses a block's components in
+# one call, and a block that call rejects is checked line by line.
+_EMBEDDING_BLOCK = 1024
+
+
+def load_embeddings(path, vocab) -> EmbeddingStore:
+    """Load a GloVe text table, keeping the words in ``vocab``; the first row
+    of a word wins.
+
+    Every row is validated, kept or not: each needs the dimension of the first
+    row, and the first row of each word needs numeric, finite components; a
+    bad row raises EmbeddingFormatError naming its line.
+    """
     vectors: dict[str, np.ndarray] = {}
+    seen: set[str] = set()  # every word so far; later rows of a word are not parsed
     dimension = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            if dimension is None:
-                if not values:
-                    raise EmbeddingFormatError(
-                        f"{path}: line {lineno}: entry has no vector components"
-                    )
-                dimension = len(values)
-            elif len(values) != dimension:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: expected {dimension} components, "
-                    f"found {len(values)}"
-                )
-            if word in vectors:
-                continue  # keep first occurrence
-            try:
-                floats = [float(x) for x in values]
-            except ValueError as exc:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: non-numeric component ({exc})"
-                ) from None
-            # the sum is NaN or infinite whenever a component is; it can also
-            # overflow on huge finite components, which the exact test clears
-            if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: non-finite component (nan or inf)")
-            vec = np.array(floats, dtype=np.float64)
-            vec.setflags(write=False)
-            vectors[word] = vec
+        lineno = 1
+        while lines := list(itertools.islice(fh, _EMBEDDING_BLOCK)):
+            parsed = _parse_block(lines, dimension)
+            if parsed is None:
+                dimension = _check_lines(path, lines, lineno, dimension, seen, vocab,
+                                         vectors)
+            else:
+                words, values = parsed
+                dimension = values.shape[1]
+                rows: dict[str, int] = {}
+                for i, word in enumerate(words):
+                    if word in vocab and word not in vectors:
+                        rows.setdefault(word, i)
+                kept = values[list(rows.values())]
+                kept.setflags(write=False)
+                vectors.update(zip(rows, kept))
+                seen.update(words)
+            lineno += len(lines)
     if dimension is None:
         raise EmbeddingFormatError(f"{path}: no embedding entries found")
     return EmbeddingStore(dimension, vectors)
+
+
+def _parse_block(lines, dimension):
+    """The words and the (rows, dimension) values of a block's non-blank lines,
+    parsed in one numpy call; None when the block has no such line, a row has
+    no components or another count, or numpy rejects or overflows a component.
+
+    numpy accepts a subset of what ``float`` accepts (not ``1_0`` or non-ASCII
+    digits) and gives the same bits for it, so a None only means the block
+    needs the per-line check.
+    """
+    parts = [p for p in (line.split(None, 1) for line in lines) if p]
+    if not parts:
+        return None
+    try:
+        values = np.loadtxt([p[1] for p in parts], dtype=np.float64, comments=None,
+                            ndmin=2)
+    except (IndexError, ValueError):
+        return None
+    if (values.shape[0] != len(parts) or dimension not in (None, values.shape[1])
+            or not np.isfinite(values).all()):
+        return None
+    return [p[0] for p in parts], values
+
+
+def _check_lines(path, lines, lineno, dimension, seen, vocab, vectors):
+    """The per-line check of a block starting at ``lineno``: raise the error of
+    its first bad line, else store its kept rows as ``float`` parses them.
+    Returns the dimension."""
+    for lineno, line in enumerate(lines, start=lineno):
+        parts = line.split()
+        if not parts:
+            continue
+        word, values = parts[0], parts[1:]
+        if dimension is None:
+            if not values:
+                raise EmbeddingFormatError(
+                    f"{path}: line {lineno}: entry has no vector components"
+                )
+            dimension = len(values)
+        elif len(values) != dimension:
+            raise EmbeddingFormatError(
+                f"{path}: line {lineno}: expected {dimension} components, "
+                f"found {len(values)}"
+            )
+        if word in seen:
+            continue  # keep first occurrence
+        seen.add(word)
+        try:
+            floats = [float(x) for x in values]
+        except ValueError as exc:
+            raise EmbeddingFormatError(
+                f"{path}: line {lineno}: non-numeric component ({exc})"
+            ) from None
+        if not all(map(math.isfinite, floats)):
+            raise EmbeddingFormatError(
+                f"{path}: line {lineno}: non-finite component (nan or inf)")
+        if word in vocab:
+            vec = np.array(floats, dtype=np.float64)
+            vec.setflags(write=False)
+            vectors[word] = vec
+    return dimension
 
 
 def _parse_record(raw: str, lineno: int) -> dict:

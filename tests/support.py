@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from brex.corpus import EntityPair, Instance, Template, TypedEntity
+from brex.corpus import EmbeddingStore, EntityPair, Instance, Template, TypedEntity
+from brex.errors import EmbeddingFormatError
 from brex.model import Extractor, RunConfig, SeedState
 from brex.scoring import reliability, soft_or
 from brex.similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure, \
@@ -239,3 +241,46 @@ def reference_bootstrap(instances, seeds, cfg):
         stats.append((len(hits), sum(by_pair), sum(by_template), len(extractors),
                       candidates, accepted_new))
     return accepted, extractors, stats
+
+
+def reference_load_embeddings(path) -> EmbeddingStore:
+    """The per-line embedding loader that keeps every word: the oracle for
+    ``brex.corpus.load_embeddings``'s rows and error messages."""
+    vectors: dict[str, np.ndarray] = {}
+    dimension = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            word, values = parts[0], parts[1:]
+            if dimension is None:
+                if not values:
+                    raise EmbeddingFormatError(
+                        f"{path}: line {lineno}: entry has no vector components"
+                    )
+                dimension = len(values)
+            elif len(values) != dimension:
+                raise EmbeddingFormatError(
+                    f"{path}: line {lineno}: expected {dimension} components, "
+                    f"found {len(values)}"
+                )
+            if word in vectors:
+                continue  # keep first occurrence
+            try:
+                floats = [float(x) for x in values]
+            except ValueError as exc:
+                raise EmbeddingFormatError(
+                    f"{path}: line {lineno}: non-numeric component ({exc})"
+                ) from None
+            # the sum is NaN or infinite whenever a component is; it can also
+            # overflow on huge finite components, which the exact test clears
+            if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+                raise EmbeddingFormatError(
+                    f"{path}: line {lineno}: non-finite component (nan or inf)")
+            vec = np.array(floats, dtype=np.float64)
+            vec.setflags(write=False)
+            vectors[word] = vec
+    if dimension is None:
+        raise EmbeddingFormatError(f"{path}: no embedding entries found")
+    return EmbeddingStore(dimension, vectors)

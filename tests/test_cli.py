@@ -75,6 +75,45 @@ class TestRun:
         assert manifest["status"] == "failed"
         assert "line 2: non-finite" in manifest["error"]
 
+    @pytest.mark.parametrize("last, message", [
+        ("0 0", "components, found"),
+        ("abc", "non-numeric component"),
+        ("inf", "non-finite component"),
+    ])
+    def test_bad_unused_embedding_row_exits_2(self, data_dir, tmp_path, last,
+                                              message):
+        lines = (data_dir / "embeddings.txt").read_text().splitlines()
+        dim = len(lines[0].split()) - 1
+        lines.append(" ".join(["never_in_corpus", *["0"] * (dim - 1), last]))
+        embeddings = tmp_path / "embeddings.txt"
+        embeddings.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code = main(["run",
+                     "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--embeddings", str(embeddings),
+                     "--seeds", str(data_dir / "seeds.json"),
+                     "--out", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert f"line {len(lines)}: " in manifest["error"]
+        assert message in manifest["error"]
+
+    def test_crash_while_writing_keeps_previous_file(self, data_dir, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        before = (out / "extractors.jsonl").read_bytes()
+
+        def crash(extractor):
+            raise RuntimeError("crash while writing")
+
+        monkeypatch.setattr(brex.cli.ExtractorSummary, "from_extractor", crash)
+        assert main(run_args(data_dir, out)) == 1
+        assert (out / "extractors.jsonl").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+
     def test_out_of_range_threshold_exits_2(self, data_dir, tmp_path):
         assert main(run_args(data_dir, tmp_path / "r", "--tau-sim", "1.5")) == 2
 
@@ -124,6 +163,19 @@ class TestEval:
         table = capsys.readouterr().out
         assert "acquired" in table and "F1" in table
 
+    def test_symlinked_out_is_written_through(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["eval", "--run", str(out), "--gold", str(data_dir / "gold.tsv"),
+                     "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["gold_size"] == 10
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_missing_run_dir_exits_2(self, tmp_path, data_dir):
         assert main(["eval", "--run", str(tmp_path / "nope"),
                      "--gold", str(data_dir / "gold.tsv")]) == 2
@@ -143,6 +195,24 @@ class TestEval:
         assert main(["eval", "--run", str(out),
                      "--gold", str(data_dir / "gold.tsv")]) == 2
         assert "manifest.json: invalid JSON" in capsys.readouterr().err
+
+    def test_failed_run_is_not_scored(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        code = main(["run",
+                     "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--embeddings", str(data_dir / "nope.txt"),
+                     "--seeds", str(data_dir / "seeds.json"),
+                     "--out", str(out)])
+        assert code == 2
+        assert (out / "accepted.jsonl").exists()  # left over from the first run
+        capsys.readouterr()
+        assert main(["eval", "--run", str(out),
+                     "--gold", str(data_dir / "gold.tsv")]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "'failed'" in captured.err
+        assert "F1" not in captured.out
+        assert not (out / "report.json").exists()
 
     def test_filter_rule_threshold(self, data_dir, tmp_path):
         out = tmp_path / "run"

@@ -2,12 +2,18 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import brex.cli
+import brex.corpus
+from brex.cli import ingest_inputs
 from brex.corpus import (
     EntitySpan,
     TaggedSentence,
@@ -19,6 +25,8 @@ from brex.corpus import (
     reorder_passive,
 )
 from brex.errors import CorpusFormatError, EmbeddingFormatError, SeedFormatError
+from brex.model import RunConfig
+from brex.synth import build_planted_fixture
 
 import support
 
@@ -32,7 +40,14 @@ def emb4(tmp_path):
         "with 0 0 1 0\n"
         "bought 0.6 0.8 0 0\n"
     )
-    return load_embeddings(path)
+    return load_table(path)
+
+
+def load_table(path):
+    """load_embeddings keeping every word of the table at ``path``."""
+    words = {line.split()[0] for line in Path(path).read_text(encoding="utf-8").splitlines()
+             if line.split()}
+    return load_embeddings(path, words)
 
 
 def write_corpus(tmp_path, lines):
@@ -129,31 +144,31 @@ class TestLoadEmbeddings:
         path = tmp_path / "bad.txt"
         path.write_text("a 1 0 0 0\nb 1 0 0\n")
         with pytest.raises(EmbeddingFormatError, match="line 2"):
-            load_embeddings(path)
+            load_table(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_non_finite_component_names_line(self, tmp_path, bad):
         path = tmp_path / "bad.txt"
         path.write_text(f"a 1 0 0\nb 0 {bad} 0\n")
         with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
-            load_embeddings(path)
+            load_table(path)
 
     def test_huge_finite_components_accepted(self, tmp_path):
         path = tmp_path / "huge.txt"
         path.write_text("a 1e308 1e308 -1e308\n")
-        np.testing.assert_array_equal(load_embeddings(path).lookup("a"),
+        np.testing.assert_array_equal(load_table(path).lookup("a"),
                                       [1e308, 1e308, -1e308])
 
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
         with pytest.raises(EmbeddingFormatError):
-            load_embeddings(path)
+            load_table(path)
 
     def test_duplicates_keep_first(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("a 1 0\na 0 1\n")
-        emb = load_embeddings(path)
+        emb = load_table(path)
         np.testing.assert_array_equal(emb.lookup("a"), [1, 0])
 
     def test_context_vector_is_normalized_sum(self, emb4):
@@ -173,6 +188,155 @@ class TestLoadEmbeddings:
         a = emb.context_vector(tokens)
         b = emb.context_vector(shuffled)
         assert a.tobytes() == b.tobytes()
+
+
+BLOCK = brex.corpus._EMBEDDING_BLOCK
+WORDS = ("a", "b", "c", "d")
+# float() takes all of these; numpy's block parse rejects "1_0" and "１２"
+GOOD_TOKENS = ("0", "-0", "1.5", "-2e-3", "+.5", "1e308", "4.9e-325", "1_0", "１２")
+BAD_TOKENS = ("nan", "-inf", "Infinity", "1e400", "abc", "1,0", "0x1", "")
+
+
+def filler(n):
+    """``n`` valid two-component rows of the words u0, u1, ..."""
+    return [f"u{k} 0.25 0.5" for k in range(n)]
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@st.composite
+def tables(draw):
+    """Lines of a random table over WORDS: valid or bad tokens, blank lines,
+    duplicate words and, unless ``clean``, short and long rows."""
+    dim = draw(st.integers(1, 3))
+    clean = draw(st.booleans())
+    number = st.floats(allow_nan=False).map(repr) | st.sampled_from(GOOD_TOKENS)
+    if not clean:
+        number = number | st.sampled_from(BAD_TOKENS)
+    kinds = ["row"] * 6 + ["blank"] + ([] if clean else ["short", "long"])
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        count = dim + {"row": 0, "short": -1, "long": 1}[kind]
+        tokens = [draw(st.sampled_from(WORDS))] + [draw(number) for _ in range(count)]
+        lines.append(draw(st.sampled_from([" ", "\t", "  ", "\xa0"])).join(tokens))
+    return lines
+
+
+class TestVocabularyLoad:
+    """load_embeddings(path, vocab) keeps only vocabulary words and still
+    validates every row."""
+
+    @given(tables(), st.integers(1, 4), st.just(set(WORDS)) | st.sets(st.sampled_from(WORDS)))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_reference_loader(self, tmp_path, lines, block, vocab):
+        path = write_lines(tmp_path / "emb.txt", lines)
+        with mock.patch.object(brex.corpus, "_EMBEDDING_BLOCK", block):
+            try:
+                expected = support.reference_load_embeddings(path)
+            except EmbeddingFormatError as exc:
+                with pytest.raises(EmbeddingFormatError) as got:
+                    load_embeddings(path, vocab)
+                assert str(got.value) == str(exc)
+                return
+            emb = load_embeddings(path, vocab)
+        assert emb.dimension == expected.dimension
+        zero = np.zeros(expected.dimension)
+        for word in WORDS:
+            wanted = word in vocab
+            assert (word in emb) == (wanted and word in expected)
+            want = expected.lookup(word) if wanted else zero
+            assert emb.lookup(word).tobytes() == want.tobytes()
+        assert len(emb) == sum(word in emb for word in WORDS)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("zz 1", "expected 2 components, found 1"),
+        ("zz 1 2 3", "expected 2 components, found 3"),
+        ("zz", "expected 2 components, found 0"),
+        ("zz 1 abc", "non-numeric component"),
+        ("zz 1 1_0x", "non-numeric component"),
+        ("zz nan 1", "non-finite component"),
+        ("zz 1 1e400", "non-finite component"),
+    ])
+    def test_bad_unused_row_names_its_line(self, tmp_path, bad, message):
+        lines = filler(BLOCK + 10)
+        lines.insert(BLOCK + 4, bad)  # in the second block
+        path = write_lines(tmp_path / "emb.txt", lines)
+        with pytest.raises(EmbeddingFormatError,
+                           match=re.escape(f"line {BLOCK + 5}: {message}")):
+            load_embeddings(path, {"u0"})
+
+    def test_unused_first_row_without_components_names_line_1(self, tmp_path):
+        path = write_lines(tmp_path / "emb.txt", ["zz"] + filler(3))
+        with pytest.raises(EmbeddingFormatError,
+                           match="line 1: entry has no vector components"):
+            load_embeddings(path, {"u0"})
+
+    @pytest.mark.parametrize("second", ["a 0 1", "a 0 1_0", "a 0 abc"])
+    def test_duplicate_across_block_boundary_keeps_first(self, tmp_path, second):
+        # lines BLOCK and BLOCK + 1; later rows of a word are only counted
+        path = write_lines(tmp_path / "emb.txt", filler(BLOCK - 1) + ["a 1 0", second])
+        emb = load_embeddings(path, {"a"})
+        assert len(emb) == 1
+        assert emb.lookup("a").tolist() == [1, 0]
+
+    def test_seed_template_word_is_loaded(self, tmp_path, monkeypatch):
+        corpus = write_corpus(tmp_path, [
+            record(["Acme", "bought", "Bolt"], [ORG(0, 1), ORG(2, 3)]),
+        ])
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"relation": "acquired", "type_pair": ["ORG", "ORG"],
+                                     "positive_templates": ["[X] purchased [Y]"]}))
+        table = write_lines(tmp_path / "emb.txt",
+                            ["bought 1 0", "purchased 0 1", "unused 1 1"])
+        stores = []
+
+        def spy(*args):
+            stores.append(load_embeddings(*args))
+            return stores[-1]
+
+        monkeypatch.setattr(brex.cli, "load_embeddings", spy)
+        ingested = ingest_inputs(corpus, table, seeds, RunConfig())
+        [emb] = stores
+        assert "purchased" in emb and "bought" in emb and "unused" not in emb
+        [template] = ingested.seed_state.pos_templates
+        assert template.v_between.tolist() == [0, 1]
+
+    def test_ingest_ignores_unused_rows(self, tmp_path):
+        fixture = build_planted_fixture(n_sentences=80)
+        plain = fixture.write(tmp_path / "plain")
+        padded = fixture.write(tmp_path / "padded")
+        rows = padded["embeddings"].read_text().splitlines()
+        rng = np.random.default_rng(0)
+        dim = len(rows[0].split()) - 1
+        pad = [f"pad{k} " + " ".join(map(repr, rng.normal(size=dim).tolist()))
+               for k in range(10_000)]
+        half = len(rows) // 2
+        # the fixture's rows straddle the first block boundary
+        write_lines(padded["embeddings"], pad[:BLOCK - 3] + rows[:half]
+                    + pad[BLOCK - 3:5000] + rows[half:] + pad[5000:])
+
+        def snapshot(paths):
+            ingested = ingest_inputs(paths["corpus"], paths["embeddings"], paths["seeds"],
+                                     RunConfig())
+            state = ingested.seed_state
+            return ([(i.id, i.pair, i.template.key(), i.passive_swapped)
+                     for i in ingested.instances],
+                    [list(state.pos_pairs.keys()), list(state.neg_pairs.keys()),
+                     [key for key, _ in state.pos_templates.items()],
+                     [key for key, _ in state.neg_templates.items()]],
+                    ingested.counters)
+
+        instances, state, counters = snapshot(plain)
+        assert instances and state[2]
+        assert snapshot(padded) == (instances, state, counters)
 
 
 def _memory_emb():
