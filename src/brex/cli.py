@@ -28,7 +28,7 @@ from .evaluate import ExtractorSummary, GoldKB, extractor_stats, hit_count, \
     load_gold, prf1
 from .model import MODES, PAIRINGS, SCORE_AGAINST, BootstrapResult, RunConfig, \
     SeedState, build_seed_state
-from .similarity import MEASURE_KINDS, SimilarityMeasure
+from .similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure
 
 log = logging.getLogger(__name__)
 
@@ -187,7 +187,9 @@ def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
 class RunInputs:
     """The inputs of `run` or `sweep`: digested once, and ingested once per
     (pairing, window limits), the config fields ingest reads, so the cells of
-    a sweep share an ingest; for a sweep, also the gold file and threshold."""
+    a sweep share an ingest and, per (measure, tau_sim), its similarity
+    graph; for a sweep, also the gold file and threshold. Only the latest
+    graph is kept, so runs that share one must come one after another."""
 
     def __init__(self, args):
         self.paths = (args.corpus, args.embeddings, args.seeds)
@@ -198,12 +200,25 @@ class RunInputs:
         self.gold_path = getattr(args, "gold", None)
         self.threshold = getattr(args, "threshold", None)
         self._ingested: dict[tuple, Ingested] = {}
+        self._graph_key: tuple | None = None
+        self._graph: SimilarityGraph | None = None
 
     def ingest(self, cfg: RunConfig) -> Ingested:
         key = (cfg.pairing, cfg.limits)
         if key not in self._ingested:
             self._ingested[key] = ingest_inputs(*self.paths, cfg)
         return self._ingested[key]
+
+    def graph(self, cfg: RunConfig) -> SimilarityGraph:
+        """The similarity graph of cfg's ingest under its measure and tau_sim,
+        with the exact values the previous runs on it filled in."""
+        key = (cfg.pairing, cfg.limits, cfg.measure, cfg.tau_sim)
+        if key != self._graph_key:
+            self._graph = None  # free the previous graph before building this one
+            self._graph_key = key
+            self._graph = SimilarityGraph(self.ingest(cfg).instances, cfg.measure,
+                                          cfg.tau_sim)
+        return self._graph
 
     def gold(self, relation: str, pairing: str) -> GoldKB | None:
         if self.gold_path:
@@ -234,7 +249,7 @@ def run_pipeline(cfg: RunConfig, inputs: RunInputs, out_dir: Path,
     ingested = inputs.ingest(cfg)
     relation = ingested.spec.relation
     gold = inputs.gold(relation, cfg.pairing)
-    result = bootstrap(ingested.instances, ingested.seed_state, cfg)
+    result = bootstrap(ingested.instances, ingested.seed_state, cfg, inputs.graph(cfg))
     manifest["iterations"] = result.per_iteration_stats
     write_outputs(out_dir, relation, result, ingested.counters)
     summary = {
@@ -302,29 +317,32 @@ def _read_json(path: Path):
             raise InputError(f"{path}: invalid JSON ({exc.msg})") from None
 
 
-def _read_run_dir(run_dir: Path) -> tuple[dict, list[dict]]:
+def _read_jsonl(path: Path) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _finished_run(run_dir: Path, output: str) -> dict:
+    """The manifest of the run in ``run_dir``, which must hold ``output`` and
+    have finished with status ok: a failed run may have left an earlier run's
+    outputs behind."""
     manifest_path = run_dir / "manifest.json"
-    accepted_path = run_dir / "accepted.jsonl"
-    if not manifest_path.exists() or not accepted_path.exists():
+    if not manifest_path.exists() or not (run_dir / output).exists():
         raise InputError(f"{run_dir}: not a run directory (missing outputs)")
     manifest = _read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise InputError(f"{manifest_path}: manifest must be a JSON object")
-    rows = []
-    with open(accepted_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return manifest, rows
+    if manifest.get("status") != "ok":
+        raise InputError(f"{run_dir}: the run's status is "
+                         f"{manifest.get('status')!r}, not 'ok'; nothing to read")
+    return manifest
 
 
 def _cmd_eval(args) -> int:
     try:
         run_dir = Path(args.run)
-        manifest, rows = _read_run_dir(run_dir)
-        if manifest.get("status") != "ok":
-            raise InputError(f"{run_dir}: the run's status is "
-                             f"{manifest.get('status')!r}, not 'ok'; nothing to score")
+        manifest = _finished_run(run_dir, "accepted.jsonl")
+        rows = _read_jsonl(run_dir / "accepted.jsonl")
         cfg_snapshot = manifest.get("config") or {}
         pairing = cfg_snapshot.get("pairing", "ordered")
         relation = "unknown"
@@ -354,18 +372,15 @@ def _fmt(value) -> str:
 def _cmd_stats(args) -> int:
     try:
         run_dir = Path(args.run)
-        path = run_dir / "extractors.jsonl"
-        if not path.exists():
-            raise InputError(f"{run_dir}: missing extractors.jsonl")
-        summaries = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    summaries.append(ExtractorSummary.from_dict(json.loads(line)))
+        _finished_run(run_dir, "extractors.jsonl")
+        summaries = [ExtractorSummary.from_dict(row)
+                     for row in _read_jsonl(run_dir / "extractors.jsonl")]
         labels = None
         if args.labels:
-            with open(args.labels, encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = _read_json(Path(args.labels))
+            if not isinstance(raw, dict):
+                raise InputError(f"{args.labels}: labels must be a JSON object "
+                                 "mapping extractor signatures to noisy flags")
             labels = {str(k): bool(v) for k, v in raw.items()}
         stats = extractor_stats(summaries, labels)
     except (InputError, OSError, json.JSONDecodeError, KeyError) as exc:
@@ -379,7 +394,7 @@ def _cmd_stats(args) -> int:
     print("  ".join(f"{h:>7}" for h in header))
     print("  ".join(f"{v:>7}" for v in values))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _replace_when_done(Path(args.out)) as fh:
             json.dump(dataclasses.asdict(stats), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
@@ -401,7 +416,7 @@ def _cmd_hits(args) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _replace_when_done(Path(args.out)) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
@@ -439,10 +454,16 @@ def _cmd_sweep(args) -> int:
 
     inputs = RunInputs(args)
     varying = [n for n in names if len(grid[n]) > 1]
-    summary_rows = []
+    cells = [dict(zip(names, combo)) for combo in combos]
+    # The cells that read one similarity graph run one after another, so a
+    # single graph is alive at a time; outputs keep the grid's order.
+    shared = [n for n in ("pairing", "sim", "tau_sim") if n in grid]
+    run_order = sorted(range(len(cells)),
+                       key=lambda i: [grid[n].index(cells[i][n]) for n in shared])
+    summary_rows = [None] * len(cells)
     worst = 0
-    for index, combo in enumerate(combos):
-        cell = dict(zip(names, combo))
+    for index in run_order:
+        cell = cells[index]
         slug = "_".join(f"{n.replace('_', '-')}-{cell[n]}" for n in varying)
         cell_dir = out_root / (f"cell_{index:03d}" + (f"_{slug}" if slug else ""))
         code, report = run_cell(args, cell_dir, inputs, cell)
@@ -450,7 +471,7 @@ def _cmd_sweep(args) -> int:
         row = {"cell": cell_dir.name, "params": cell, "exit_code": code}
         if report is not None:
             row["scores"] = report
-        summary_rows.append(row)
+        summary_rows[index] = row
 
     with _replace_when_done(out_root / "sweep_summary.json") as fh:
         json.dump(summary_rows, fh, indent=2, sort_keys=True)

@@ -14,11 +14,12 @@ Each iteration over the frozen instance set:
   4. merge the iteration's accepted items into the yield.
 
 Extractors are rebuilt from scratch every iteration; the yield only grows.
-Every similarity is read from one SimilarityGraph per bootstrap call, whose
-edges are the pairs at or above tau_sim with their exact values. Cluster
-similarity is max-linkage, and each instance belongs to at most one
-extractor, so a row's edges grouped by the extractor owning their column give
-its similarity to every extractor within reach.
+Every similarity is read from one SimilarityGraph over the instances, whose
+edges are the pairs at or above tau_sim; the caller builds it, so the runs
+of a sweep share it. Matching and hop 1 read only whether edges exist.
+Cluster similarity is max-linkage, and each instance belongs to at most one
+extractor, so hop 2 and hop 3 read one exact value per row and extractor
+within reach: the graph's max over the extractor's columns.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def cluster_hop1(graph: SimilarityGraph, hits: list[int]) -> list[Extractor]:
     hit joins the first cluster with a member within tau_sim of it."""
     is_hit = np.zeros(len(graph), dtype=bool)
     is_hit[hits] = True
-    rows, cols, _ = graph.edges_into(is_hit)
+    rows, cols = graph.edges_into(is_hit)
     owner = np.full(len(graph), -1, dtype=np.int64)
     starts = np.searchsorted(rows, hits, side="left").tolist()
     ends = np.searchsorted(rows, hits, side="right").tolist()
@@ -96,19 +97,15 @@ def grow_hop2(graph: SimilarityGraph, theta: list[Extractor]) -> list[Extractor]
     toward the lowest cluster id, and hop-1 members stay where they are.
     """
     owner = _owners(graph, theta)
-    rows, cols, values = graph.edges_into(owner >= 0)
-    reach = owner[rows] < 0
-    rows, values, owners = rows[reach], values[reach], owner[cols[reach]]
-    # per row: the highest similarity first, then the lowest cluster id
-    order = np.lexsort((owners, -values, rows))
-    rows, owners = rows[order], owners[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    best = np.full(len(graph), -1, dtype=np.int64)
-    best[rows[first]] = owners[first]
+    rows, owners, values = graph.max_into(owner)
+    best: dict[int, tuple[float, int]] = {}
+    # clusters come in id order within a row, so a strict > keeps the lowest
+    for row, k, sim in zip(rows.tolist(), owners.tolist(), values.tolist()):
+        if owner[row] < 0 and sim > best.get(row, (-1.0, -1))[0]:
+            best[row] = (sim, k)
     clusters = [list(ex.rows) for ex in theta]
-    for row in np.flatnonzero(best >= 0).tolist():
-        clusters[best[row]].append(row)
+    for row, (_, k) in best.items():
+        clusters[k].append(row)
     return _extractors(graph, clusters)
 
 
@@ -117,16 +114,9 @@ def cover_hop3(graph: SimilarityGraph,
     """Every row within tau_sim of some extractor, in corpus order, mapped to
     its covering extractors (in extractor order) with the max-linkage
     similarity to each; may overlap several extractors."""
-    owner = _owners(graph, extractors)
-    rows, cols, values = graph.edges_into(owner >= 0)
-    owners = owner[cols]
-    order = np.lexsort((-values, owners, rows))
-    rows, values, owners = rows[order], values[order], owners[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (owners[1:] != owners[:-1])
+    rows, owners, values = graph.max_into(_owners(graph, extractors))
     cover: dict[int, list[tuple[Extractor, float]]] = {}
-    for row, k, sim in zip(rows[first].tolist(), owners[first].tolist(),
-                           values[first].tolist()):
+    for row, k, sim in zip(rows.tolist(), owners.tolist(), values.tolist()):
         cover.setdefault(row, []).append((extractors[k], sim))
     return cover
 
@@ -157,11 +147,18 @@ def add_to_cache(instance: Instance, cache: SeedState, cfg: RunConfig) -> None:
         cache.pos_templates.add(instance.template)
 
 
-def bootstrap(instances: list[Instance], seeds: SeedState,
-              cfg: RunConfig) -> BootstrapResult:
+def bootstrap(instances: list[Instance], seeds: SeedState, cfg: RunConfig,
+              graph: SimilarityGraph) -> BootstrapResult:
     """Run the full loop for cfg.iterations and return yield, extractors,
-    accepted instances with confidences, and per-iteration statistics."""
-    graph = SimilarityGraph(instances, cfg.measure, cfg.tau_sim)
+    accepted instances with confidences, and per-iteration statistics.
+
+    ``graph`` must be built over this very ``instances`` list with cfg's
+    measure and tau_sim.
+    """
+    if (graph.instances is not instances or graph.measure != cfg.measure
+            or graph.tau_sim != cfg.tau_sim):
+        raise ValueError("the similarity graph was built for another instance "
+                         "list, measure or tau_sim")
     grown = seeds.copy()
     original_hits = (match_channels(graph, seeds)
                      if cfg.score_against == "original" else None)

@@ -113,9 +113,10 @@ def random_world(seed, max_instances=50):
     return instances, state, cfg
 
 
-def graph_for(instances, cfg):
-    """The similarity graph bootstrap builds over ``instances`` under ``cfg``."""
-    return SimilarityGraph(list(instances), cfg.measure, cfg.tau_sim)
+def graph_for(instances: list, cfg):
+    """The similarity graph over the list ``instances`` itself under ``cfg``,
+    as bootstrap takes it."""
+    return SimilarityGraph(instances, cfg.measure, cfg.tau_sim)
 
 
 def extractor_of(instances, rows=None, k=0):

@@ -247,13 +247,15 @@ def test_criterion_7_planted_recovery(planted):
                              paths["seeds"], base)
     gold = load_gold(paths["gold"], "acquired", "ordered")
 
-    joint = bootstrap(ingested.instances, ingested.seed_state,
-                      RunConfig(mode="brej"))
+    joint_cfg = RunConfig(mode="brej")
+    joint = bootstrap(ingested.instances, ingested.seed_state, joint_cfg,
+                      graph_for(ingested.instances, joint_cfg))
     joint_scores = prf1(joint.accepted, gold, threshold=0.5)
     recovered_joint = round(joint_scores.recall * len(gold))
 
-    pair_only = bootstrap(ingested.instances, ingested.seed_state,
-                          RunConfig(mode="bree"))
+    pair_cfg = RunConfig(mode="bree")
+    pair_only = bootstrap(ingested.instances, ingested.seed_state, pair_cfg,
+                          graph_for(ingested.instances, pair_cfg))
     pair_scores = prf1(pair_only.accepted, gold, threshold=0.5)
     recovered_pair = round(pair_scores.recall * len(gold))
 
@@ -321,7 +323,8 @@ def test_criterion_9_ablation_switches(planted, tmp_path):
         cfg = RunConfig(mode="bree", pairing=pairing)
         ingested = ingest_inputs(data / "corpus.jsonl", data / "embeddings.txt",
                                  data / "seeds.json", cfg)
-        result = bootstrap(ingested.instances, ingested.seed_state, cfg)
+        result = bootstrap(ingested.instances, ingested.seed_state, cfg,
+                           graph_for(ingested.instances, cfg))
         accepted[pairing] = {(i.pair.e1.surface, i.pair.e2.surface)
                              for i, _ in result.accepted}
     reversed_pair = ("Brightport", "Aerodyne")

@@ -1,11 +1,13 @@
 """CLI subcommands: exit codes, outputs, manifest, config precedence, sweep."""
 
 import json
+import weakref
 
 import pytest
 
 import brex.cli
 from brex.cli import main
+from brex.similarity import SimilarityGraph
 from brex.synth import build_biset_fixture, build_planted_fixture
 
 
@@ -244,6 +246,33 @@ class TestStatsAndHits:
         stats = json.loads(stats_out.read_text())
         assert stats["anne"] == 1.0 and stats["ane"] == 0.0
 
+    def test_stats_refuses_a_failed_run(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        code = main(["run",
+                     "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--embeddings", str(data_dir / "nope.txt"),
+                     "--seeds", str(data_dir / "seeds.json"),
+                     "--out", str(out)])
+        assert code == 2
+        assert (out / "extractors.jsonl").exists()  # left over from the first run
+        capsys.readouterr()
+        assert main(["stats", "--run", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "'failed', not 'ok'" in captured.err
+        assert "AIE" not in captured.out
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"noisy"', "{"])
+    def test_stats_labels_not_an_object_exits_2(self, data_dir, tmp_path, capsys,
+                                                text):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        labels_path = tmp_path / "labels.json"
+        labels_path.write_text(text)
+        capsys.readouterr()
+        assert main(["stats", "--run", str(out), "--labels", str(labels_path)]) == 2
+        assert f"error: {labels_path}: " in capsys.readouterr().err
+
     def test_hits_counts(self, data_dir, tmp_path, capsys):
         hits_out = tmp_path / "hits.json"
         code = main(["hits",
@@ -301,13 +330,17 @@ class TestSweep:
             assert manifest["status"] == "failed"
             assert str(gold_path) in manifest["error"]
 
-    def test_cells_equal_standalone_run_and_eval(self, tmp_path, monkeypatch):
+    @staticmethod
+    def biset_inputs(tmp_path):
+        """Input flags and gold path of the biset fixture."""
         data = tmp_path / "data"
         build_biset_fixture().write(data)
-        inputs = ["--corpus", str(data / "corpus.jsonl"),
-                  "--embeddings", str(data / "embeddings.txt"),
-                  "--seeds", str(data / "seeds.json")]
-        gold = str(data / "gold.tsv")
+        return (["--corpus", str(data / "corpus.jsonl"),
+                 "--embeddings", str(data / "embeddings.txt"),
+                 "--seeds", str(data / "seeds.json")], str(data / "gold.tsv"))
+
+    def test_cells_equal_standalone_run_and_eval(self, tmp_path, monkeypatch):
+        inputs, gold = self.biset_inputs(tmp_path)
         ingest = brex.cli.ingest_inputs
         calls = []
 
@@ -321,14 +354,40 @@ class TestSweep:
                      "--pairing", "ordered,biset", "--gold", gold,
                      "--out", str(out)]) == 0
         assert sorted(calls) == ["biset", "ordered"]  # one ingest per pairing
+        self.assert_cells_equal_standalone_runs(out, inputs, gold, tmp_path)
+
+    def test_cells_share_one_graph_per_measure(self, tmp_path, monkeypatch):
+        inputs, gold = self.biset_inputs(tmp_path)
+        init = SimilarityGraph.__init__
+        built, alive = [], []
+
+        def counted(graph, instances, measure, tau_sim):
+            # graphs built before this one that are still referenced
+            alive.append(sum(ref() is not None for _, ref in built))
+            built.append((measure.kind, weakref.ref(graph)))
+            init(graph, instances, measure, tau_sim)
+
+        monkeypatch.setattr(SimilarityGraph, "__init__", counted)
+        out = tmp_path / "sweep"
+        assert main(["sweep", *inputs, "--mode", "bree,brej", "--sim", "match,cc-sym1",
+                     "--gold", gold, "--out", str(out)]) == 0
+        assert sorted(kind for kind, _ in built) == ["cc-sym1", "match"]
+        assert alive == [0, 0]  # one graph alive at a time
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert [row["cell"] for row in summary] == \
+            sorted(p.name for p in out.iterdir() if p.is_dir())
+        self.assert_cells_equal_standalone_runs(out, inputs, gold, tmp_path)
+
+    @staticmethod
+    def assert_cells_equal_standalone_runs(out, inputs, gold, tmp_path):
 
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert len(summary) == 4
         for row in summary:
-            params = row["params"]
+            flags = [arg for name, value in row["params"].items()
+                     for arg in (f"--{name}", str(value))]
             solo = tmp_path / "solo" / row["cell"]
-            assert main(["run", *inputs, "--mode", params["mode"],
-                         "--pairing", params["pairing"], "--out", str(solo)]) == 0
+            assert main(["run", *inputs, *flags, "--out", str(solo)]) == 0
             assert main(["eval", "--run", str(solo), "--gold", gold]) == 0
             for name in ("accepted.jsonl", "extractors.jsonl", "stats.json",
                          "manifest.json", "report.json"):

@@ -271,7 +271,8 @@ class TestBootstrap:
 
     def test_only_seed_occurrences_accepted(self):
         instances, state = self._seed_only_world()
-        result = bootstrap(instances, state, cfg_for("bree", iterations=1))
+        cfg = cfg_for("bree", iterations=1)
+        result = bootstrap(instances, state, cfg, graph_for(instances, cfg))
         assert sorted(i.id for i, _ in result.accepted) == ["s0", "s1"]
         assert len(result.yield_state.pos_pairs) == 1
 
@@ -281,8 +282,9 @@ class TestBootstrap:
         noisy = [make_instance(f"N{k}", f"M{k}",
                                between(unit(rng.normal(size=6))), iid=f"n{k}")
                  for k in range(10)]
-        result = bootstrap(instances + noisy, state,
-                           cfg_for("bree", iterations=3, tau_sim=0.99))
+        world = instances + noisy
+        cfg = cfg_for("bree", iterations=3, tau_sim=0.99)
+        result = bootstrap(world, state, cfg, graph_for(world, cfg))
         accepted_pairs = {(i.pair.e1.surface, i.pair.e2.surface)
                           for i, _ in result.accepted}
         assert accepted_pairs <= {("Acme", "Bolt")}
@@ -292,7 +294,8 @@ class TestBootstrap:
         instances, _ = self._seed_only_world()
         state = SeedState.empty("ordered")
         state.pos_pairs.add(make_instance("Nowhere", "ToBe").pair)
-        result = bootstrap(instances, state, cfg_for("bree", iterations=2))
+        cfg = cfg_for("bree", iterations=2)
+        result = bootstrap(instances, state, cfg, graph_for(instances, cfg))
         assert result.extractors == []
         assert result.accepted == []
         assert result.diagnostic is not None
@@ -300,7 +303,7 @@ class TestBootstrap:
     def test_monotone_yield_and_stats(self):
         for seed in range(10):
             instances, state, cfg = random_world(seed, max_instances=25)
-            result = bootstrap(instances, state, cfg)
+            result = bootstrap(instances, state, cfg, graph_for(instances, cfg))
             sizes = [s["yield"] for s in result.per_iteration_stats]
             for prev, cur in zip(sizes, sizes[1:]):
                 for key in prev:
@@ -311,7 +314,7 @@ class TestBootstrap:
     def test_accepted_items_appear_in_yield(self):
         for seed in range(10):
             instances, state, cfg = random_world(seed, max_instances=25)
-            result = bootstrap(instances, state, cfg)
+            result = bootstrap(instances, state, cfg, graph_for(instances, cfg))
             for inst, confidence in result.accepted:
                 assert confidence >= cfg.tau_cnf
                 if cfg.mode in ("bree", "brej"):
@@ -321,8 +324,8 @@ class TestBootstrap:
 
     def test_deterministic(self):
         instances, state, cfg = random_world(7, max_instances=30)
-        first = bootstrap(instances, state.copy(), cfg)
-        second = bootstrap(instances, state.copy(), cfg)
+        first = bootstrap(instances, state.copy(), cfg, graph_for(instances, cfg))
+        second = bootstrap(instances, state.copy(), cfg, graph_for(instances, cfg))
         assert [(i.id, c) for i, c in first.accepted] == \
             [(i.id, c) for i, c in second.accepted]
         assert [[m.id for m in ex.members] for ex in first.extractors] == \

@@ -2,26 +2,31 @@
 whole bootstrap loop against the per-pair reference loop."""
 
 import dataclasses
+import itertools
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brex.engine import bootstrap
+import brex.similarity
+from brex.engine import bootstrap, cluster_hop1, match_channels
 from brex.model import MODES, PAIRINGS, SCORE_AGAINST, RunConfig, SeedState, TemplateSet
 from brex.similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure, \
     sim_instances
 
-from support import make_instance, make_template, mixed_world, rand_template, \
-    reference_bootstrap
+from support import graph_for, make_instance, make_template, mixed_world, \
+    rand_template, reference_bootstrap, unit
 
 MEASURES = [SimilarityMeasure("match", (0.3, 0.5, 0.2))] + [
     SimilarityMeasure(kind) for kind in MEASURE_KINDS if kind != "match"]
 
 
 def all_edges(graph):
-    rows, cols, values = graph.edges_into(np.ones(len(graph), dtype=bool))
+    """Every edge with its exact value: each column is its own group."""
+    rows, cols, values = graph.max_into(np.arange(len(graph)))
     return {(r, c): v for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())}
 
 
@@ -31,14 +36,32 @@ def scalar_edges(instances, measure, tau_sim):
             if (value := sim_instances(a, b, measure)) >= tau_sim}
 
 
+@contextmanager
+def skewed_scores(sign):
+    """Matrix scores moved by sign * (d + 4) u R_i R_j, half the rounding
+    error the margins allow: a BLAS that rounds every score one way."""
+    exact = brex.similarity._scores
+
+    def skewed(measure, p, t):
+        p_bound = np.linalg.norm(np.stack(p), axis=2).max(axis=0)
+        t_bound = np.linalg.norm(np.stack(t), axis=2).max(axis=0)
+        skew = (p[0].shape[1] + 4) * 2.0 ** -53 * np.outer(p_bound, t_bound)
+        return exact(measure, p, t) + sign * skew
+
+    with mock.patch.object(brex.similarity, "_scores", skewed):
+        yield
+
+
 @given(seed=st.integers(0, 2**32 - 1), measure=st.sampled_from(MEASURES),
-       log_scale=st.floats(-150.0, 160.0), pick=st.floats(0.0, 1.0))
+       log_scale=st.floats(-150.0, 160.0), pick=st.floats(0.0, 1.0),
+       above=st.booleans(), skew=st.sampled_from([-1, 0, 1]))
 @settings(max_examples=150, deadline=None)
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_edges_equal_scalar_edges(seed, measure, log_scale, pick):
+def test_edges_equal_scalar_edges(seed, measure, log_scale, pick, above, skew):
     """Any finite scale, up to dot products that overflow; tau_sim set to one
-    pair's own similarity, so that pair sits exactly on the threshold."""
+    pair's own similarity, so that pair sits exactly on the threshold, or one
+    ulp above it; matrix scores rounded either way within the margin."""
     rng = np.random.default_rng(seed)
     instances = []
     for k in range(int(rng.integers(2, 25))):
@@ -49,14 +72,22 @@ def test_edges_equal_scalar_edges(seed, measure, log_scale, pick):
             v_after=t.v_after * rng.uniform(0.5, 2.0) * scale)))
     values = sorted({sim_instances(a, b, measure) for a in instances for b in instances} - {0.0})
     tau_sim = values[int(pick * (len(values) - 1))] if values else 0.5
-    graph = SimilarityGraph(instances, measure, tau_sim)
-    assert all_edges(graph) == scalar_edges(instances, measure, tau_sim)
+    if above:
+        tau_sim = min(1.0, float(np.nextafter(tau_sim, 2.0)))
+    expected = scalar_edges(instances, measure, tau_sim)
+    with skewed_scores(skew):
+        graph = SimilarityGraph(instances, measure, tau_sim)
+        rows, cols = graph.edges_into(np.ones(len(graph), dtype=bool))
+        assert set(zip(rows.tolist(), cols.tolist())) == set(expected)
+        assert all_edges(graph) == expected
 
 
 @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
 def test_pair_at_tau_is_an_edge_and_accepted(measure):
-    """tau_sim equal to the pair's scalar similarity: edge, hop-2 member and
-    accepted. One ulp above it: none of the three."""
+    """tau_sim equal to the pair's scalar similarity: edge, hop-1 and hop-2
+    member, template hit (from an instance's template and from any other),
+    and accepted. One ulp above it: none of these. Matrix scores rounded
+    either way within the margin change nothing."""
     rng = np.random.default_rng(17)
     windows = [rng.normal(size=50) for _ in range(3)]
     member = make_instance("Seed", "Pair", make_template(
@@ -68,15 +99,25 @@ def test_pair_at_tau_is_an_edge_and_accepted(measure):
     assert 0.5 < at < 1.0
     seeds = SeedState.empty("ordered")
     seeds.pos_pairs.add(member.pair)
-    for tau_sim, expected in ((at, True), (float(np.nextafter(at, 2.0)), False)):
-        graph = SimilarityGraph([member, probe], measure, tau_sim)
-        edge = all_edges(graph).get((1, 0))
-        cfg = RunConfig(mode="bree", measure=measure, tau_sim=tau_sim, tau_cnf=0.5,
-                        iterations=1)
-        result = bootstrap([member, probe], seeds, cfg)
+    templates = TemplateSet()
+    templates.add(member.template)
+    for (tau_sim, expected), skew in itertools.product(
+            ((at, True), (float(np.nextafter(at, 2.0)), False)), (-1, 0, 1)):
+        with skewed_scores(skew):
+            graph = SimilarityGraph([member, probe], measure, tau_sim)
+            edge = all_edges(graph).get((1, 0))
+            hop1 = [len(ex) for ex in cluster_hop1(graph, [0, 1])]
+            hit = graph.template_hits(templates)[1]
+            foreign_hit = SimilarityGraph([probe], measure, tau_sim).template_hits(
+                templates)[0]
+            cfg = RunConfig(mode="bree", measure=measure, tau_sim=tau_sim, tau_cnf=0.5,
+                            iterations=1)
+            world = [member, probe]
+            result = bootstrap(world, seeds, cfg, SimilarityGraph(world, measure, tau_sim))
         members = [m.id for m in result.extractors[0].members]
         accepted = [i.id for i, _ in result.accepted]
-        assert (edge == at, "p" in members, "p" in accepted) == (expected,) * 3
+        assert (edge == at, hop1 == [2], hit, foreign_hit, "p" in members,
+                "p" in accepted) == (expected,) * 6, skew
 
 
 def test_template_hits_equal_scalar_hits():
@@ -91,6 +132,95 @@ def test_template_hits_equal_scalar_hits():
                 for i in instances]
     assert graph.template_hits(templates).tolist() == expected
     assert graph.template_hits(TemplateSet()).tolist() == [False] * 30
+
+
+def clustered_template(v):
+    """Half of the unit vector ``v`` in the side windows and ``v`` between:
+    every measure gives x = v . v' against another such template, match
+    gives 0.625 x."""
+    return make_template(0.5 * v, v, 0.5 * v, dim=len(v))
+
+
+def clustered_world(rng, measure):
+    """Eight tight clusters around orthogonal centres, and a tau_sim that
+    every similarity misses by more than 0.2."""
+    dim = 50
+    instances = [make_instance(f"E{k}", "B", template=clustered_template(unit(
+        np.eye(dim)[k % 8] + 0.1 * rng.normal(size=dim) / np.sqrt(dim))))
+        for k in range(48)]
+    tau_sim = 0.375 if measure.kind == "match" else 0.6
+    values = [sim_instances(a, b, measure) for a in instances for b in instances]
+    assert not any(abs(v - tau_sim) < 0.2 for v in values)
+    return instances, tau_sim
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    calls = []
+    scalar = brex.similarity.sim_instances
+
+    def counted(i, j, measure):
+        calls.append((i, j))
+        return scalar(i, j, measure)
+
+    monkeypatch.setattr(brex.similarity, "sim_instances", counted)
+    return calls
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
+def test_membership_reads_far_from_tau_make_no_scalar_calls(measure, scalar_calls):
+    rng = np.random.default_rng(5)
+    instances, tau_sim = clustered_world(rng, measure)
+    seeds = SeedState.empty("ordered")
+    seeds.pos_pairs.add(instances[0].pair)
+    seeds.pos_templates.add(instances[9].template)
+    seeds.pos_templates.add(clustered_template(unit(np.eye(50)[2] + 0.01)))
+    graph = SimilarityGraph(instances, measure, tau_sim)
+    scalar_calls.clear()
+    hits = match_channels(graph, seeds)
+    hit_rows = np.flatnonzero(hits.matched("brej")).tolist()
+    clusters = cluster_hop1(graph, hit_rows)
+    assert scalar_calls == []
+    assert hits.pos_template.sum() == 12  # clusters 1 and 2
+    assert [len(ex) for ex in clusters] == [1, 6, 6]  # row 0 by its pair, clusters 1, 2
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
+def test_max_into_calls_once_per_row_and_group(measure, scalar_calls):
+    rng = np.random.default_rng(6)
+    instances, tau_sim = clustered_world(rng, measure)
+    graph = SimilarityGraph(instances, measure, tau_sim)
+    owner = np.array([k % 8 if k % 8 < 3 else -1 for k in range(len(instances))])
+    scalar_calls.clear()
+    rows, owners, values = graph.max_into(owner)
+    # no edge lies within any margin of tau_sim, so one value per (row, group)
+    assert len(scalar_calls) <= len(rows)
+    expected = {}
+    for i, a in enumerate(instances):
+        for j, b in enumerate(instances):
+            value = sim_instances(a, b, measure)
+            if owner[j] >= 0 and value >= tau_sim:
+                key = (i, int(owner[j]))
+                expected[key] = max(expected.get(key, 0.0), value)
+    assert list(zip(rows.tolist(), owners.tolist())) == sorted(expected)
+    assert values.tolist() == [expected[key] for key in sorted(expected)]
+
+
+def test_graph_for_other_inputs_raises():
+    rng = np.random.default_rng(8)
+    instances = [make_instance(template=rand_template(rng)) for _ in range(6)]
+    cfg = RunConfig(mode="bree", measure=SimilarityMeasure("cc-asym"), tau_sim=0.7)
+    seeds = SeedState.empty("ordered")
+    seeds.pos_pairs.add(instances[0].pair)
+    for graph in (SimilarityGraph(list(instances), cfg.measure, 0.7),
+                  SimilarityGraph(instances, SimilarityMeasure("cc-sym1"), 0.7),
+                  SimilarityGraph(instances, cfg.measure, 0.75)):
+        with pytest.raises(ValueError, match="another instance list"):
+            bootstrap(instances, seeds, cfg, graph)
+    graph = SimilarityGraph(instances, cfg.measure, 0.7)
+    bootstrap(instances, seeds.copy(), cfg, graph)
+    assert bootstrap(instances, seeds.copy(), cfg, graph).accepted == \
+        bootstrap(instances, seeds.copy(), cfg, graph_for(instances, cfg)).accepted
 
 
 def test_dimension_mismatch_raises():
@@ -111,7 +241,7 @@ def test_bootstrap_equals_scalar_reference(seed, mode, measure, pairing, score_a
     instances, seeds = mixed_world(seed, pairing)
     cfg = RunConfig(mode=mode, measure=measure, tau_sim=tau_sim, tau_cnf=tau_cnf,
                     pairing=pairing, score_against=score_against)
-    result = bootstrap(instances, seeds.copy(), cfg)
+    result = bootstrap(instances, seeds.copy(), cfg, graph_for(instances, cfg))
     accepted, extractors, stats = reference_bootstrap(instances, seeds, cfg)
     assert [(i.id, c) for i, c in result.accepted] == accepted
     assert [([m.id for m in ex.members], ex.n_pos, ex.n_neg, ex.n_unknown, ex.confidence)
