@@ -17,26 +17,89 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 from . import __version__
-from .corpus import EntityPair, SeedFileSpec, TypedEntity, extract_instances, \
-    load_corpus, load_embeddings, parse_seed_file, reorder_passive
+from .corpus import EmbeddingStore, EntityPair, SeedFileSpec, TypedEntity, \
+    extract_instances, load_corpus, load_embeddings, parse_seed_file, reorder_passive
 from .engine import bootstrap
 from .errors import InputError
 from .evaluate import ExtractorSummary, GoldKB, extractor_stats, hit_count, \
     load_gold, prf1
 from .model import MODES, PAIRINGS, SCORE_AGAINST, BootstrapResult, RunConfig, \
-    SeedState, build_seed_state
+    build_seed_state
 from .similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure
 
-log = logging.getLogger(__name__)
 
-_CONFIG_KEYS = (
-    "mode", "sim", "sim_weights", "tau_sim", "tau_cnf", "wn", "wu", "iters",
-    "pairing", "max_before", "max_between", "max_after", "output_threshold",
-    "score_against",
-)
+@dataclass(frozen=True)
+class Setting:
+    """One run setting: its config-file key (the flag is ``--`` and the key
+    with hyphens), the RunConfig field it sets (``measure.`` for a field of
+    the SimilarityMeasure), the type of its value, and whether `brex sweep`
+    takes a comma list of it. ``parts`` names the values of a fixed-length
+    list setting. The defaults are those of the dataclasses."""
+
+    name: str
+    field: str
+    kind: type
+    help: str
+    choices: tuple | None = None
+    sweep: bool = False
+    parts: tuple = ()
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def convert(self, value):
+        """A flag's text or a config-file value as this setting's type."""
+        def one(item):
+            if self.kind is str and not isinstance(item, str):
+                raise TypeError(item)
+            return self.kind(item)
+
+        try:
+            if not self.parts:
+                return one(value)
+            if isinstance(value, str) or len(value) != len(self.parts):
+                raise TypeError(value)
+            return tuple(one(item) for item in value)
+        except (TypeError, ValueError):
+            kind = self.kind.__name__
+            expected = f"{len(self.parts)} {kind} values" if self.parts else kind
+            raise InputError(f"{self.name}: expected {expected}, got {value!r}") from None
+
+
+SETTINGS = {setting.name: setting for setting in (
+    Setting("mode", "mode", str, "bootstrapping mode", MODES, sweep=True),
+    Setting("sim", "measure.kind", str, "similarity measure", MEASURE_KINDS,
+            sweep=True),
+    Setting("sim_weights", "measure.weights", float, "window weights for --sim match",
+            parts=("W_BEFORE", "W_BETWEEN", "W_AFTER")),
+    Setting("tau_sim", "tau_sim", float, "similarity threshold", sweep=True),
+    Setting("tau_cnf", "tau_cnf", float, "confidence threshold", sweep=True),
+    Setting("wn", "w_neg", float, "weight on negative matches", sweep=True),
+    Setting("wu", "w_unk", float, "weight on unknown matches", sweep=True),
+    Setting("iters", "iterations", int, "bootstrapping iterations", sweep=True),
+    Setting("pairing", "pairing", str, "entity pair matching", PAIRINGS, sweep=True),
+    Setting("max_before", "max_before", int, "tokens kept before the first entity"),
+    Setting("max_between", "max_between", int,
+            "most tokens between the entities; farther pairs are skipped"),
+    Setting("max_after", "max_after", int, "tokens kept after the second entity"),
+    Setting("score_against", "score_against", str,
+            "score extractor counts against grown or original seeds", SCORE_AGAINST),
+)}
+
+# The settings an ingest reads, and those its similarity graph reads: the runs
+# that agree on them share the ingest or the graph.
+INGEST_SETTINGS = ("max_before", "max_between", "max_after")
+GRAPH_SETTINGS = INGEST_SETTINGS + ("sim", "sim_weights", "tau_sim")
+
+
+def settings_key(cfg: RunConfig, names) -> tuple:
+    """The values the named settings have in ``cfg``."""
+    return tuple(reduce(getattr, SETTINGS[name].field.split("."), cfg) for name in names)
 
 
 def _sha256(path) -> str | None:
@@ -69,50 +132,34 @@ def _replace_when_done(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _load_config_file(path) -> dict:
+def _read_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON config ({exc.msg})") from None
+            raise InputError(f"{path}: invalid JSON ({exc.msg})") from None
     if not isinstance(data, dict):
-        raise InputError(f"{path}: config file must be a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
-    if unknown:
-        raise InputError(f"{path}: unknown config keys {unknown}")
+        raise InputError(f"{path}: expected a JSON object")
     return data
 
 
 def build_config(args, cell: dict | None = None) -> RunConfig:
     """Merge defaults <- config file <- CLI flags <- sweep cell into a RunConfig."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name, default):
+    file_cfg = _read_json(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_cfg) - set(SETTINGS))
+    if unknown:
+        raise InputError(f"{args.config}: unknown config keys {unknown}")
+    fields = {}
+    for name, setting in SETTINGS.items():
         if cell and name in cell:
-            return cell[name]
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        return file_cfg.get(name, default)
-
-    weights = pick("sim_weights", (0.2, 0.6, 0.2))
-    measure = SimilarityMeasure(kind=pick("sim", "cc-asym"),
-                                weights=tuple(float(w) for w in weights))
-    return RunConfig(
-        mode=pick("mode", "brej"),
-        measure=measure,
-        tau_sim=float(pick("tau_sim", 0.7)),
-        tau_cnf=float(pick("tau_cnf", 0.7)),
-        w_neg=float(pick("wn", 0.5)),
-        w_unk=float(pick("wu", 0.0001)),
-        iterations=int(pick("iters", 3)),
-        pairing=pick("pairing", "ordered"),
-        max_before=int(pick("max_before", 2)),
-        max_between=int(pick("max_between", 6)),
-        max_after=int(pick("max_after", 2)),
-        output_threshold=float(pick("output_threshold", 0.5)),
-        score_against=pick("score_against", "yield"),
-    )
+            fields[setting.field] = cell[name]
+        elif getattr(args, name, None) is not None:
+            fields[setting.field] = setting.convert(getattr(args, name))
+        elif name in file_cfg:
+            fields[setting.field] = setting.convert(file_cfg[name])
+    measure = {field.removeprefix("measure."): fields.pop(field)
+               for field in list(fields) if field.startswith("measure.")}
+    return RunConfig(measure=SimilarityMeasure(**measure), **fields)
 
 
 def config_dict(cfg: RunConfig) -> dict:
@@ -123,13 +170,16 @@ def config_dict(cfg: RunConfig) -> dict:
 
 @dataclass
 class Ingested:
+    """The seed file, the corpus instances and the embeddings of their words."""
+
     spec: SeedFileSpec
     instances: list
-    seed_state: SeedState
+    emb: EmbeddingStore
     counters: dict
 
 
-def ingest_inputs(corpus_path, embeddings_path, seeds_path, cfg: RunConfig) -> Ingested:
+def ingest_inputs(corpus_path, embeddings_path, seeds_path,
+                  limits: tuple[int, int, int]) -> Ingested:
     spec = parse_seed_file(seeds_path)
     loaded = load_corpus(corpus_path, set(spec.type_pair))
     # context vectors only ever look up corpus tokens and seed-template tokens
@@ -137,12 +187,11 @@ def ingest_inputs(corpus_path, embeddings_path, seeds_path, cfg: RunConfig) -> I
     vocab.update(tok for text in spec.positive_templates + spec.negative_templates
                  for tok in text.split())
     emb = load_embeddings(embeddings_path, vocab)
-    extraction = extract_instances(loaded.sentences, emb, cfg.limits, spec.type_pair)
+    extraction = extract_instances(loaded.sentences, emb, limits, spec.type_pair)
     instances = [
         reorder_passive(inst, loaded.sentences[inst.sentence_ref].pos)
         for inst in extraction.instances
     ]
-    state = build_seed_state(spec, emb, cfg.pairing)
     counters = {
         "sentences": len(loaded.sentences),
         "rejected_records": loaded.rejected_records,
@@ -150,8 +199,7 @@ def ingest_inputs(corpus_path, embeddings_path, seeds_path, cfg: RunConfig) -> I
         "instances": len(instances),
         "skipped_over_limit": extraction.skipped_over_limit,
     }
-    return Ingested(spec=spec, instances=instances, seed_state=state,
-                    counters=counters)
+    return Ingested(spec=spec, instances=instances, emb=emb, counters=counters)
 
 
 def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
@@ -185,11 +233,12 @@ def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
 
 
 class RunInputs:
-    """The inputs of `run` or `sweep`: digested once, and ingested once per
-    (pairing, window limits), the config fields ingest reads, so the cells of
-    a sweep share an ingest and, per (measure, tau_sim), its similarity
-    graph; for a sweep, also the gold file and threshold. Only the latest
-    graph is kept, so runs that share one must come one after another."""
+    """The inputs of `run` or `sweep`: digested once and ingested once, as no
+    setting that ingest reads (INGEST_SETTINGS) is sweepable; for a sweep,
+    also the gold file and threshold. Each cell builds its own seed state
+    from the ingest under its pairing. The cells that agree on
+    GRAPH_SETTINGS share a similarity graph; only the latest graph is kept,
+    so the cells that share one must run one after another."""
 
     def __init__(self, args):
         self.paths = (args.corpus, args.embeddings, args.seeds)
@@ -204,26 +253,21 @@ class RunInputs:
         self._graph: SimilarityGraph | None = None
 
     def ingest(self, cfg: RunConfig) -> Ingested:
-        key = (cfg.pairing, cfg.limits)
+        key = settings_key(cfg, INGEST_SETTINGS)
         if key not in self._ingested:
-            self._ingested[key] = ingest_inputs(*self.paths, cfg)
+            self._ingested[key] = ingest_inputs(*self.paths, cfg.limits)
         return self._ingested[key]
 
     def graph(self, cfg: RunConfig) -> SimilarityGraph:
         """The similarity graph of cfg's ingest under its measure and tau_sim,
         with the exact values the previous runs on it filled in."""
-        key = (cfg.pairing, cfg.limits, cfg.measure, cfg.tau_sim)
+        key = settings_key(cfg, GRAPH_SETTINGS)
         if key != self._graph_key:
             self._graph = None  # free the previous graph before building this one
             self._graph_key = key
             self._graph = SimilarityGraph(self.ingest(cfg).instances, cfg.measure,
                                           cfg.tau_sim)
         return self._graph
-
-    def gold(self, relation: str, pairing: str) -> GoldKB | None:
-        if self.gold_path:
-            return load_gold(self.gold_path, relation, pairing)
-        return None
 
 
 def write_report(path: Path, relation: str, accepted, gold: GoldKB,
@@ -247,9 +291,10 @@ def run_pipeline(cfg: RunConfig, inputs: RunInputs, out_dir: Path,
     """Ingest, bootstrap, write the outputs and print the run summary; with a
     gold file, also write report.json and return the report."""
     ingested = inputs.ingest(cfg)
+    seeds = build_seed_state(ingested.spec, ingested.emb, cfg.pairing)
     relation = ingested.spec.relation
-    gold = inputs.gold(relation, cfg.pairing)
-    result = bootstrap(ingested.instances, ingested.seed_state, cfg, inputs.graph(cfg))
+    gold = load_gold(inputs.gold_path, relation, cfg.pairing) if inputs.gold_path else None
+    result = bootstrap(ingested.instances, seeds, cfg, inputs.graph(cfg))
     manifest["iterations"] = result.per_iteration_stats
     write_outputs(out_dir, relation, result, ingested.counters)
     summary = {
@@ -309,29 +354,42 @@ def _cmd_run(args) -> int:
     return run_cell(args, Path(args.out), RunInputs(args))[0]
 
 
-def _read_json(path: Path):
+def _read_jsonl(path: Path, parse) -> list:
+    """``parse`` of each row of a JSON-lines file; a row that is not a JSON
+    object, or that ``parse`` cannot read, raises InputError naming its line."""
+    records = []
     with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc.msg})") from None
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise TypeError("expected a JSON object")
+                records.append(parse(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                raise InputError(f"{path}: line {lineno}: {error}") from None
+    return records
 
 
-def _read_jsonl(path: Path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+def _accepted_record(row: dict) -> tuple[str, EntityPair, float]:
+    """The relation, entity pair and confidence of an accepted.jsonl row."""
+    texts = [row[key] for key in ("relation", "e1", "e1_type", "e2", "e2_type")]
+    if not all(isinstance(text, str) for text in texts):
+        raise TypeError("relation, entities and entity types must be strings")
+    relation, e1, e1_type, e2, e2_type = texts
+    return (relation, EntityPair(TypedEntity(e1, e1_type), TypedEntity(e2, e2_type)),
+            float(row["confidence"]))
 
 
 def _finished_run(run_dir: Path, output: str) -> dict:
     """The manifest of the run in ``run_dir``, which must hold ``output`` and
     have finished with status ok: a failed run may have left an earlier run's
     outputs behind."""
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists() or not (run_dir / output).exists():
+    if not (run_dir / "manifest.json").exists() or not (run_dir / output).exists():
         raise InputError(f"{run_dir}: not a run directory (missing outputs)")
-    manifest = _read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise InputError(f"{manifest_path}: manifest must be a JSON object")
+    manifest = _read_json(run_dir / "manifest.json")
     if manifest.get("status") != "ok":
         raise InputError(f"{run_dir}: the run's status is "
                          f"{manifest.get('status')!r}, not 'ok'; nothing to read")
@@ -339,29 +397,20 @@ def _finished_run(run_dir: Path, output: str) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        run_dir = Path(args.run)
-        manifest = _finished_run(run_dir, "accepted.jsonl")
-        rows = _read_jsonl(run_dir / "accepted.jsonl")
-        cfg_snapshot = manifest.get("config") or {}
-        pairing = cfg_snapshot.get("pairing", "ordered")
-        relation = "unknown"
-        stats_path = run_dir / "stats.json"
-        if stats_path.exists():
-            relation = _read_json(stats_path).get("relation", relation)
-        elif rows:
-            relation = rows[0]["relation"]
-        gold = load_gold(args.gold, relation, pairing)
-        accepted = [
-            (EntityPair(TypedEntity(r["e1"], r["e1_type"]),
-                        TypedEntity(r["e2"], r["e2_type"])), r["confidence"])
-            for r in rows
-        ]
-        out_path = Path(args.out) if args.out else run_dir / "report.json"
-        write_report(out_path, relation, accepted, gold, args.threshold)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    run_dir = Path(args.run)
+    manifest = _finished_run(run_dir, "accepted.jsonl")
+    records = _read_jsonl(run_dir / "accepted.jsonl", _accepted_record)
+    pairing = (manifest.get("config") or {}).get("pairing", RunConfig.pairing)
+    relation = "unknown"
+    stats_path = run_dir / "stats.json"
+    if stats_path.exists():
+        relation = _read_json(stats_path).get("relation", relation)
+    elif records:
+        relation = records[0][0]
+    gold = load_gold(args.gold, relation, pairing)
+    accepted = [(pair, confidence) for _, pair, confidence in records]
+    out_path = Path(args.out) if args.out else run_dir / "report.json"
+    write_report(out_path, relation, accepted, gold, args.threshold)
     return 0
 
 
@@ -370,23 +419,13 @@ def _fmt(value) -> str:
 
 
 def _cmd_stats(args) -> int:
-    try:
-        run_dir = Path(args.run)
-        _finished_run(run_dir, "extractors.jsonl")
-        summaries = [ExtractorSummary.from_dict(row)
-                     for row in _read_jsonl(run_dir / "extractors.jsonl")]
-        labels = None
-        if args.labels:
-            raw = _read_json(Path(args.labels))
-            if not isinstance(raw, dict):
-                raise InputError(f"{args.labels}: labels must be a JSON object "
-                                 "mapping extractor signatures to noisy flags")
-            labels = {str(k): bool(v) for k, v in raw.items()}
-        stats = extractor_stats(summaries, labels)
-    except (InputError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    run_dir = Path(args.run)
+    _finished_run(run_dir, "extractors.jsonl")
+    summaries = _read_jsonl(run_dir / "extractors.jsonl", ExtractorSummary.from_dict)
+    labels = None
+    if args.labels:
+        labels = {str(k): bool(v) for k, v in _read_json(Path(args.labels)).items()}
+    stats = extractor_stats(summaries, labels)
     header = ("count", "AIE", "AES", "ANE", "ANNE", "ANNLC", "AP", "AN", "ANP")
     values = (str(stats.count), f"{stats.aie:.1f}", f"{stats.aes:.2f}",
               _fmt(stats.ane), _fmt(stats.anne), _fmt(stats.annlc),
@@ -401,13 +440,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_hits(args) -> int:
-    try:
-        cfg = build_config(args)
-        ingested = ingest_inputs(args.corpus, args.embeddings, args.seeds, cfg)
-        counts = hit_count(ingested.instances, ingested.seed_state, cfg)
-    except (InputError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = build_config(args)
+    ingested = ingest_inputs(args.corpus, args.embeddings, args.seeds, cfg.limits)
+    seeds = build_seed_state(ingested.spec, ingested.emb, cfg.pairing)
+    counts = hit_count(ingested.instances, seeds, cfg)
     payload = {
         "relation": ingested.spec.relation,
         "by_pair": counts.by_pair,
@@ -422,42 +458,27 @@ def _cmd_hits(args) -> int:
     return 0
 
 
-_SWEEPABLE = ("mode", "sim", "tau_sim", "tau_cnf", "wn", "wu", "iters", "pairing")
-
-
-def _parse_sweep_values(name: str, text: str) -> list:
-    casts = {
-        "mode": str, "sim": str, "pairing": str,
-        "tau_sim": float, "tau_cnf": float, "wn": float, "wu": float,
-        "iters": int,
-    }
-    values = [casts[name](part.strip()) for part in text.split(",") if part.strip()]
+def _parse_sweep_values(setting: Setting, text: str) -> list:
+    values = [setting.convert(part.strip()) for part in text.split(",") if part.strip()]
     if not values:
-        raise InputError(f"--{name.replace('_', '-')}: empty value list")
+        raise InputError(f"{setting.flag}: empty value list")
     return values
 
 
 def _cmd_sweep(args) -> int:
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    try:
-        grid = {}
-        for name in _SWEEPABLE:
-            raw = getattr(args, name)
-            if raw is not None:
-                grid[name] = _parse_sweep_values(name, raw)
-        names = sorted(grid)
-        combos = list(itertools.product(*(grid[n] for n in names))) or [()]
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    grid = {name: _parse_sweep_values(setting, getattr(args, name))
+            for name, setting in SETTINGS.items()
+            if setting.sweep and getattr(args, name) is not None}
+    names = sorted(grid)
+    combos = list(itertools.product(*(grid[n] for n in names))) or [()]
     inputs = RunInputs(args)
     varying = [n for n in names if len(grid[n]) > 1]
     cells = [dict(zip(names, combo)) for combo in combos]
     # The cells that read one similarity graph run one after another, so a
     # single graph is alive at a time; outputs keep the grid's order.
-    shared = [n for n in ("pairing", "sim", "tau_sim") if n in grid]
+    shared = [n for n in GRAPH_SETTINGS if n in grid]
     run_order = sorted(range(len(cells)),
                        key=lambda i: [grid[n].index(cells[i][n]) for n in shared])
     summary_rows = [None] * len(cells)
@@ -480,40 +501,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
-    """Config flags; defaults are None so explicit values can override a config file.
+    """One flag per setting, kept as its text (None when not given) for
+    build_config to convert, so an explicit value overrides a config file.
 
-    Under sweep, the sweepable flags accept comma-separated lists and are kept
-    as raw strings for later expansion.
+    Under sweep, the sweepable flags accept comma-separated lists.
     """
-    suffix = " (comma list)" if sweep else ""
-
-    def sweepable(flag, dest, kind, choices=None, help=None):
-        parser.add_argument(flag, dest=dest, default=None,
-                            type=str if sweep else kind,
-                            choices=None if sweep else choices,
-                            help=(help or dest) + suffix)
-
     parser.add_argument("--config", default=None,
                         help="JSON config file; CLI flags override it")
-    sweepable("--mode", "mode", str, list(MODES), "bootstrapping mode")
-    sweepable("--sim", "sim", str, list(MEASURE_KINDS), "similarity measure")
-    parser.add_argument("--sim-weights", dest="sim_weights", nargs=3, type=float,
-                        default=None, metavar=("W_BEFORE", "W_BETWEEN", "W_AFTER"),
-                        help="window weights for --sim match")
-    sweepable("--tau-sim", "tau_sim", float, help="similarity threshold")
-    sweepable("--tau-cnf", "tau_cnf", float, help="confidence threshold")
-    sweepable("--wn", "wn", float, help="weight on negative matches")
-    sweepable("--wu", "wu", float, help="weight on unknown matches")
-    sweepable("--iters", "iters", int, help="bootstrapping iterations")
-    sweepable("--pairing", "pairing", str, list(PAIRINGS), "entity pair matching")
-    parser.add_argument("--max-before", dest="max_before", type=int, default=None)
-    parser.add_argument("--max-between", dest="max_between", type=int, default=None)
-    parser.add_argument("--max-after", dest="max_after", type=int, default=None)
-    parser.add_argument("--output-threshold", dest="output_threshold", type=float,
-                        default=None)
-    parser.add_argument("--score-against", dest="score_against", default=None,
-                        choices=list(SCORE_AGAINST),
-                        help="score extractor counts against grown or original seeds")
+    for name, setting in SETTINGS.items():
+        listed = sweep and setting.sweep
+        parser.add_argument(setting.flag, dest=name, nargs=len(setting.parts) or None,
+                            metavar=setting.parts or None,
+                            choices=None if listed else setting.choices,
+                            help=setting.help + (" (comma list)" if listed else ""))
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -575,7 +575,11 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # bad input: files, formats, config
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

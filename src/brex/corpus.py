@@ -352,8 +352,8 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
 def extract_instances(
     sentences,
     emb: EmbeddingStore,
-    limits: tuple[int, int, int] = (2, 6, 2),
-    type_pair: tuple[str, str] = ("ORG", "ORG"),
+    limits: tuple[int, int, int],
+    type_pair: tuple[str, str],
 ) -> ExtractionResult:
     """Build one instance per in-sentence ordered entity pair matching type_pair.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -130,12 +131,7 @@ class ExtractorSummary:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id, "size": self.size, "n_pos": self.n_pos,
-            "n_neg": self.n_neg, "n_unknown": self.n_unknown,
-            "confidence": self.confidence, "signature": self.signature,
-            "sample_between_contexts": self.sample_between_contexts,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, row: dict) -> "ExtractorSummary":

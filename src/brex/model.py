@@ -202,19 +202,15 @@ class RunConfig:
     max_before: int = 2
     max_between: int = 6
     max_after: int = 2
-    output_threshold: float = 0.5
     score_against: str = "yield"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; pick one of {MODES}")
-        if self.pairing not in PAIRINGS:
-            raise ValueError(f"unknown pairing {self.pairing!r}; pick one of {PAIRINGS}")
-        if self.score_against not in SCORE_AGAINST:
-            raise ValueError(
-                f"unknown score-against {self.score_against!r}; pick one of {SCORE_AGAINST}"
-            )
-        for name in ("tau_sim", "tau_cnf", "output_threshold"):
+        for name, choices in (("mode", MODES), ("pairing", PAIRINGS),
+                              ("score_against", SCORE_AGAINST)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"pick one of {choices}")
+        for name in ("tau_sim", "tau_cnf"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")

@@ -237,24 +237,25 @@ def _unit_or_zero(rng, active):
 
 
 def test_criterion_7_planted_recovery(planted):
-    from brex.cli import build_config, ingest_inputs
+    from brex.cli import build_config, build_seed_state, ingest_inputs
     import argparse
 
     started = time.perf_counter()
     fixture, paths = planted
     base = build_config(argparse.Namespace())
     ingested = ingest_inputs(paths["corpus"], paths["embeddings"],
-                             paths["seeds"], base)
+                             paths["seeds"], base.limits)
+    seeds = build_seed_state(ingested.spec, ingested.emb, base.pairing)
     gold = load_gold(paths["gold"], "acquired", "ordered")
 
     joint_cfg = RunConfig(mode="brej")
-    joint = bootstrap(ingested.instances, ingested.seed_state, joint_cfg,
+    joint = bootstrap(ingested.instances, seeds, joint_cfg,
                       graph_for(ingested.instances, joint_cfg))
     joint_scores = prf1(joint.accepted, gold, threshold=0.5)
     recovered_joint = round(joint_scores.recall * len(gold))
 
     pair_cfg = RunConfig(mode="bree")
-    pair_only = bootstrap(ingested.instances, ingested.seed_state, pair_cfg,
+    pair_only = bootstrap(ingested.instances, seeds, pair_cfg,
                           graph_for(ingested.instances, pair_cfg))
     pair_scores = prf1(pair_only.accepted, gold, threshold=0.5)
     recovered_pair = round(pair_scores.recall * len(gold))
@@ -317,13 +318,14 @@ def test_criterion_9_ablation_switches(planted, tmp_path):
     data = tmp_path / "biset_data"
     fixture = build_biset_fixture()
     fixture.write(data)
-    from brex.cli import ingest_inputs
+    from brex.cli import build_seed_state, ingest_inputs
     accepted = {}
     for pairing in ("ordered", "biset"):
         cfg = RunConfig(mode="bree", pairing=pairing)
         ingested = ingest_inputs(data / "corpus.jsonl", data / "embeddings.txt",
-                                 data / "seeds.json", cfg)
-        result = bootstrap(ingested.instances, ingested.seed_state, cfg,
+                                 data / "seeds.json", cfg.limits)
+        seeds = build_seed_state(ingested.spec, ingested.emb, cfg.pairing)
+        result = bootstrap(ingested.instances, seeds, cfg,
                            graph_for(ingested.instances, cfg))
         accepted[pairing] = {(i.pair.e1.surface, i.pair.e2.surface)
                              for i, _ in result.accepted}

@@ -6,7 +6,8 @@ import weakref
 import pytest
 
 import brex.cli
-from brex.cli import main
+from brex.cli import SETTINGS, config_dict, main
+from brex.model import RunConfig
 from brex.similarity import SimilarityGraph
 from brex.synth import build_biset_fixture, build_planted_fixture
 
@@ -28,6 +29,18 @@ def run_args(data_dir, out_dir, *extra):
 
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line]
+
+
+def snapshot_value(config, setting):
+    """The value ``setting`` sets in a manifest's config snapshot."""
+    for name in setting.field.split("."):
+        config = config[name]
+    return config
+
+
+def flag_args(setting, value):
+    values = value if isinstance(value, list) else [value]
+    return [setting.flag, *map(str, values)]
 
 
 class TestRun:
@@ -152,6 +165,94 @@ class TestRun:
         assert snapshot["w_neg"] == 1.0 and snapshot["w_unk"] == 0.0
 
 
+# Per setting, a value for the config file, which is not the default, and
+# another for its flag.
+SETTING_VALUES = {
+    "mode": ("bree", "bret"),
+    "sim": ("match", "cc-sym1"),
+    "sim_weights": ([0.5, 0.3, 0.2], [0.1, 0.8, 0.1]),
+    "tau_sim": (0.8, 0.6),
+    "tau_cnf": (0.75, 0.6),
+    "wn": (1.0, 0.25),
+    "wu": (0.0, 0.01),
+    "iters": (2, 1),
+    "pairing": ("biset", "ordered"),
+    "max_before": (1, 3),
+    "max_between": (4, 5),
+    "max_after": (1, 3),
+    "score_against": ("original", "yield"),
+}
+
+
+@pytest.fixture(scope="module")
+def default_snapshot(data_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("default_run")
+    assert main(run_args(data_dir, out)) == 0
+    return json.loads((out / "manifest.json").read_text())["config"]
+
+
+class TestSettings:
+    def test_settings_cover_every_config_field(self):
+        defaults = config_dict(RunConfig())
+        fields = {name for name in defaults if name != "measure"}
+        fields |= {f"measure.{name}" for name in defaults["measure"]}
+        assert sorted(setting.field for setting in SETTINGS.values()) == sorted(fields)
+        assert set(SETTING_VALUES) == set(SETTINGS)
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_setting_reaches_the_manifest(self, data_dir, tmp_path, default_snapshot,
+                                          name):
+        setting, (file_value, flag_value) = SETTINGS[name], SETTING_VALUES[name]
+        assert default_snapshot == config_dict(RunConfig())
+        assert snapshot_value(default_snapshot, setting) not in (file_value, None)
+        assert flag_value != file_value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: file_value}))
+        for out, flags, expected in (("file", [], file_value),
+                                     ("flag", flag_args(setting, flag_value), flag_value)):
+            assert main(run_args(data_dir, tmp_path / out, "--config", str(config),
+                                 *flags)) == 0
+            snapshot = json.loads((tmp_path / out / "manifest.json").read_text())["config"]
+            assert snapshot_value(snapshot, setting) == expected
+        if not setting.sweep:
+            return
+        out = tmp_path / "sweep"
+        run = run_args(data_dir, out)
+        assert main(["sweep", *run[1:], setting.flag,
+                     f"{file_value},{flag_value}"]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert [row["params"] for row in summary] == [{name: file_value},
+                                                      {name: flag_value}]
+        assert [snapshot_value(json.loads((out / row["cell"] / "manifest.json")
+                                          .read_text())["config"], setting)
+                for row in summary] == [file_value, flag_value]
+
+    @pytest.mark.parametrize("value", [{"sim_weights": 5}, {"iters": None},
+                                       {"tau_sim": [0.8]}])
+    def test_wrong_type_config_value_exits_2(self, data_dir, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(value))
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out, "--config", str(config))) == 2
+        [name] = value
+        assert f"error: {name}: " in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"].startswith(name)
+
+    def test_config_value_text_is_converted(self, data_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tau_sim": "0.8", "iters": "2"}))
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out, "--config", str(config))) == 0
+        snapshot = json.loads((out / "manifest.json").read_text())["config"]
+        assert snapshot["tau_sim"] == 0.8 and snapshot["iterations"] == 2
+
+    def test_bad_sweep_value_exits_2(self, data_dir, tmp_path, capsys):
+        run = run_args(data_dir, tmp_path / "sweep")
+        assert main(["sweep", *run[1:], "--tau-sim", "0.7,high"]) == 2
+        assert "error: tau_sim: " in capsys.readouterr().err
+
+
 class TestEval:
     def test_round_trip(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -216,6 +317,17 @@ class TestEval:
         assert "F1" not in captured.out
         assert not (out / "report.json").exists()
 
+    def test_non_object_accepted_row_exits_2(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        with open(out / "accepted.jsonl", "a") as fh:
+            fh.write("[1, 2]\n")
+        capsys.readouterr()
+        assert main(["eval", "--run", str(out),
+                     "--gold", str(data_dir / "gold.tsv")]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_filter_rule_threshold(self, data_dir, tmp_path):
         out = tmp_path / "run"
         assert main(run_args(data_dir, out, "--mode", "brej")) == 0
@@ -272,6 +384,22 @@ class TestStatsAndHits:
         capsys.readouterr()
         assert main(["stats", "--run", str(out), "--labels", str(labels_path)]) == 2
         assert f"error: {labels_path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows: [{**rows[0], "id": "x"}] + rows[1:],
+        lambda rows: rows + [["not", "an", "object"]],
+    ], ids=["non-integer-id", "non-object-row"])
+    def test_corrupt_extractors_file_exits_2(self, data_dir, tmp_path, capsys, corrupt):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        rows = corrupt(read_jsonl(out / "extractors.jsonl"))
+        (out / "extractors.jsonl").write_text(
+            "".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["stats", "--run", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and "extractors.jsonl: line " in captured.err
+        assert "AIE" not in captured.out
 
     def test_hits_counts(self, data_dir, tmp_path, capsys):
         hits_out = tmp_path / "hits.json"
@@ -345,7 +473,7 @@ class TestSweep:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[-1].pairing)
+            calls.append(args)
             return ingest(*args, **kwargs)
 
         monkeypatch.setattr(brex.cli, "ingest_inputs", counted)
@@ -353,7 +481,29 @@ class TestSweep:
         assert main(["sweep", *inputs, "--mode", "bree,brej",
                      "--pairing", "ordered,biset", "--gold", gold,
                      "--out", str(out)]) == 0
-        assert sorted(calls) == ["biset", "ordered"]  # one ingest per pairing
+        assert len(calls) == 1  # the pairings share one ingest
+        self.assert_cells_equal_standalone_runs(out, inputs, gold, tmp_path)
+
+    def test_pairings_share_the_ingest_and_graphs(self, tmp_path, monkeypatch):
+        inputs, gold = self.biset_inputs(tmp_path)
+        ingest, init = brex.cli.ingest_inputs, SimilarityGraph.__init__
+        ingests, graphs = [], []
+
+        def counted_ingest(*args):
+            ingests.append(args)
+            return ingest(*args)
+
+        def counted_init(graph, instances, measure, tau_sim):
+            graphs.append((measure.kind, tau_sim))
+            init(graph, instances, measure, tau_sim)
+
+        monkeypatch.setattr(brex.cli, "ingest_inputs", counted_ingest)
+        monkeypatch.setattr(SimilarityGraph, "__init__", counted_init)
+        out = tmp_path / "sweep"
+        assert main(["sweep", *inputs, "--pairing", "ordered,biset",
+                     "--sim", "match,cc-sym1", "--gold", gold, "--out", str(out)]) == 0
+        assert len(ingests) == 1
+        assert graphs == [("match", 0.7), ("cc-sym1", 0.7)]  # in the grid's order
         self.assert_cells_equal_standalone_runs(out, inputs, gold, tmp_path)
 
     def test_cells_share_one_graph_per_measure(self, tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from brex.corpus import (
     reorder_passive,
 )
 from brex.errors import CorpusFormatError, EmbeddingFormatError, SeedFormatError
-from brex.model import RunConfig
+from brex.model import RunConfig, build_seed_state
 from brex.synth import build_planted_fixture
 
 import support
@@ -303,10 +303,10 @@ class TestVocabularyLoad:
             return stores[-1]
 
         monkeypatch.setattr(brex.cli, "load_embeddings", spy)
-        ingested = ingest_inputs(corpus, table, seeds, RunConfig())
+        ingested = ingest_inputs(corpus, table, seeds, RunConfig().limits)
         [emb] = stores
         assert "purchased" in emb and "bought" in emb and "unused" not in emb
-        [template] = ingested.seed_state.pos_templates
+        [template] = build_seed_state(ingested.spec, ingested.emb, "ordered").pos_templates
         assert template.v_between.tolist() == [0, 1]
 
     def test_ingest_ignores_unused_rows(self, tmp_path):
@@ -325,8 +325,8 @@ class TestVocabularyLoad:
 
         def snapshot(paths):
             ingested = ingest_inputs(paths["corpus"], paths["embeddings"], paths["seeds"],
-                                     RunConfig())
-            state = ingested.seed_state
+                                     RunConfig().limits)
+            state = build_seed_state(ingested.spec, ingested.emb, "ordered")
             return ([(i.id, i.pair, i.template.key(), i.passive_swapped)
                      for i in ingested.instances],
                     [list(state.pos_pairs.keys()), list(state.neg_pairs.keys()),
