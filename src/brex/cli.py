@@ -400,11 +400,19 @@ def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
     manifest = _finished_run(run_dir, "accepted.jsonl")
     records = _read_jsonl(run_dir / "accepted.jsonl", _accepted_record)
-    pairing = (manifest.get("config") or {}).get("pairing", RunConfig.pairing)
+    config = manifest.get("config", {})
+    if not isinstance(config, dict):
+        raise InputError(f"{run_dir / 'manifest.json'}: config must be a JSON object")
+    pairing = config.get("pairing", RunConfig.pairing)
+    if pairing not in PAIRINGS:
+        raise InputError(f"{run_dir / 'manifest.json'}: config pairing {pairing!r} "
+                         f"is not one of {list(PAIRINGS)}")
     relation = "unknown"
     stats_path = run_dir / "stats.json"
     if stats_path.exists():
         relation = _read_json(stats_path).get("relation", relation)
+        if not isinstance(relation, str):
+            raise InputError(f"{stats_path}: relation must be a string")
     elif records:
         relation = records[0][0]
     gold = load_gold(args.gold, relation, pairing)

@@ -14,17 +14,20 @@ confidence products, and the cc-sym2 side-window sum can exceed unit norm.
 
 ``sim_instances`` is the definition and the source of every similarity value
 the engine reads. ``SimilarityGraph`` finds which pairs of a frozen instance
-list reach tau_sim: row-blocked matrix products score every pair, and a
-pair's score decides whether it is an edge unless it lies within its
-rounding margin of tau_sim, where ``sim_instances`` decides. A value the
-engine reads (a max-linkage similarity) is always a ``sim_instances`` value;
-the scores only rule out the pairs that cannot be the maximum.
+list reach tau_sim. The engine only asks for the in-edges of selected
+columns, so a column is scored when it is first read: row-blocked matrix
+products score every row of its entity-type pair against it. A pair's score
+decides whether it is an edge unless it lies within its rounding margin of
+tau_sim, where ``sim_instances`` decides. A value the engine reads (a
+max-linkage similarity) is always a ``sim_instances`` value; the scores only
+rule out the pairs that cannot be the maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,57 +182,6 @@ def _scores(measure: SimilarityMeasure, p, t) -> np.ndarray:
     return score
 
 
-def _candidate_pairs(probes: list[Template], targets: list[Template],
-                     measure: SimilarityMeasure, tau_sim: float):
-    """Every pair whose scalar similarity may reach tau_sim, with its matrix
-    score; pairs with differing type pairs never qualify.
-
-    Returns (probe index, target index, score) arrays, row-major, plus a per
-    probe bound R and a per target slack _MARGIN_ULPS * (d + 4) * u * R: a
-    pair's margin is bound[probe] * slack[target]. Peak memory is a few
-    blocks of _BLOCK_CELLS scores.
-    """
-    bound, slack = np.zeros(len(probes)), np.zeros(len(targets))
-    by_type: dict[tuple, tuple[list[int], list[int]]] = {}
-    for k, context in enumerate(probes):
-        by_type.setdefault(context.type_pair, ([], []))[0].append(k)
-    for k, context in enumerate(targets):
-        if context.type_pair in by_type:
-            by_type[context.type_pair][1].append(k)
-    found_rows, found_cols, found_scores = [], [], []
-    # an overflowing or NaN score is a candidate; sim_instances decides it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p_idx, t_idx in by_type.values():
-            if not t_idx:
-                continue
-            shapes = sorted({probes[k].v_between.shape for k in p_idx}
-                            | {targets[k].v_between.shape for k in t_idx})
-            if len(shapes) > 1:
-                raise ValueError(
-                    f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
-            p_stack, p_bound = _stack([probes[k] for k in p_idx])
-            t_stack, t_bound = _stack([targets[k] for k in t_idx])
-            t_slack = _MARGIN_ULPS * (shapes[0][0] + 4) * _UNIT_ROUNDOFF * t_bound
-            p_idx = np.asarray(p_idx, dtype=np.int32)
-            t_idx = np.asarray(t_idx, dtype=np.int32)
-            bound[p_idx], slack[t_idx] = p_bound, t_slack
-            step = max(1, _BLOCK_CELLS // len(t_idx))
-            for lo in range(0, len(p_idx), step):
-                block = tuple(m[lo:lo + step] for m in p_stack)
-                scores = _scores(measure, block, t_stack)
-                cut = tau_sim - np.outer(p_bound[lo:lo + step], t_slack)
-                rows, cols = np.nonzero(~(scores < cut))
-                found_rows.append(p_idx[lo + rows])
-                found_cols.append(t_idx[cols])
-                found_scores.append(scores[rows, cols])
-                del scores, cut  # free this block's matrices before scoring the next
-    if not found_rows:
-        empty = np.zeros(0, dtype=np.int32)
-        return empty, empty, np.zeros(0), bound, slack
-    return (np.concatenate(found_rows), np.concatenate(found_cols),
-            np.concatenate(found_scores), bound, slack)
-
-
 def _interval(score: np.ndarray, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds [lo, hi] on sim_instances of pairs with these matrix scores and
     margins; unbounded where the score or the margin is not finite."""
@@ -250,18 +202,37 @@ def _decide(lo: np.ndarray, hi: np.ndarray, tau_sim: float, exact) -> np.ndarray
     return reached
 
 
+class _TypeGroup(NamedTuple):
+    """The rows of one entity-type pair, ascending, with their before,
+    between, after and before+after stack and each row's norm bound R."""
+
+    rows: np.ndarray
+    stack: tuple
+    bound: np.ndarray
+
+
+def _slack(bound: np.ndarray, dim: int) -> np.ndarray:
+    """Per context, the slack _MARGIN_ULPS * (d + 4) * u * R: a pair's margin
+    is the probe's bound R times the target's slack."""
+    return _MARGIN_ULPS * (dim + 4) * _UNIT_ROUNDOFF * bound
+
+
 class SimilarityGraph:
     """The tau-graph of a frozen instance list under one measure.
 
     Row i has an edge to every instance j with sim_instances(i, j) >=
-    tau_sim; the probe comes first, as in every engine comparison. The
-    candidate pairs and their matrix scores are found on first use. A
-    score decides an edge when it clears tau_sim by more than its margin;
-    sim_instances is called only for the candidates inside that margin and
-    for the values a caller reads, and each exact value is kept, so a graph
-    shared by several bootstrap runs computes it once. Template-set hits
-    read the edges for templates of instances in the list and compute, once
-    per template, a column of hits for any other.
+    tau_sim; the probe comes first, as in every engine comparison. Every
+    read asks about the in-edges of selected columns, and a column is scored
+    when it is first read: row-blocked matrix products score every row of
+    its entity-type pair against it, and the pairs that may reach tau_sim
+    (the candidates) are kept with their scores. Memory follows the
+    candidates in the columns read, not N^2, and a graph shared by several
+    bootstrap runs scores each column once. A score decides an edge when it
+    clears tau_sim by more than its margin; sim_instances is called only for
+    the candidates inside that margin and for the values a caller reads, and
+    each exact value is kept. Template-set hits read the edges for templates
+    of instances in the list and compute, once per template, a column of
+    hits for any other.
     """
 
     def __init__(self, instances: list[Instance], measure: SimilarityMeasure,
@@ -269,55 +240,110 @@ class SimilarityGraph:
         self.instances = instances
         self.measure = measure
         self.tau_sim = tau_sim
-        self._row_of_template: dict[tuple, int] = {}
-        for row, instance in enumerate(instances):
-            self._row_of_template.setdefault(instance.template.key(), row)
         self._template_columns: dict[tuple, np.ndarray] = {}
+        # The candidates of the scored columns, in the order they were scored:
+        # row, column, and matrix score, replaced by the exact value once
+        # ``exact`` is set.
+        self._scored = np.zeros(len(instances), dtype=bool)
+        self._rows = self._cols = np.zeros(0, dtype=np.int32)
+        self._values = np.zeros(0)
+        self._exact = np.zeros(0, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.instances)
 
     @cached_property
-    def _contexts(self) -> list[Template]:
-        return [instance.template for instance in self.instances]
+    def _types(self) -> tuple[dict[tuple, _TypeGroup], np.ndarray, np.ndarray]:
+        """Each entity-type pair's rows and stacks, built on the first read,
+        and per row the bound R and the slack; pairs across type pairs are 0
+        and are never scored."""
+        members: dict[tuple, list[int]] = {}
+        for row, instance in enumerate(self.instances):
+            members.setdefault(instance.template.type_pair, []).append(row)
+        groups = {}
+        bound, slack = np.zeros(len(self)), np.zeros(len(self))
+        for type_pair, rows in members.items():
+            contexts = [self.instances[row].template for row in rows]
+            shapes = sorted({context.v_between.shape for context in contexts})
+            if len(shapes) > 1:
+                raise ValueError(
+                    f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
+            stack, group_bound = _stack(contexts)
+            rows = np.asarray(rows, dtype=np.int32)
+            bound[rows], slack[rows] = group_bound, _slack(group_bound, shapes[0][0])
+            groups[type_pair] = _TypeGroup(rows, stack, group_bound)
+        return groups, bound, slack
 
-    @cached_property
-    def _candidates(self):
-        """Candidate (rows, cols) sorted by row, then column; per candidate
-        its matrix score, replaced by the exact value once ``exact`` is set;
-        and per row the bound R and slack whose product is a pair's margin."""
-        rows, cols, scores, bound, slack = _candidate_pairs(
-            self._contexts, self._contexts, self.measure, self.tau_sim)
-        order = np.lexsort((cols, rows))
-        return (rows[order], cols[order], scores[order],
-                np.zeros(len(order), dtype=bool), bound, slack)
+    def _candidates_against(self, group: _TypeGroup, targets: tuple,
+                            target_slack: np.ndarray):
+        """(rows, target positions, scores) of the pairs of the group's rows
+        and the ``targets`` stack whose similarity may reach tau_sim: those
+        whose score is not below tau_sim by more than the pair's margin. Rows
+        are scored in blocks of about _BLOCK_CELLS scores."""
+        found_rows, found_cols, found_scores = [], [], []
+        step = max(1, _BLOCK_CELLS // len(target_slack))
+        # an overflowing or NaN score is a candidate; sim_instances decides it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(group.rows), step):
+                block = tuple(m[lo:lo + step] for m in group.stack)
+                scores = _scores(self.measure, block, targets)
+                cut = self.tau_sim - np.outer(group.bound[lo:lo + step], target_slack)
+                rows, cols = np.nonzero(~(scores < cut))
+                found_rows.append(group.rows[lo + rows])
+                found_cols.append(cols)
+                found_scores.append(scores[rows, cols])
+                del scores, cut  # free this block's matrices before scoring the next
+        return (np.concatenate(found_rows), np.concatenate(found_cols),
+                np.concatenate(found_scores))
+
+    def _score_columns(self, columns: np.ndarray) -> None:
+        """Add the candidates of the columns selected by the bool mask
+        ``columns`` that are not scored yet to the store."""
+        groups, _, slack = self._types
+        new = columns & ~self._scored
+        found = [(self._rows, self._cols, self._values)]
+        for group in groups.values():
+            at = np.flatnonzero(new[group.rows])
+            if len(at):
+                cols = group.rows[at]
+                rows, k, scores = self._candidates_against(
+                    group, tuple(m[at] for m in group.stack), slack[cols])
+                found.append((rows, cols[k], scores))
+        if len(found) > 1:
+            self._rows, self._cols, self._values = map(np.concatenate, zip(*found))
+            self._exact = np.concatenate(
+                [self._exact, np.zeros(len(self._rows) - len(self._exact), dtype=bool)])
+        self._scored |= new
 
     def _bounds(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds [lo, hi] on the values of candidates ``idx``; lo == hi ==
         the value once it is exact."""
-        rows, cols, values, exact, bound, slack = self._candidates
-        known = exact[idx]
-        lo, hi = _interval(values[idx], bound[rows[idx]] * slack[cols[idx]])
-        lo[known] = hi[known] = values[idx[known]]
+        _, bound, slack = self._types
+        known = self._exact[idx]
+        lo, hi = _interval(self._values[idx],
+                           bound[self._rows[idx]] * slack[self._cols[idx]])
+        lo[known] = hi[known] = self._values[idx[known]]
         return lo, hi
 
     def _fill(self, idx: np.ndarray) -> np.ndarray:
         """Compute the exact values of candidates ``idx`` (none of them
         exact yet) and return them."""
-        rows, cols, values, exact, _, _ = self._candidates
         instances, measure = self.instances, self.measure
-        values[idx] = [sim_instances(instances[i], instances[j], measure)
-                       for i, j in zip(rows[idx].tolist(), cols[idx].tolist())]
-        exact[idx] = True
-        return values[idx]
+        self._values[idx] = [
+            sim_instances(instances[i], instances[j], measure)
+            for i, j in zip(self._rows[idx].tolist(), self._cols[idx].tolist())]
+        self._exact[idx] = True
+        return self._values[idx]
 
     def edges_into(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of the edges whose column is selected by the bool
         mask ``columns``, sorted by row, then column."""
-        rows, cols = self._candidates[:2]
+        self._score_columns(columns)
+        rows, cols = self._rows, self._cols
         idx = np.flatnonzero(columns[cols])
         lo, hi = self._bounds(idx)
         idx = idx[_decide(lo, hi, self.tau_sim, lambda unsure: self._fill(idx[unsure]))]
+        idx = idx[np.lexsort((cols[idx], rows[idx]))]
         return rows[idx], cols[idx]
 
     def max_into(self, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,8 +351,9 @@ class SimilarityGraph:
         each group of columns sharing an owner id >= 0 in ``owner``, the
         row's max similarity to the group (max-linkage) where it reaches
         tau_sim."""
-        rows, cols, values, exact = self._candidates[:4]
-        groups = owner[cols]
+        self._score_columns(owner >= 0)
+        rows, values, exact = self._rows, self._values, self._exact
+        groups = owner[self._cols]
         idx = np.flatnonzero(groups >= 0)
         idx = idx[np.lexsort((groups[idx], rows[idx]))]
         r, g = rows[idx], groups[idx]
@@ -346,17 +373,29 @@ class SimilarityGraph:
         keep = best >= self.tau_sim
         return r[starts[keep]], g[starts[keep]], best[keep]
 
+    @cached_property
+    def _row_of_template(self) -> dict[int, int]:
+        """Per hash of a template key, the first row whose template has that
+        key. Keys hold their vectors' bytes, so only the hashes are kept, and
+        a lookup checks the row's full key."""
+        index: dict[int, int] = {}
+        for row, instance in enumerate(self.instances):
+            index.setdefault(hash(instance.template.key()), row)
+        return index
+
     def template_hits(self, templates) -> np.ndarray:
         """Bool per row: similarity to some template of the TemplateSet
         ``templates`` reaches tau_sim."""
         hit = np.zeros(len(self), dtype=bool)
         target = np.zeros(len(self), dtype=bool)
         for key, template in templates.items():
-            row = self._row_of_template.get(key)
-            if row is None:
-                hit |= self._template_column(key, template)
-            else:
+            row = self._row_of_template.get(hash(key))
+            if row is not None and self.instances[row].template.key() == key:
                 target[row] = True  # same vectors and types: same similarities
+            else:
+                # no instance has this template, or one whose key shares its
+                # hash does: either way the column is computed
+                hit |= self._template_column(key, template)
         if target.any():
             hit[self.edges_into(target)[0]] = True
         return hit
@@ -364,15 +403,24 @@ class SimilarityGraph:
     def _template_column(self, key: tuple, template: Template) -> np.ndarray:
         column = self._template_columns.get(key)
         if column is None:
-            rows, _, scores, bound, slack = _candidate_pairs(
-                self._contexts, [template], self.measure, self.tau_sim)
-            lo, hi = _interval(scores, bound[rows] * slack[0])
-
-            def exact(unsure):
-                return [sim_instances(self.instances[row], template, self.measure)
-                        for row in rows[unsure].tolist()]
-
             column = np.zeros(len(self), dtype=bool)
-            column[rows[_decide(lo, hi, self.tau_sim, exact)]] = True
+            groups, bound, _ = self._types
+            group = groups.get(template.type_pair)
+            if group is not None:
+                dim = group.stack[1].shape[1]
+                shapes = sorted({(dim,), template.v_between.shape})
+                if len(shapes) > 1:
+                    raise ValueError(
+                        f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
+                targets, target_bound = _stack([template])
+                target_slack = _slack(target_bound, dim)
+                rows, _, scores = self._candidates_against(group, targets, target_slack)
+                lo, hi = _interval(scores, bound[rows] * target_slack[0])
+
+                def exact(unsure):
+                    return [sim_instances(self.instances[row], template, self.measure)
+                            for row in rows[unsure].tolist()]
+
+                column[rows[_decide(lo, hi, self.tau_sim, exact)]] = True
             self._template_columns[key] = column
         return column

@@ -328,6 +328,27 @@ class TestEval:
         assert "error: " in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("manifest.json", lambda m: m.update(config=["pairing", "ordered"]),
+         "config must be a JSON object"),
+        ("manifest.json", lambda m: m["config"].update(pairing=["ordered"]),
+         "config pairing ['ordered'] is not one of"),
+        ("stats.json", lambda s: s.update(relation=["acquired"]),
+         "relation must be a string"),
+    ], ids=["config", "pairing", "relation"])
+    def test_mistyped_run_field_exits_2(self, data_dir, tmp_path, capsys, name, edit,
+                                        message):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        data = json.loads((out / name).read_text())
+        edit(data)
+        (out / name).write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(out),
+                     "--gold", str(data_dir / "gold.tsv")]) == 2
+        assert f"error: {out / name}: {message}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_filter_rule_threshold(self, data_dir, tmp_path):
         out = tmp_path / "run"
         assert main(run_args(data_dir, out, "--mode", "brej")) == 0

@@ -39,17 +39,20 @@ def scalar_edges(instances, measure, tau_sim):
 @contextmanager
 def skewed_scores(sign):
     """Matrix scores moved by sign * (d + 4) u R_i R_j, half the rounding
-    error the margins allow: a BLAS that rounds every score one way."""
+    error the margins allow: a BLAS that rounds every score one way. Yields
+    the number of target columns of each scoring call, in call order."""
     exact = brex.similarity._scores
+    scored = []
 
     def skewed(measure, p, t):
+        scored.append(len(t[0]))
         p_bound = np.linalg.norm(np.stack(p), axis=2).max(axis=0)
         t_bound = np.linalg.norm(np.stack(t), axis=2).max(axis=0)
         skew = (p[0].shape[1] + 4) * 2.0 ** -53 * np.outer(p_bound, t_bound)
         return exact(measure, p, t) + sign * skew
 
     with mock.patch.object(brex.similarity, "_scores", skewed):
-        yield
+        yield scored
 
 
 @given(seed=st.integers(0, 2**32 - 1), measure=st.sampled_from(MEASURES),
@@ -248,3 +251,104 @@ def test_bootstrap_equals_scalar_reference(seed, mode, measure, pairing, score_a
             for ex in result.extractors] == extractors
     assert [(s["hits"], s["hits_by_pair"], s["hits_by_template"], s["extractors"],
              s["candidates"], s["accepted_new"]) for s in result.per_iteration_stats] == stats
+
+
+def two_type_world(rng, n=40):
+    """Instances with distinct random templates over two entity-type pairs."""
+    return [make_instance(template=rand_template(
+        rng, types=[("ORG", "ORG"), ("ORG", "PER")][k % 3 == 0])) for k in range(n)]
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
+def test_reads_score_only_unscored_columns(measure):
+    """Each column is scored against every row on its first read and never
+    again; a foreign seed template is one column, scored once."""
+    rng = np.random.default_rng(3)
+    instances = two_type_world(rng)
+    graph = SimilarityGraph(instances, measure, 0.5)
+    first = rng.random(len(graph)) < 0.3
+    owner = np.where(rng.random(len(graph)) < 0.4, rng.integers(0, 3, len(graph)), -1)
+    templates = TemplateSet()
+    templates.add(rand_template(rng))
+    with skewed_scores(0) as scored:
+        graph.edges_into(first)
+        assert sum(scored) == first.sum()
+        scored.clear()
+        graph.edges_into(first)
+        assert scored == []
+        graph.max_into(owner)
+        assert sum(scored) == np.count_nonzero((owner >= 0) & ~first)
+        scored.clear()
+        graph.max_into(owner)
+        graph.edges_into(first | (owner >= 0))
+        assert scored == []
+        graph.template_hits(templates)
+        graph.template_hits(templates)
+        assert scored == [1]
+
+
+@pytest.mark.parametrize("skew", [-1, 1])
+def test_skewed_scores_reach_every_lazy_read(skew):
+    """The margin tests' skewed scores are the scores the lazy reads use:
+    edge reads, max-linkage reads and foreign template columns, each with
+    only its unscored columns."""
+    rng = np.random.default_rng(31)
+    instances = [make_instance(template=rand_template(rng)) for _ in range(12)]
+    graph = SimilarityGraph(instances, SimilarityMeasure("cc-asym"), 0.5)
+    templates = TemplateSet()
+    templates.add(rand_template(rng))
+    with skewed_scores(skew) as scored:
+        graph.edges_into(np.arange(12) < 4)
+        graph.max_into(np.arange(12) % 3 - 1)  # owners -1, 0, 1, -1, 0, 1, ...
+        graph.template_hits(templates)
+    assert scored == [4, 6, 1]  # columns 0-3; 4, 5, 7, 8, 10, 11; the template
+
+
+def test_shared_graph_scores_no_column_twice():
+    rng = np.random.default_rng(37)
+    instances = two_type_world(rng, 60)
+    seeds = SeedState.empty("ordered")
+    for k in (0, 1, 3):
+        seeds.pos_pairs.add(instances[k].pair)
+    seeds.pos_templates.add(rand_template(rng))
+    seeds.pos_templates.add(instances[5].template)
+    measure = SimilarityMeasure("cc-sym1")
+    graph = SimilarityGraph(instances, measure, 0.3)
+    targets = []
+    exact = brex.similarity._scores
+
+    def recorded(measure, p, t):
+        targets.extend(b"".join(w.tobytes() for w in window) for window in zip(*t[:3]))
+        return exact(measure, p, t)
+
+    with mock.patch.object(brex.similarity, "_scores", recorded):
+        for mode in ("bree", "brej"):
+            cfg = RunConfig(mode=mode, measure=measure, tau_sim=0.3, tau_cnf=0.3)
+            bootstrap(instances, seeds.copy(), cfg, graph)
+    assert len({i.template.key() for i in instances}) == len(instances)
+    assert len(targets) > 10
+    assert len(set(targets)) == len(targets)
+
+
+READS = st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1)),
+                 min_size=1, max_size=5)
+
+
+@given(seed=st.integers(0, 2**32 - 1), measure=st.sampled_from(MEASURES),
+       tau_sim=st.floats(0.05, 1.0), reads=READS)
+@settings(max_examples=100, deadline=None)
+def test_read_sequences_equal_fresh_reads(seed, measure, tau_sim, reads):
+    """Any sequence of edge and max-linkage reads on one graph returns, at
+    each read, what the same read returns on a fresh graph."""
+    instances, _ = mixed_world(seed, "ordered")
+    graph = SimilarityGraph(instances, measure, tau_sim)
+    for edges, read_seed in reads:
+        rng = np.random.default_rng(read_seed)
+        picked = rng.random(len(graph)) < rng.random()
+        fresh = SimilarityGraph(instances, measure, tau_sim)
+        if edges:
+            got, expected = graph.edges_into(picked), fresh.edges_into(picked)
+        else:
+            owner = np.where(picked, rng.integers(0, 4, len(graph)), -1)
+            got, expected = graph.max_into(owner), fresh.max_into(owner)
+        assert [a.tolist() for a in got] == [a.tolist() for a in expected]
