@@ -55,7 +55,8 @@ class Setting:
     def convert(self, value):
         """A flag's text or a config-file value as this setting's type."""
         def one(item):
-            if self.kind is str and not isinstance(item, str):
+            # bool is an int, and float(True) is 1.0: a JSON true is no number
+            if (self.kind is str and not isinstance(item, str)) or isinstance(item, bool):
                 raise TypeError(item)
             return self.kind(item)
 
@@ -182,18 +183,18 @@ def ingest_inputs(corpus_path, embeddings_path, seeds_path,
                   limits: tuple[int, int, int]) -> Ingested:
     spec = parse_seed_file(seeds_path)
     loaded = load_corpus(corpus_path, set(spec.type_pair))
-    # context vectors only ever look up corpus tokens and seed-template tokens
+    # context vectors only ever look up the tokens of the sentences that can
+    # yield an instance and those of the seed templates
     vocab = {tok for sent in loaded.sentences for tok in sent.tokens}
     vocab.update(tok for text in spec.positive_templates + spec.negative_templates
                  for tok in text.split())
     emb = load_embeddings(embeddings_path, vocab)
     extraction = extract_instances(loaded.sentences, emb, limits, spec.type_pair)
-    instances = [
-        reorder_passive(inst, loaded.sentences[inst.sentence_ref].pos)
-        for inst in extraction.instances
-    ]
+    pos_of = {sent.sid: sent.pos for sent in loaded.sentences}
+    instances = [reorder_passive(inst, pos_of[inst.sentence_ref])
+                 for inst in extraction.instances]
     counters = {
-        "sentences": len(loaded.sentences),
+        "sentences": loaded.accepted_records,
         "rejected_records": loaded.rejected_records,
         "dropped_entities": loaded.dropped_entities,
         "instances": len(instances),

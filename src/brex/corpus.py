@@ -107,7 +107,8 @@ class TaggedSentence:
 
 @dataclass
 class LoadedCorpus:
-    sentences: list[TaggedSentence]
+    sentences: list[TaggedSentence]  # the accepted records that can yield an instance
+    accepted_records: int = 0  # every record not rejected; sids count these
     dropped_entities: int = 0  # entity type outside the configured vocabulary
     rejected_records: int = 0  # bad or overlapping spans
 
@@ -126,6 +127,7 @@ class EmbeddingStore:
         self._vectors = vectors
         self._zero = np.zeros(dimension, dtype=np.float64)
         self._zero.setflags(write=False)
+        self._contexts: dict[tuple[str, ...], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -140,12 +142,17 @@ class EmbeddingStore:
         """Unit-normalized sum of the token embeddings (zero if nothing embeds).
 
         Tokens are summed in sorted order so that equal multisets give
-        bit-equal vectors.
+        bit-equal vectors; the read-only vector of each multiset is built
+        once and shared.
         """
-        total = np.zeros(self.dimension, dtype=np.float64)
-        for tok in sorted(tokens):
-            total += self.lookup(tok)
-        return unit(total)
+        key = tuple(sorted(tokens))
+        vector = self._contexts.get(key)
+        if vector is None:
+            total = np.zeros(self.dimension, dtype=np.float64)
+            for tok in key:
+                total += self.lookup(tok)
+            vector = self._contexts[key] = unit(total)
+        return vector
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -260,6 +267,11 @@ def _check_lines(path, lines, lineno, dimension, seen, vocab, vectors):
     return dimension
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_record(raw: str, lineno: int) -> dict:
     try:
         record = json.loads(raw)
@@ -278,8 +290,8 @@ def _parse_record(raw: str, lineno: int) -> dict:
     for ent in entities:
         if (
             not isinstance(ent, dict)
-            or not isinstance(ent.get("start"), int)
-            or not isinstance(ent.get("end"), int)
+            or not _is_int(ent.get("start"))
+            or not _is_int(ent.get("end"))
             or not isinstance(ent.get("type"), str)
         ):
             raise CorpusFormatError(
@@ -301,9 +313,12 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
 
     Malformed records raise CorpusFormatError naming the line; records whose
     entity spans are invalid or overlap are skipped and counted. Entities with
-    a type outside ``type_vocab`` are dropped and counted.
+    a type outside ``type_vocab`` are dropped and counted. Each accepted
+    record gets the next sid, but only those with at least two entities left
+    can yield an instance, so only they are kept as sentences.
     """
     sentences: list[TaggedSentence] = []
+    accepted = 0
     dropped = 0
     rejected = 0
     with open(path, encoding="utf-8") as fh:
@@ -338,15 +353,15 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
                     kept.append(span)
                 else:
                     dropped += 1
-            pos = tuple(record["pos"]) if record.get("pos") is not None else None
-            sentences.append(
-                TaggedSentence(sid=len(sentences), tokens=tokens,
-                               entities=tuple(kept), pos=pos)
-            )
+            if len(kept) >= 2:
+                pos = tuple(record["pos"]) if record.get("pos") is not None else None
+                sentences.append(TaggedSentence(sid=accepted, tokens=tokens,
+                                                entities=tuple(kept), pos=pos))
+            accepted += 1
     if dropped:
         log.warning("dropped %d entities with types outside %s", dropped, sorted(type_vocab))
-    return LoadedCorpus(sentences=sentences, dropped_entities=dropped,
-                        rejected_records=rejected)
+    return LoadedCorpus(sentences=sentences, accepted_records=accepted,
+                        dropped_entities=dropped, rejected_records=rejected)
 
 
 def extract_instances(

@@ -42,15 +42,9 @@ log = logging.getLogger(__name__)
 def match_channels(graph: SimilarityGraph, state: SeedState) -> SeedHits:
     """Per-row pair and template hits against the state's positive and
     negative seeds."""
-    instances = graph.instances
-
-    def pair_hits(pairs):
-        return np.fromiter((instance.pair in pairs for instance in instances),
-                           dtype=bool, count=len(instances))
-
-    return SeedHits(pos_pair=pair_hits(state.pos_pairs),
+    return SeedHits(pos_pair=graph.pair_hits(state.pos_pairs),
                     pos_template=graph.template_hits(state.pos_templates),
-                    neg_pair=pair_hits(state.neg_pairs),
+                    neg_pair=graph.pair_hits(state.neg_pairs),
                     neg_template=graph.template_hits(state.neg_templates))
 
 

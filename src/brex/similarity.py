@@ -232,7 +232,8 @@ class SimilarityGraph:
     the candidates inside that margin and for the values a caller reads, and
     each exact value is kept. Template-set hits read the edges for templates
     of instances in the list and compute, once per template, a column of
-    hits for any other.
+    hits for any other. Pair-set hits key each row's entity pair once per
+    pairing.
     """
 
     def __init__(self, instances: list[Instance], measure: SimilarityMeasure,
@@ -241,6 +242,8 @@ class SimilarityGraph:
         self.measure = measure
         self.tau_sim = tau_sim
         self._template_columns: dict[tuple, np.ndarray] = {}
+        # per pairing: an id per distinct pair key, and each row's key id
+        self._pair_ids: dict[str, tuple[dict[tuple, int], np.ndarray]] = {}
         # The candidates of the scored columns, in the order they were scored:
         # row, column, and matrix score, replaced by the exact value once
         # ``exact`` is set.
@@ -382,6 +385,20 @@ class SimilarityGraph:
         for row, instance in enumerate(self.instances):
             index.setdefault(hash(instance.template.key()), row)
         return index
+
+    def pair_hits(self, pairs) -> np.ndarray:
+        """Bool per row: the row's entity pair is in the PairSet ``pairs``.
+        Each row's pair is keyed once per pairing."""
+        if pairs.pairing not in self._pair_ids:
+            ids: dict[tuple, int] = {}
+            row_ids = np.fromiter(
+                (ids.setdefault(instance.pair.key(pairs.pairing), len(ids))
+                 for instance in self.instances), dtype=np.int64, count=len(self))
+            self._pair_ids[pairs.pairing] = ids, row_ids
+        ids, row_ids = self._pair_ids[pairs.pairing]
+        member = np.zeros(len(ids), dtype=bool)
+        member[[ids[key] for key in pairs.keys() if key in ids]] = True
+        return member[row_ids]
 
     def template_hits(self, templates) -> np.ndarray:
         """Bool per row: similarity to some template of the TemplateSet

@@ -58,6 +58,20 @@ class TestRun:
         rows = read_jsonl(out / "accepted.jsonl")
         assert rows and all(r["confidence"] >= 0.7 for r in rows)
 
+    def test_boolean_entity_offset_exits_2(self, data_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text((data_dir / "corpus.jsonl").read_text() + json.dumps(
+            {"tokens": ["Acme", "bought", "Bolt"],
+             "entities": [{"start": False, "end": True, "type": "ORG"},
+                          {"start": 2, "end": 3, "type": "ORG"}]}) + "\n")
+        lineno = len(corpus.read_text().splitlines())
+        out = tmp_path / "run"
+        args = run_args(data_dir, out)
+        args[args.index("--corpus") + 1] = str(corpus)
+        assert main(args) == 2
+        assert f"line {lineno}: " in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
     def test_missing_embeddings_exits_2_with_manifest(self, data_dir, tmp_path):
         out = tmp_path / "run"
         code = main(["run",
@@ -228,7 +242,9 @@ class TestSettings:
                 for row in summary] == [file_value, flag_value]
 
     @pytest.mark.parametrize("value", [{"sim_weights": 5}, {"iters": None},
-                                       {"tau_sim": [0.8]}])
+                                       {"tau_sim": [0.8]}, {"iters": True},
+                                       {"tau_sim": True}, {"max_between": False},
+                                       {"sim_weights": [1, True, 1]}])
     def test_wrong_type_config_value_exits_2(self, data_dir, tmp_path, capsys, value):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(value))

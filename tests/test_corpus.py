@@ -64,6 +64,7 @@ def record(tokens, entities, pos=None):
 
 
 ORG = lambda start, end: {"start": start, "end": end, "type": "ORG"}  # noqa: E731
+PER = lambda start, end: {"start": start, "end": end, "type": "PER"}  # noqa: E731
 
 
 class TestLoadCorpus:
@@ -83,7 +84,7 @@ class TestLoadCorpus:
         ])
         loaded = load_corpus(path, {"ORG"})
         assert loaded.rejected_records == 1
-        assert len(loaded.sentences) == 1
+        assert loaded.accepted_records == 1
 
     def test_overlapping_spans_rejected(self, tmp_path):
         path = write_corpus(tmp_path, [
@@ -105,12 +106,12 @@ class TestLoadCorpus:
 
     def test_unknown_type_dropped_with_count(self, tmp_path):
         path = write_corpus(tmp_path, [
-            record(["Maria", "joined", "Acme"],
-                   [{"start": 0, "end": 1, "type": "PER"}, ORG(2, 3)]),
+            record(["Maria", "joined", "Acme", "from", "Bolt"],
+                   [{"start": 0, "end": 1, "type": "PER"}, ORG(2, 3), ORG(4, 5)]),
         ])
         loaded = load_corpus(path, {"ORG"})
         assert loaded.dropped_entities == 1
-        assert [e.etype for e in loaded.sentences[0].entities] == ["ORG"]
+        assert [e.etype for e in loaded.sentences[0].entities] == ["ORG", "ORG"]
 
     def test_misaligned_pos_raises(self, tmp_path):
         path = write_corpus(tmp_path, [
@@ -129,6 +130,84 @@ class TestLoadCorpus:
         first = load_corpus(path, {"ORG"})
         second = load_corpus(path, {"ORG"})
         assert first.sentences == second.sentences
+
+
+    @pytest.mark.parametrize("offsets", [(False, True), (0, True), (False, 1)])
+    def test_boolean_offsets_rejected(self, tmp_path, offsets):
+        start, end = offsets
+        path = write_corpus(tmp_path, [
+            record(["Acme", "bought", "Bolt"], [ORG(0, 1), ORG(2, 3)]),
+            record(["Acme", "bought", "Bolt"], [ORG(start, end), ORG(2, 3)]),
+        ])
+        with pytest.raises(CorpusFormatError, match="line 2: each entity needs integer"):
+            load_corpus(path, {"ORG"})
+
+
+class TestCandidateSentences:
+    """load_corpus keeps only the records that can yield an instance; every
+    accepted record still takes a sid."""
+
+    LINES = [
+        record(["Acme", "bought", "Bolt"], [ORG(0, 1), ORG(2, 3)]),
+        record(["just", "words"], []),
+        record(["a", "b", "c"], [ORG(5, 4)]),
+        record(["Acme", "rose"], [ORG(0, 1)]),
+        record(["Maria", "met", "Bob"], [PER(0, 1), PER(2, 3)]),
+        record(["Maria", "joined", "Acme"], [PER(0, 1), ORG(2, 3)]),
+        record(["Bolt", "was", "acquired", "by", "Acme"], [ORG(0, 1), ORG(4, 5)],
+               pos=["NNP", "VBD", "VBN", "IN", "NNP"]),
+        "",
+        record(["Cog", "merged", "with", "Dyn"], [ORG(0, 1), ORG(3, 4)]),
+    ]
+
+    def test_hand_trace(self, tmp_path):
+        loaded = load_corpus(write_corpus(tmp_path, self.LINES), {"ORG"})
+        assert [sent.sid for sent in loaded.sentences] == [0, 5, 6]
+        assert (loaded.accepted_records, loaded.rejected_records,
+                loaded.dropped_entities) == (7, 1, 3)
+
+    def test_ingest_hand_trace(self, tmp_path):
+        corpus = write_corpus(tmp_path, self.LINES)
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"relation": "acquired", "type_pair": ["ORG", "ORG"],
+                                     "positive_templates": ["[X] bought [Y]"]}))
+        table = write_lines(tmp_path / "emb.txt", ["bought 1 0", "acquired 0 1"])
+        ingested = ingest_inputs(corpus, table, seeds, RunConfig().limits)
+        assert [(i.id, i.sentence_ref, i.passive_swapped, i.pair.e1.surface)
+                for i in ingested.instances] == [
+            ("s0:0.1-2.3", 0, False, "Acme"),
+            ("s5:0.1-4.5", 5, True, "Acme"),
+            ("s6:0.1-3.4", 6, False, "Cog"),
+        ]
+        assert ingested.counters == {"sentences": 7, "rejected_records": 1,
+                                     "dropped_entities": 3, "instances": 3,
+                                     "skipped_over_limit": 0}
+
+    def test_interleaved_records_only_shift_sids(self, tmp_path):
+        fixture = build_planted_fixture(n_sentences=80)
+        plain = fixture.write(tmp_path / "plain")
+        fillers = [record(["no", "entities"], []), record(["Acme", "rose"], [ORG(0, 1)]),
+                   record(["Maria", "met", "Bob"], [PER(0, 1), PER(2, 3)])]
+        lines = plain["corpus"].read_text(encoding="utf-8").splitlines()
+        mixed = dict(plain, corpus=write_corpus(tmp_path, [
+            row for k, line in enumerate(lines) for row in (line, fillers[k % 3])]))
+
+        def ingest(paths):
+            return ingest_inputs(paths["corpus"], paths["embeddings"], paths["seeds"],
+                                 RunConfig().limits)
+
+        def snapshot(ingested, sid_of):
+            return [(re.sub(r"^s\d+", f"s{sid_of(i.sentence_ref)}", i.id),
+                     sid_of(i.sentence_ref), i.pair, i.template.key(), i.passive_swapped)
+                    for i in ingested.instances]
+
+        before, after = ingest(plain), ingest(mixed)
+        assert any(i.passive_swapped for i in before.instances)
+        assert snapshot(after, lambda sid: sid) == snapshot(before, lambda sid: 2 * sid)
+        assert after.counters == dict(before.counters,
+                                      sentences=2 * before.counters["sentences"],
+                                      dropped_entities=before.counters["dropped_entities"]
+                                      + 2 * (len(lines) // 3))
 
 
 class TestLoadEmbeddings:
@@ -188,6 +267,22 @@ class TestLoadEmbeddings:
         a = emb.context_vector(tokens)
         b = emb.context_vector(shuffled)
         assert a.tobytes() == b.tobytes()
+
+    @given(st.lists(st.lists(st.sampled_from(["w0", "w1", "w2", "w3", "oov"]),
+                             max_size=6), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_context_vector_equals_sorted_sum(self, calls):
+        rng = np.random.default_rng(0)
+        vectors = {f"w{k}": rng.normal(size=5) for k in range(4)}
+        emb = brex.corpus.EmbeddingStore(5, vectors)
+        for tokens in calls:
+            total = np.zeros(5)
+            for tok in sorted(tokens):
+                total += vectors.get(tok, 0.0)
+            expected = brex.corpus.unit(total)
+            got = emb.context_vector(tokens)
+            assert got.tobytes() == expected.tobytes()
+            assert not got.flags.writeable
 
 
 BLOCK = brex.corpus._EMBEDDING_BLOCK

@@ -18,7 +18,7 @@ from brex.similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure, \
     sim_instances
 
 from support import graph_for, make_instance, make_template, mixed_world, \
-    rand_template, reference_bootstrap, unit
+    rand_template, random_world, reference_bootstrap, unit
 
 MEASURES = [SimilarityMeasure("match", (0.3, 0.5, 0.2))] + [
     SimilarityMeasure(kind) for kind in MEASURE_KINDS if kind != "match"]
@@ -135,6 +135,26 @@ def test_template_hits_equal_scalar_hits():
                 for i in instances]
     assert graph.template_hits(templates).tolist() == expected
     assert graph.template_hits(TemplateSet()).tolist() == [False] * 30
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_pair_hits_equal_pair_set_membership(seed):
+    instances, _, cfg = random_world(seed)
+    rng = np.random.default_rng(seed)
+    # mixed-case surfaces: pair keys are case-insensitive
+    instances = [dataclasses.replace(i, pair=dataclasses.replace(
+        i.pair, e1=dataclasses.replace(i.pair.e1, surface=i.pair.e1.surface.upper())))
+        if rng.random() < 0.3 else i for i in instances]
+    graph = graph_for(instances, cfg)
+    for pairing in PAIRINGS + PAIRINGS:  # one graph serves both pairings, read twice
+        pairs = SeedState.empty(pairing).pos_pairs
+        assert graph.pair_hits(pairs).tolist() == [False] * len(instances)
+        for k in rng.choice(len(instances), size=4).tolist():
+            pair = instances[k].pair
+            pairs.add(dataclasses.replace(pair, e1=pair.e2, e2=pair.e1)
+                      if rng.random() < 0.5 else pair)
+            assert graph.pair_hits(pairs).tolist() == [i.pair in pairs for i in instances]
 
 
 def clustered_template(v):
