@@ -18,15 +18,19 @@ vectors bit-identical for any two windows with the same token multiset.
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import json
 import logging
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusFormatError, EmbeddingFormatError, SeedFormatError
+from .errors import CorpusFormatError, EmbeddingFormatError, InputError, SeedFormatError
 
 log = logging.getLogger(__name__)
 
@@ -169,6 +173,12 @@ def unit(v: np.ndarray) -> np.ndarray:
 # one call, and a block that call rejects is checked line by line.
 _EMBEDDING_BLOCK = 1024
 
+# The fewest table bytes per parse range. Measured on 2 CPUs in fresh
+# processes, two ranges were slower than one at 7 MB, even or faster at 10 MB
+# and faster in every pair from 11 MB on (0.12-0.15 s against 0.22-0.27 s).
+# So a table splits from 10 MiB on, and a 6.5 MB table stays one range.
+_MIN_RANGE_BYTES = 5 << 20
+
 
 def load_embeddings(path, vocab) -> EmbeddingStore:
     """Load a GloVe text table, keeping the words in ``vocab``; the first row
@@ -176,39 +186,186 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
 
     Every row is validated, kept or not: each needs the dimension of the first
     row, and the first row of each word needs numeric, finite components; a
-    bad row raises EmbeddingFormatError naming its line.
+    bad row raises EmbeddingFormatError naming its line, and so does a byte
+    that is not UTF-8. The table is read more than once, so it must be a
+    regular file.
+
+    A table of at least twice ``_MIN_RANGE_BYTES`` is cut at line starts into
+    one byte range per CPU this process may run on (at most one per
+    ``_MIN_RANGE_BYTES``), and the ranges are validated at once, each but the
+    first in a forked worker. A word's row from the earliest range wins, so
+    the rows and their bits are those of one pass. When any range raises or a
+    worker fails, the table is read again in one pass, which raises the error
+    of its first bad line; that pass also reads a table whose later range
+    rejects a duplicate row of a word seen in an earlier range.
     """
+    size = os.stat(path).st_size
+    if not os.path.isfile(path):  # a pipe could not be read more than once
+        raise EmbeddingFormatError(f"{path}: not a regular file")
+    try:
+        dimension = _dimension(path)
+        count = _range_count(size)
+        vectors = _parse_ranges(path, size, count, dimension, vocab) if count > 1 else None
+        if vectors is None:
+            vectors = _parse_range(path, 0, size, dimension, vocab)
+    except UnicodeDecodeError:
+        raise _not_utf8(path, EmbeddingFormatError) from None
+    return EmbeddingStore(dimension, vectors)
+
+
+def _dimension(path) -> int:
+    """The component count of the table's first non-blank row."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if len(parts) == 1:
+                raise EmbeddingFormatError(
+                    f"{path}: line {lineno}: entry has no vector components")
+            if parts:
+                return len(parts) - 1
+    raise EmbeddingFormatError(f"{path}: no embedding entries found")
+
+
+def _range_count(size: int) -> int:
+    """How many ranges a table of ``size`` bytes is parsed in."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux: one range
+        cpus = 1
+    return max(1, min(cpus, size // _MIN_RANGE_BYTES))
+
+
+def _cuts(fh, size: int, count: int) -> list[int]:
+    """The offsets 0, ..., ``size`` cutting the binary file ``fh`` into
+    ``count`` ranges of about equal size, each starting at a line start (just
+    after a newline byte); a range is empty when a long line spans its share."""
+    cuts = [0]
+    for k in range(1, count):
+        fh.seek(k * size // count - 1)
+        fh.readline()
+        cuts.append(fh.tell())
+    return cuts + [size]
+
+
+class _ByteRange(io.RawIOBase):
+    """The next ``size`` bytes of the unbuffered binary file ``raw``."""
+
+    def __init__(self, raw, size: int):
+        self._raw = raw
+        self._left = size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(memoryview(buffer)[:self._left])
+        self._left -= n
+        return n
+
+
+def _parse_range(path, start: int, end: int, dimension: int, vocab) -> dict:
+    """The rows of ``vocab`` words in bytes [start, end) of the table, a range
+    that starts at a line start, validated as if it were the whole table (its
+    first line is line 1), read as text in blocks of ``_EMBEDDING_BLOCK``
+    lines."""
     vectors: dict[str, np.ndarray] = {}
     seen: set[str] = set()  # every word so far; later rows of a word are not parsed
-    dimension = None
-    with open(path, encoding="utf-8") as fh:
-        lineno = 1
-        while lines := list(itertools.islice(fh, _EMBEDDING_BLOCK)):
-            parsed = _parse_block(lines, dimension)
-            if parsed is None:
-                dimension = _check_lines(path, lines, lineno, dimension, seen, vocab,
-                                         vectors)
-            else:
-                words, values = parsed
-                dimension = values.shape[1]
-                rows: dict[str, int] = {}
-                for i, word in enumerate(words):
-                    if word in vocab and word not in vectors:
-                        rows.setdefault(word, i)
-                kept = values[list(rows.values())]
-                kept.setflags(write=False)
-                vectors.update(zip(rows, kept))
-                seen.update(words)
-            lineno += len(lines)
-    if dimension is None:
-        raise EmbeddingFormatError(f"{path}: no embedding entries found")
-    return EmbeddingStore(dimension, vectors)
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(start)
+        reader = io.BufferedReader(_ByteRange(raw, end - start))
+        with io.TextIOWrapper(reader, encoding="utf-8") as fh:
+            lineno = 1
+            while lines := list(itertools.islice(fh, _EMBEDDING_BLOCK)):
+                parsed = _parse_block(lines, dimension)
+                if parsed is None:
+                    _check_lines(path, lines, lineno, dimension, seen, vocab, vectors)
+                else:
+                    words, values = parsed
+                    rows: dict[str, int] = {}
+                    for i, word in enumerate(words):
+                        if word in vocab and word not in vectors:
+                            rows.setdefault(word, i)
+                    kept = values[list(rows.values())]
+                    kept.setflags(write=False)
+                    vectors.update(zip(rows, kept))
+                    seen.update(words)
+                lineno += len(lines)
+    return vectors
+
+
+def _parse_ranges(path, size: int, count: int, dimension: int, vocab) -> dict | None:
+    """The kept rows of the table cut into ``count`` ranges: the first range
+    parsed here, each other one in a forked worker, merged in file order so
+    that a word's first row wins. None when a range raises, a worker fails or
+    no worker can be started."""
+    with open(path, "rb") as fh:
+        cuts = _cuts(fh, size, count)
+    workers: list[tuple[int, io.BufferedReader]] = []  # not yet reaped
+    try:
+        for start, end in zip(cuts[1:-1], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # at a process limit: parse in one range
+                os.close(read_fd)
+                os.close(write_fd)
+                return None
+            if pid == 0:
+                _worker(write_fd, path, start, end, dimension, vocab)
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb")))
+        try:
+            parts = [_parse_range(path, 0, cuts[1], dimension, vocab)]
+        except (EmbeddingFormatError, UnicodeDecodeError):
+            return None
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            if status != 0:
+                return None
+            words, values = pickle.loads(payload)
+            values.setflags(write=False)
+            parts.append(dict(zip(words, values)))
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    vectors = parts[0]
+    for part in parts[1:]:
+        for word, vec in part.items():
+            vectors.setdefault(word, vec)
+    return vectors
+
+
+def _worker(write_fd: int, path, start: int, end: int, dimension: int, vocab):
+    """A forked worker: parse one range, send its kept words and their rows
+    through ``write_fd``, and leave through os._exit, 0 only on success.
+
+    fork is safe here although the parent may hold BLAS threads: the worker
+    runs only Python, numpy's text parse and elementwise checks (no BLAS, no
+    lock another thread may hold), and os._exit skips atexit handlers and
+    the flush of stdio buffers copied from the parent.
+    """
+    code = 1
+    try:
+        vectors = _parse_range(path, start, end, dimension, vocab)
+        values = np.array(list(vectors.values()), dtype=np.float64)
+        payload = pickle.dumps((list(vectors), values.reshape(len(vectors), dimension)))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _parse_block(lines, dimension):
     """The words and the (rows, dimension) values of a block's non-blank lines,
     parsed in one numpy call; None when the block has no such line, a row has
-    no components or another count, or numpy rejects or overflows a component.
+    another component count, or numpy rejects or overflows a component.
 
     numpy accepts a subset of what ``float`` accepts (not ``1_0`` or non-ASCII
     digits) and gives the same bits for it, so a None only means the block
@@ -222,7 +379,7 @@ def _parse_block(lines, dimension):
                             ndmin=2)
     except (IndexError, ValueError):
         return None
-    if (values.shape[0] != len(parts) or dimension not in (None, values.shape[1])
+    if (values.shape != (len(parts), dimension)
             or not np.isfinite(values).all()):
         return None
     return [p[0] for p in parts], values
@@ -230,20 +387,13 @@ def _parse_block(lines, dimension):
 
 def _check_lines(path, lines, lineno, dimension, seen, vocab, vectors):
     """The per-line check of a block starting at ``lineno``: raise the error of
-    its first bad line, else store its kept rows as ``float`` parses them.
-    Returns the dimension."""
+    its first bad line, else store its kept rows as ``float`` parses them."""
     for lineno, line in enumerate(lines, start=lineno):
         parts = line.split()
         if not parts:
             continue
         word, values = parts[0], parts[1:]
-        if dimension is None:
-            if not values:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: entry has no vector components"
-                )
-            dimension = len(values)
-        elif len(values) != dimension:
+        if len(values) != dimension:
             raise EmbeddingFormatError(
                 f"{path}: line {lineno}: expected {dimension} components, "
                 f"found {len(values)}"
@@ -264,7 +414,33 @@ def _check_lines(path, lines, lineno, dimension, seen, vocab, vectors):
             vec = np.array(floats, dtype=np.float64)
             vec.setflags(write=False)
             vectors[word] = vec
-    return dimension
+
+
+def text_lines(path, error: type[InputError]):
+    """(line number, line) of the UTF-8 text file ``path``; a byte that is not
+    UTF-8 raises ``error`` naming its line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            raise _not_utf8(path, error) from None
+
+
+def _not_utf8(path, error: type[InputError]) -> InputError:
+    """``error`` naming ``path`` and the line of its first byte that is not
+    UTF-8, counting lines as text-mode reading does: a line ends at LF, CR LF
+    or a lone CR."""
+    lineno = 1
+    with open(path, "rb") as fh:
+        for raw in fh:  # binary lines end at b"\n" only
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno += raw.count(b"\r", 0, exc.start)
+                return error(f"{path}: line {lineno}: not UTF-8 "
+                             f"(byte 0x{raw[exc.start]:02x}: {exc.reason})")
+            lineno += 1 + raw.count(b"\r") - raw.endswith(b"\r\n")
+    return error(f"{path}: not UTF-8")
 
 
 def _is_int(value) -> bool:
@@ -321,43 +497,42 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     accepted = 0
     dropped = 0
     rejected = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            record = _parse_record(raw, lineno)
-            tokens = tuple(record["tokens"])
-            spans = []
-            ok = True
-            for ent in record["entities"]:
-                if not (0 <= ent["start"] < ent["end"] <= len(tokens)):
-                    log.warning("line %d: bad entity span (%d, %d), record rejected",
-                                lineno, ent["start"], ent["end"])
+    for lineno, raw in text_lines(path, CorpusFormatError):
+        if not raw.strip():
+            continue
+        record = _parse_record(raw, lineno)
+        tokens = tuple(record["tokens"])
+        spans = []
+        ok = True
+        for ent in record["entities"]:
+            if not (0 <= ent["start"] < ent["end"] <= len(tokens)):
+                log.warning("line %d: bad entity span (%d, %d), record rejected",
+                            lineno, ent["start"], ent["end"])
+                ok = False
+                break
+            spans.append(EntitySpan(ent["start"], ent["end"], ent["type"]))
+        if ok:
+            spans.sort(key=lambda s: (s.start, s.end))
+            for prev, cur in zip(spans, spans[1:]):
+                if cur.start < prev.end:
+                    log.warning("line %d: overlapping entity spans, record rejected",
+                                lineno)
                     ok = False
                     break
-                spans.append(EntitySpan(ent["start"], ent["end"], ent["type"]))
-            if ok:
-                spans.sort(key=lambda s: (s.start, s.end))
-                for prev, cur in zip(spans, spans[1:]):
-                    if cur.start < prev.end:
-                        log.warning("line %d: overlapping entity spans, record rejected",
-                                    lineno)
-                        ok = False
-                        break
-            if not ok:
-                rejected += 1
-                continue
-            kept = []
-            for span in spans:
-                if span.etype in type_vocab:
-                    kept.append(span)
-                else:
-                    dropped += 1
-            if len(kept) >= 2:
-                pos = tuple(record["pos"]) if record.get("pos") is not None else None
-                sentences.append(TaggedSentence(sid=accepted, tokens=tokens,
-                                                entities=tuple(kept), pos=pos))
-            accepted += 1
+        if not ok:
+            rejected += 1
+            continue
+        kept = []
+        for span in spans:
+            if span.etype in type_vocab:
+                kept.append(span)
+            else:
+                dropped += 1
+        if len(kept) >= 2:
+            pos = tuple(record["pos"]) if record.get("pos") is not None else None
+            sentences.append(TaggedSentence(sid=accepted, tokens=tokens,
+                                            entities=tuple(kept), pos=pos))
+        accepted += 1
     if dropped:
         log.warning("dropped %d entities with types outside %s", dropped, sorted(type_vocab))
     return LoadedCorpus(sentences=sentences, accepted_records=accepted,
@@ -507,6 +682,10 @@ def parse_seed_file(path) -> SeedFileSpec:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SeedFormatError(f"{path}: invalid JSON ({exc.msg})") from None
+        except UnicodeDecodeError as exc:
+            raise SeedFormatError(f"{path}: not UTF-8 "
+                                  f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+                                  ) from None
     if not isinstance(data, dict):
         raise SeedFormatError(f"{path}: seed file must be a JSON object")
     try:

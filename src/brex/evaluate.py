@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import EntityPair, Instance
+from .corpus import EntityPair, Instance, text_lines
 from .engine import match_channels
 from .errors import GoldFormatError
 from .model import Extractor, RunConfig, SeedState
@@ -41,14 +41,13 @@ class GoldKB:
 def load_gold(path, relation: str, pairing: str = "ordered") -> GoldKB:
     """Read a flat gold file: one ``e1<TAB>e2`` pair per line."""
     gold = GoldKB(relation=relation, pairing=pairing)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise GoldFormatError(f"{path}: line {lineno}: expected 'e1<TAB>e2'")
-            gold.add(parts[0], parts[1])
+    for lineno, line in text_lines(path, GoldFormatError):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise GoldFormatError(f"{path}: line {lineno}: expected 'e1<TAB>e2'")
+        gold.add(parts[0], parts[1])
     if not gold.facts:
         raise GoldFormatError(f"{path}: gold file contains no pairs")
     return gold

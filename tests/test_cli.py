@@ -1,11 +1,14 @@
 """CLI subcommands: exit codes, outputs, manifest, config precedence, sweep."""
 
 import json
+import os
 import weakref
+from unittest import mock
 
 import pytest
 
 import brex.cli
+import brex.corpus
 from brex.cli import SETTINGS, config_dict, main
 from brex.model import RunConfig
 from brex.similarity import SimilarityGraph
@@ -142,6 +145,52 @@ class TestRun:
         assert not list(out.glob("*.tmp"))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
+
+    def test_split_table_gives_the_one_range_outputs(self, data_dir, tmp_path):
+        one = tmp_path / "one"
+        assert main(run_args(data_dir, one)) == 0
+        parse_ranges = brex.corpus._parse_ranges
+        merged = []
+
+        def spy(*args):
+            merged.append(parse_ranges(*args))
+            return merged[-1]
+
+        split = tmp_path / "split"
+        with mock.patch.object(brex.corpus, "_MIN_RANGE_BYTES", 1), \
+                mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2}), \
+                mock.patch.object(brex.corpus, "_parse_ranges", spy):
+            assert main(run_args(data_dir, split)) == 0
+        [vectors] = merged
+        assert vectors is not None  # the three ranges were merged
+        for name in ("accepted.jsonl", "extractors.jsonl", "stats.json"):
+            assert (split / name).read_bytes() == (one / name).read_bytes()
+
+    @pytest.mark.parametrize("name, lineno", [
+        ("corpus.jsonl", 3), ("embeddings.txt", 2), ("seeds.json", None),
+        ("gold.tsv", 4),
+    ])
+    def test_non_utf8_input_names_file_and_line(self, data_dir, tmp_path, capsys,
+                                                 name, lineno):
+        """A byte that is not UTF-8 exits 2 naming the file and its line (the
+        file alone for the seed JSON)."""
+        lines = (data_dir / name).read_bytes().splitlines(keepends=True)
+        lines[(lineno or 1) - 1] = b"\xff" + lines[(lineno or 1) - 1]
+        bad = tmp_path / name
+        bad.write_bytes(b"".join(lines))
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for other in ("corpus.jsonl", "embeddings.txt", "seeds.json"):
+            (inputs / other).symlink_to(bad if other == name else data_dir / other)
+        out = tmp_path / "run"
+        args = run_args(inputs, out)
+        if name == "gold.tsv":
+            assert main(args) == 0
+            args = ["eval", "--run", str(out), "--gold", str(bad)]
+        assert main(args) == 2
+        named = bad if name == "gold.tsv" else inputs / name
+        where = f"{named}: line {lineno}: " if lineno else f"{named}: "
+        assert f"error: {where}not UTF-8 (byte 0xff" in capsys.readouterr().err
 
     def test_out_of_range_threshold_exits_2(self, data_dir, tmp_path):
         assert main(run_args(data_dir, tmp_path / "r", "--tau-sim", "1.5")) == 2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 from unittest import mock
@@ -238,6 +239,17 @@ class TestLoadEmbeddings:
         np.testing.assert_array_equal(load_table(path).lookup("a"),
                                       [1e308, 1e308, -1e308])
 
+    def test_pipe_is_refused(self):
+        # read twice, a pipe would give the rows to the first read only
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, b"a 1 0\n")
+        os.close(write_fd)
+        try:
+            with pytest.raises(EmbeddingFormatError, match="not a regular file"):
+                load_embeddings(f"/dev/fd/{read_fd}", {"a"})
+        finally:
+            os.close(read_fd)
+
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -302,6 +314,33 @@ def write_lines(path, lines):
     return path
 
 
+def split_load(path, vocab, cpus=2):
+    """load_embeddings with ranges of one byte or more on ``cpus`` CPUs."""
+    with mock.patch.object(brex.corpus, "_MIN_RANGE_BYTES", 1), \
+            mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))):
+        return load_embeddings(path, vocab)
+
+
+def cuts(path, count):
+    with open(path, "rb") as fh:
+        return brex.corpus._cuts(fh, path.stat().st_size, count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_rows(emb, expected, vocab):
+    assert emb.dimension == expected.dimension
+    zero = np.zeros(expected.dimension)
+    for word in vocab:
+        want = expected.lookup(word) if word in expected else zero
+        assert (word in emb) == (word in expected)
+        assert emb.lookup(word).tobytes() == want.tobytes()
+    assert len(emb) == sum(word in emb for word in vocab)
+
+
 @st.composite
 def tables(draw):
     """Lines of a random table over WORDS: valid or bad tokens, blank lines,
@@ -328,20 +367,26 @@ class TestVocabularyLoad:
     """load_embeddings(path, vocab) keeps only vocabulary words and still
     validates every row."""
 
-    @given(tables(), st.integers(1, 4), st.just(set(WORDS)) | st.sets(st.sampled_from(WORDS)))
+    @given(tables(), st.data(), st.integers(1, 4),
+           st.just(set(WORDS)) | st.sets(st.sampled_from(WORDS)), st.integers(1, 4))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_reference_loader(self, tmp_path, lines, block, vocab):
-        path = write_lines(tmp_path / "emb.txt", lines)
+    def test_matches_reference_loader(self, tmp_path, lines, data, block, vocab, cpus):
+        """Against the one-pass reference, for any block size and any split
+        into up to ``cpus`` byte ranges, with mixed line ends."""
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                  min_size=len(lines), max_size=len(lines)))
+        path = tmp_path / "emb.txt"
+        path.write_bytes("".join(map("".join, zip(lines, ends))).encode("utf-8"))
         with mock.patch.object(brex.corpus, "_EMBEDDING_BLOCK", block):
             try:
                 expected = support.reference_load_embeddings(path)
             except EmbeddingFormatError as exc:
                 with pytest.raises(EmbeddingFormatError) as got:
-                    load_embeddings(path, vocab)
+                    split_load(path, vocab, cpus)
                 assert str(got.value) == str(exc)
                 return
-            emb = load_embeddings(path, vocab)
+            emb = split_load(path, vocab, cpus)
         assert emb.dimension == expected.dimension
         zero = np.zeros(expected.dimension)
         for word in WORDS:
@@ -433,6 +478,106 @@ class TestVocabularyLoad:
         assert instances and state[2]
         assert snapshot(padded) == (instances, state, counters)
 
+
+def halves(first, second):
+    """The table ``first + second``, with a filler row before ``first`` and
+    after ``second`` so that both halves have the same byte count: a cut into
+    two ranges falls between them. Returns the table and the cut."""
+    a, b = first.encode(), second.encode()
+    x = max(8, 8 + len(b) - len(a))
+
+    def pad(n):  # one n-byte row
+        return b"pad" + b" " * (n - 7) + b"0 0\n"
+
+    table = pad(x) + a + b + pad(x + len(a) - len(b))
+    return table, x + len(a)
+
+
+class TestRangeSplit:
+    """load_embeddings over several byte ranges gives the one-pass table or
+    error."""
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        def write(first, second):
+            data, cut = halves(first, second)
+            path = tmp_path / "emb.txt"
+            path.write_bytes(data)
+            assert cuts(path, 2) == [0, cut, len(data)]
+            return path
+        return write
+
+    def test_bad_duplicate_in_a_later_range_loads(self, table):
+        emb = split_load(table("a 1 0\n", "a 0 abc\n"), {"a"})
+        assert len(emb) == 1
+        assert emb.lookup("a").tolist() == [1, 0]
+
+    def test_bad_first_row_in_a_later_range_names_its_line(self, table):
+        path = table("a 1 0\nb 0 1\n", "c 1 x\n")
+        with pytest.raises(EmbeddingFormatError) as reference:
+            support.reference_load_embeddings(path)
+        assert "line 4: non-numeric component" in str(reference.value)
+        with pytest.raises(EmbeddingFormatError) as got:
+            split_load(path, {"a"})
+        assert str(got.value) == str(reference.value)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("first, second", [
+        ("a 1 0\r\n", "b 0 1\r\n"),
+        ("a 1 0\rb 0 1\n", "\rc 1 1\rd 0 0\r"),
+        ("a 1 0\n", "\n  \nb 0 1\n"),
+        ("a 1 0\n", "a 0 1\rb 0\r"),
+    ], ids=["crlf", "lone-cr", "blank", "bad-after-cr"])
+    def test_line_ends_at_a_cut(self, table, first, second):
+        path = table(first, second)
+        vocab = {"a", "b", "c", "d"}
+        try:
+            expected = support.reference_load_embeddings(path)
+        except EmbeddingFormatError as exc:
+            with pytest.raises(EmbeddingFormatError, match=re.escape(str(exc))):
+                split_load(path, vocab)
+            return
+        assert_same_rows(split_load(path, vocab), expected, vocab)
+
+    def test_empty_last_range(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 0\nb" + b" " * 100 + b"0 1\n")
+        assert cuts(path, 2) == [0, path.stat().st_size, path.stat().st_size]
+        assert_same_rows(split_load(path, {"a", "b"}),
+                         support.reference_load_embeddings(path), {"a", "b"})
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_failed_worker_gives_the_one_range_table(self, tmp_path, failure):
+        path = write_lines(tmp_path / "emb.txt", filler(40) + ["u0 1 1", "a 1 0"])
+        parent = os.getpid()
+        parse_range = brex.corpus._parse_range
+        calls = []
+
+        def flaky(table, start, end, *args):
+            if os.getpid() != parent:
+                if failure == "raise":
+                    raise RuntimeError("worker failure")
+                os._exit(3)
+            calls.append((start, end))
+            return parse_range(table, start, end, *args)
+
+        vocab = {"u0", "u39", "a"}
+        with mock.patch.object(brex.corpus, "_parse_range", flaky):
+            emb = split_load(path, vocab, cpus=3)
+        size = path.stat().st_size
+        assert calls == [(0, cuts(path, 3)[1]), (0, size)]
+        assert_same_rows(emb, support.reference_load_embeddings(path), vocab)
+        assert emb.lookup("u0").tolist() == [0.25, 0.5]
+        assert_no_child_left()
+
+
+    def test_fork_failure_gives_the_one_range_table(self, tmp_path):
+        path = write_lines(tmp_path / "emb.txt", filler(40) + ["a 1 0"])
+        fds = len(os.listdir("/dev/fd"))
+        with mock.patch.object(os, "fork", side_effect=BlockingIOError(11, "no process")):
+            emb = split_load(path, {"a", "u3"})
+        assert_same_rows(emb, support.reference_load_embeddings(path), {"a", "u3"})
+        assert len(os.listdir("/dev/fd")) == fds
 
 def _memory_emb():
     from brex.corpus import EmbeddingStore
