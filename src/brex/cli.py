@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import EmbeddingStore, EntityPair, SeedFileSpec, TypedEntity, \
-    extract_instances, load_corpus, load_embeddings, parse_seed_file, reorder_passive
+    extract_instances, json_lines, json_object, load_corpus, load_embeddings, \
+    parse_seed_file, reorder_passive
 from .engine import bootstrap
 from .errors import InputError
 from .evaluate import ExtractorSummary, GoldKB, extractor_stats, hit_count, \
@@ -133,23 +134,26 @@ def _replace_when_done(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _read_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: expected a JSON object")
-    return data
+def _write_json(path: Path, data) -> None:
+    """Write ``data`` to ``path`` as indented JSON with sorted keys."""
+    with _replace_when_done(path) as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _write_jsonl(path: Path, rows) -> None:
+    """Write each of ``rows`` to ``path`` as a line of JSON with sorted keys."""
+    with _replace_when_done(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def build_config(args, cell: dict | None = None) -> RunConfig:
     """Merge defaults <- config file <- CLI flags <- sweep cell into a RunConfig."""
-    file_cfg = _read_json(args.config) if getattr(args, "config", None) else {}
+    config = getattr(args, "config", None)
+    file_cfg = json_object(config, InputError) if config else {}
     unknown = sorted(set(file_cfg) - set(SETTINGS))
     if unknown:
-        raise InputError(f"{args.config}: unknown config keys {unknown}")
+        raise InputError(f"{config}: unknown config keys {unknown}")
     fields = {}
     for name, setting in SETTINGS.items():
         if cell and name in cell:
@@ -205,22 +209,18 @@ def ingest_inputs(corpus_path, embeddings_path, seeds_path,
 
 def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
                   counters: dict) -> None:
-    with _replace_when_done(out_dir / "accepted.jsonl") as fh:
-        for instance, confidence in result.accepted:
-            row = {
-                "relation": relation,
-                "e1": instance.pair.e1.surface,
-                "e2": instance.pair.e2.surface,
-                "e1_type": instance.pair.e1.etype,
-                "e2_type": instance.pair.e2.etype,
-                "confidence": confidence,
-                "sentence_ref": instance.sentence_ref,
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with _replace_when_done(out_dir / "extractors.jsonl") as fh:
-        for extractor in result.extractors:
-            summary = ExtractorSummary.from_extractor(extractor)
-            fh.write(json.dumps(summary.to_dict(), sort_keys=True) + "\n")
+    _write_jsonl(out_dir / "accepted.jsonl", ({
+        "relation": relation,
+        "e1": instance.pair.e1.surface,
+        "e2": instance.pair.e2.surface,
+        "e1_type": instance.pair.e1.etype,
+        "e2_type": instance.pair.e2.etype,
+        "confidence": confidence,
+        "sentence_ref": instance.sentence_ref,
+    } for instance, confidence in result.accepted))
+    _write_jsonl(out_dir / "extractors.jsonl",
+                 (ExtractorSummary.from_extractor(extractor).to_dict()
+                  for extractor in result.extractors))
     stats = {
         "relation": relation,
         "diagnostic": result.diagnostic,
@@ -228,9 +228,7 @@ def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
         "accepted_total": len(result.accepted),
         **counters,
     }
-    with _replace_when_done(out_dir / "stats.json") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "stats.json", stats)
 
 
 class RunInputs:
@@ -278,9 +276,7 @@ def write_report(path: Path, relation: str, accepted, gold: GoldKB,
     scores = prf1(accepted, gold, threshold=threshold)
     report = {"relation": relation, "threshold": threshold, "gold_size": len(gold),
               **scores._asdict()}
-    with _replace_when_done(path) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report)
     print(f"{'relation':<16}{'#out':>8}{'P':>8}{'R':>8}{'F1':>8}")
     print(f"{relation:<16}{scores.out_count:>8}"
           f"{scores.precision:>8.3f}{scores.recall:>8.3f}{scores.f1:>8.3f}")
@@ -345,9 +341,7 @@ def run_cell(args, out_dir: Path, inputs: RunInputs,
         print(f"internal error: {exc}", file=sys.stderr)
         code = 1
     finally:
-        with _replace_when_done(out_dir / "manifest.json") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "manifest.json", manifest)
     return code, report
 
 
@@ -356,21 +350,15 @@ def _cmd_run(args) -> int:
 
 
 def _read_jsonl(path: Path, parse) -> list:
-    """``parse`` of each row of a JSON-lines file; a row that is not a JSON
-    object, or that ``parse`` cannot read, raises InputError naming its line."""
+    """``parse`` of each row of a JSON-lines run file (see json_lines); a row
+    that ``parse`` cannot read raises InputError naming its line."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise TypeError("expected a JSON object")
-                records.append(parse(row))
-            except (KeyError, TypeError, ValueError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                raise InputError(f"{path}: line {lineno}: {error}") from None
+    for lineno, row in json_lines(path, InputError):
+        try:
+            records.append(parse(row))
+        except (KeyError, TypeError, ValueError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            raise InputError(f"{path}: line {lineno}: {error}") from None
     return records
 
 
@@ -390,7 +378,7 @@ def _finished_run(run_dir: Path, output: str) -> dict:
     outputs behind."""
     if not (run_dir / "manifest.json").exists() or not (run_dir / output).exists():
         raise InputError(f"{run_dir}: not a run directory (missing outputs)")
-    manifest = _read_json(run_dir / "manifest.json")
+    manifest = json_object(run_dir / "manifest.json", InputError)
     if manifest.get("status") != "ok":
         raise InputError(f"{run_dir}: the run's status is "
                          f"{manifest.get('status')!r}, not 'ok'; nothing to read")
@@ -411,7 +399,7 @@ def _cmd_eval(args) -> int:
     relation = "unknown"
     stats_path = run_dir / "stats.json"
     if stats_path.exists():
-        relation = _read_json(stats_path).get("relation", relation)
+        relation = json_object(stats_path, InputError).get("relation", relation)
         if not isinstance(relation, str):
             raise InputError(f"{stats_path}: relation must be a string")
     elif records:
@@ -431,9 +419,11 @@ def _cmd_stats(args) -> int:
     run_dir = Path(args.run)
     _finished_run(run_dir, "extractors.jsonl")
     summaries = _read_jsonl(run_dir / "extractors.jsonl", ExtractorSummary.from_dict)
-    labels = None
-    if args.labels:
-        labels = {str(k): bool(v) for k, v in _read_json(Path(args.labels)).items()}
+    labels = json_object(args.labels, InputError) if args.labels else None
+    for signature, noisy in (labels or {}).items():
+        if not isinstance(noisy, bool):
+            raise InputError(f"{args.labels}: {signature!r}: expected true or false, "
+                             f"got {noisy!r}")
     stats = extractor_stats(summaries, labels)
     header = ("count", "AIE", "AES", "ANE", "ANNE", "ANNLC", "AP", "AN", "ANP")
     values = (str(stats.count), f"{stats.aie:.1f}", f"{stats.aes:.2f}",
@@ -442,9 +432,7 @@ def _cmd_stats(args) -> int:
     print("  ".join(f"{h:>7}" for h in header))
     print("  ".join(f"{v:>7}" for v in values))
     if args.out:
-        with _replace_when_done(Path(args.out)) as fh:
-            json.dump(dataclasses.asdict(stats), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(Path(args.out), dataclasses.asdict(stats))
     return 0
 
 
@@ -461,9 +449,7 @@ def _cmd_hits(args) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        with _replace_when_done(Path(args.out)) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(Path(args.out), payload)
     return 0
 
 
@@ -503,9 +489,7 @@ def _cmd_sweep(args) -> int:
             row["scores"] = report
         summary_rows[index] = row
 
-    with _replace_when_done(out_root / "sweep_summary.json") as fh:
-        json.dump(summary_rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_root / "sweep_summary.json", summary_rows)
     return worst
 
 

@@ -9,6 +9,12 @@ File formats:
   embeddings  GloVe text format: "word x1 x2 ... xd", one entry per line
   seeds       a single JSON object, see parse_seed_file
 
+json_object and json_lines read every JSON file of the package: the seed
+file and the corpus here, and in brex.cli the --config and --labels files
+and the run files that `brex eval` and `brex stats` read back (manifest.json,
+stats.json, accepted.jsonl, extractors.jsonl). Each error they raise names
+the file, and the line where there is one.
+
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
 bounded cosines. Window sums run over tokens in sorted order, which makes the
@@ -426,6 +432,42 @@ def text_lines(path, error: type[InputError]):
             raise _not_utf8(path, error) from None
 
 
+def json_object(path, error: type[InputError]) -> dict:
+    """The JSON object in the UTF-8 file ``path``; a byte that is not UTF-8,
+    text that is not JSON or a value that is no object raises ``error``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise _not_utf8(path, error) from None
+    return _as_object(text, error, path)
+
+
+def json_lines(path, error: type[InputError]):
+    """(line number, object) of each non-blank line of the JSON-lines file
+    ``path``, raising ``error`` as json_object does, with the line. It reads
+    the file itself: a second generator layer per line slows load_corpus."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, _as_object(line, error, path, lineno)
+        except UnicodeDecodeError:
+            raise _not_utf8(path, error) from None
+
+
+def _as_object(text: str, error: type[InputError], path, lineno=None) -> dict:
+    try:
+        value = json.loads(text)
+        if isinstance(value, dict):
+            return value
+        problem = "expected a JSON object"
+    except json.JSONDecodeError as exc:
+        problem = f"invalid JSON ({exc.msg})"
+    where = f"{path}: line {lineno}" if lineno else path
+    raise error(f"{where}: {problem}")
+
+
 def _not_utf8(path, error: type[InputError]) -> InputError:
     """``error`` naming ``path`` and the line of its first byte that is not
     UTF-8, counting lines as text-mode reading does: a line ends at LF, CR LF
@@ -448,21 +490,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_record(raw: str, lineno: int) -> dict:
-    try:
-        record = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-    if not isinstance(record, dict) or "tokens" not in record or "entities" not in record:
-        raise CorpusFormatError(
-            f"line {lineno}: record must be an object with 'tokens' and 'entities'"
-        )
+def _record_problem(record: dict) -> str | None:
+    """What keeps a corpus record from the format's fields and field types,
+    or None."""
+    if "tokens" not in record or "entities" not in record:
+        return "record must be an object with 'tokens' and 'entities'"
     tokens = record["tokens"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise CorpusFormatError(f"line {lineno}: 'tokens' must be a list of strings")
+        return "'tokens' must be a list of strings"
     entities = record["entities"]
     if not isinstance(entities, list):
-        raise CorpusFormatError(f"line {lineno}: 'entities' must be a list")
+        return "'entities' must be a list"
     for ent in entities:
         if (
             not isinstance(ent, dict)
@@ -470,18 +508,14 @@ def _parse_record(raw: str, lineno: int) -> dict:
             or not _is_int(ent.get("end"))
             or not isinstance(ent.get("type"), str)
         ):
-            raise CorpusFormatError(
-                f"line {lineno}: each entity needs integer 'start'/'end' and string 'type'"
-            )
+            return "each entity needs integer 'start'/'end' and string 'type'"
     pos = record.get("pos")
     if pos is not None:
         if not isinstance(pos, list) or not all(isinstance(p, str) for p in pos):
-            raise CorpusFormatError(f"line {lineno}: 'pos' must be a list of strings")
+            return "'pos' must be a list of strings"
         if len(pos) != len(tokens):
-            raise CorpusFormatError(
-                f"line {lineno}: 'pos' length {len(pos)} != token count {len(tokens)}"
-            )
-    return record
+            return f"'pos' length {len(pos)} != token count {len(tokens)}"
+    return None
 
 
 def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
@@ -497,10 +531,10 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     accepted = 0
     dropped = 0
     rejected = 0
-    for lineno, raw in text_lines(path, CorpusFormatError):
-        if not raw.strip():
-            continue
-        record = _parse_record(raw, lineno)
+    for lineno, record in json_lines(path, CorpusFormatError):
+        problem = _record_problem(record)
+        if problem:
+            raise CorpusFormatError(f"{path}: line {lineno}: {problem}")
         tokens = tuple(record["tokens"])
         spans = []
         ok = True
@@ -677,17 +711,7 @@ def parse_seed_file(path) -> SeedFileSpec:
        "positive_templates": ["[X] acquire [Y]", ...],
        "negative_templates": [...]}
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SeedFormatError(f"{path}: invalid JSON ({exc.msg})") from None
-        except UnicodeDecodeError as exc:
-            raise SeedFormatError(f"{path}: not UTF-8 "
-                                  f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
-                                  ) from None
-    if not isinstance(data, dict):
-        raise SeedFormatError(f"{path}: seed file must be a JSON object")
+    data = json_object(path, SeedFormatError)
     try:
         relation = data["relation"]
         tp = data["type_pair"]

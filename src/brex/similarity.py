@@ -377,14 +377,10 @@ class SimilarityGraph:
         return r[starts[keep]], g[starts[keep]], best[keep]
 
     @cached_property
-    def _row_of_template(self) -> dict[int, int]:
-        """Per hash of a template key, the first row whose template has that
-        key. Keys hold their vectors' bytes, so only the hashes are kept, and
-        a lookup checks the row's full key."""
-        index: dict[int, int] = {}
-        for row, instance in enumerate(self.instances):
-            index.setdefault(hash(instance.template.key()), row)
-        return index
+    def _row_of_template(self) -> dict[Template, int]:
+        """Each instance's own template and its row. Templates compare by
+        identity, so this holds no vector bytes."""
+        return {instance.template: row for row, instance in enumerate(self.instances)}
 
     def pair_hits(self, pairs) -> np.ndarray:
         """Bool per row: the row's entity pair is in the PairSet ``pairs``.
@@ -406,12 +402,10 @@ class SimilarityGraph:
         hit = np.zeros(len(self), dtype=bool)
         target = np.zeros(len(self), dtype=bool)
         for key, template in templates.items():
-            row = self._row_of_template.get(hash(key))
-            if row is not None and self.instances[row].template.key() == key:
-                target[row] = True  # same vectors and types: same similarities
+            row = self._row_of_template.get(template)
+            if row is not None:
+                target[row] = True
             else:
-                # no instance has this template, or one whose key shares its
-                # hash does: either way the column is computed
                 hit |= self._template_column(key, template)
         if target.any():
             hit[self.edges_into(target)[0]] = True

@@ -19,11 +19,12 @@ never cross the plane gap while joint bootstrapping can.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .cli import _write_json, _write_jsonl
 
 _BETA = math.acos(0.75)
 
@@ -154,15 +155,11 @@ class Fixture:
             "seeds": out / "seeds.json",
             "gold": out / "gold.tsv",
         }
-        with open(paths["corpus"], "w", encoding="utf-8") as fh:
-            for record in self.corpus_records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        _write_jsonl(paths["corpus"], self.corpus_records)
         with open(paths["embeddings"], "w", encoding="utf-8") as fh:
             for word, vec in self.embeddings.items():
                 fh.write(word + " " + " ".join(f"{x:.17g}" for x in vec) + "\n")
-        with open(paths["seeds"], "w", encoding="utf-8") as fh:
-            json.dump(self.seed_spec, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(paths["seeds"], self.seed_spec)
         with open(paths["gold"], "w", encoding="utf-8") as fh:
             for e1, e2 in self.gold_pairs:
                 fh.write(f"{e1}\t{e2}\n")

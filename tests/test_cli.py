@@ -167,30 +167,40 @@ class TestRun:
             assert (split / name).read_bytes() == (one / name).read_bytes()
 
     @pytest.mark.parametrize("name, lineno", [
-        ("corpus.jsonl", 3), ("embeddings.txt", 2), ("seeds.json", None),
-        ("gold.tsv", 4),
+        ("corpus.jsonl", 3), ("embeddings.txt", 2), ("seeds.json", 1),
+        ("config.json", 2), ("gold.tsv", 4), ("manifest.json", 3), ("stats.json", 2),
+        ("accepted.jsonl", 2), ("labels.json", 1), ("extractors.jsonl", 1),
     ])
     def test_non_utf8_input_names_file_and_line(self, data_dir, tmp_path, capsys,
                                                  name, lineno):
-        """A byte that is not UTF-8 exits 2 naming the file and its line (the
-        file alone for the seed JSON)."""
-        lines = (data_dir / name).read_bytes().splitlines(keepends=True)
-        lines[(lineno or 1) - 1] = b"\xff" + lines[(lineno or 1) - 1]
-        bad = tmp_path / name
-        bad.write_bytes(b"".join(lines))
+        """A byte that is not UTF-8 exits 2 naming the file and its line: in an
+        input of `brex run`, or in a file that `brex eval` or `brex stats`
+        reads."""
         inputs = tmp_path / "inputs"
         inputs.mkdir()
-        for other in ("corpus.jsonl", "embeddings.txt", "seeds.json"):
-            (inputs / other).symlink_to(bad if other == name else data_dir / other)
+        for other in ("corpus.jsonl", "embeddings.txt", "seeds.json", "gold.tsv"):
+            (inputs / other).symlink_to(data_dir / other)
+        (inputs / "config.json").write_text('{\n  "mode": "brej"\n}\n')
+        (inputs / "labels.json").write_text("{}\n")
         out = tmp_path / "run"
-        args = run_args(inputs, out)
-        if name == "gold.tsv":
+        args = run_args(inputs, out, "--config", str(inputs / "config.json"))
+        evaluate = ["eval", "--run", str(out), "--gold", str(inputs / "gold.tsv")]
+        stats = ["stats", "--run", str(out), "--labels", str(inputs / "labels.json")]
+        reader = {"gold.tsv": evaluate, "manifest.json": evaluate,
+                  "stats.json": evaluate, "accepted.jsonl": evaluate,
+                  "labels.json": stats, "extractors.jsonl": stats}.get(name)
+        if reader:
             assert main(args) == 0
-            args = ["eval", "--run", str(out), "--gold", str(bad)]
+            args = reader
+        named = inputs / name if (inputs / name).exists() else out / name
+        lines = named.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+        named.unlink()  # an input is a symlink into the shared fixture
+        named.write_bytes(b"".join(lines))
+        capsys.readouterr()
         assert main(args) == 2
-        named = bad if name == "gold.tsv" else inputs / name
-        where = f"{named}: line {lineno}: " if lineno else f"{named}: "
-        assert f"error: {where}not UTF-8 (byte 0xff" in capsys.readouterr().err
+        assert (f"error: {named}: line {lineno}: not UTF-8 (byte 0xff"
+                in capsys.readouterr().err)
 
     def test_out_of_range_threshold_exits_2(self, data_dir, tmp_path):
         assert main(run_args(data_dir, tmp_path / "r", "--tau-sim", "1.5")) == 2
@@ -460,16 +470,20 @@ class TestStatsAndHits:
         assert "error:" in captured.err and "'failed', not 'ok'" in captured.err
         assert "AIE" not in captured.out
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '"noisy"', "{"])
+    @pytest.mark.parametrize("text", ["[1, 2]", '"noisy"', "{", '{"sig-x": "false"}',
+                                      '{"sig-x": 0}', '{"sig-x": null}'])
     def test_stats_labels_not_an_object_exits_2(self, data_dir, tmp_path, capsys,
                                                 text):
+        """--labels must be a JSON object of booleans: "false" is no false."""
         out = tmp_path / "run"
         assert main(run_args(data_dir, out)) == 0
         labels_path = tmp_path / "labels.json"
         labels_path.write_text(text)
         capsys.readouterr()
         assert main(["stats", "--run", str(out), "--labels", str(labels_path)]) == 2
-        assert f"error: {labels_path}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {labels_path}: " in err
+        assert ("'sig-x'" in err) == ("sig-x" in text)
 
     @pytest.mark.parametrize("corrupt", [
         lambda rows: [{**rows[0], "id": "x"}] + rows[1:],

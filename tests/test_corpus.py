@@ -102,7 +102,8 @@ class TestLoadCorpus:
             record(["c"], []),
             "{not json",
         ])
-        with pytest.raises(CorpusFormatError, match="line 4"):
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}: line 4: invalid JSON (")):
             load_corpus(path, {"ORG"})
 
     def test_unknown_type_dropped_with_count(self, tmp_path):
