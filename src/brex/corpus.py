@@ -15,6 +15,11 @@ and the run files that `brex eval` and `brex stats` read back (manifest.json,
 stats.json, accepted.jsonl, extractors.jsonl). Each error they raise names
 the file, and the line where there is one.
 
+The corpus and the embedding table are each parsed in byte ranges cut at
+line starts, one per CPU this process may run on, through one forked reader
+(_parse_split): a corpus from 4 MiB on, a table from 10 MiB on. The results,
+warnings and errors are those of one pass over the file.
+
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
 bounded cosines. Window sums run over tokens in sorted order, which makes the
@@ -183,7 +188,7 @@ _EMBEDDING_BLOCK = 1024
 # processes, two ranges were slower than one at 7 MB, even or faster at 10 MB
 # and faster in every pair from 11 MB on (0.12-0.15 s against 0.22-0.27 s).
 # So a table splits from 10 MiB on, and a 6.5 MB table stays one range.
-_MIN_RANGE_BYTES = 5 << 20
+_MIN_TABLE_RANGE_BYTES = 5 << 20
 
 
 def load_embeddings(path, vocab) -> EmbeddingStore:
@@ -196,24 +201,29 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     that is not UTF-8. The table is read more than once, so it must be a
     regular file.
 
-    A table of at least twice ``_MIN_RANGE_BYTES`` is cut at line starts into
-    one byte range per CPU this process may run on (at most one per
-    ``_MIN_RANGE_BYTES``), and the ranges are validated at once, each but the
-    first in a forked worker. A word's row from the earliest range wins, so
-    the rows and their bits are those of one pass. When any range raises or a
-    worker fails, the table is read again in one pass, which raises the error
-    of its first bad line; that pass also reads a table whose later range
-    rejects a duplicate row of a word seen in an earlier range.
+    A table of at least twice ``_MIN_TABLE_RANGE_BYTES`` is parsed in byte ranges,
+    one per CPU (see _parse_split). A word's row from the earliest range wins,
+    so the rows and their bits are those of one pass. When any range raises
+    or a worker fails, the table is read again in one pass, which raises the
+    error of its first bad line; that pass also reads a table whose later
+    range rejects a duplicate row of a word seen in an earlier range.
     """
     size = os.stat(path).st_size
     if not os.path.isfile(path):  # a pipe could not be read more than once
         raise EmbeddingFormatError(f"{path}: not a regular file")
     try:
         dimension = _dimension(path)
-        count = _range_count(size)
-        vectors = _parse_ranges(path, size, count, dimension, vocab) if count > 1 else None
-        if vectors is None:
+        count = _range_count(size, _MIN_TABLE_RANGE_BYTES)
+        parts = _parse_split(path, size, count, lambda start, end: _packed_range(
+            path, start, end, dimension, vocab)) if count > 1 else None
+        if parts is None:
             vectors = _parse_range(path, 0, size, dimension, vocab)
+        else:
+            vectors = {}
+            for words, values in parts:
+                values.setflags(write=False)
+                for word, vec in zip(words, values):
+                    vectors.setdefault(word, vec)
     except UnicodeDecodeError:
         raise _not_utf8(path, EmbeddingFormatError) from None
     return EmbeddingStore(dimension, vectors)
@@ -232,13 +242,14 @@ def _dimension(path) -> int:
     raise EmbeddingFormatError(f"{path}: no embedding entries found")
 
 
-def _range_count(size: int) -> int:
-    """How many ranges a table of ``size`` bytes is parsed in."""
+def _range_count(size: int, floor: int) -> int:
+    """How many ranges a file of ``size`` bytes is parsed in: one per CPU
+    this process may run on, at most one per ``floor`` bytes."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux: one range
         cpus = 1
-    return max(1, min(cpus, size // _MIN_RANGE_BYTES))
+    return max(1, min(cpus, size // floor))
 
 
 def _cuts(fh, size: int, count: int) -> list[int]:
@@ -254,11 +265,12 @@ def _cuts(fh, size: int, count: int) -> list[int]:
 
 
 class _ByteRange(io.RawIOBase):
-    """The next ``size`` bytes of the unbuffered binary file ``raw``."""
+    """Bytes [start, end) of the file at ``path``."""
 
-    def __init__(self, raw, size: int):
-        self._raw = raw
-        self._left = size
+    def __init__(self, path, start: int, end: int):
+        self._raw = open(path, "rb", buffering=0)
+        self._raw.seek(start)
+        self._left = end - start
 
     def readable(self) -> bool:
         return True
@@ -268,6 +280,20 @@ class _ByteRange(io.RawIOBase):
         self._left -= n
         return n
 
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _open_text(path, start: int, end: int | None):
+    """Bytes [start, end) of the file at ``path``, a range that starts at a
+    line start, as UTF-8 text with universal newlines; the whole file, which
+    may be a pipe, when ``end`` is None."""
+    if end is None:
+        return open(path, encoding="utf-8")
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, end)),
+                            encoding="utf-8")
+
 
 def _parse_range(path, start: int, end: int, dimension: int, vocab) -> dict:
     """The rows of ``vocab`` words in bytes [start, end) of the table, a range
@@ -276,34 +302,48 @@ def _parse_range(path, start: int, end: int, dimension: int, vocab) -> dict:
     lines."""
     vectors: dict[str, np.ndarray] = {}
     seen: set[str] = set()  # every word so far; later rows of a word are not parsed
-    with open(path, "rb", buffering=0) as raw:
-        raw.seek(start)
-        reader = io.BufferedReader(_ByteRange(raw, end - start))
-        with io.TextIOWrapper(reader, encoding="utf-8") as fh:
-            lineno = 1
-            while lines := list(itertools.islice(fh, _EMBEDDING_BLOCK)):
-                parsed = _parse_block(lines, dimension)
-                if parsed is None:
-                    _check_lines(path, lines, lineno, dimension, seen, vocab, vectors)
-                else:
-                    words, values = parsed
-                    rows: dict[str, int] = {}
-                    for i, word in enumerate(words):
-                        if word in vocab and word not in vectors:
-                            rows.setdefault(word, i)
-                    kept = values[list(rows.values())]
-                    kept.setflags(write=False)
-                    vectors.update(zip(rows, kept))
-                    seen.update(words)
-                lineno += len(lines)
+    with _open_text(path, start, end) as fh:
+        lineno = 1
+        while lines := list(itertools.islice(fh, _EMBEDDING_BLOCK)):
+            parsed = _parse_block(lines, dimension)
+            if parsed is None:
+                _check_lines(path, lines, lineno, dimension, seen, vocab, vectors)
+            else:
+                words, values = parsed
+                rows: dict[str, int] = {}
+                for i, word in enumerate(words):
+                    if word in vocab and word not in vectors:
+                        rows.setdefault(word, i)
+                kept = values[list(rows.values())]
+                kept.setflags(write=False)
+                vectors.update(zip(rows, kept))
+                seen.update(words)
+            lineno += len(lines)
     return vectors
 
 
-def _parse_ranges(path, size: int, count: int, dimension: int, vocab) -> dict | None:
-    """The kept rows of the table cut into ``count`` ranges: the first range
-    parsed here, each other one in a forked worker, merged in file order so
-    that a word's first row wins. None when a range raises, a worker fails or
-    no worker can be started."""
+def _packed_range(path, start: int, end: int, dimension: int, vocab):
+    """_parse_range's rows as their words and one (words, dimension) array,
+    which pickles several times faster than one array per word."""
+    vectors = _parse_range(path, start, end, dimension, vocab)
+    values = np.array(list(vectors.values()), dtype=np.float64)
+    return list(vectors), values.reshape(len(vectors), dimension)
+
+
+def _parse_split(path, size: int, count: int, parse) -> list | None:
+    """``parse(start, end)`` of each of the ``count`` byte ranges that cut the
+    regular file ``path`` at line starts (see _cuts), in file order: the first
+    range parsed here, each other one at the same time in a forked worker that
+    sends its part back pickled through a pipe. None when a range raises, a
+    worker fails or no worker can be started: the caller then parses the file
+    in one pass, which raises the error of its first bad line.
+
+    fork is safe here although the parent may hold BLAS threads: a worker runs
+    only Python, json decoding, numpy's text parse and elementwise checks (no
+    BLAS, no lock another thread may hold, no logging), and it leaves through
+    os._exit, 0 only on success, which skips atexit handlers and the flush of
+    stdio buffers copied from the parent.
+    """
     with open(path, "rb") as fh:
         cuts = _cuts(fh, size, count)
     workers: list[tuple[int, io.BufferedReader]] = []  # not yet reaped
@@ -317,12 +357,19 @@ def _parse_ranges(path, size: int, count: int, dimension: int, vocab) -> dict | 
                 os.close(write_fd)
                 return None
             if pid == 0:
-                _worker(write_fd, path, start, end, dimension, vocab)
+                code = 1
+                try:
+                    payload = pickle.dumps(parse(start, end))
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    code = 0
+                finally:
+                    os._exit(code)
             os.close(write_fd)
             workers.append((pid, open(read_fd, "rb")))
         try:
-            parts = [_parse_range(path, 0, cuts[1], dimension, vocab)]
-        except (EmbeddingFormatError, UnicodeDecodeError):
+            parts = [parse(0, cuts[1])]
+        except (InputError, UnicodeDecodeError):
             return None
         while workers:
             pid, pipe = workers[0]
@@ -332,40 +379,13 @@ def _parse_ranges(path, size: int, count: int, dimension: int, vocab) -> dict | 
             workers.pop(0)
             if status != 0:
                 return None
-            words, values = pickle.loads(payload)
-            values.setflags(write=False)
-            parts.append(dict(zip(words, values)))
+            parts.append(pickle.loads(payload))
     finally:
         for pid, pipe in workers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    vectors = parts[0]
-    for part in parts[1:]:
-        for word, vec in part.items():
-            vectors.setdefault(word, vec)
-    return vectors
-
-
-def _worker(write_fd: int, path, start: int, end: int, dimension: int, vocab):
-    """A forked worker: parse one range, send its kept words and their rows
-    through ``write_fd``, and leave through os._exit, 0 only on success.
-
-    fork is safe here although the parent may hold BLAS threads: the worker
-    runs only Python, numpy's text parse and elementwise checks (no BLAS, no
-    lock another thread may hold), and os._exit skips atexit handlers and
-    the flush of stdio buffers copied from the parent.
-    """
-    code = 1
-    try:
-        vectors = _parse_range(path, start, end, dimension, vocab)
-        values = np.array(list(vectors.values()), dtype=np.float64)
-        payload = pickle.dumps((list(vectors), values.reshape(len(vectors), dimension)))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
+    return parts
 
 
 def _parse_block(lines, dimension):
@@ -443,17 +463,21 @@ def json_object(path, error: type[InputError]) -> dict:
     return _as_object(text, error, path)
 
 
-def json_lines(path, error: type[InputError]):
+def json_lines(path, error: type[InputError], start: int = 0, end: int | None = None):
     """(line number, object) of each non-blank line of the JSON-lines file
-    ``path``, raising ``error`` as json_object does, with the line. It reads
-    the file itself: a second generator layer per line slows load_corpus."""
-    with open(path, encoding="utf-8") as fh:
+    ``path``, or of its bytes [start, end) (see _open_text) counted from line
+    1, raising ``error`` as json_object does, with the line; the generator
+    returns the count of text lines, blank ones included. It reads the file
+    itself: a second generator layer per line slows load_corpus."""
+    lineno = 0
+    with _open_text(path, start, end) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
                     yield lineno, _as_object(line, error, path, lineno)
         except UnicodeDecodeError:
             raise _not_utf8(path, error) from None
+    return lineno
 
 
 def _as_object(text: str, error: type[InputError], path, lineno=None) -> dict:
@@ -518,59 +542,133 @@ def _record_problem(record: dict) -> str | None:
     return None
 
 
+# The fewest corpus bytes per parse range; a corpus costs about 2.5 times the
+# table per byte. Measured on 2 CPUs in fresh processes, 8 pairs per size, two
+# ranges were slower than one at 2 and 3 MiB (136 against 124 ms, 200 against
+# 187 ms) and faster at 4 MiB (152 against 245 ms, 6 of 8 pairs) and 6 MiB
+# (215 against 350 ms, 8 of 8). So a corpus splits from 4 MiB on.
+_MIN_CORPUS_RANGE_BYTES = 2 << 20
+
+
+@dataclass
+class _CorpusPart:
+    """What bytes of the corpus give, with sids and line numbers counted from
+    their first record and their first line."""
+
+    sentences: list[TaggedSentence] = field(default_factory=list)
+    accepted: int = 0
+    dropped: int = 0
+    rejected: list[tuple[int, str]] = field(default_factory=list)  # (line, why)
+    lines: int = 0  # text lines, blank ones included
+
+
 def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     """Parse a line-delimited corpus file in file order.
 
     Malformed records raise CorpusFormatError naming the line; records whose
-    entity spans are invalid or overlap are skipped and counted. Entities with
-    a type outside ``type_vocab`` are dropped and counted. Each accepted
-    record gets the next sid, but only those with at least two entities left
-    can yield an instance, so only they are kept as sentences.
+    entity spans are invalid or overlap are skipped, counted and logged with
+    the file and the line. Entities with a type outside ``type_vocab`` are
+    dropped and counted. Each accepted record gets the next sid, but only
+    those with at least two entities left can yield an instance, so only they
+    are kept as sentences.
+
+    A regular file of at least twice ``_MIN_CORPUS_RANGE_BYTES`` is parsed in
+    byte ranges, one per CPU (see _parse_split); each range counts its sids
+    and lines from its start, and the parts are merged in file order, so the
+    sentences, counts and warnings are those of one pass. When any range
+    raises or a worker fails, the file is read again in one pass, which
+    raises the error of its first bad line. A pipe is read in one pass.
     """
+    parts = None
+    if os.path.isfile(path):
+        size = os.stat(path).st_size
+        count = _range_count(size, _MIN_CORPUS_RANGE_BYTES)
+        if count > 1:
+            parts = _parse_split(path, size, count, lambda start, end: _parse_corpus(
+                path, type_vocab, _CorpusPart(), start, end))
+    if parts is None:
+        parts = [_CorpusPart()]
+        try:
+            _parse_corpus(path, type_vocab, parts[0])
+        except CorpusFormatError:
+            _log_rejected(path, parts)  # the records rejected before the bad one
+            raise
+    _log_rejected(path, parts)
     sentences: list[TaggedSentence] = []
     accepted = 0
-    dropped = 0
-    rejected = 0
-    for lineno, record in json_lines(path, CorpusFormatError):
-        problem = _record_problem(record)
-        if problem:
-            raise CorpusFormatError(f"{path}: line {lineno}: {problem}")
-        tokens = tuple(record["tokens"])
-        spans = []
-        ok = True
-        for ent in record["entities"]:
-            if not (0 <= ent["start"] < ent["end"] <= len(tokens)):
-                log.warning("line %d: bad entity span (%d, %d), record rejected",
-                            lineno, ent["start"], ent["end"])
-                ok = False
-                break
-            spans.append(EntitySpan(ent["start"], ent["end"], ent["type"]))
-        if ok:
-            spans.sort(key=lambda s: (s.start, s.end))
-            for prev, cur in zip(spans, spans[1:]):
-                if cur.start < prev.end:
-                    log.warning("line %d: overlapping entity spans, record rejected",
-                                lineno)
-                    ok = False
-                    break
-        if not ok:
-            rejected += 1
-            continue
-        kept = []
-        for span in spans:
-            if span.etype in type_vocab:
-                kept.append(span)
-            else:
-                dropped += 1
-        if len(kept) >= 2:
-            pos = tuple(record["pos"]) if record.get("pos") is not None else None
-            sentences.append(TaggedSentence(sid=accepted, tokens=tokens,
-                                            entities=tuple(kept), pos=pos))
-        accepted += 1
+    for part in parts:
+        sentences.extend(dataclasses.replace(sent, sid=accepted + sent.sid)
+                         if accepted else sent for sent in part.sentences)
+        accepted += part.accepted
+    dropped = sum(part.dropped for part in parts)
     if dropped:
         log.warning("dropped %d entities with types outside %s", dropped, sorted(type_vocab))
     return LoadedCorpus(sentences=sentences, accepted_records=accepted,
-                        dropped_entities=dropped, rejected_records=rejected)
+                        dropped_entities=dropped,
+                        rejected_records=sum(len(part.rejected) for part in parts))
+
+
+def _log_rejected(path, parts: list[_CorpusPart]) -> None:
+    """Log each rejected record of ``parts``, consecutive in the file, at its
+    line in the file."""
+    offset = 0
+    for part in parts:
+        for lineno, why in part.rejected:
+            log.warning("%s: line %d: %s, record rejected", path, offset + lineno, why)
+        offset += part.lines
+
+
+def _parse_corpus(path, type_vocab: set[str], part: _CorpusPart,
+                  start: int = 0, end: int | None = None) -> _CorpusPart:
+    """Fill ``part`` from bytes [start, end) of the corpus, or from the whole
+    file when ``end`` is None, as if they were the whole file. A malformed
+    record raises CorpusFormatError naming its line, after ``part.rejected``
+    has taken the records rejected before it."""
+    sentences = part.sentences
+    accepted = 0
+    dropped = 0
+    records = json_lines(path, CorpusFormatError, start, end)
+    try:
+        while True:
+            lineno, record = next(records)
+            problem = _record_problem(record)
+            if problem:
+                raise CorpusFormatError(f"{path}: line {lineno}: {problem}")
+            tokens = tuple(record["tokens"])
+            spans = []
+            ok = True
+            for ent in record["entities"]:
+                if not (0 <= ent["start"] < ent["end"] <= len(tokens)):
+                    part.rejected.append(
+                        (lineno, f"bad entity span ({ent['start']}, {ent['end']})"))
+                    ok = False
+                    break
+                spans.append(EntitySpan(ent["start"], ent["end"], ent["type"]))
+            if ok:
+                spans.sort(key=lambda s: (s.start, s.end))
+                for prev, cur in zip(spans, spans[1:]):
+                    if cur.start < prev.end:
+                        part.rejected.append((lineno, "overlapping entity spans"))
+                        ok = False
+                        break
+            if not ok:
+                continue
+            kept = []
+            for span in spans:
+                if span.etype in type_vocab:
+                    kept.append(span)
+                else:
+                    dropped += 1
+            if len(kept) >= 2:
+                pos = tuple(record["pos"]) if record.get("pos") is not None else None
+                sentences.append(TaggedSentence(sid=accepted, tokens=tokens,
+                                                entities=tuple(kept), pos=pos))
+            accepted += 1
+    except StopIteration as stop:
+        part.lines = stop.value
+    part.accepted = accepted
+    part.dropped = dropped
+    return part
 
 
 def extract_instances(
@@ -667,17 +765,12 @@ def reorder_passive(instance: Instance, pos_tags) -> Instance:
 
 def parse_seed_templates(raw, emb: EmbeddingStore,
                          type_pair: tuple[str, str]) -> list[Template]:
-    """Turn "[X] acquire [Y]"-style strings into context-vector templates."""
+    """Turn "[X] acquire [Y]"-style strings, as parse_seed_file checked them,
+    into context-vector templates."""
     templates = []
     for text in raw:
         tokens = text.split()
-        if tokens.count("[X]") != 1 or tokens.count("[Y]") != 1:
-            raise SeedFormatError(
-                f"seed template {text!r}: needs exactly one [X] and one [Y]"
-            )
         ix, iy = tokens.index("[X]"), tokens.index("[Y]")
-        if ix > iy:
-            raise SeedFormatError(f"seed template {text!r}: [X] must precede [Y]")
         templates.append(
             Template(
                 v_before=emb.context_vector(tokens[:ix]),
@@ -729,7 +822,15 @@ def parse_seed_file(path) -> SeedFileSpec:
         return out
 
     def template_list(key):
-        return [str(t) for t in data.get(key, [])]
+        texts = [str(t) for t in data.get(key, [])]
+        for text in texts:
+            tokens = text.split()
+            where = f"{path}: '{key}' entry {text!r}"
+            if tokens.count("[X]") != 1 or tokens.count("[Y]") != 1:
+                raise SeedFormatError(f"{where}: needs exactly one [X] and one [Y]")
+            if tokens.index("[X]") > tokens.index("[Y]"):
+                raise SeedFormatError(f"{where}: [X] must precede [Y]")
+        return texts
 
     return SeedFileSpec(
         relation=str(relation),

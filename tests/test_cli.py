@@ -146,25 +146,51 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
 
-    def test_split_table_gives_the_one_range_outputs(self, data_dir, tmp_path):
+    def test_split_table_gives_the_one_range_outputs(self, data_dir, tmp_path, capsys):
+        """The corpus and the table, each cut into three ranges, give the
+        outputs and the warnings of one range."""
         one = tmp_path / "one"
         assert main(run_args(data_dir, one)) == 0
-        parse_ranges = brex.corpus._parse_ranges
+        one_err = capsys.readouterr().err
+        parse_split = brex.corpus._parse_split
         merged = []
 
         def spy(*args):
-            merged.append(parse_ranges(*args))
+            merged.append(parse_split(*args))
             return merged[-1]
 
         split = tmp_path / "split"
-        with mock.patch.object(brex.corpus, "_MIN_RANGE_BYTES", 1), \
+        with mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
+                mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
                 mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2}), \
-                mock.patch.object(brex.corpus, "_parse_ranges", spy):
+                mock.patch.object(brex.corpus, "_parse_split", spy):
             assert main(run_args(data_dir, split)) == 0
-        [vectors] = merged
-        assert vectors is not None  # the three ranges were merged
+        corpus_parts, table_parts = merged
+        # the three ranges of each file were merged
+        assert len(corpus_parts) == len(table_parts) == 3
+        assert capsys.readouterr().err == one_err
         for name in ("accepted.jsonl", "extractors.jsonl", "stats.json"):
             assert (split / name).read_bytes() == (one / name).read_bytes()
+
+    @pytest.mark.parametrize("key, template, problem", [
+        ("positive_templates", "[X] bought", "needs exactly one [X] and one [Y]"),
+        ("negative_templates", "[Y] sold [X]", "[X] must precede [Y]"),
+    ])
+    def test_bad_seed_template_exits_2_before_ingest(self, data_dir, tmp_path, capsys,
+                                                     monkeypatch, key, template, problem):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for other in ("corpus.jsonl", "embeddings.txt"):
+            (inputs / other).symlink_to(data_dir / other)
+        seeds = json.loads((data_dir / "seeds.json").read_text())
+        seeds[key] = [template]
+        (inputs / "seeds.json").write_text(json.dumps(seeds))
+        loads = []
+        monkeypatch.setattr(brex.cli, "load_corpus", lambda *args: loads.append(args))
+        assert main(run_args(inputs, tmp_path / "run")) == 2
+        assert loads == []
+        assert (f"error: {inputs / 'seeds.json'}: '{key}' entry {template!r}: {problem}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("name, lineno", [
         ("corpus.jsonl", 3), ("embeddings.txt", 2), ("seeds.json", 1),

@@ -1,9 +1,12 @@
 """Ingestion: corpus parsing, embeddings, windowing, passive reordering, seeds."""
 
+import contextlib
 import dataclasses
 import json
+import logging
 import os
 import re
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -317,7 +320,7 @@ def write_lines(path, lines):
 
 def split_load(path, vocab, cpus=2):
     """load_embeddings with ranges of one byte or more on ``cpus`` CPUs."""
-    with mock.patch.object(brex.corpus, "_MIN_RANGE_BYTES", 1), \
+    with mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
             mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))):
         return load_embeddings(path, vocab)
 
@@ -480,18 +483,48 @@ class TestVocabularyLoad:
         assert snapshot(padded) == (instances, state, counters)
 
 
-def halves(first, second):
-    """The table ``first + second``, with a filler row before ``first`` and
-    after ``second`` so that both halves have the same byte count: a cut into
-    two ranges falls between them. Returns the table and the cut."""
-    a, b = first.encode(), second.encode()
-    x = max(8, 8 + len(b) - len(a))
+def table_pad(n):
+    """One n-byte table row, n >= 8."""
+    return b"pad" + b" " * (n - 7) + b"0 0\n"
 
-    def pad(n):  # one n-byte row
-        return b"pad" + b" " * (n - 7) + b"0 0\n"
 
-    table = pad(x) + a + b + pad(x + len(a) - len(b))
-    return table, x + len(a)
+def record_pad(n):
+    """One n-byte corpus record without entities, n >= 34."""
+    return b'{"tokens": ["' + b"p" * (n - 33) + b'"], "entities": []}\n'
+
+
+def halves(first, second, pad=table_pad, least=8):
+    """The file ``first + second`` (text or bytes), with a ``pad`` line of at
+    least ``least`` bytes before ``first`` and after ``second`` so that both
+    halves have the same byte count: a cut into two ranges falls between
+    them. Returns the file and the cut."""
+    a, b = (x.encode() if isinstance(x, str) else x for x in (first, second))
+    x = max(least, least + len(b) - len(a))
+    data = pad(x) + a + b + pad(x + len(a) - len(b))
+    return data, x + len(a)
+
+
+@contextlib.contextmanager
+def failing_workers(failure):
+    """Make each worker of _parse_split raise or exit 3; yields the list of
+    _parse_split's results."""
+    parent = os.getpid()
+    parse_split = brex.corpus._parse_split
+    results = []
+
+    def spy(path, size, count, parse):
+        def flaky(start, end):
+            if os.getpid() != parent:
+                if failure == "raise":
+                    raise RuntimeError("worker failure")
+                os._exit(3)
+            return parse(start, end)
+
+        results.append(parse_split(path, size, count, flaky))
+        return results[-1]
+
+    with mock.patch.object(brex.corpus, "_parse_split", spy):
+        yield results
 
 
 class TestRangeSplit:
@@ -550,27 +583,23 @@ class TestRangeSplit:
     @pytest.mark.parametrize("failure", ["raise", "exit"])
     def test_failed_worker_gives_the_one_range_table(self, tmp_path, failure):
         path = write_lines(tmp_path / "emb.txt", filler(40) + ["u0 1 1", "a 1 0"])
-        parent = os.getpid()
         parse_range = brex.corpus._parse_range
         calls = []
 
-        def flaky(table, start, end, *args):
-            if os.getpid() != parent:
-                if failure == "raise":
-                    raise RuntimeError("worker failure")
-                os._exit(3)
+        def recorded(table, start, end, *args):
             calls.append((start, end))
             return parse_range(table, start, end, *args)
 
         vocab = {"u0", "u39", "a"}
-        with mock.patch.object(brex.corpus, "_parse_range", flaky):
+        with failing_workers(failure) as results, \
+                mock.patch.object(brex.corpus, "_parse_range", recorded):
             emb = split_load(path, vocab, cpus=3)
+        assert results == [None]
         size = path.stat().st_size
         assert calls == [(0, cuts(path, 3)[1]), (0, size)]
         assert_same_rows(emb, support.reference_load_embeddings(path), vocab)
         assert emb.lookup("u0").tolist() == [0.25, 0.5]
         assert_no_child_left()
-
 
     def test_fork_failure_gives_the_one_range_table(self, tmp_path):
         path = write_lines(tmp_path / "emb.txt", filler(40) + ["a 1 0"])
@@ -579,6 +608,165 @@ class TestRangeSplit:
             emb = split_load(path, {"a", "u3"})
         assert_same_rows(emb, support.reference_load_embeddings(path), {"a", "u3"})
         assert len(os.listdir("/dev/fd")) == fds
+
+
+OK = record(["Acme", "bought", "Bolt"], [ORG(0, 1), ORG(2, 3)])
+MIXED = record(["Maria", "left", "Acme", "for", "Bolt"], [PER(0, 1), ORG(2, 3), ORG(4, 5)])
+OVERLAP = record(["a", "b", "c"], [ORG(0, 2), ORG(1, 3)])
+BAD_SPAN = record(["a", "b"], [ORG(1, 5)])
+
+
+class TestCorpusSplit:
+    """load_corpus over several byte ranges gives the one-pass corpus, the
+    one-pass warnings in order, or the one-pass error."""
+
+    @pytest.fixture(autouse=True)
+    def warnings(self, caplog):
+        caplog.set_level(logging.WARNING, logger="brex.corpus")
+
+        def take():
+            messages = [rec.getMessage() for rec in caplog.records]
+            caplog.clear()
+            return messages
+        return take
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        def write(first, second):
+            data, cut = halves(first, second, pad=record_pad, least=34)
+            path = tmp_path / "corpus.jsonl"
+            path.write_bytes(data)
+            assert cuts(path, 2) == [0, cut, len(data)]
+            return path
+        return write
+
+    @staticmethod
+    def split_corpus(path, cpus=2):
+        """load_corpus with ranges of one byte or more on ``cpus`` CPUs, and
+        the results of _parse_split: parts, or None for a fallback."""
+        parse_split = brex.corpus._parse_split
+        results = []
+
+        def spy(*args):
+            results.append(parse_split(*args))
+            return results[-1]
+
+        with mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
+                mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
+                mock.patch.object(brex.corpus, "_parse_split", spy):
+            return load_corpus(path, {"ORG"}), results
+
+    def assert_one_pass(self, path, warnings):
+        """The split load of ``path`` merged its two ranges into the one-pass
+        corpus, with the one-pass warnings; returns those warnings."""
+        expected = load_corpus(path, {"ORG"})  # far below the floor: one range
+        logged = warnings()
+        loaded, [parts] = self.split_corpus(path)
+        assert len(parts) == 2
+        assert loaded == expected
+        assert warnings() == logged
+        return logged
+
+    def test_blank_lines_end_a_range(self, corpus, warnings):
+        path = corpus(f"{OK}\n{MIXED}\n\n  \n\t\n", f"{OVERLAP}\n{OK}\n{BAD_SPAN}\n")
+        logged = self.assert_one_pass(path, warnings)
+        assert logged == [
+            f"{path}: line 7: overlapping entity spans, record rejected",
+            f"{path}: line 9: bad entity span (1, 5), record rejected",
+            "dropped 1 entities with types outside ['ORG']",
+        ]
+
+    @pytest.mark.parametrize("first, second, lineno", [
+        (f"{OK}\r\n{OVERLAP}\r\n", f"{MIXED}\r\n{BAD_SPAN}\r\n", 5),
+        (f"{OK}\r{OVERLAP}\n", f"\r{MIXED}\r{BAD_SPAN}\r", 6),
+        (f"{OK}\r\r\n", f"{OVERLAP}\r\n\r{BAD_SPAN}\n", 6),
+    ], ids=["crlf", "lone-cr", "cr-before-crlf"])
+    def test_line_ends_at_a_cut(self, corpus, warnings, first, second, lineno):
+        path = corpus(first, second)
+        logged = self.assert_one_pass(path, warnings)
+        assert f"{path}: line {lineno}: bad entity span (1, 5), record rejected" in logged
+
+    def test_rejected_record_in_a_later_range(self, corpus, warnings):
+        path = corpus(f"{OK}\n{MIXED}\n", f"{OK}\n{OVERLAP}\n{MIXED}\n")
+        logged = self.assert_one_pass(path, warnings)
+        assert logged == [f"{path}: line 5: overlapping entity spans, record rejected",
+                          "dropped 2 entities with types outside ['ORG']"]
+        loaded = load_corpus(path, {"ORG"})
+        assert [sent.sid for sent in loaded.sentences] == [1, 2, 3, 4]
+        assert (loaded.accepted_records, loaded.rejected_records) == (6, 1)
+
+    def test_empty_last_range(self, tmp_path, warnings):
+        path = tmp_path / "corpus.jsonl"
+        long = record(["x" * 200, "bought", "Bolt"], [ORG(0, 1), ORG(2, 3)])
+        path.write_text(f"{OVERLAP}\n{long}\n")
+        assert cuts(path, 2) == [0, path.stat().st_size, path.stat().st_size]
+        assert self.assert_one_pass(path, warnings) == [
+            f"{path}: line 1: overlapping entity spans, record rejected"]
+
+    # the decoder reads ahead, so a byte that is not UTF-8 fails the read
+    # before the rejected record before it is parsed
+    @pytest.mark.parametrize("bad, message, rejected", [
+        (b"{not json\n", "line 6: invalid JSON (", [3]),
+        (b'{"tokens": ["\xff"], "entities": []}\n', "line 6: not UTF-8 (byte 0xff", []),
+    ], ids=["json", "utf-8"])
+    def test_bad_record_in_a_later_range_names_its_line(self, corpus, warnings,
+                                                        bad, message, rejected):
+        path = corpus(f"{OK}\n{OVERLAP}\n", f"{MIXED}\n\n".encode() + bad)
+        with pytest.raises(CorpusFormatError) as reference:
+            load_corpus(path, {"ORG"})
+        assert f"{path}: {message}" in str(reference.value)
+        logged = warnings()
+        assert logged == [f"{path}: line {lineno}: overlapping entity spans, record rejected"
+                          for lineno in rejected]
+        with pytest.raises(CorpusFormatError) as got:
+            self.split_corpus(path)
+        assert str(got.value) == str(reference.value)
+        assert warnings() == logged
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_failed_worker_gives_the_one_pass_corpus(self, corpus, warnings, failure):
+        path = corpus(f"{OK}\n{OVERLAP}\n", f"{MIXED}\n{BAD_SPAN}\n")
+        expected = load_corpus(path, {"ORG"})
+        logged = warnings()
+        with failing_workers(failure) as results:
+            loaded, _ = self.split_corpus(path, cpus=3)
+        assert results == [None]
+        assert loaded == expected
+        assert warnings() == logged
+        assert_no_child_left()
+
+    def test_fork_failure_gives_the_one_pass_corpus(self, corpus, warnings):
+        path = corpus(f"{OK}\n{OVERLAP}\n", f"{MIXED}\n{BAD_SPAN}\n")
+        expected = load_corpus(path, {"ORG"})
+        logged = warnings()
+        fds = len(os.listdir("/dev/fd"))
+        with mock.patch.object(os, "fork", side_effect=BlockingIOError(11, "no process")):
+            loaded, results = self.split_corpus(path)
+        assert results == [None]
+        assert loaded == expected
+        assert warnings() == logged
+        assert len(os.listdir("/dev/fd")) == fds
+
+    def test_fifo_is_read_in_one_pass(self, tmp_path, warnings):
+        data = f"{OK}\n{OVERLAP}\n{MIXED}\n".encode()
+        regular = tmp_path / "corpus.jsonl"
+        regular.write_bytes(data)
+        expected = load_corpus(regular, {"ORG"})
+        logged = warnings()
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            loaded, results = self.split_corpus(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert results == []
+        assert loaded == expected
+        assert warnings() == [line.replace(str(regular), str(fifo)) for line in logged]
+
 
 def _memory_emb():
     from brex.corpus import EmbeddingStore
@@ -730,13 +918,22 @@ class TestSeedTemplates:
         np.testing.assert_array_equal(template.v_between, [0, 1, 0, 0])
         np.testing.assert_array_equal(template.v_after, [0, 0, 1, 0])
 
-    def test_missing_placeholder_errors(self, emb4):
+    def test_missing_placeholder_errors(self, tmp_path):
+        path = write_seeds(tmp_path, positive_templates=["acquire [Y]"])
         with pytest.raises(SeedFormatError, match="acquire"):
-            parse_seed_templates(["acquire [Y]"], emb4, ("ORG", "ORG"))
+            parse_seed_file(path)
 
-    def test_reversed_placeholders_error(self, emb4):
+    def test_reversed_placeholders_error(self, tmp_path):
+        path = write_seeds(tmp_path, negative_templates=["[Y] acquire [X]"])
         with pytest.raises(SeedFormatError):
-            parse_seed_templates(["[Y] acquire [X]"], emb4, ("ORG", "ORG"))
+            parse_seed_file(path)
+
+
+def write_seeds(tmp_path, **fields):
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps({"relation": "acquired", "type_pair": ["ORG", "ORG"],
+                                **fields}))
+    return path
 
 
 class TestSeedFile:
