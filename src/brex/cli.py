@@ -105,6 +105,10 @@ def settings_key(cfg: RunConfig, names) -> tuple:
 
 
 def _sha256(path) -> str | None:
+    """The digest of the regular file ``path``; None for an unreadable file
+    or anything else, such as a pipe, which ingest must read first."""
+    if not os.path.isfile(path):
+        return None
     try:
         digest = hashlib.sha256()
         with open(path, "rb") as fh:

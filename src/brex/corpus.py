@@ -15,10 +15,12 @@ and the run files that `brex eval` and `brex stats` read back (manifest.json,
 stats.json, accepted.jsonl, extractors.jsonl). Each error they raise names
 the file, and the line where there is one.
 
-The corpus and the embedding table are each parsed in byte ranges cut at
-line starts, one per CPU this process may run on, through one forked reader
-(_parse_split): a corpus from 4 MiB on, a table from 10 MiB on. The results,
-warnings and errors are those of one pass over the file.
+The corpus and the embedding table are each read by one reader
+(_parse_split) and merged in file order. It cuts a regular file at line
+starts into byte ranges parsed at the same time, one per CPU this process
+may run on: a corpus from 4 MiB on, a table from 10 MiB on. A smaller file
+or a pipe is one range, read once. The results, warnings and errors are
+those of one pass over the file.
 
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
@@ -37,6 +39,7 @@ import math
 import os
 import pickle
 import signal
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,31 +204,25 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     that is not UTF-8. The table is read more than once, so it must be a
     regular file.
 
-    A table of at least twice ``_MIN_TABLE_RANGE_BYTES`` is parsed in byte ranges,
-    one per CPU (see _parse_split). A word's row from the earliest range wins,
-    so the rows and their bits are those of one pass. When any range raises
-    or a worker fails, the table is read again in one pass, which raises the
-    error of its first bad line; that pass also reads a table whose later
-    range rejects a duplicate row of a word seen in an earlier range.
+    The table is read as parts of at least ``_MIN_TABLE_RANGE_BYTES`` bytes,
+    one per CPU, or as one part (see _parse_split). A word's row from the
+    earliest part wins, so the rows and their bits are those of one pass;
+    a later part may reject a duplicate row of a word seen in an earlier one,
+    and then the one pass reads the table.
     """
-    size = os.stat(path).st_size
-    if not os.path.isfile(path):  # a pipe could not be read more than once
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe could not be read more than once
         raise EmbeddingFormatError(f"{path}: not a regular file")
     try:
         dimension = _dimension(path)
-        count = _range_count(size, _MIN_TABLE_RANGE_BYTES)
-        parts = _parse_split(path, size, count, lambda start, end: _packed_range(
-            path, start, end, dimension, vocab)) if count > 1 else None
-        if parts is None:
-            vectors = _parse_range(path, 0, size, dimension, vocab)
-        else:
-            vectors = {}
-            for words, values in parts:
-                values.setflags(write=False)
-                for word, vec in zip(words, values):
-                    vectors.setdefault(word, vec)
+        parts = _parse_split(path, _MIN_TABLE_RANGE_BYTES, lambda start, end: _parse_range(
+            path, start, end, dimension, vocab))
     except UnicodeDecodeError:
         raise _not_utf8(path, EmbeddingFormatError) from None
+    vectors = {}
+    for words, values in parts:
+        values.setflags(write=False)  # a part unpickled from a worker is writable
+        for word, vec in zip(words, values):
+            vectors.setdefault(word, vec)
     return EmbeddingStore(dimension, vectors)
 
 
@@ -295,11 +292,12 @@ def _open_text(path, start: int, end: int | None):
                             encoding="utf-8")
 
 
-def _parse_range(path, start: int, end: int, dimension: int, vocab) -> dict:
-    """The rows of ``vocab`` words in bytes [start, end) of the table, a range
-    that starts at a line start, validated as if it were the whole table (its
-    first line is line 1), read as text in blocks of ``_EMBEDDING_BLOCK``
-    lines."""
+def _parse_range(path, start: int, end: int | None, dimension: int, vocab):
+    """The words of ``vocab`` in bytes [start, end) of the table (see
+    _open_text) and their first rows as one read-only (words, dimension)
+    array, which pickles several times faster than one array per word. The
+    range is validated as if it were the whole table (its first line is line
+    1), read as text in blocks of ``_EMBEDDING_BLOCK`` lines."""
     vectors: dict[str, np.ndarray] = {}
     seen: set[str] = set()  # every word so far; later rows of a word are not parsed
     with _open_text(path, start, end) as fh:
@@ -314,29 +312,26 @@ def _parse_range(path, start: int, end: int, dimension: int, vocab) -> dict:
                 for i, word in enumerate(words):
                     if word in vocab and word not in vectors:
                         rows.setdefault(word, i)
-                kept = values[list(rows.values())]
-                kept.setflags(write=False)
-                vectors.update(zip(rows, kept))
+                vectors.update(zip(rows, values[list(rows.values())]))
                 seen.update(words)
             lineno += len(lines)
-    return vectors
-
-
-def _packed_range(path, start: int, end: int, dimension: int, vocab):
-    """_parse_range's rows as their words and one (words, dimension) array,
-    which pickles several times faster than one array per word."""
-    vectors = _parse_range(path, start, end, dimension, vocab)
     values = np.array(list(vectors.values()), dtype=np.float64)
-    return list(vectors), values.reshape(len(vectors), dimension)
+    values = values.reshape(len(vectors), dimension)
+    values.setflags(write=False)
+    return list(vectors), values
 
 
-def _parse_split(path, size: int, count: int, parse) -> list | None:
-    """``parse(start, end)`` of each of the ``count`` byte ranges that cut the
-    regular file ``path`` at line starts (see _cuts), in file order: the first
-    range parsed here, each other one at the same time in a forked worker that
-    sends its part back pickled through a pipe. None when a range raises, a
-    worker fails or no worker can be started: the caller then parses the file
-    in one pass, which raises the error of its first bad line.
+def _parse_split(path, floor: int, parse) -> list:
+    """The parts of the file ``path`` in file order, each what ``parse(start,
+    end)`` gives of bytes [start, end) (see _open_text) as if they were the
+    whole file: one part per range of _cuts, at most one range per ``floor``
+    bytes (see _range_count). A file of one range, or one that is not regular
+    (a pipe), is one part, ``parse(0, None)``, whose error is raised as is.
+    Of several ranges, the first is parsed here and each other one at the
+    same time in a forked worker that sends its part back pickled through a
+    pipe; when a range raises, a worker fails or no worker can be started,
+    the file is read again as one part, which raises the error of its first
+    bad line.
 
     fork is safe here although the parent may hold BLAS threads: a worker runs
     only Python, json decoding, numpy's text parse and elementwise checks (no
@@ -344,18 +339,25 @@ def _parse_split(path, size: int, count: int, parse) -> list | None:
     os._exit, 0 only on success, which skips atexit handlers and the flush of
     stdio buffers copied from the parent.
     """
+    count = 1
+    if os.path.isfile(path):
+        size = os.stat(path).st_size
+        count = _range_count(size, floor)
+    if count == 1:
+        return [parse(0, None)]
     with open(path, "rb") as fh:
         cuts = _cuts(fh, size, count)
+    parts = []
     workers: list[tuple[int, io.BufferedReader]] = []  # not yet reaped
     try:
         for start, end in zip(cuts[1:-1], cuts[2:]):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # at a process limit: parse in one range
+            except OSError:  # at a process limit
                 os.close(read_fd)
                 os.close(write_fd)
-                return None
+                break
             if pid == 0:
                 code = 1
                 try:
@@ -367,25 +369,28 @@ def _parse_split(path, size: int, count: int, parse) -> list | None:
                     os._exit(code)
             os.close(write_fd)
             workers.append((pid, open(read_fd, "rb")))
-        try:
-            parts = [parse(0, cuts[1])]
-        except (InputError, UnicodeDecodeError):
-            return None
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            workers.pop(0)
-            if status != 0:
-                return None
-            parts.append(pickle.loads(payload))
+        else:
+            try:
+                parts.append(parse(0, cuts[1]))
+            except (InputError, UnicodeDecodeError):  # the one pass below raises it
+                pass
+            while parts and workers:  # parts is empty when the first range raised
+                pid, pipe = workers[0]
+                with pipe:
+                    payload = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                workers.pop(0)
+                if status != 0:
+                    break
+                parts.append(pickle.loads(payload))
     finally:
         for pid, pipe in workers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return parts
+    if len(parts) == count:
+        return parts
+    return [parse(0, None)]
 
 
 def _parse_block(lines, dimension):
@@ -437,9 +442,7 @@ def _check_lines(path, lines, lineno, dimension, seen, vocab, vectors):
             raise EmbeddingFormatError(
                 f"{path}: line {lineno}: non-finite component (nan or inf)")
         if word in vocab:
-            vec = np.array(floats, dtype=np.float64)
-            vec.setflags(write=False)
-            vectors[word] = vec
+            vectors[word] = floats
 
 
 def text_lines(path, error: type[InputError]):
@@ -572,27 +575,17 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     those with at least two entities left can yield an instance, so only they
     are kept as sentences.
 
-    A regular file of at least twice ``_MIN_CORPUS_RANGE_BYTES`` is parsed in
-    byte ranges, one per CPU (see _parse_split); each range counts its sids
+    The corpus is read as parts of at least ``_MIN_CORPUS_RANGE_BYTES`` bytes,
+    one per CPU, or as one part (see _parse_split); each part counts its sids
     and lines from its start, and the parts are merged in file order, so the
-    sentences, counts and warnings are those of one pass. When any range
-    raises or a worker fails, the file is read again in one pass, which
-    raises the error of its first bad line. A pipe is read in one pass.
+    sentences, counts and warnings are those of one pass.
     """
-    parts = None
-    if os.path.isfile(path):
-        size = os.stat(path).st_size
-        count = _range_count(size, _MIN_CORPUS_RANGE_BYTES)
-        if count > 1:
-            parts = _parse_split(path, size, count, lambda start, end: _parse_corpus(
-                path, type_vocab, _CorpusPart(), start, end))
-    if parts is None:
-        parts = [_CorpusPart()]
-        try:
-            _parse_corpus(path, type_vocab, parts[0])
-        except CorpusFormatError:
-            _log_rejected(path, parts)  # the records rejected before the bad one
-            raise
+    try:
+        parts = _parse_split(path, _MIN_CORPUS_RANGE_BYTES, lambda start, end: _parse_corpus(
+            path, type_vocab, start, end))
+    except CorpusFormatError as exc:
+        _log_rejected(path, [exc.part])  # the records rejected before the bad one
+        raise
     _log_rejected(path, parts)
     sentences: list[TaggedSentence] = []
     accepted = 0
@@ -618,12 +611,11 @@ def _log_rejected(path, parts: list[_CorpusPart]) -> None:
         offset += part.lines
 
 
-def _parse_corpus(path, type_vocab: set[str], part: _CorpusPart,
-                  start: int = 0, end: int | None = None) -> _CorpusPart:
-    """Fill ``part`` from bytes [start, end) of the corpus, or from the whole
-    file when ``end`` is None, as if they were the whole file. A malformed
-    record raises CorpusFormatError naming its line, after ``part.rejected``
-    has taken the records rejected before it."""
+def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _CorpusPart:
+    """What bytes [start, end) of the corpus give (see _open_text), as if they
+    were the whole file. A malformed record raises CorpusFormatError naming
+    its line, whose ``part`` holds what the records before it gave."""
+    part = _CorpusPart()
     sentences = part.sentences
     accepted = 0
     dropped = 0
@@ -666,6 +658,9 @@ def _parse_corpus(path, type_vocab: set[str], part: _CorpusPart,
             accepted += 1
     except StopIteration as stop:
         part.lines = stop.value
+    except CorpusFormatError as exc:
+        exc.part = part
+        raise
     part.accepted = accepted
     part.dropped = dropped
     return part

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cli import _write_json, _write_jsonl
@@ -144,7 +144,6 @@ class Fixture:
     embeddings: dict[str, list[float]]
     seed_spec: dict
     gold_pairs: list[tuple[str, str]]
-    planted_pairs: list[tuple[str, str]] = field(default_factory=list)
 
     def write(self, out_dir) -> dict[str, Path]:
         out = Path(out_dir)
@@ -236,7 +235,6 @@ def build_planted_fixture(n_sentences: int = 200, rng_seed: int = 13) -> Fixture
         embeddings=embedding_table(),
         seed_spec=seed_spec,
         gold_pairs=list(PLANTED_PAIRS),
-        planted_pairs=list(PLANTED_PAIRS),
     )
 
 
@@ -260,5 +258,4 @@ def build_biset_fixture() -> Fixture:
         embeddings=embedding_table(),
         seed_spec=seed_spec,
         gold_pairs=[("Aerodyne", "Brightport")],
-        planted_pairs=[("Aerodyne", "Brightport")],
     )

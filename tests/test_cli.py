@@ -1,7 +1,9 @@
 """CLI subcommands: exit codes, outputs, manifest, config precedence, sweep."""
 
+import contextlib
 import json
 import os
+import threading
 import weakref
 from unittest import mock
 
@@ -32,6 +34,40 @@ def run_args(data_dir, out_dir, *extra):
 
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line]
+
+
+@contextlib.contextmanager
+def fifos(directory, source, names):
+    """A FIFO ``directory / name`` for each of ``names``, fed the bytes of
+    ``source / name`` by its own writer thread; yields ``directory``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    done = threading.Event()
+    writers = []
+    for name in names:
+        os.mkfifo(directory / name)
+        writers.append(threading.Thread(target=_feed, args=(
+            directory / name, (source / name).read_bytes(), done)))
+        writers[-1].start()
+    try:
+        yield directory
+    finally:
+        done.set()
+        for writer, name in zip(writers, names):
+            while writer.is_alive():  # waiting for a reader: be one
+                os.close(os.open(directory / name, os.O_RDWR | os.O_NONBLOCK))
+                writer.join(timeout=0.1)
+
+
+def _feed(fifo, data, done):
+    """Write ``data`` to the first reader of ``fifo``; then, until ``done``,
+    let a reader that opens it again read no bytes within a second rather
+    than wait for ever."""
+    try:
+        fifo.write_bytes(data)
+    except BrokenPipeError:  # no reader took the data
+        return
+    while not done.wait(1):
+        os.close(os.open(fifo, os.O_RDWR | os.O_NONBLOCK))
 
 
 def snapshot_value(config, setting):
@@ -171,6 +207,29 @@ class TestRun:
         assert capsys.readouterr().err == one_err
         for name in ("accepted.jsonl", "extractors.jsonl", "stats.json"):
             assert (split / name).read_bytes() == (one / name).read_bytes()
+
+    def test_piped_corpus_and_seeds_give_the_file_outputs(self, data_dir, tmp_path,
+                                                          capsys):
+        """A corpus and a seed file read from FIFOs give the outputs of the
+        regular files, with no digest; a FIFO table exits 2."""
+        files = tmp_path / "files"
+        assert main(run_args(data_dir, files)) == 0
+        piped = tmp_path / "piped"
+        with fifos(tmp_path, data_dir, ["corpus.jsonl", "seeds.json"]) as inputs:
+            (inputs / "embeddings.txt").symlink_to(data_dir / "embeddings.txt")
+            assert main(run_args(inputs, piped)) == 0
+        for name in ("accepted.jsonl", "extractors.jsonl", "stats.json"):
+            assert (piped / name).read_bytes() == (files / name).read_bytes()
+        digests = json.loads((piped / "manifest.json").read_text())["inputs"]
+        assert [digests[name]["sha256"] for name in ("corpus", "seeds")] == [None, None]
+        assert digests["embeddings"]["sha256"]
+        capsys.readouterr()
+        with fifos(tmp_path / "table", data_dir, ["embeddings.txt"]) as inputs:
+            for name in ("corpus.jsonl", "seeds.json"):
+                (inputs / name).symlink_to(data_dir / name)
+            assert main(run_args(inputs, tmp_path / "bad")) == 2
+        assert (f"{inputs / 'embeddings.txt'}: not a regular file"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("key, template, problem", [
         ("positive_templates", "[X] bought", "needs exactly one [X] and one [Y]"),

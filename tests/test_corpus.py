@@ -507,12 +507,12 @@ def halves(first, second, pad=table_pad, least=8):
 @contextlib.contextmanager
 def failing_workers(failure):
     """Make each worker of _parse_split raise or exit 3; yields the list of
-    _parse_split's results."""
+    _parse_split's results, its lists of parts."""
     parent = os.getpid()
     parse_split = brex.corpus._parse_split
     results = []
 
-    def spy(path, size, count, parse):
+    def spy(path, floor, parse):
         def flaky(start, end):
             if os.getpid() != parent:
                 if failure == "raise":
@@ -520,7 +520,7 @@ def failing_workers(failure):
                 os._exit(3)
             return parse(start, end)
 
-        results.append(parse_split(path, size, count, flaky))
+        results.append(parse_split(path, floor, flaky))
         return results[-1]
 
     with mock.patch.object(brex.corpus, "_parse_split", spy):
@@ -594,9 +594,8 @@ class TestRangeSplit:
         with failing_workers(failure) as results, \
                 mock.patch.object(brex.corpus, "_parse_range", recorded):
             emb = split_load(path, vocab, cpus=3)
-        assert results == [None]
-        size = path.stat().st_size
-        assert calls == [(0, cuts(path, 3)[1]), (0, size)]
+        assert [len(parts) for parts in results] == [1]
+        assert calls == [(0, cuts(path, 3)[1]), (0, None)]
         assert_same_rows(emb, support.reference_load_embeddings(path), vocab)
         assert emb.lookup("u0").tolist() == [0.25, 0.5]
         assert_no_child_left()
@@ -643,7 +642,7 @@ class TestCorpusSplit:
     @staticmethod
     def split_corpus(path, cpus=2):
         """load_corpus with ranges of one byte or more on ``cpus`` CPUs, and
-        the results of _parse_split: parts, or None for a fallback."""
+        the results of _parse_split, its lists of parts."""
         parse_split = brex.corpus._parse_split
         results = []
 
@@ -731,7 +730,7 @@ class TestCorpusSplit:
         logged = warnings()
         with failing_workers(failure) as results:
             loaded, _ = self.split_corpus(path, cpus=3)
-        assert results == [None]
+        assert [len(parts) for parts in results] == [1]
         assert loaded == expected
         assert warnings() == logged
         assert_no_child_left()
@@ -743,7 +742,7 @@ class TestCorpusSplit:
         fds = len(os.listdir("/dev/fd"))
         with mock.patch.object(os, "fork", side_effect=BlockingIOError(11, "no process")):
             loaded, results = self.split_corpus(path)
-        assert results == [None]
+        assert [len(parts) for parts in results] == [1]
         assert loaded == expected
         assert warnings() == logged
         assert len(os.listdir("/dev/fd")) == fds
@@ -763,9 +762,102 @@ class TestCorpusSplit:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
-        assert results == []
+        assert [len(parts) for parts in results] == [1]
         assert loaded == expected
         assert warnings() == [line.replace(str(regular), str(fifo)) for line in logged]
+
+
+FUZZ_WORDS = ("Acme", "bought", "Bolt", "was", "by", "Maria")
+FUZZ_TYPES = ("ORG", "PER")  # the relation's type pair
+FUZZ_TAGS = ("NNP", "VBD", "VBN", "IN")
+
+
+@st.composite
+def fuzzed_records(draw):
+    """A corpus record with spans laid out free, touching the previous span
+    (end to start), overlapping it, nested in it or out of bounds, of the
+    relation's types or another; and what load_corpus makes of it: None when
+    it is rejected, else its sentence (sid 0, None when it yields none) and
+    its dropped-entity count."""
+    n = draw(st.integers(1, 6))
+    tokens = [draw(st.sampled_from(FUZZ_WORDS)) for _ in range(n)]
+    spans = []
+    for _ in range(draw(st.integers(0, 4))):
+        layout = draw(st.sampled_from(["free", "touching", "overlapping", "nested", "out"]))
+        if layout == "out":
+            start, end = draw(st.sampled_from([(-1, 1), (1, 1), (2, 1), (n - 1, n + 1)]))
+        elif not spans or layout == "free":
+            start = draw(st.integers(0, n - 1))
+            end = draw(st.integers(start + 1, n))
+        else:
+            prev_start, prev_end = spans[-1][:2]
+            start = {"touching": prev_end, "overlapping": prev_end - 1,
+                     "nested": prev_start}[layout]
+            end = start + 1 if layout == "nested" else start + draw(st.integers(1, 2))
+        spans.append((start, end, draw(st.sampled_from(FUZZ_TYPES + ("LOC",)))))
+    pos = draw(st.sampled_from(["missing", "null", "tagged"]))
+    tags = [draw(st.sampled_from(FUZZ_TAGS)) for _ in tokens] if pos == "tagged" else None
+    line = record(tokens, [{"start": s, "end": e, "type": t} for s, e, t in spans], tags)
+    if pos == "null":
+        line = line[:-1] + ', "pos": null}'
+    if any(not 0 <= s < e <= n for s, e, _ in spans):
+        return line, None
+    ordered = sorted(spans)
+    if any(b[0] < a[1] for a, b in zip(ordered, ordered[1:])):
+        return line, None
+    kept = [EntitySpan(*span) for span in ordered if span[2] in FUZZ_TYPES]
+    sent = sentence(tokens, [(s.start, s.end, s.etype) for s in kept], pos=tags)
+    return line, (sent if len(kept) >= 2 else None, len(spans) - len(kept))
+
+
+class TestFuzzedCorpus:
+    """Random records and span layouts through load_corpus, the table and
+    extract_instances, each file read in one part and in two."""
+
+    @given(st.lists(st.tuples(fuzzed_records(), st.sampled_from(["\n", "\r\n"]),
+                              st.sampled_from(["", "", "\n", "  \r\n"])), max_size=10))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_invariants_and_split_load(self, tmp_path, caplog, rows):
+        caplog.set_level(logging.WARNING, logger="brex.corpus")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes("".join(line + end + blank
+                                   for (line, _), end, blank in rows).encode())
+        rng = np.random.default_rng(0)
+        table = write_lines(tmp_path / "emb.txt", [
+            " ".join([word, *map(repr, rng.normal(size=3).tolist())])
+            for word in FUZZ_WORDS])
+
+        def ingest():
+            caplog.clear()
+            loaded = load_corpus(corpus, set(FUZZ_TYPES))
+            emb = load_embeddings(table, set(FUZZ_WORDS))
+            result = extract_instances(loaded.sentences, emb, RunConfig().limits,
+                                       FUZZ_TYPES)
+            return (loaded, [emb.lookup(word).tobytes() for word in FUZZ_WORDS],
+                    [(i.id, i.pair, i.template.key()) for i in result.instances],
+                    [rec.getMessage() for rec in caplog.records])
+
+        one = ingest()
+        with mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
+                mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
+                mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
+            assert ingest() == one
+        loaded, _, instances, _ = one
+        accepted = [outcome for (_, outcome), _, _ in rows if outcome is not None]
+        assert loaded.sentences == [dataclasses.replace(sent, sid=sid)
+                                    for sid, (sent, _) in enumerate(accepted) if sent]
+        assert (loaded.accepted_records, loaded.rejected_records,
+                loaded.dropped_entities) == (len(accepted), len(rows) - len(accepted),
+                                             sum(dropped for _, dropped in accepted))
+        ids = [iid for iid, _, _ in instances]
+        assert len(set(ids)) == len(ids)
+        spans = {sent.sid: {(s.start, s.end) for s in sent.entities}
+                 for sent in loaded.sentences}
+        for iid in ids:
+            sid, a_start, a_end, b_start, b_end = map(int, re.findall(r"\d+", iid))
+            assert {(a_start, a_end), (b_start, b_end)} <= spans[sid]
+            assert a_end <= b_start  # never from nested or overlapping spans
 
 
 def _memory_emb():
