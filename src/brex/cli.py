@@ -17,17 +17,16 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 
 from . import __version__
 from .corpus import EmbeddingStore, EntityPair, SeedFileSpec, TypedEntity, \
     extract_instances, json_lines, json_object, load_corpus, load_embeddings, \
     parse_seed_file, reorder_passive
-from .engine import bootstrap
+from .engine import bootstrap, match_channels
 from .errors import InputError
-from .evaluate import ExtractorSummary, GoldKB, extractor_stats, hit_count, \
-    load_gold, prf1
+from .evaluate import ExtractorSummary, GoldKB, extractor_stats, load_gold, prf1
 from .model import MODES, PAIRINGS, SCORE_AGAINST, BootstrapResult, RunConfig, \
     build_seed_state
 from .similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure
@@ -93,10 +92,9 @@ SETTINGS = {setting.name: setting for setting in (
             "score extractor counts against grown or original seeds", SCORE_AGAINST),
 )}
 
-# The settings an ingest reads, and those its similarity graph reads: the runs
-# that agree on them share the ingest or the graph.
-INGEST_SETTINGS = ("max_before", "max_between", "max_after")
-GRAPH_SETTINGS = INGEST_SETTINGS + ("sim", "sim_weights", "tau_sim")
+# The settings a similarity graph reads beyond the ingest: the runs that agree
+# on them share the graph.
+GRAPH_SETTINGS = ("sim", "sim_weights", "tau_sim")
 
 
 def settings_key(cfg: RunConfig, names) -> tuple:
@@ -236,30 +234,31 @@ def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
 
 
 class RunInputs:
-    """The inputs of `run` or `sweep`: digested once and ingested once, as no
-    setting that ingest reads (INGEST_SETTINGS) is sweepable; for a sweep,
-    also the gold file and threshold. Each cell builds its own seed state
-    from the ingest under its pairing. The cells that agree on
+    """The inputs of `run`, `sweep` or `hits`, ingested once: no setting that
+    ingest reads (the window limits) is sweepable, so every cell reads one
+    ingest and builds its own seed state from it under its pairing. A sweep
+    also keeps the gold file and threshold. The cells that agree on
     GRAPH_SETTINGS share a similarity graph; only the latest graph is kept,
-    so the cells that share one must run one after another."""
+    so the cells that share one must run one after another. The inputs are
+    digested only when a manifest first asks, before ingest reads them."""
 
     def __init__(self, args):
         self.paths = (args.corpus, args.embeddings, args.seeds)
-        self.digests = {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in zip(("corpus", "embeddings", "seeds"), self.paths)
-        }
         self.gold_path = getattr(args, "gold", None)
         self.threshold = getattr(args, "threshold", None)
-        self._ingested: dict[tuple, Ingested] = {}
+        self._ingested: Ingested | None = None
         self._graph_key: tuple | None = None
         self._graph: SimilarityGraph | None = None
 
+    @cached_property
+    def digests(self) -> dict:
+        return {name: {"path": str(path), "sha256": _sha256(path)}
+                for name, path in zip(("corpus", "embeddings", "seeds"), self.paths)}
+
     def ingest(self, cfg: RunConfig) -> Ingested:
-        key = settings_key(cfg, INGEST_SETTINGS)
-        if key not in self._ingested:
-            self._ingested[key] = ingest_inputs(*self.paths, cfg.limits)
-        return self._ingested[key]
+        if self._ingested is None:
+            self._ingested = ingest_inputs(*self.paths, cfg.limits)
+        return self._ingested
 
     def graph(self, cfg: RunConfig) -> SimilarityGraph:
         """The similarity graph of cfg's ingest under its measure and tau_sim,
@@ -336,7 +335,7 @@ def run_cell(args, out_dir: Path, inputs: RunInputs,
         manifest["config"] = config_dict(cfg)
         report = run_pipeline(cfg, inputs, out_dir, manifest)
         manifest["status"] = "ok"
-    except (InputError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         manifest["error"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)
         code = 2
@@ -442,14 +441,15 @@ def _cmd_stats(args) -> int:
 
 def _cmd_hits(args) -> int:
     cfg = build_config(args)
-    ingested = ingest_inputs(args.corpus, args.embeddings, args.seeds, cfg.limits)
+    inputs = RunInputs(args)
+    ingested = inputs.ingest(cfg)
     seeds = build_seed_state(ingested.spec, ingested.emb, cfg.pairing)
-    counts = hit_count(ingested.instances, seeds, cfg)
+    hits = match_channels(inputs.graph(cfg), seeds)
     payload = {
         "relation": ingested.spec.relation,
-        "by_pair": counts.by_pair,
-        "by_template": counts.by_template,
-        "either": counts.either,
+        "by_pair": int(hits.pos_pair.sum()),
+        "by_template": int(hits.pos_template.sum()),
+        "either": int(hits.matched("brej").sum()),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:

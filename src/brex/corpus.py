@@ -677,6 +677,9 @@ def extract_instances(
     ``limits`` is (max_before, max_between, max_after). Pairs separated by more
     than max_between tokens are skipped and counted; the before/after windows
     are truncated to their limits. Empty windows yield zero vectors.
+
+    The entity spans of each sentence must not overlap, as load_corpus
+    ensures; spans that touch form a pair with an empty between window.
     """
     max_before, max_between, max_after = limits
     instances: list[Instance] = []
@@ -687,8 +690,6 @@ def extract_instances(
         for a_idx in range(len(ents)):
             for b_idx in range(a_idx + 1, len(ents)):
                 ea, eb = ents[a_idx], ents[b_idx]
-                if eb.start < ea.end:
-                    continue  # nested or touching spans never form a pair
                 if (ea.etype, eb.etype) != type_pair:
                     continue
                 between = sent.tokens[ea.end:eb.start]

@@ -11,7 +11,7 @@ Each iteration over the frozen instance set:
      clusters are the extractors,
   3. hop 3: for every instance within tau_sim of an extractor, combine the
      covering extractors' confidences and accept it when the check passes,
-  4. merge the iteration's accepted items into the yield.
+  4. add the accepted instances' items to the yield.
 
 Extractors are rebuilt from scratch every iteration; the yield only grows.
 Every similarity is read from one SimilarityGraph over the instances, whose
@@ -131,14 +131,14 @@ def check_instance(covering: list[tuple[Extractor, float]], template_hit: bool,
     return accept, confidence
 
 
-def add_to_cache(instance: Instance, cache: SeedState, cfg: RunConfig) -> None:
-    """Store the accepted instance's items on the mode's channels: its pair,
-    its template, or both."""
+def add_to_yield(instance: Instance, grown: SeedState, cfg: RunConfig) -> None:
+    """Add the accepted instance's items on the mode's channels to the grown
+    seeds: its pair, its template, or both."""
     pairs, templates = MODE_CHANNELS[cfg.mode]
     if pairs:
-        cache.pos_pairs.add(instance.pair)
+        grown.pos_pairs.add(instance.pair)
     if templates:
-        cache.pos_templates.add(instance.template)
+        grown.pos_templates.add(instance.template)
 
 
 def bootstrap(instances: list[Instance], seeds: SeedState, cfg: RunConfig,
@@ -153,6 +153,8 @@ def bootstrap(instances: list[Instance], seeds: SeedState, cfg: RunConfig,
             or graph.tau_sim != cfg.tau_sim):
         raise ValueError("the similarity graph was built for another instance "
                          "list, measure or tau_sim")
+    # hop 3 grows the copy in place: an iteration matches it only before
+    # hop 1, and the caller's seeds stay as given
     grown = seeds.copy()
     original_hits = (match_channels(graph, seeds)
                      if cfg.score_against == "original" else None)
@@ -162,7 +164,6 @@ def bootstrap(instances: list[Instance], seeds: SeedState, cfg: RunConfig,
     diagnostic = None
 
     for iteration in range(1, cfg.iterations + 1):
-        cache = SeedState.empty(cfg.pairing)
         hits = match_channels(graph, grown)
         hit_rows = np.flatnonzero(hits.matched(cfg.mode)).tolist()
         extractors, covered, accepted_new = [], {}, 0
@@ -179,7 +180,7 @@ def bootstrap(instances: list[Instance], seeds: SeedState, cfg: RunConfig,
                 if not ok:
                     continue
                 instance = instances[row]
-                add_to_cache(instance, cache, cfg)
+                add_to_yield(instance, grown, cfg)
                 slot = accepted_index.get(instance.id)
                 if slot is None:
                     accepted_index[instance.id] = len(accepted)
@@ -187,7 +188,6 @@ def bootstrap(instances: list[Instance], seeds: SeedState, cfg: RunConfig,
                     accepted_new += 1
                 elif confidence > accepted[slot][1]:
                     accepted[slot] = (instance, confidence)
-            grown.merge(cache)
 
         stats.append({
             "iteration": iteration, "hits": len(hit_rows),

@@ -6,14 +6,10 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .corpus import EntityPair, Instance, text_lines
-from .engine import match_channels
 from .errors import GoldFormatError
-from .model import Extractor, RunConfig, SeedState
+from .model import Extractor
 from .scoring import extractor_signature
-from .similarity import SimilarityGraph
 
 
 def _surface_key(e1: str, e2: str, pairing: str) -> tuple:
@@ -79,20 +75,6 @@ def prf1(accepted, gold: GoldKB, threshold: float = 0.5) -> PRF1:
     recall = correct / len(gold.facts)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return PRF1(precision, recall, f1, len(extracted))
-
-
-class HitCount(NamedTuple):
-    by_pair: int
-    by_template: int
-    either: int
-
-
-def hit_count(instances, seeds: SeedState, cfg: RunConfig) -> HitCount:
-    """Iteration-1 seed-hit counts per matching channel plus the disjunction."""
-    hits = match_channels(SimilarityGraph(instances, cfg.measure, cfg.tau_sim), seeds)
-    return HitCount(int(np.count_nonzero(hits.pos_pair)),
-                    int(np.count_nonzero(hits.pos_template)),
-                    int(np.count_nonzero(hits.matched("brej"))))
 
 
 @dataclass

@@ -55,10 +55,6 @@ class PairSet:
         out._items = dict(self._items)
         return out
 
-    def merge(self, other: "PairSet") -> None:
-        for pair in other:
-            self.add(pair)
-
 
 class TemplateSet:
     """Template set deduplicated by exact vector bytes, insertion-ordered."""
@@ -91,10 +87,6 @@ class TemplateSet:
         out._items = dict(self._items)
         return out
 
-    def merge(self, other: "TemplateSet") -> None:
-        for template in other:
-            self.add(template)
-
 
 @dataclass
 class SeedState:
@@ -112,12 +104,6 @@ class SeedState:
     def copy(self) -> "SeedState":
         return SeedState(self.pos_pairs.copy(), self.neg_pairs.copy(),
                          self.pos_templates.copy(), self.neg_templates.copy())
-
-    def merge(self, other: "SeedState") -> None:
-        self.pos_pairs.merge(other.pos_pairs)
-        self.neg_pairs.merge(other.neg_pairs)
-        self.pos_templates.merge(other.pos_templates)
-        self.neg_templates.merge(other.neg_templates)
 
     def sizes(self) -> dict[str, int]:
         return {

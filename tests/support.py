@@ -125,6 +125,14 @@ def extractor_of(instances, rows=None, k=0):
     return Extractor(id=k, members=[instances[r] for r in rows], rows=rows)
 
 
+def fold_in(state, other):
+    """Add each item of the SeedState ``other`` to ``state``, set by set in
+    insertion order."""
+    for name in ("pos_pairs", "neg_pairs", "pos_templates", "neg_templates"):
+        for item in getattr(other, name):
+            getattr(state, name).add(item)
+
+
 def mixed_world(seed, pairing, max_instances=40):
     """random_world with non-unit context vectors, instances sharing one
     template, and seed templates both from instances and from elsewhere;
@@ -144,7 +152,7 @@ def mixed_world(seed, pairing, max_instances=40):
                 v_after=t.v_after * rng.uniform(0.2, 3.0))
         mixed.append(dataclasses.replace(inst, template=template))
     seeds = SeedState.empty(pairing)
-    seeds.merge(state)  # re-keys the pairs; its templates are the unscaled ones
+    fold_in(seeds, state)  # re-keys the pairs; its templates are the unscaled ones
     for idx in rng.choice(len(mixed), size=int(rng.integers(0, 3)), replace=False):
         seeds.pos_templates.add(mixed[idx].template)
     return mixed, seeds
@@ -238,7 +246,7 @@ def reference_bootstrap(instances, seeds, cfg):
                 accepted_new += 1
             elif confidence > accepted[slots[inst.id]][1]:
                 accepted[slots[inst.id]] = (inst.id, confidence)
-        grown.merge(cache)
+        fold_in(grown, cache)
         stats.append((len(hits), sum(by_pair), sum(by_template), len(extractors),
                       candidates, accepted_new))
     return accepted, extractors, stats

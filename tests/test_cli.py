@@ -32,6 +32,14 @@ def run_args(data_dir, out_dir, *extra):
             "--out", str(out_dir), *extra]
 
 
+def hits_args(data_dir, out_path, *extra):
+    return ["hits",
+            "--corpus", str(data_dir / "corpus.jsonl"),
+            "--embeddings", str(data_dir / "embeddings.txt"),
+            "--seeds", str(data_dir / "seeds.json"),
+            "--out", str(out_path), *extra]
+
+
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line]
 
@@ -588,17 +596,38 @@ class TestStatsAndHits:
 
     def test_hits_counts(self, data_dir, tmp_path, capsys):
         hits_out = tmp_path / "hits.json"
-        code = main(["hits",
-                     "--corpus", str(data_dir / "corpus.jsonl"),
-                     "--embeddings", str(data_dir / "embeddings.txt"),
-                     "--seeds", str(data_dir / "seeds.json"),
-                     "--out", str(hits_out)])
+        code = main(hits_args(data_dir, hits_out))
         assert code == 0
         payload = json.loads(hits_out.read_text())
         assert payload["by_pair"] == 4
         assert payload["by_template"] == 20
         assert payload["either"] == 20
         assert payload["either"] <= payload["by_pair"] + payload["by_template"]
+
+    @pytest.mark.parametrize("pairing", ["ordered", "biset"])
+    def test_hits_equal_a_brej_runs_first_iteration(self, data_dir, tmp_path, pairing):
+        hits_out = tmp_path / "hits.json"
+        assert main(hits_args(data_dir, hits_out, "--pairing", pairing)) == 0
+        assert main(run_args(data_dir, tmp_path / "run", "--mode", "brej",
+                             "--pairing", pairing)) == 0
+        stats = json.loads((tmp_path / "run" / "stats.json").read_text())
+        first = stats["iterations"][0]
+        payload = json.loads(hits_out.read_text())
+        assert [payload[key] for key in ("by_pair", "by_template", "either")] == \
+            [first[key] for key in ("hits_by_pair", "hits_by_template", "hits")]
+
+    def test_hits_hashes_no_input(self, data_dir, tmp_path, monkeypatch):
+        sha256, hashed = brex.cli._sha256, []
+
+        def spy(path):
+            hashed.append(path)
+            return sha256(path)
+
+        monkeypatch.setattr(brex.cli, "_sha256", spy)
+        assert main(hits_args(data_dir, tmp_path / "hits.json")) == 0
+        assert hashed == []  # no manifest, so no digests
+        assert main(run_args(data_dir, tmp_path / "run")) == 0
+        assert len(hashed) == 3  # the run's manifest digests each input once
 
 
 class TestSweep:

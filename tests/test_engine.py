@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brex.engine import (
-    add_to_cache,
+    add_to_yield,
     bootstrap,
     check_instance,
     cluster_hop1,
@@ -14,12 +14,12 @@ from brex.engine import (
     grow_hop2,
     match_channels,
 )
-from brex.model import RunConfig, SeedState
+from brex.model import MODES, PAIRINGS, RunConfig, SeedState
 from brex.scoring import score_extractor
 from brex.similarity import SimilarityMeasure
 
 from support import axis, extractor_of, graph_for, make_instance, make_template, \
-    random_world, unit, vec
+    mixed_world, random_world, unit, vec
 
 ASYM = SimilarityMeasure("cc-asym")
 
@@ -238,23 +238,23 @@ class TestExpandAndCheck:
         assert (ok, confidence) == (False, 0.0)
 
 
-class TestAddToCache:
+class TestAddToYield:
     def test_mode_routing(self):
         inst = make_instance()
         for mode, pairs, templates in (("bree", 1, 0), ("bret", 0, 1),
                                        ("brej", 1, 1)):
-            cache = SeedState.empty("ordered")
-            add_to_cache(inst, cache, cfg_for(mode))
-            assert (len(cache.pos_pairs), len(cache.pos_templates)) == \
+            grown = SeedState.empty("ordered")
+            add_to_yield(inst, grown, cfg_for(mode))
+            assert (len(grown.pos_pairs), len(grown.pos_templates)) == \
                 (pairs, templates)
 
     def test_duplicate_add_is_idempotent(self):
-        cache = SeedState.empty("ordered")
+        grown = SeedState.empty("ordered")
         inst = make_instance()
-        add_to_cache(inst, cache, cfg_for("brej"))
-        add_to_cache(inst, cache, cfg_for("brej"))
-        assert len(cache.pos_pairs) == 1
-        assert len(cache.pos_templates) == 1
+        add_to_yield(inst, grown, cfg_for("brej"))
+        add_to_yield(inst, grown, cfg_for("brej"))
+        assert len(grown.pos_pairs) == 1
+        assert len(grown.pos_templates) == 1
 
 
 class TestBootstrap:
@@ -321,6 +321,25 @@ class TestBootstrap:
                     assert inst.pair in result.yield_state.pos_pairs
                 if cfg.mode in ("bret", "brej"):
                     assert inst.template in result.yield_state.pos_templates
+
+    @pytest.mark.parametrize("pairing", PAIRINGS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_callers_seeds_stay_as_given(self, mode, pairing):
+        def items(state):
+            return [[pair.key(pairing) for pair in state.pos_pairs],
+                    [pair.key(pairing) for pair in state.neg_pairs],
+                    [key for key, _ in state.pos_templates.items()],
+                    [key for key, _ in state.neg_templates.items()]]
+
+        grew = 0
+        for seed in range(6):
+            instances, seeds = mixed_world(seed, pairing)
+            before = items(seeds)
+            cfg = cfg_for(mode, pairing=pairing, tau_sim=0.6, tau_cnf=0.5)
+            result = bootstrap(instances, seeds, cfg, graph_for(instances, cfg))
+            assert items(seeds) == before
+            grew += result.yield_state.sizes() != seeds.sizes()
+        assert grew  # the yield grew in place on some world
 
     def test_deterministic(self):
         instances, state, cfg = random_world(7, max_instances=30)

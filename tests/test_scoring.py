@@ -122,7 +122,8 @@ class TestCounts:
         extractor, state = build_seeded_world()
         cfg = cfg_for("bret")
         no_templates = SeedState.empty("ordered")
-        no_templates.pos_pairs.merge(state.pos_pairs)
+        for pair in state.pos_pairs:
+            no_templates.pos_pairs.add(pair)
         assert positives(extractor, no_templates, cfg) == 0.0
 
     def test_additivity_law_on_random_worlds(self):
