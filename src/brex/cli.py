@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -53,12 +54,19 @@ class Setting:
         return "--" + self.name.replace("_", "-")
 
     def convert(self, value):
-        """A flag's text or a config-file value as this setting's type."""
+        """A flag's text or a config-file value as this setting's type; a
+        float must be finite, and an int takes only an integral float."""
         def one(item):
             # bool is an int, and float(True) is 1.0: a JSON true is no number
             if (self.kind is str and not isinstance(item, str)) or isinstance(item, bool):
                 raise TypeError(item)
-            return self.kind(item)
+            # int(1.9) is 1, and int(inf) raises OverflowError
+            if self.kind is int and isinstance(item, float) and not item.is_integer():
+                raise TypeError(item)
+            converted = self.kind(item)
+            if self.kind is float and not math.isfinite(converted):
+                raise ValueError(item)
+            return converted
 
         try:
             if not self.parts:
@@ -67,7 +75,7 @@ class Setting:
                 raise TypeError(value)
             return tuple(one(item) for item in value)
         except (TypeError, ValueError):
-            kind = self.kind.__name__
+            kind = "finite float" if self.kind is float else self.kind.__name__
             expected = f"{len(self.parts)} {kind} values" if self.parts else kind
             raise InputError(f"{self.name}: expected {expected}, got {value!r}") from None
 
@@ -457,6 +465,17 @@ def _cmd_hits(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """A flag's text as a finite float, for argparse."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    return value
+
+
 def _parse_sweep_values(setting: Setting, text: str) -> list:
     values = [setting.convert(part.strip()) for part in text.split(",") if part.strip()]
     if not values:
@@ -536,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="Score a prior run against a gold pair list")
     p_eval.add_argument("--run", required=True, help="run output directory")
     p_eval.add_argument("--gold", required=True, help="gold file, e1<TAB>e2 per line")
-    p_eval.add_argument("--threshold", type=float, default=0.5,
+    p_eval.add_argument("--threshold", type=_finite_float, default=0.5,
                         help="confidence cutoff for evaluated records")
     p_eval.add_argument("--out", default=None, help="report path (default: run dir)")
     p_eval.set_defaults(func=_cmd_eval)
@@ -560,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="root output directory")
     p_sweep.add_argument("--gold", default=None,
                          help="optional gold file; adds P/R/F1 per cell")
-    p_sweep.add_argument("--threshold", type=float, default=0.5)
+    p_sweep.add_argument("--threshold", type=_finite_float, default=0.5)
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

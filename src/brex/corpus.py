@@ -678,12 +678,12 @@ def extract_instances(
     than max_between tokens are skipped and counted; the before/after windows
     are truncated to their limits. Empty windows yield zero vectors.
 
-    The entity spans of each sentence must not overlap, as load_corpus
-    ensures; spans that touch form a pair with an empty between window.
+    The entity spans of each sentence must not overlap, and sids must be
+    unique, as load_corpus ensures: then no instance id repeats. Spans that
+    touch form a pair with an empty between window.
     """
     max_before, max_between, max_after = limits
     instances: list[Instance] = []
-    seen: set[str] = set()
     skipped = 0
     for sent in sentences:
         ents = sorted(sent.entities, key=lambda s: (s.start, s.end))
@@ -699,9 +699,6 @@ def extract_instances(
                 before = sent.tokens[max(0, ea.start - max_before):ea.start]
                 after = sent.tokens[eb.end:eb.end + max_after]
                 iid = f"s{sent.sid}:{ea.start}.{ea.end}-{eb.start}.{eb.end}"
-                if iid in seen:
-                    continue
-                seen.add(iid)
                 pair = EntityPair(
                     TypedEntity(" ".join(sent.tokens[ea.start:ea.end]), ea.etype),
                     TypedEntity(" ".join(sent.tokens[eb.start:eb.end]), eb.etype),

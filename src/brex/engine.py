@@ -88,18 +88,16 @@ def grow_hop2(graph: SimilarityGraph, theta: list[Extractor]) -> list[Extractor]
     """Add every instance within tau_sim of a hop-1 cluster to its closest one.
 
     Similarities are evaluated against the original hop-1 members, ties break
-    toward the lowest cluster id, and hop-1 members stay where they are.
+    toward the lowest cluster id, and hop-1 members stay where they are. A
+    cluster's id is its index in ``theta``, as cluster_hop1 numbers them.
     """
     owner = _owners(graph, theta)
-    rows, owners, values = graph.max_into(owner)
-    best: dict[int, tuple[float, int]] = {}
-    # clusters come in id order within a row, so a strict > keeps the lowest
-    for row, k, sim in zip(rows.tolist(), owners.tolist(), values.tolist()):
-        if owner[row] < 0 and sim > best.get(row, (-1.0, -1))[0]:
-            best[row] = (sim, k)
     clusters = [list(ex.rows) for ex in theta]
-    for row, (_, k) in best.items():
-        clusters[k].append(row)
+    for row, covering in cover_hop3(graph, theta).items():
+        if owner[row] < 0:
+            # covering clusters come in id order, and max keeps the first maximum
+            closest, _ = max(covering, key=lambda item: item[1])
+            clusters[closest.id].append(row)
     return _extractors(graph, clusters)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,8 +201,8 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
-        if self.w_neg < 0 or self.w_unk < 0:
-            raise ValueError("w_neg and w_unk must be nonnegative")
+        if not (0.0 <= self.w_neg < math.inf and 0.0 <= self.w_unk < math.inf):
+            raise ValueError("w_neg and w_unk must be finite and nonnegative")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if min(self.max_before, self.max_between, self.max_after) < 0:

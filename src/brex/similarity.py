@@ -51,7 +51,7 @@ class SimilarityMeasure:
                 f"unknown similarity measure {self.kind!r}; pick one of {MEASURE_KINDS}"
             )
         if kind == "match":
-            if any(w < 0 for w in self.weights):
+            if not all(w >= 0 for w in self.weights):
                 raise ValueError("match weights must be nonnegative")
             if abs(sum(self.weights) - 1.0) > 1e-9:
                 raise ValueError("match weights must sum to 1")
@@ -147,13 +147,16 @@ _BLOCK_CELLS = 1 << 17
 
 
 def _stack(contexts: list[Template]):
-    """Before, between, after and before+after rows, plus each row's norm bound R."""
+    """Before, between, after and before+after rows, each row's norm bound R,
+    and its slack _MARGIN_ULPS * (d + 4) * u * R: a pair's margin is the
+    probe's R times the target's slack."""
     before = np.array([t.v_before for t in contexts], dtype=np.float64)
     between = np.array([t.v_between for t in contexts], dtype=np.float64)
     after = np.array([t.v_after for t in contexts], dtype=np.float64)
     sides = before + after
     bound = np.linalg.norm(np.stack([before, between, after, sides]), axis=2).max(axis=0)
-    return (before, between, after, sides), bound
+    slack = _MARGIN_ULPS * (between.shape[1] + 4) * _UNIT_ROUNDOFF * bound
+    return (before, between, after, sides), bound, slack
 
 
 def _scores(measure: SimilarityMeasure, p, t) -> np.ndarray:
@@ -182,16 +185,6 @@ def _scores(measure: SimilarityMeasure, p, t) -> np.ndarray:
     return score
 
 
-def _interval(score: np.ndarray, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds [lo, hi] on sim_instances of pairs with these matrix scores and
-    margins; unbounded where the score or the margin is not finite."""
-    sure = np.isfinite(score) & np.isfinite(margin)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo = np.where(sure, np.minimum(score - margin, 1.0), -np.inf)
-        hi = np.where(sure, np.minimum(score + margin, 1.0), np.inf)
-    return lo, hi
-
-
 def _decide(lo: np.ndarray, hi: np.ndarray, tau_sim: float, exact) -> np.ndarray:
     """Bool per pair: its similarity reaches tau_sim. Bounds [lo, hi] decide
     a pair unless tau_sim lies inside them; ``exact(unsure)`` returns the
@@ -204,17 +197,13 @@ def _decide(lo: np.ndarray, hi: np.ndarray, tau_sim: float, exact) -> np.ndarray
 
 class _TypeGroup(NamedTuple):
     """The rows of one entity-type pair, ascending, with their before,
-    between, after and before+after stack and each row's norm bound R."""
+    between, after and before+after stack, each row's norm bound R and its
+    slack (see _stack)."""
 
     rows: np.ndarray
     stack: tuple
     bound: np.ndarray
-
-
-def _slack(bound: np.ndarray, dim: int) -> np.ndarray:
-    """Per context, the slack _MARGIN_ULPS * (d + 4) * u * R: a pair's margin
-    is the probe's bound R times the target's slack."""
-    return _MARGIN_ULPS * (dim + 4) * _UNIT_ROUNDOFF * bound
+    slack: np.ndarray
 
 
 class SimilarityGraph:
@@ -225,15 +214,26 @@ class SimilarityGraph:
     read asks about the in-edges of selected columns, and a column is scored
     when it is first read: row-blocked matrix products score every row of
     its entity-type pair against it, and the pairs that may reach tau_sim
-    (the candidates) are kept with their scores. Memory follows the
-    candidates in the columns read, not N^2, and a graph shared by several
-    bootstrap runs scores each column once. A score decides an edge when it
-    clears tau_sim by more than its margin; sim_instances is called only for
-    the candidates inside that margin and for the values a caller reads, and
-    each exact value is kept. Template-set hits read the edges for templates
-    of instances in the list and compute, once per template, a column of
-    hits for any other. Pair-set hits key each row's entity pair once per
-    pairing.
+    (the candidates) are kept. Memory follows the candidates in the columns
+    read, not N^2, and a graph shared by several bootstrap runs scores each
+    column once.
+
+    The graph keeps one interval [lo, hi] per candidate that holds its
+    sim_instances value: the score minus and plus its margin, capped at 1.
+    The interval decides an edge unless tau_sim lies inside it; sim_instances
+    is called only for those candidates and for the values a caller reads,
+    and closes the interval at its value. A value is known when lo == hi.
+    Without a call, that happens only where the cap closes the interval at 1
+    (score - margin >= 1), and there sim_instances is exactly 1.0. This
+    needs every other candidate's margin to exceed the rounding of its
+    score: the margin is at least 40 u R_i R_j and |score| about R_i R_j at
+    most, so it holds unless the margin underflows. Contexts of unit or zero
+    vectors have R = 0 or R >= 1, and a pair with R_i R_j = 0 scores 0 and is
+    no candidate, since tau_sim > 0.
+
+    Template-set hits read the edges for templates of instances in the list
+    and compute, once per template, a column of hits for any other.
+    Pair-set hits key each row's entity pair once per pairing.
     """
 
     def __init__(self, instances: list[Instance], measure: SimilarityMeasure,
@@ -245,98 +245,80 @@ class SimilarityGraph:
         # per pairing: an id per distinct pair key, and each row's key id
         self._pair_ids: dict[str, tuple[dict[tuple, int], np.ndarray]] = {}
         # The candidates of the scored columns, in the order they were scored:
-        # row, column, and matrix score, replaced by the exact value once
-        # ``exact`` is set.
+        # row, column, and the interval [lo, hi] holding the value.
         self._scored = np.zeros(len(instances), dtype=bool)
         self._rows = self._cols = np.zeros(0, dtype=np.int32)
-        self._values = np.zeros(0)
-        self._exact = np.zeros(0, dtype=bool)
+        self._lo = self._hi = np.zeros(0)
 
     def __len__(self) -> int:
         return len(self.instances)
 
     @cached_property
-    def _types(self) -> tuple[dict[tuple, _TypeGroup], np.ndarray, np.ndarray]:
-        """Each entity-type pair's rows and stacks, built on the first read,
-        and per row the bound R and the slack; pairs across type pairs are 0
-        and are never scored."""
+    def _types(self) -> dict[tuple, _TypeGroup]:
+        """Each entity-type pair's rows and stacks, built on the first read;
+        pairs across type pairs are 0 and are never scored."""
         members: dict[tuple, list[int]] = {}
         for row, instance in enumerate(self.instances):
             members.setdefault(instance.template.type_pair, []).append(row)
         groups = {}
-        bound, slack = np.zeros(len(self)), np.zeros(len(self))
         for type_pair, rows in members.items():
             contexts = [self.instances[row].template for row in rows]
             shapes = sorted({context.v_between.shape for context in contexts})
             if len(shapes) > 1:
                 raise ValueError(
                     f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
-            stack, group_bound = _stack(contexts)
-            rows = np.asarray(rows, dtype=np.int32)
-            bound[rows], slack[rows] = group_bound, _slack(group_bound, shapes[0][0])
-            groups[type_pair] = _TypeGroup(rows, stack, group_bound)
-        return groups, bound, slack
+            groups[type_pair] = _TypeGroup(np.asarray(rows, dtype=np.int32),
+                                           *_stack(contexts))
+        return groups
 
     def _candidates_against(self, group: _TypeGroup, targets: tuple,
                             target_slack: np.ndarray):
-        """(rows, target positions, scores) of the pairs of the group's rows
+        """(rows, target positions, lo, hi) of the pairs of the group's rows
         and the ``targets`` stack whose similarity may reach tau_sim: those
-        whose score is not below tau_sim by more than the pair's margin. Rows
-        are scored in blocks of about _BLOCK_CELLS scores."""
-        found_rows, found_cols, found_scores = [], [], []
+        whose score is not below tau_sim by more than the pair's margin.
+        [lo, hi] bounds each pair's sim_instances value, and is unbounded
+        where the score or the margin is not finite. Rows are scored in
+        blocks of about _BLOCK_CELLS scores."""
+        found = []
         step = max(1, _BLOCK_CELLS // len(target_slack))
         # an overflowing or NaN score is a candidate; sim_instances decides it
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(group.rows), step):
-                block = tuple(m[lo:lo + step] for m in group.stack)
+            for start in range(0, len(group.rows), step):
+                block = tuple(m[start:start + step] for m in group.stack)
                 scores = _scores(self.measure, block, targets)
-                cut = self.tau_sim - np.outer(group.bound[lo:lo + step], target_slack)
-                rows, cols = np.nonzero(~(scores < cut))
-                found_rows.append(group.rows[lo + rows])
-                found_cols.append(cols)
-                found_scores.append(scores[rows, cols])
-                del scores, cut  # free this block's matrices before scoring the next
-        return (np.concatenate(found_rows), np.concatenate(found_cols),
-                np.concatenate(found_scores))
+                margin = np.outer(group.bound[start:start + step], target_slack)
+                rows, cols = np.nonzero(~(scores < self.tau_sim - margin))
+                score, margin = scores[rows, cols], margin[rows, cols]
+                sure = np.isfinite(score) & np.isfinite(margin)
+                found.append((group.rows[start + rows], cols,
+                              np.where(sure, np.minimum(score - margin, 1.0), -np.inf),
+                              np.where(sure, np.minimum(score + margin, 1.0), np.inf)))
+                del scores  # free this block's matrices before scoring the next
+        return tuple(map(np.concatenate, zip(*found)))
 
     def _score_columns(self, columns: np.ndarray) -> None:
         """Add the candidates of the columns selected by the bool mask
         ``columns`` that are not scored yet to the store."""
-        groups, _, slack = self._types
         new = columns & ~self._scored
-        found = [(self._rows, self._cols, self._values)]
-        for group in groups.values():
+        found = [(self._rows, self._cols, self._lo, self._hi)]
+        for group in self._types.values():
             at = np.flatnonzero(new[group.rows])
             if len(at):
-                cols = group.rows[at]
-                rows, k, scores = self._candidates_against(
-                    group, tuple(m[at] for m in group.stack), slack[cols])
-                found.append((rows, cols[k], scores))
+                rows, k, lo, hi = self._candidates_against(
+                    group, tuple(m[at] for m in group.stack), group.slack[at])
+                found.append((rows, group.rows[at][k], lo, hi))
         if len(found) > 1:
-            self._rows, self._cols, self._values = map(np.concatenate, zip(*found))
-            self._exact = np.concatenate(
-                [self._exact, np.zeros(len(self._rows) - len(self._exact), dtype=bool)])
+            self._rows, self._cols, self._lo, self._hi = map(np.concatenate, zip(*found))
         self._scored |= new
 
-    def _bounds(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds [lo, hi] on the values of candidates ``idx``; lo == hi ==
-        the value once it is exact."""
-        _, bound, slack = self._types
-        known = self._exact[idx]
-        lo, hi = _interval(self._values[idx],
-                           bound[self._rows[idx]] * slack[self._cols[idx]])
-        lo[known] = hi[known] = self._values[idx[known]]
-        return lo, hi
-
     def _fill(self, idx: np.ndarray) -> np.ndarray:
-        """Compute the exact values of candidates ``idx`` (none of them
-        exact yet) and return them."""
+        """Close the intervals of candidates ``idx`` at their sim_instances
+        values and return them."""
         instances, measure = self.instances, self.measure
-        self._values[idx] = [
+        self._lo[idx] = self._hi[idx] = [
             sim_instances(instances[i], instances[j], measure)
             for i, j in zip(self._rows[idx].tolist(), self._cols[idx].tolist())]
-        self._exact[idx] = True
-        return self._values[idx]
+        return self._lo[idx]
 
     def edges_into(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of the edges whose column is selected by the bool
@@ -344,8 +326,8 @@ class SimilarityGraph:
         self._score_columns(columns)
         rows, cols = self._rows, self._cols
         idx = np.flatnonzero(columns[cols])
-        lo, hi = self._bounds(idx)
-        idx = idx[_decide(lo, hi, self.tau_sim, lambda unsure: self._fill(idx[unsure]))]
+        idx = idx[_decide(self._lo[idx], self._hi[idx], self.tau_sim,
+                          lambda unsure: self._fill(idx[unsure]))]
         idx = idx[np.lexsort((cols[idx], rows[idx]))]
         return rows[idx], cols[idx]
 
@@ -355,7 +337,7 @@ class SimilarityGraph:
         row's max similarity to the group (max-linkage) where it reaches
         tau_sim."""
         self._score_columns(owner >= 0)
-        rows, values, exact = self._rows, self._values, self._exact
+        rows = self._rows
         groups = owner[self._cols]
         idx = np.flatnonzero(groups >= 0)
         idx = idx[np.lexsort((groups[idx], rows[idx]))]
@@ -365,14 +347,14 @@ class SimilarityGraph:
         starts = np.flatnonzero(start)
         if not len(starts):
             return r, g, np.zeros(0)
-        lo, hi = self._bounds(idx)
+        lo, hi = self._lo[idx], self._hi[idx]
         # The group's max is at least its best lower bound, and below tau_sim
         # it is no edge: only candidates whose upper bound reaches both can be
         # the max that counts.
         floor = np.maximum(np.maximum.reduceat(lo, starts), self.tau_sim)
-        need = ~exact[idx] & (hi >= floor[np.cumsum(start) - 1])
-        self._fill(idx[need])
-        best = np.maximum.reduceat(np.where(exact[idx], values[idx], -np.inf), starts)
+        need = (lo != hi) & (hi >= floor[np.cumsum(start) - 1])
+        lo[need] = hi[need] = self._fill(idx[need])
+        best = np.maximum.reduceat(np.where(lo == hi, lo, -np.inf), starts)
         keep = best >= self.tau_sim
         return r[starts[keep]], g[starts[keep]], best[keep]
 
@@ -415,18 +397,15 @@ class SimilarityGraph:
         column = self._template_columns.get(key)
         if column is None:
             column = np.zeros(len(self), dtype=bool)
-            groups, bound, _ = self._types
-            group = groups.get(template.type_pair)
+            group = self._types.get(template.type_pair)
             if group is not None:
                 dim = group.stack[1].shape[1]
                 shapes = sorted({(dim,), template.v_between.shape})
                 if len(shapes) > 1:
                     raise ValueError(
                         f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
-                targets, target_bound = _stack([template])
-                target_slack = _slack(target_bound, dim)
-                rows, _, scores = self._candidates_against(group, targets, target_slack)
-                lo, hi = _interval(scores, bound[rows] * target_slack[0])
+                targets, _, target_slack = _stack([template])
+                rows, _, lo, hi = self._candidates_against(group, targets, target_slack)
 
                 def exact(unsure):
                     return [sim_instances(self.instances[row], template, self.measure)

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import os
 import threading
 import weakref
@@ -298,6 +299,10 @@ class TestRun:
     def test_out_of_range_threshold_exits_2(self, data_dir, tmp_path):
         assert main(run_args(data_dir, tmp_path / "r", "--tau-sim", "1.5")) == 2
 
+    def test_non_finite_weight_flag_exits_2(self, data_dir, tmp_path, capsys):
+        assert main(run_args(data_dir, tmp_path / "r", "--wn", "nan")) == 2
+        assert "error: wn: expected finite float, got 'nan'" in capsys.readouterr().err
+
     def test_unknown_mode_is_usage_error(self, data_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(run_args(data_dir, tmp_path / "r", "--mode", "nope"))
@@ -396,7 +401,10 @@ class TestSettings:
     @pytest.mark.parametrize("value", [{"sim_weights": 5}, {"iters": None},
                                        {"tau_sim": [0.8]}, {"iters": True},
                                        {"tau_sim": True}, {"max_between": False},
-                                       {"sim_weights": [1, True, 1]}])
+                                       {"sim_weights": [1, True, 1]},
+                                       {"iters": 1.9}, {"iters": math.inf},
+                                       {"wn": math.nan}, {"wu": math.inf},
+                                       {"sim_weights": [math.nan, 0.5, 0.5]}])
     def test_wrong_type_config_value_exits_2(self, data_dir, tmp_path, capsys, value):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(value))
@@ -446,6 +454,20 @@ class TestEval:
         assert link.is_symlink()
         assert json.loads(target.read_text())["gold_size"] == 10
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_non_finite_threshold_exits_2(self, data_dir, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        gold = ["--gold", str(data_dir / "gold.tsv"), "--threshold", "nan"]
+        args = (["eval", "--run", str(out), *gold] if command == "eval"
+                else ["sweep", *run_args(data_dir, tmp_path / "sweep")[1:], *gold])
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert ("--threshold: expected a finite float, got 'nan'"
+                in capsys.readouterr().err)
+        assert not (out / "report.json").exists() and not (tmp_path / "sweep").exists()
 
     def test_missing_run_dir_exits_2(self, tmp_path, data_dir):
         assert main(["eval", "--run", str(tmp_path / "nope"),

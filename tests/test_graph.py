@@ -229,6 +229,25 @@ def test_max_into_calls_once_per_row_and_group(measure, scalar_calls):
     assert values.tolist() == [expected[key] for key in sorted(expected)]
 
 
+def test_intervals_capped_at_one_need_no_scalar_call(scalar_calls):
+    """cc-sym2 scores (v_bef + v_aft)(i) . v_bet(j): with before = after =
+    between, near pairs score about 2, so the cap closes their intervals at
+    1, which is their sim_instances value."""
+    rng = np.random.default_rng(11)
+    centre = unit(rng.normal(size=50))
+    vectors = [unit(centre + 0.1 * rng.normal(size=50) / np.sqrt(50)) for _ in range(5)]
+    instances = [make_instance(template=make_template(v, v, v, dim=50)) for v in vectors]
+    measure = SimilarityMeasure("cc-sym2")
+    assert all(sim_instances(a, b, measure) == 1.0 for a in instances for b in instances)
+    graph = SimilarityGraph(instances, measure, 0.7)
+    scalar_calls.clear()
+    rows, owners, values = graph.max_into(np.array([0, 0, 1, -1, -1]))
+    assert scalar_calls == []
+    assert list(zip(rows.tolist(), owners.tolist())) == [(r, k) for r in range(5)
+                                                         for k in (0, 1)]
+    assert values.tolist() == [1.0] * 10
+
+
 def test_graph_for_other_inputs_raises():
     rng = np.random.default_rng(8)
     instances = [make_instance(template=rand_template(rng)) for _ in range(6)]

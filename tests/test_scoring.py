@@ -1,5 +1,7 @@
 """Reliability formula, mode-dependent counts, soft-or combination, taxonomy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,12 @@ class TestExtractorConfidence:
         assert extractor.n_neg == 1.0
         assert extractor.n_unknown == 3
         assert extractor.confidence == 6 / 7
+
+    @pytest.mark.parametrize("weights", [{"w_neg": -0.5}, {"w_neg": math.nan},
+                                         {"w_unk": math.nan}, {"w_unk": math.inf}])
+    def test_weights_must_be_finite_and_nonnegative(self, weights):
+        with pytest.raises(ValueError, match="w_neg and w_unk"):
+            cfg_for("bree", **weights)
 
 
 class TestSoftOr:

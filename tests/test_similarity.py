@@ -31,6 +31,11 @@ class TestMeasureValidation:
         with pytest.raises(ValueError):
             SimilarityMeasure("match", (0.5, 0.6, 0.2))
 
+    @pytest.mark.parametrize("weights", [(-0.2, 0.6, 0.6), (math.nan, 0.5, 0.5)])
+    def test_match_weights_must_be_nonnegative(self, weights):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SimilarityMeasure("match", weights)
+
     def test_underscore_alias(self):
         assert SimilarityMeasure("cc_sym1").kind == "cc-sym1"
 
