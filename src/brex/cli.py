@@ -24,10 +24,13 @@ from pathlib import Path
 from . import __version__
 from .corpus import EmbeddingStore, EntityPair, SeedFileSpec, TypedEntity, \
     extract_instances, json_lines, json_object, load_corpus, load_embeddings, \
-    parse_seed_file, reorder_passive
+    parse_seed_file
+# Not called here: perfbench/op.py traces this name in this module.
+from .corpus import reorder_passive  # noqa: F401
 from .engine import bootstrap, match_channels
 from .errors import InputError
-from .evaluate import ExtractorSummary, GoldKB, extractor_stats, load_gold, prf1
+from .evaluate import ExtractorSummary, GoldKB, extractor_stats, load_gold, prf1, \
+    run_field
 from .model import MODES, PAIRINGS, SCORE_AGAINST, BootstrapResult, RunConfig, \
     build_seed_state
 from .similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure
@@ -55,11 +58,17 @@ class Setting:
 
     def convert(self, value):
         """A flag's text or a config-file value as this setting's type; a
-        float must be finite, and an int takes only an integral float."""
+        float must be finite, and an int takes only an integral float, also
+        spelled as text."""
         def one(item):
             # bool is an int, and float(True) is 1.0: a JSON true is no number
             if (self.kind is str and not isinstance(item, str)) or isinstance(item, bool):
                 raise TypeError(item)
+            if self.kind is int and isinstance(item, str):
+                try:
+                    return int(item)
+                except ValueError:
+                    item = float(item)  # "2.0" is 2, as the JSON number 2.0 is
             # int(1.9) is 1, and int(inf) raises OverflowError
             if self.kind is int and isinstance(item, float) and not item.is_integer():
                 raise TypeError(item)
@@ -204,17 +213,15 @@ def ingest_inputs(corpus_path, embeddings_path, seeds_path,
                  for tok in text.split())
     emb = load_embeddings(embeddings_path, vocab)
     extraction = extract_instances(loaded.sentences, emb, limits, spec.type_pair)
-    pos_of = {sent.sid: sent.pos for sent in loaded.sentences}
-    instances = [reorder_passive(inst, pos_of[inst.sentence_ref])
-                 for inst in extraction.instances]
     counters = {
         "sentences": loaded.accepted_records,
         "rejected_records": loaded.rejected_records,
         "dropped_entities": loaded.dropped_entities,
-        "instances": len(instances),
+        "instances": len(extraction.instances),
         "skipped_over_limit": extraction.skipped_over_limit,
     }
-    return Ingested(spec=spec, instances=instances, emb=emb, counters=counters)
+    return Ingested(spec=spec, instances=extraction.instances, emb=emb,
+                    counters=counters)
 
 
 def write_outputs(out_dir: Path, relation: str, result: BootstrapResult,
@@ -375,12 +382,10 @@ def _read_jsonl(path: Path, parse) -> list:
 
 def _accepted_record(row: dict) -> tuple[str, EntityPair, float]:
     """The relation, entity pair and confidence of an accepted.jsonl row."""
-    texts = [row[key] for key in ("relation", "e1", "e1_type", "e2", "e2_type")]
-    if not all(isinstance(text, str) for text in texts):
-        raise TypeError("relation, entities and entity types must be strings")
-    relation, e1, e1_type, e2, e2_type = texts
+    relation, e1, e1_type, e2, e2_type = (
+        run_field(row, key, str) for key in ("relation", "e1", "e1_type", "e2", "e2_type"))
     return (relation, EntityPair(TypedEntity(e1, e1_type), TypedEntity(e2, e2_type)),
-            float(row["confidence"]))
+            run_field(row, "confidence", float))
 
 
 def _finished_run(run_dir: Path, output: str) -> dict:
@@ -465,14 +470,14 @@ def _cmd_hits(args) -> int:
     return 0
 
 
-def _finite_float(text: str) -> float:
-    """A flag's text as a finite float, for argparse."""
+def _unit_float(text: str) -> float:
+    """A flag's text as a float in [0, 1], for argparse: a confidence cutoff."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a float in [0, 1], got {text!r}")
     return value
 
 
@@ -555,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="Score a prior run against a gold pair list")
     p_eval.add_argument("--run", required=True, help="run output directory")
     p_eval.add_argument("--gold", required=True, help="gold file, e1<TAB>e2 per line")
-    p_eval.add_argument("--threshold", type=_finite_float, default=0.5,
+    p_eval.add_argument("--threshold", type=_unit_float, default=0.5,
                         help="confidence cutoff for evaluated records")
     p_eval.add_argument("--out", default=None, help="report path (default: run dir)")
     p_eval.set_defaults(func=_cmd_eval)
@@ -579,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="root output directory")
     p_sweep.add_argument("--gold", default=None,
                          help="optional gold file; adds P/R/F1 per cell")
-    p_sweep.add_argument("--threshold", type=_finite_float, default=0.5)
+    p_sweep.add_argument("--threshold", type=_unit_float, default=0.5)
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

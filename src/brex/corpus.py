@@ -104,8 +104,6 @@ class Instance:
     template: Template
     sentence_ref: int
     tokens_between: tuple[str, ...]
-    between_start: int = 0  # token index of the first between-window token
-    passive_swapped: bool = False
 
 
 @dataclass(frozen=True)
@@ -678,6 +676,11 @@ def extract_instances(
     than max_between tokens are skipped and counted; the before/after windows
     are truncated to their limits. Empty windows yield zero vectors.
 
+    The type-pair gate reads the entities in sentence order. Each kept pair
+    then takes its final orientation here, once: reorder_passive decides which
+    entity is e1, and the pair and the template's type pair follow it. The
+    windows and the instance id stay in sentence order.
+
     The entity spans of each sentence must not overlap, and sids must be
     unique, as load_corpus ensures: then no instance id repeats. Spans that
     touch form a pair with an empty between window.
@@ -699,20 +702,20 @@ def extract_instances(
                 before = sent.tokens[max(0, ea.start - max_before):ea.start]
                 after = sent.tokens[eb.end:eb.end + max_after]
                 iid = f"s{sent.sid}:{ea.start}.{ea.end}-{eb.start}.{eb.end}"
+                e1, e2 = reorder_passive(ea, eb, sent)
                 pair = EntityPair(
-                    TypedEntity(" ".join(sent.tokens[ea.start:ea.end]), ea.etype),
-                    TypedEntity(" ".join(sent.tokens[eb.start:eb.end]), eb.etype),
+                    TypedEntity(" ".join(sent.tokens[e1.start:e1.end]), e1.etype),
+                    TypedEntity(" ".join(sent.tokens[e2.start:e2.end]), e2.etype),
                 )
                 template = Template(
                     v_before=emb.context_vector(before),
                     v_between=emb.context_vector(between),
                     v_after=emb.context_vector(after),
-                    type_pair=(ea.etype, eb.etype),
+                    type_pair=(e1.etype, e2.etype),
                 )
                 instances.append(
                     Instance(id=iid, pair=pair, template=template,
-                             sentence_ref=sent.sid, tokens_between=tuple(between),
-                             between_start=ea.end)
+                             sentence_ref=sent.sid, tokens_between=tuple(between))
                 )
     if skipped:
         log.info("skipped %d entity pairs over the between-window limit", skipped)
@@ -723,37 +726,22 @@ _TO_BE = {"be", "am", "is", "are", "was", "were", "been", "being"}
 _PAST_TAGS = {"VBD", "VBN"}  # Penn Treebank past tense / past participle
 
 
-def reorder_passive(instance: Instance, pos_tags) -> Instance:
-    """Swap the entity pair when the between context is a passive construction.
+def reorder_passive(ea: EntitySpan, eb: EntitySpan,
+                    sent: TaggedSentence) -> tuple[EntitySpan, EntitySpan]:
+    """The spans ``ea`` and ``eb`` of ``sent``, in sentence order, as (e1, e2):
+    swapped when the tokens between them are a passive construction.
 
     The pattern: some form of "to be" directly followed by a verb tagged past
     tense or past participle, with the final between token being "by". Without
-    POS tags the heuristic is disabled and the instance returned unchanged.
-    Swapped instances are flagged so the operation is idempotent.
+    POS tags the heuristic is disabled and the spans keep their order.
     """
-    if instance.passive_swapped or not pos_tags:
-        return instance
-    toks = instance.tokens_between
-    if len(toks) < 3 or toks[-1].lower() != "by":
-        return instance
-    lo = instance.between_start
-    pos = tuple(pos_tags[lo:lo + len(toks)])
-    if len(pos) != len(toks):
-        return instance
-    matched = any(
-        tok.lower() in _TO_BE and pos[k + 1] in _PAST_TAGS
-        for k, tok in enumerate(toks[:-1])
-    )
-    if not matched:
-        return instance
-    swapped_pair = EntityPair(instance.pair.e2, instance.pair.e1)
-    swapped_template = dataclasses.replace(
-        instance.template,
-        type_pair=(instance.template.type_pair[1], instance.template.type_pair[0]),
-    )
-    return dataclasses.replace(
-        instance, pair=swapped_pair, template=swapped_template, passive_swapped=True
-    )
+    toks = sent.tokens[ea.end:eb.start]
+    if not sent.pos or len(toks) < 3 or toks[-1].lower() != "by":
+        return ea, eb
+    tags = sent.pos[ea.end + 1:eb.start]  # the tag of the token after each of toks
+    if any(tok.lower() in _TO_BE and tag in _PAST_TAGS for tok, tag in zip(toks, tags)):
+        return eb, ea
+    return ea, eb
 
 
 def parse_seed_templates(raw, emb: EmbeddingStore,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,6 +78,25 @@ def prf1(accepted, gold: GoldKB, threshold: float = 0.5) -> PRF1:
     return PRF1(precision, recall, f1, len(extracted))
 
 
+def run_field(row: dict, key: str, kind: type):
+    """``row[key]`` of a run file, of the type its writer gives it: ``float``
+    takes a finite JSON number, ``int`` an integer, ``str`` a string; a JSON
+    true or false is none of them."""
+    value = row[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float
+                                                 else kind):
+        raise TypeError(f"{key}: expected {kind.__name__}, got {value!r}")
+    if kind is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # also NaN and Infinity, which json reads
+        raise ValueError(f"{key}: expected a finite number, got {value!r}")
+    return number
+
+
 @dataclass
 class ExtractorSummary:
     """Flat extractor record, round-trippable through extractors.jsonl."""
@@ -116,12 +136,17 @@ class ExtractorSummary:
 
     @classmethod
     def from_dict(cls, row: dict) -> "ExtractorSummary":
+        samples = row.get("sample_between_contexts", [])
+        if not (isinstance(samples, list) and all(isinstance(s, str) for s in samples)):
+            raise TypeError(f"sample_between_contexts: expected a list of strings, "
+                            f"got {samples!r}")
         return cls(
-            id=int(row["id"]), size=int(row["size"]),
-            n_pos=float(row["n_pos"]), n_neg=float(row["n_neg"]),
-            n_unknown=int(row["n_unknown"]), confidence=float(row["confidence"]),
-            signature=str(row["signature"]),
-            sample_between_contexts=list(row.get("sample_between_contexts", [])),
+            id=run_field(row, "id", int), size=run_field(row, "size", int),
+            n_pos=run_field(row, "n_pos", float), n_neg=run_field(row, "n_neg", float),
+            n_unknown=run_field(row, "n_unknown", int),
+            confidence=run_field(row, "confidence", float),
+            signature=run_field(row, "signature", str),
+            sample_between_contexts=samples,
         )
 
 

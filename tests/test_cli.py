@@ -423,6 +423,27 @@ class TestSettings:
         snapshot = json.loads((out / "manifest.json").read_text())["config"]
         assert snapshot["tau_sim"] == 0.8 and snapshot["iterations"] == 2
 
+    def test_integral_float_text_is_an_int(self, data_dir, tmp_path):
+        """--iters 2.0 reads as the JSON number 2.0 does: 2 iterations."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_after": "1.0"}))
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out, "--iters", "2.0", "--config", str(config))) == 0
+        snapshot = json.loads((out / "manifest.json").read_text())["config"]
+        assert snapshot["iterations"] == 2 and snapshot["max_after"] == 1
+        assert len(json.loads((out / "stats.json").read_text())["iterations"]) == 2
+        run = run_args(data_dir, tmp_path / "sweep")
+        assert main(["sweep", *run[1:], "--iters", "1.0,2"]) == 0
+        summary = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text())
+        assert [row["params"] for row in summary] == [{"iters": 1}, {"iters": 2}]
+
+    @pytest.mark.parametrize("text", ["1.9", "1e400"])
+    def test_non_integral_int_text_exits_2(self, data_dir, tmp_path, capsys, text):
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out, "--iters", text)) == 2
+        assert f"error: iters: expected int, got '{text}'" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
     def test_bad_sweep_value_exits_2(self, data_dir, tmp_path, capsys):
         run = run_args(data_dir, tmp_path / "sweep")
         assert main(["sweep", *run[1:], "--tau-sim", "0.7,high"]) == 2
@@ -457,17 +478,21 @@ class TestEval:
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_non_finite_threshold_exits_2(self, data_dir, tmp_path, capsys, command):
+        """A confidence cutoff must lie in [0, 1]: outside it, nothing or
+        everything passes."""
         out = tmp_path / "run"
         assert main(run_args(data_dir, out)) == 0
-        gold = ["--gold", str(data_dir / "gold.tsv"), "--threshold", "nan"]
-        args = (["eval", "--run", str(out), *gold] if command == "eval"
-                else ["sweep", *run_args(data_dir, tmp_path / "sweep")[1:], *gold])
-        with pytest.raises(SystemExit) as exc:
-            main(args)
-        assert exc.value.code == 2
-        assert ("--threshold: expected a finite float, got 'nan'"
-                in capsys.readouterr().err)
-        assert not (out / "report.json").exists() and not (tmp_path / "sweep").exists()
+        for text in ("nan", "7", "-0.1"):
+            gold = ["--gold", str(data_dir / "gold.tsv"), "--threshold", text]
+            args = (["eval", "--run", str(out), *gold] if command == "eval"
+                    else ["sweep", *run_args(data_dir, tmp_path / "sweep")[1:], *gold])
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 2
+            assert (f"--threshold: expected a float in [0, 1], got '{text}'"
+                    in capsys.readouterr().err)
+            assert not (out / "report.json").exists()
+            assert not (tmp_path / "sweep").exists()
 
     def test_missing_run_dir_exits_2(self, tmp_path, data_dir):
         assert main(["eval", "--run", str(tmp_path / "nope"),
@@ -516,6 +541,29 @@ class TestEval:
         assert main(["eval", "--run", str(out),
                      "--gold", str(data_dir / "gold.tsv")]) == 2
         assert "error: " in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("confidence", True), ("confidence", "0.9"), ("confidence", None),
+        ("confidence", math.nan), ("confidence", 10 ** 400), ("e2_type", 1),
+    ], ids=["boolean-confidence", "text-confidence", "null-confidence", "nan-confidence",
+            "overflowing-confidence", "number-e2-type"])
+    def test_mistyped_accepted_row_exits_2(self, data_dir, tmp_path, capsys, field,
+                                           value):
+        """A field is read with the type its writer gives it: a JSON true is
+        no confidence of 1.0."""
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, out)) == 0
+        rows = read_jsonl(out / "accepted.jsonl")
+        rows[1][field] = value
+        (out / "accepted.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(out),
+                     "--gold", str(data_dir / "gold.tsv")]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {out / 'accepted.jsonl'}: line 2: " in captured.err
+        assert f"Error: {field}: expected " in captured.err
+        assert "F1" not in captured.out
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("name, edit, message", [
@@ -603,7 +651,19 @@ class TestStatsAndHits:
     @pytest.mark.parametrize("corrupt", [
         lambda rows: [{**rows[0], "id": "x"}] + rows[1:],
         lambda rows: rows + [["not", "an", "object"]],
-    ], ids=["non-integer-id", "non-object-row"])
+        lambda rows: [{**rows[0], "id": 1.5}] + rows[1:],
+        lambda rows: [{**rows[0], "size": 2.0}] + rows[1:],
+        lambda rows: [{**rows[0], "n_pos": True}] + rows[1:],
+        lambda rows: [{**rows[0], "n_neg": "0"}] + rows[1:],
+        lambda rows: [{**rows[0], "n_unknown": False}] + rows[1:],
+        lambda rows: [{**rows[0], "confidence": True}] + rows[1:],
+        lambda rows: [{**rows[0], "signature": 7}] + rows[1:],
+        lambda rows: [{**rows[0], "sample_between_contexts": "abc"}] + rows[1:],
+        lambda rows: [{**rows[0], "sample_between_contexts": ["ok", 1]}] + rows[1:],
+        lambda rows: [{**rows[0], "n_pos": math.inf}] + rows[1:],
+    ], ids=["non-integer-id", "non-object-row", "fractional-id", "float-size",
+            "boolean-n-pos", "text-n-neg", "boolean-n-unknown", "boolean-confidence",
+            "number-signature", "text-samples", "non-string-sample", "infinite-n-pos"])
     def test_corrupt_extractors_file_exits_2(self, data_dir, tmp_path, capsys, corrupt):
         out = tmp_path / "run"
         assert main(run_args(data_dir, out)) == 0

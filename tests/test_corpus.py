@@ -21,12 +21,12 @@ from brex.cli import ingest_inputs
 from brex.corpus import (
     EntitySpan,
     TaggedSentence,
+    TypedEntity,
     extract_instances,
     load_corpus,
     load_embeddings,
     parse_seed_file,
     parse_seed_templates,
-    reorder_passive,
 )
 from brex.errors import CorpusFormatError, EmbeddingFormatError, SeedFormatError
 from brex.model import RunConfig, build_seed_state
@@ -69,6 +69,13 @@ def record(tokens, entities, pos=None):
 
 ORG = lambda start, end: {"start": start, "end": end, "type": "ORG"}  # noqa: E731
 PER = lambda start, end: {"start": start, "end": end, "type": "PER"}  # noqa: E731
+
+
+def sentence_order(instance, tokens):
+    """The instance's entity surfaces in the order its sentence states them,
+    as its id gives the spans."""
+    _, a_start, a_end, b_start, b_end = map(int, re.findall(r"\d+", instance.id))
+    return " ".join(tokens[a_start:a_end]), " ".join(tokens[b_start:b_end])
 
 
 class TestLoadCorpus:
@@ -178,11 +185,11 @@ class TestCandidateSentences:
                                      "positive_templates": ["[X] bought [Y]"]}))
         table = write_lines(tmp_path / "emb.txt", ["bought 1 0", "acquired 0 1"])
         ingested = ingest_inputs(corpus, table, seeds, RunConfig().limits)
-        assert [(i.id, i.sentence_ref, i.passive_swapped, i.pair.e1.surface)
+        assert [(i.id, i.sentence_ref, i.pair.e1.surface, i.pair.e2.surface)
                 for i in ingested.instances] == [
-            ("s0:0.1-2.3", 0, False, "Acme"),
-            ("s5:0.1-4.5", 5, True, "Acme"),
-            ("s6:0.1-3.4", 6, False, "Cog"),
+            ("s0:0.1-2.3", 0, "Acme", "Bolt"),
+            ("s5:0.1-4.5", 5, "Acme", "Bolt"),  # "Bolt was acquired by Acme"
+            ("s6:0.1-3.4", 6, "Cog", "Dyn"),
         ]
         assert ingested.counters == {"sentences": 7, "rejected_records": 1,
                                      "dropped_entities": 3, "instances": 3,
@@ -203,11 +210,14 @@ class TestCandidateSentences:
 
         def snapshot(ingested, sid_of):
             return [(re.sub(r"^s\d+", f"s{sid_of(i.sentence_ref)}", i.id),
-                     sid_of(i.sentence_ref), i.pair, i.template.key(), i.passive_swapped)
+                     sid_of(i.sentence_ref), i.pair, i.template.key())
                     for i in ingested.instances]
 
         before, after = ingest(plain), ingest(mixed)
-        assert any(i.passive_swapped for i in before.instances)
+        tokens = [json.loads(line)["tokens"] for line in lines]  # every record has a sid
+        assert any(sentence_order(i, tokens[i.sentence_ref]) != (i.pair.e1.surface,
+                                                                 i.pair.e2.surface)
+                   for i in before.instances)  # some pair was swapped as passive
         assert snapshot(after, lambda sid: sid) == snapshot(before, lambda sid: 2 * sid)
         assert after.counters == dict(before.counters,
                                       sentences=2 * before.counters["sentences"],
@@ -471,8 +481,7 @@ class TestVocabularyLoad:
             ingested = ingest_inputs(paths["corpus"], paths["embeddings"], paths["seeds"],
                                      RunConfig().limits)
             state = build_seed_state(ingested.spec, ingested.emb, "ordered")
-            return ([(i.id, i.pair, i.template.key(), i.passive_swapped)
-                     for i in ingested.instances],
+            return ([(i.id, i.pair, i.template.key()) for i in ingested.instances],
                     [list(state.pos_pairs.keys()), list(state.neg_pairs.keys()),
                      [key for key, _ in state.pos_templates.items()],
                      [key for key, _ in state.neg_templates.items()]],
@@ -770,19 +779,37 @@ class TestCorpusSplit:
 FUZZ_WORDS = ("Acme", "bought", "Bolt", "was", "by", "Maria")
 FUZZ_TYPES = ("ORG", "PER")  # the relation's type pair
 FUZZ_TAGS = ("NNP", "VBD", "VBN", "IN")
+TO_BE = {"be", "am", "is", "are", "was", "were", "been", "being"}
+
+
+def is_passive(sent, a_end, b_start):
+    """The passive rule, stated on its own: the sentence has POS tags, the
+    tokens between the entities end in "by", and one of them is a form of
+    "to be" whose next token is tagged VBD or VBN."""
+    between = sent.tokens[a_end:b_start]
+    if sent.pos is None or len(between) < 3 or between[-1].lower() != "by":
+        return False
+    return any(between[k].lower() in TO_BE and sent.pos[a_end + k + 1] in ("VBD", "VBN")
+               for k in range(len(between) - 1))
 
 
 @st.composite
 def fuzzed_records(draw):
     """A corpus record with spans laid out free, touching the previous span
     (end to start), overlapping it, nested in it or out of bounds, of the
-    relation's types or another; and what load_corpus makes of it: None when
-    it is rejected, else its sentence (sid 0, None when it yields none) and
-    its dropped-entity count."""
-    n = draw(st.integers(1, 6))
+    relation's types or another, maybe after a pair of spans around a
+    passive-shaped window, with POS tags missing, null or drawn; and what
+    load_corpus makes of it: None when it is rejected, else its sentence
+    (sid 0, None when it yields none) and its dropped-entity count."""
+    n = draw(st.integers(1, 8))
     tokens = [draw(st.sampled_from(FUZZ_WORDS)) for _ in range(n)]
     spans = []
-    for _ in range(draw(st.integers(0, 4))):
+    if n >= 5 and draw(st.booleans()):  # a passive-shaped pair "E1 was bought by E2"
+        k = draw(st.integers(1, n - 4))
+        tokens[k:k + 3] = [draw(st.sampled_from(["was", "Were"])), "bought",
+                           draw(st.sampled_from(["by", "BY"]))]
+        spans += [(k - 1, k, FUZZ_TYPES[0]), (k + 3, k + 4, FUZZ_TYPES[1])]
+    for _ in range(draw(st.integers(0, 4 - len(spans)))):
         layout = draw(st.sampled_from(["free", "touching", "overlapping", "nested", "out"]))
         if layout == "out":
             start, end = draw(st.sampled_from([(-1, 1), (1, 1), (2, 1), (n - 1, n + 1)]))
@@ -842,7 +869,20 @@ class TestFuzzedCorpus:
         with mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
                 mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
                 mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
-            assert ingest() == one
+            split = ingest()
+        assert split == one
+        for loaded, _, instances, _ in (one, split):
+            sentences = {sent.sid: sent for sent in loaded.sentences}
+            for iid, pair, key in instances:
+                sid, a_start, a_end, b_start, b_end = map(int, re.findall(r"\d+", iid))
+                sent = sentences[sid]
+                etype = {(s.start, s.end): s.etype for s in sent.entities}
+                a, b = (TypedEntity(" ".join(sent.tokens[start:end]), etype[start, end])
+                        for start, end in ((a_start, a_end), (b_start, b_end)))
+                assert (a.etype, b.etype) == FUZZ_TYPES  # the gate reads sentence order
+                expected = (b, a) if is_passive(sent, a_end, b_start) else (a, b)
+                assert (pair.e1, pair.e2) == expected
+                assert key[0] == pair.types
         loaded, _, instances, _ = one
         accepted = [outcome for (_, outcome), _, _ in rows if outcome is not None]
         assert loaded.sentences == [dataclasses.replace(sent, sid=sid)
@@ -932,62 +972,49 @@ class TestExtractInstances:
 
 
 class TestReorderPassive:
-    def _passive_instance(self, emb4):
-        sent = sentence(
-            ["Reebok", "was", "acquired", "by", "Adidas"],
-            [(0, 1, "ORG"), (4, 5, "ORG")],
-            pos=["NNP", "VBD", "VBN", "IN", "NNP"],
-        )
-        result = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "ORG"))
-        return result.instances[0], sent
+    """extract_instances orients each pair once, through reorder_passive."""
+
+    PASSIVE = (["Reebok", "was", "acquired", "by", "Adidas"],
+               [(0, 1, "ORG"), (4, 5, "ORG")])
+
+    @staticmethod
+    def extract(emb4, tokens, spans, pos):
+        [inst] = extract_instances([sentence(tokens, spans, pos=pos)], emb4, (2, 6, 2),
+                                   ("ORG", "ORG")).instances
+        return inst
 
     def test_passive_swaps_pair(self, emb4):
-        inst, sent = self._passive_instance(emb4)
-        swapped = reorder_passive(inst, sent.pos)
-        assert swapped.pair.e1.surface == "Adidas"
-        assert swapped.pair.e2.surface == "Reebok"
-        assert swapped.template.type_pair == ("ORG", "ORG")
+        inst = self.extract(emb4, *self.PASSIVE, pos=["NNP", "VBD", "VBN", "IN", "NNP"])
+        assert (inst.pair.e1.surface, inst.pair.e2.surface) == ("Adidas", "Reebok")
+        assert inst.template.type_pair == ("ORG", "ORG")
+        # the id and the windows keep sentence order
+        assert inst.id == "s0:0.1-4.5"
+        assert inst.tokens_between == ("was", "acquired", "by")
+
+    def test_swap_orients_the_type_pair(self, emb4):
+        sent = sentence(["Bolt", "was", "hired", "by", "Maria"],
+                        [(0, 1, "ORG"), (4, 5, "PER")],
+                        pos=["NNP", "VBD", "VBN", "IN", "NNP"])
+        [inst] = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "PER")).instances
+        assert inst.pair.types == inst.template.type_pair == ("PER", "ORG")
+        assert inst.pair.e1.surface == "Maria"
+        # the type gate reads sentence order: the swapped order is not kept
+        assert not extract_instances([sent], emb4, (2, 6, 2), ("PER", "ORG")).instances
 
     def test_active_unchanged(self, emb4):
-        sent = sentence(["Adidas", "acquired", "Reebok"],
-                        [(0, 1, "ORG"), (2, 3, "ORG")],
-                        pos=["NNP", "VBD", "NNP"])
-        inst = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "ORG")).instances[0]
-        assert reorder_passive(inst, sent.pos) is inst
+        inst = self.extract(emb4, ["Adidas", "acquired", "Reebok"],
+                            [(0, 1, "ORG"), (2, 3, "ORG")], pos=["NNP", "VBD", "NNP"])
+        assert (inst.pair.e1.surface, inst.pair.e2.surface) == ("Adidas", "Reebok")
 
     def test_between_not_ending_in_by_unchanged(self, emb4):
-        sent = sentence(["X", "is", "located", "nearby", "Y"],
-                        [(0, 1, "ORG"), (4, 5, "ORG")],
-                        pos=["NNP", "VBZ", "VBN", "RB", "NNP"])
-        inst = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "ORG")).instances[0]
-        assert reorder_passive(inst, sent.pos) is inst
+        inst = self.extract(emb4, ["X", "is", "located", "nearby", "Y"],
+                            [(0, 1, "ORG"), (4, 5, "ORG")],
+                            pos=["NNP", "VBZ", "VBN", "RB", "NNP"])
+        assert (inst.pair.e1.surface, inst.pair.e2.surface) == ("X", "Y")
 
     def test_missing_pos_disables(self, emb4):
-        inst, _ = self._passive_instance(emb4)
-        assert reorder_passive(inst, None) is inst
-
-    def test_idempotent(self, emb4):
-        inst, sent = self._passive_instance(emb4)
-        once = reorder_passive(inst, sent.pos)
-        twice = reorder_passive(once, sent.pos)
-        assert twice is once
-
-    @given(st.lists(st.sampled_from(["was", "acquired", "by", "the", "firm"]),
-                    min_size=1, max_size=5),
-           st.lists(st.sampled_from(["VBD", "VBN", "IN", "DT", "NN"]),
-                    min_size=5, max_size=9))
-    @settings(max_examples=80, deadline=None)
-    def test_idempotent_random(self, between, pos):
-        template = support.make_template(v_between=support.axis(0))
-        inst = dataclasses.replace(
-            support.make_instance(template=template),
-            tokens_between=tuple(between), between_start=1,
-        )
-        pos_tags = tuple(pos) + ("NN",) * 5
-        once = reorder_passive(inst, pos_tags)
-        twice = reorder_passive(once, pos_tags)
-        assert twice.pair == once.pair
-        assert twice.passive_swapped == once.passive_swapped
+        inst = self.extract(emb4, *self.PASSIVE, pos=None)
+        assert (inst.pair.e1.surface, inst.pair.e2.surface) == ("Reebok", "Adidas")
 
 
 class TestSeedTemplates:
