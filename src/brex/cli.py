@@ -23,14 +23,13 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import EmbeddingStore, EntityPair, SeedFileSpec, TypedEntity, \
-    extract_instances, json_lines, json_object, load_corpus, load_embeddings, \
-    parse_seed_file
+    extract_instances, json_kind, json_lines, json_object, json_value, load_corpus, \
+    load_embeddings, parse_seed_file
 # Not called here: perfbench/op.py traces this name in this module.
 from .corpus import reorder_passive  # noqa: F401
 from .engine import bootstrap, match_channels
 from .errors import InputError
-from .evaluate import ExtractorSummary, GoldKB, extractor_stats, load_gold, prf1, \
-    run_field
+from .evaluate import ExtractorSummary, GoldKB, extractor_stats, load_gold, prf1
 from .model import MODES, PAIRINGS, SCORE_AGAINST, BootstrapResult, RunConfig, \
     build_seed_state
 from .similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure
@@ -56,37 +55,31 @@ class Setting:
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
 
-    def convert(self, value):
-        """A flag's text or a config-file value as this setting's type; a
-        float must be finite, and an int takes only an integral float, also
-        spelled as text."""
-        def one(item):
-            # bool is an int, and float(True) is 1.0: a JSON true is no number
-            if (self.kind is str and not isinstance(item, str)) or isinstance(item, bool):
-                raise TypeError(item)
-            if self.kind is int and isinstance(item, str):
+    def convert(self, value, path=None):
+        """A flag's text or a config-file value as this setting's type, read
+        by json_value once number text is read as the number it spells, and
+        an integral float as the int it equals where the setting is an int
+        ("2.0" is 2, as the JSON number 2.0 is). An error names the config
+        file ``path`` of a value read from one."""
+        kind = (self.kind,) * len(self.parts) if self.parts else self.kind
+
+        def number(item):
+            if self.kind is str or not isinstance(item, (str, float)):
+                return item
+            if isinstance(item, str):
                 try:
                     return int(item)
                 except ValueError:
-                    item = float(item)  # "2.0" is 2, as the JSON number 2.0 is
-            # int(1.9) is 1, and int(inf) raises OverflowError
-            if self.kind is int and isinstance(item, float) and not item.is_integer():
-                raise TypeError(item)
-            converted = self.kind(item)
-            if self.kind is float and not math.isfinite(converted):
-                raise ValueError(item)
-            return converted
+                    item = float(item)
+            return int(item) if self.kind is int and item.is_integer() else item
 
         try:
-            if not self.parts:
-                return one(value)
-            if isinstance(value, str) or len(value) != len(self.parts):
-                raise TypeError(value)
-            return tuple(one(item) for item in value)
+            return json_value([number(item) for item in value] if isinstance(value, list)
+                              else number(value), kind, self.name)
         except (TypeError, ValueError):
-            kind = "finite float" if self.kind is float else self.kind.__name__
-            expected = f"{len(self.parts)} {kind} values" if self.parts else kind
-            raise InputError(f"{self.name}: expected {expected}, got {value!r}") from None
+            where = f" in {path}" if path else ""
+            raise InputError(f"{self.name}: expected {json_kind(kind)}, "
+                             f"got {value!r}{where}") from None
 
 
 SETTINGS = {setting.name: setting for setting in (
@@ -180,7 +173,7 @@ def build_config(args, cell: dict | None = None) -> RunConfig:
         elif getattr(args, name, None) is not None:
             fields[setting.field] = setting.convert(getattr(args, name))
         elif name in file_cfg:
-            fields[setting.field] = setting.convert(file_cfg[name])
+            fields[setting.field] = setting.convert(file_cfg[name], config)
     measure = {field.removeprefix("measure."): fields.pop(field)
                for field in list(fields) if field.startswith("measure.")}
     return RunConfig(measure=SimilarityMeasure(**measure), **fields)
@@ -382,10 +375,10 @@ def _read_jsonl(path: Path, parse) -> list:
 
 def _accepted_record(row: dict) -> tuple[str, EntityPair, float]:
     """The relation, entity pair and confidence of an accepted.jsonl row."""
-    relation, e1, e1_type, e2, e2_type = (
-        run_field(row, key, str) for key in ("relation", "e1", "e1_type", "e2", "e2_type"))
+    relation, e1, e1_type, e2, e2_type = (json_value(row[key], str, key) for key in (
+        "relation", "e1", "e1_type", "e2", "e2_type"))
     return (relation, EntityPair(TypedEntity(e1, e1_type), TypedEntity(e2, e2_type)),
-            run_field(row, "confidence", float))
+            json_value(row["confidence"], float, "confidence"))
 
 
 def _finished_run(run_dir: Path, output: str) -> dict:
@@ -416,8 +409,10 @@ def _cmd_eval(args) -> int:
     stats_path = run_dir / "stats.json"
     if stats_path.exists():
         relation = json_object(stats_path, InputError).get("relation", relation)
-        if not isinstance(relation, str):
-            raise InputError(f"{stats_path}: relation must be a string")
+        try:
+            json_value(relation, str, "relation")
+        except TypeError:
+            raise InputError(f"{stats_path}: relation must be a string") from None
     elif records:
         relation = records[0][0]
     gold = load_gold(args.gold, relation, pairing)
@@ -435,11 +430,12 @@ def _cmd_stats(args) -> int:
     run_dir = Path(args.run)
     _finished_run(run_dir, "extractors.jsonl")
     summaries = _read_jsonl(run_dir / "extractors.jsonl", ExtractorSummary.from_dict)
-    labels = json_object(args.labels, InputError) if args.labels else None
-    for signature, noisy in (labels or {}).items():
-        if not isinstance(noisy, bool):
-            raise InputError(f"{args.labels}: {signature!r}: expected true or false, "
-                             f"got {noisy!r}")
+    labels = json_object(args.labels, InputError) if args.labels else {}
+    try:
+        for signature, noisy in labels.items():
+            json_value(noisy, bool, repr(signature))
+    except TypeError as exc:
+        raise InputError(f"{args.labels}: {exc}") from None
     stats = extractor_stats(summaries, labels)
     header = ("count", "AIE", "AES", "ANE", "ANNE", "ANNLC", "AP", "AN", "ANP")
     values = (str(stats.count), f"{stats.aie:.1f}", f"{stats.aes:.2f}",

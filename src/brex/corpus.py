@@ -13,7 +13,9 @@ json_object and json_lines read every JSON file of the package: the seed
 file and the corpus here, and in brex.cli the --config and --labels files
 and the run files that `brex eval` and `brex stats` read back (manifest.json,
 stats.json, accepted.jsonl, extractors.jsonl). Each error they raise names
-the file, and the line where there is one.
+the file, and the line where there is one. json_value gives each value read
+from them the type its field needs; only the corpus records, read by the
+ten thousand, keep their own checks (_record_problem).
 
 The corpus and the embedding table are each read by one reader
 (_parse_split) and merged in file order. It cuts a regular file at line
@@ -515,6 +517,40 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def json_value(value, kind, name: str):
+    """``value``, read from JSON, as ``kind``: ``str``, ``bool``, ``int``,
+    ``float`` (a finite number, returned as a float), ``[kind]`` for a list of
+    that kind, or a tuple of kinds for a list of exactly that many values,
+    returned as a tuple. A JSON true or false is a bool and no number. Any
+    other value raises TypeError naming ``name`` and the kind (see json_kind).
+    """
+    try:
+        if isinstance(kind, list) and isinstance(value, list):
+            return [json_value(item, kind[0], name) for item in value]
+        if isinstance(kind, tuple) and isinstance(value, list) and len(value) == len(kind):
+            return tuple(json_value(item, part, name) for item, part in zip(value, kind))
+        if kind is float and (_is_int(value) or isinstance(value, float)):
+            number = float(value)  # an integer beyond the float range overflows
+            if math.isfinite(number):
+                return number
+        elif (_is_int(value) if kind is int
+              else kind in (str, bool) and isinstance(value, kind)):
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise TypeError(f"{name}: expected {json_kind(kind)}, got {value!r}")
+
+
+def json_kind(kind) -> str:
+    """How an error names a json_value kind: ``[str, ...]`` for a list of
+    strings, ``[str, str]`` for a pair of them."""
+    if isinstance(kind, list):
+        return f"[{json_kind(kind[0])}, ...]"
+    if isinstance(kind, tuple):
+        return f"[{', '.join(map(json_kind, kind))}]"
+    return "finite float" if kind is float else kind.__name__
+
+
 def _record_problem(record: dict) -> str | None:
     """What keeps a corpus record from the format's fields and field types,
     or None."""
@@ -670,16 +706,20 @@ def extract_instances(
     limits: tuple[int, int, int],
     type_pair: tuple[str, str],
 ) -> ExtractionResult:
-    """Build one instance per in-sentence ordered entity pair matching type_pair.
+    """Build one instance per in-sentence entity pair whose type pair, in its
+    final orientation, is ``type_pair``.
 
-    ``limits`` is (max_before, max_between, max_after). Pairs separated by more
-    than max_between tokens are skipped and counted; the before/after windows
-    are truncated to their limits. Empty windows yield zero vectors.
+    ``limits`` is (max_before, max_between, max_after). Pairs of the type pair
+    separated by more than max_between tokens are skipped and counted; the
+    before/after windows are truncated to their limits. Empty windows yield
+    zero vectors.
 
-    The type-pair gate reads the entities in sentence order. Each kept pair
-    then takes its final orientation here, once: reorder_passive decides which
-    entity is e1, and the pair and the template's type pair follow it. The
-    windows and the instance id stay in sentence order.
+    Each pair takes its final orientation here, once: reorder_passive decides
+    which entity is e1, and the type gate, the pair and the template's type
+    pair follow it. So under ``("PER", "ORG")`` the passive "Bolt was founded
+    by Maria" is kept as (Maria, Bolt), and under ``("ORG", "PER")`` the
+    passive "Bolt was hired by Maria" is dropped. The windows and the
+    instance id stay in sentence order.
 
     The entity spans of each sentence must not overlap, and sids must be
     unique, as load_corpus ensures: then no instance id repeats. Spans that
@@ -693,7 +733,8 @@ def extract_instances(
         for a_idx in range(len(ents)):
             for b_idx in range(a_idx + 1, len(ents)):
                 ea, eb = ents[a_idx], ents[b_idx]
-                if (ea.etype, eb.etype) != type_pair:
+                e1, e2 = reorder_passive(ea, eb, sent)
+                if (e1.etype, e2.etype) != type_pair:
                     continue
                 between = sent.tokens[ea.end:eb.start]
                 if len(between) > max_between:
@@ -702,7 +743,6 @@ def extract_instances(
                 before = sent.tokens[max(0, ea.start - max_before):ea.start]
                 after = sent.tokens[eb.end:eb.end + max_after]
                 iid = f"s{sent.sid}:{ea.start}.{ea.end}-{eb.start}.{eb.end}"
-                e1, e2 = reorder_passive(ea, eb, sent)
                 pair = EntityPair(
                     TypedEntity(" ".join(sent.tokens[e1.start:e1.end]), e1.etype),
                     TypedEntity(" ".join(sent.tokens[e2.start:e2.end]), e2.etype),
@@ -784,40 +824,32 @@ def parse_seed_file(path) -> SeedFileSpec:
        "negative_pairs": [...],
        "positive_templates": ["[X] acquire [Y]", ...],
        "negative_templates": [...]}
+
+    ``relation`` and ``type_pair`` are required; an absent list is empty.
+    Each value is read with json_value: the relation is a string, the type
+    pair and each seed pair a list of two strings, each template a string.
+    A value of another type, a missing key or a template without exactly one
+    [X] before exactly one [Y] raises SeedFormatError naming the file.
     """
     data = json_object(path, SeedFormatError)
     try:
-        relation = data["relation"]
-        tp = data["type_pair"]
+        spec = SeedFileSpec(
+            relation=json_value(data["relation"], str, "relation"),
+            type_pair=json_value(data["type_pair"], (str, str), "type_pair"),
+            **{key: json_value(data.get(key, []), [(str, str)], key)
+               for key in ("positive_pairs", "negative_pairs")},
+            **{key: json_value(data.get(key, []), [str], key)
+               for key in ("positive_templates", "negative_templates")})
     except KeyError as exc:
         raise SeedFormatError(f"{path}: missing required key {exc}") from None
-    if not isinstance(tp, list) or len(tp) != 2:
-        raise SeedFormatError(f"{path}: 'type_pair' must be a two-element list")
-
-    def pair_list(key):
-        out = []
-        for item in data.get(key, []):
-            if not isinstance(item, list) or len(item) != 2:
-                raise SeedFormatError(f"{path}: '{key}' entries must be [e1, e2]")
-            out.append((str(item[0]), str(item[1])))
-        return out
-
-    def template_list(key):
-        texts = [str(t) for t in data.get(key, [])]
-        for text in texts:
+    except TypeError as exc:
+        raise SeedFormatError(f"{path}: {exc}") from None
+    for key in ("positive_templates", "negative_templates"):
+        for text in getattr(spec, key):
             tokens = text.split()
             where = f"{path}: '{key}' entry {text!r}"
             if tokens.count("[X]") != 1 or tokens.count("[Y]") != 1:
                 raise SeedFormatError(f"{where}: needs exactly one [X] and one [Y]")
             if tokens.index("[X]") > tokens.index("[Y]"):
                 raise SeedFormatError(f"{where}: [X] must precede [Y]")
-        return texts
-
-    return SeedFileSpec(
-        relation=str(relation),
-        type_pair=(str(tp[0]), str(tp[1])),
-        positive_pairs=pair_list("positive_pairs"),
-        negative_pairs=pair_list("negative_pairs"),
-        positive_templates=template_list("positive_templates"),
-        negative_templates=template_list("negative_templates"),
-    )
+    return spec

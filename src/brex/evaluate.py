@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .corpus import EntityPair, Instance, text_lines
+from .corpus import EntityPair, Instance, json_value, text_lines
 from .errors import GoldFormatError
 from .model import Extractor
 from .scoring import extractor_signature
@@ -78,23 +77,10 @@ def prf1(accepted, gold: GoldKB, threshold: float = 0.5) -> PRF1:
     return PRF1(precision, recall, f1, len(extracted))
 
 
-def run_field(row: dict, key: str, kind: type):
-    """``row[key]`` of a run file, of the type its writer gives it: ``float``
-    takes a finite JSON number, ``int`` an integer, ``str`` a string; a JSON
-    true or false is none of them."""
-    value = row[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float
-                                                 else kind):
-        raise TypeError(f"{key}: expected {kind.__name__}, got {value!r}")
-    if kind is not float:
-        return value
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):  # also NaN and Infinity, which json reads
-        raise ValueError(f"{key}: expected a finite number, got {value!r}")
-    return number
+# The json_value kind of each field of an extractors.jsonl row
+_SUMMARY_KINDS = {"id": int, "size": int, "n_pos": float, "n_neg": float,
+                  "n_unknown": int, "confidence": float, "signature": str,
+                  "sample_between_contexts": [str]}
 
 
 @dataclass
@@ -136,18 +122,11 @@ class ExtractorSummary:
 
     @classmethod
     def from_dict(cls, row: dict) -> "ExtractorSummary":
-        samples = row.get("sample_between_contexts", [])
-        if not (isinstance(samples, list) and all(isinstance(s, str) for s in samples)):
-            raise TypeError(f"sample_between_contexts: expected a list of strings, "
-                            f"got {samples!r}")
-        return cls(
-            id=run_field(row, "id", int), size=run_field(row, "size", int),
-            n_pos=run_field(row, "n_pos", float), n_neg=run_field(row, "n_neg", float),
-            n_unknown=run_field(row, "n_unknown", int),
-            confidence=run_field(row, "confidence", float),
-            signature=run_field(row, "signature", str),
-            sample_between_contexts=samples,
-        )
+        """The summary of an extractors.jsonl row, each field of the type its
+        writer gives it (see json_value); the samples may be absent."""
+        row = {"sample_between_contexts": [], **row}
+        return cls(**{key: json_value(row[key], kind, key)
+                      for key, kind in _SUMMARY_KINDS.items()})
 
 
 @dataclass

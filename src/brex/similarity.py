@@ -185,16 +185,6 @@ def _scores(measure: SimilarityMeasure, p, t) -> np.ndarray:
     return score
 
 
-def _decide(lo: np.ndarray, hi: np.ndarray, tau_sim: float, exact) -> np.ndarray:
-    """Bool per pair: its similarity reaches tau_sim. Bounds [lo, hi] decide
-    a pair unless tau_sim lies inside them; ``exact(unsure)`` returns the
-    sim_instances values of the pairs at the indices ``unsure``."""
-    unsure = np.flatnonzero((lo < tau_sim) & (hi >= tau_sim))
-    reached = lo >= tau_sim
-    reached[unsure] = np.asarray(exact(unsure)) >= tau_sim
-    return reached
-
-
 class _TypeGroup(NamedTuple):
     """The rows of one entity-type pair, ascending, with their before,
     between, after and before+after stack, each row's norm bound R and its
@@ -326,8 +316,9 @@ class SimilarityGraph:
         self._score_columns(columns)
         rows, cols = self._rows, self._cols
         idx = np.flatnonzero(columns[cols])
-        idx = idx[_decide(self._lo[idx], self._hi[idx], self.tau_sim,
-                          lambda unsure: self._fill(idx[unsure]))]
+        # close the intervals that hold tau_sim at their values
+        self._fill(idx[(self._lo[idx] < self.tau_sim) & (self._hi[idx] >= self.tau_sim)])
+        idx = idx[self._lo[idx] >= self.tau_sim]
         idx = idx[np.lexsort((cols[idx], rows[idx]))]
         return rows[idx], cols[idx]
 
@@ -406,11 +397,9 @@ class SimilarityGraph:
                         f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
                 targets, _, target_slack = _stack([template])
                 rows, _, lo, hi = self._candidates_against(group, targets, target_slack)
-
-                def exact(unsure):
-                    return [sim_instances(self.instances[row], template, self.measure)
-                            for row in rows[unsure].tolist()]
-
-                column[rows[_decide(lo, hi, self.tau_sim, exact)]] = True
+                unsure = (lo < self.tau_sim) & (hi >= self.tau_sim)
+                lo[unsure] = [sim_instances(self.instances[row], template, self.measure)
+                              for row in rows[unsure].tolist()]
+                column[rows[lo >= self.tau_sim]] = True
             self._template_columns[key] = column
         return column

@@ -597,6 +597,64 @@ class TestEval:
         assert report["threshold"] == 0.99999
 
 
+# One row per mistyped JSON value, for each file whose values json_value
+# reads: the file, an edit of its object (of the first row of a JSON-lines
+# file) and the key or field the error must name.
+MISTYPED_VALUES = {
+    "seed-null-entity": ("seeds.json", {"positive_pairs": [["Aerodyne", None]]},
+                         "positive_pairs"),
+    "seed-object-relation": ("seeds.json", {"relation": {"x": 1}}, "relation"),
+    "seed-null-pair-list": ("seeds.json", {"negative_pairs": None}, "negative_pairs"),
+    "seed-number-type": ("seeds.json", {"type_pair": ["ORG", 5]}, "type_pair"),
+    "seed-number-template": ("seeds.json", {"positive_templates": [5]},
+                             "positive_templates"),
+    "config-overflowing-wn": ("config.json", {"wn": 10 ** 400}, "wn"),
+    "config-text-weights": ("config.json", {"sim_weights": "123"}, "sim_weights"),
+    "accepted-null-entity": ("accepted.jsonl", {"e1": None}, "e1"),
+    "extractors-null-samples": ("extractors.jsonl", {"sample_between_contexts": None},
+                                "sample_between_contexts"),
+    "labels-text-flag": ("labels.json", {"sig-x": "false"}, "'sig-x'"),
+}
+
+
+class TestJsonValues:
+    @pytest.mark.parametrize("name, edit, key", MISTYPED_VALUES.values(),
+                             ids=MISTYPED_VALUES.keys())
+    def test_mistyped_value_exits_2(self, data_dir, tmp_path, capsys, name, edit, key):
+        """Each JSON value is read with its field's type: another type exits 2
+        with an error line that names the file and the key."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for other in ("corpus.jsonl", "embeddings.txt", "seeds.json", "gold.tsv"):
+            (inputs / other).symlink_to(data_dir / other)
+        for other in ("config.json", "labels.json"):
+            (inputs / other).write_text("{}\n")
+        out = tmp_path / "run"
+        args = run_args(inputs, out, "--config", str(inputs / "config.json"))
+        reader = {
+            "accepted.jsonl": ["eval", "--run", str(out), "--gold", str(inputs / "gold.tsv")],
+            "extractors.jsonl": ["stats", "--run", str(out)],
+            "labels.json": ["stats", "--run", str(out), "--labels", str(inputs / "labels.json")],
+        }.get(name)
+        if reader:
+            assert main(args) == 0
+            args = reader
+        path = inputs / name if (inputs / name).exists() else out / name
+        if name.endswith(".jsonl"):
+            rows = read_jsonl(path)
+            rows[0].update(edit)
+            text = "".join(json.dumps(row) + "\n" for row in rows)
+        else:
+            text = json.dumps({**json.loads(path.read_text()), **edit})
+        path.unlink()  # an input is a symlink into the shared fixture
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(args) == 2
+        [error] = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("error: ")]
+        assert str(path) in error and f"{key}: expected " in error
+
+
 class TestStatsAndHits:
     def test_stats_table(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import brex.cli
@@ -65,6 +66,12 @@ def record(tokens, entities, pos=None):
     if pos is not None:
         row["pos"] = pos
     return json.dumps(row)
+
+
+def sentence(tokens, spans, sid=0, pos=None):
+    return TaggedSentence(sid=sid, tokens=tuple(tokens),
+                          entities=tuple(EntitySpan(*s) for s in spans),
+                          pos=tuple(pos) if pos else None)
 
 
 ORG = lambda start, end: {"start": start, "end": end, "type": "ORG"}  # noqa: E731
@@ -797,18 +804,20 @@ def is_passive(sent, a_end, b_start):
 def fuzzed_records(draw):
     """A corpus record with spans laid out free, touching the previous span
     (end to start), overlapping it, nested in it or out of bounds, of the
-    relation's types or another, maybe after a pair of spans around a
-    passive-shaped window, with POS tags missing, null or drawn; and what
-    load_corpus makes of it: None when it is rejected, else its sentence
-    (sid 0, None when it yields none) and its dropped-entity count."""
+    relation's types or another, maybe after a pair of spans of the
+    relation's types, in either order, around a passive-shaped window, with
+    POS tags missing, null or drawn; and what load_corpus makes of it: None
+    when it is rejected, else its sentence (sid 0, None when it yields none)
+    and its dropped-entity count."""
     n = draw(st.integers(1, 8))
     tokens = [draw(st.sampled_from(FUZZ_WORDS)) for _ in range(n)]
     spans = []
-    if n >= 5 and draw(st.booleans()):  # a passive-shaped pair "E1 was bought by E2"
+    if n >= 5 and draw(st.booleans()):  # a pair of either order around "was bought by"
         k = draw(st.integers(1, n - 4))
         tokens[k:k + 3] = [draw(st.sampled_from(["was", "Were"])), "bought",
                            draw(st.sampled_from(["by", "BY"]))]
-        spans += [(k - 1, k, FUZZ_TYPES[0]), (k + 3, k + 4, FUZZ_TYPES[1])]
+        first, second = draw(st.sampled_from([FUZZ_TYPES, FUZZ_TYPES[::-1]]))
+        spans += [(k - 1, k, first), (k + 3, k + 4, second)]
     for _ in range(draw(st.integers(0, 4 - len(spans)))):
         layout = draw(st.sampled_from(["free", "touching", "overlapping", "nested", "out"]))
         if layout == "out":
@@ -837,6 +846,16 @@ def fuzzed_records(draw):
     return line, (sent if len(kept) >= 2 else None, len(spans) - len(kept))
 
 
+def passive_row(first, second):
+    """A row of the fuzz test's corpus, as fuzzed_records and its line ends
+    give one: the tagged passive "Acme was bought by Maria", its entities
+    typed ``first`` and ``second``."""
+    tokens, tags = ["Acme", "was", "bought", "by", "Maria"], ["NNP", "VBD", "VBN", "IN", "NNP"]
+    spans = [(0, 1, first), (4, 5, second)]
+    line = record(tokens, [{"start": s, "end": e, "type": t} for s, e, t in spans], tags)
+    return (line, (sentence(tokens, spans, pos=tags), 0)), "\n", ""
+
+
 class TestFuzzedCorpus:
     """Random records and span layouts through load_corpus, the table and
     extract_instances, each file read in one part and in two."""
@@ -845,6 +864,8 @@ class TestFuzzedCorpus:
                               st.sampled_from(["", "", "\n", "  \r\n"])), max_size=10))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # the passive of each orientation: one kept, swapped, and one dropped
+    @example(rows=[passive_row(*FUZZ_TYPES[::-1]), passive_row(*FUZZ_TYPES)])
     def test_invariants_and_split_load(self, tmp_path, caplog, rows):
         caplog.set_level(logging.WARNING, logger="brex.corpus")
         corpus = tmp_path / "corpus.jsonl"
@@ -879,10 +900,9 @@ class TestFuzzedCorpus:
                 etype = {(s.start, s.end): s.etype for s in sent.entities}
                 a, b = (TypedEntity(" ".join(sent.tokens[start:end]), etype[start, end])
                         for start, end in ((a_start, a_end), (b_start, b_end)))
-                assert (a.etype, b.etype) == FUZZ_TYPES  # the gate reads sentence order
                 expected = (b, a) if is_passive(sent, a_end, b_start) else (a, b)
                 assert (pair.e1, pair.e2) == expected
-                assert key[0] == pair.types
+                assert key[0] == pair.types == FUZZ_TYPES  # the gate reads the swapped pair
         loaded, _, instances, _ = one
         accepted = [outcome for (_, outcome), _, _ in rows if outcome is not None]
         assert loaded.sentences == [dataclasses.replace(sent, sid=sid)
@@ -892,6 +912,17 @@ class TestFuzzedCorpus:
                                              sum(dropped for _, dropped in accepted))
         ids = [iid for iid, _, _ in instances]
         assert len(set(ids)) == len(ids)
+        # every pair of the relation's types after the swap, within the
+        # between limit, is an instance
+        wanted = set()
+        for sent in loaded.sentences:
+            for a, b in itertools.combinations(sent.entities, 2):
+                types = (a.etype, b.etype)
+                if is_passive(sent, a.end, b.start):
+                    types = types[::-1]
+                if types == FUZZ_TYPES and b.start - a.end <= RunConfig().max_between:
+                    wanted.add(f"s{sent.sid}:{a.start}.{a.end}-{b.start}.{b.end}")
+        assert set(ids) == wanted
         spans = {sent.sid: {(s.start, s.end) for s in sent.entities}
                  for sent in loaded.sentences}
         for iid in ids:
@@ -909,12 +940,6 @@ def _memory_emb():
         "bought": np.array([0.6, 0.8, 0.0, 0.0]),
     }
     return EmbeddingStore(4, vectors)
-
-
-def sentence(tokens, spans, sid=0, pos=None):
-    return TaggedSentence(sid=sid, tokens=tuple(tokens),
-                          entities=tuple(EntitySpan(*s) for s in spans),
-                          pos=tuple(pos) if pos else None)
 
 
 class TestExtractInstances:
@@ -992,14 +1017,21 @@ class TestReorderPassive:
         assert inst.tokens_between == ("was", "acquired", "by")
 
     def test_swap_orients_the_type_pair(self, emb4):
-        sent = sentence(["Bolt", "was", "hired", "by", "Maria"],
+        """The type gate reads the pair after the swap: an (ORG, PER) passive
+        is a (PER, ORG) instance, and no (ORG, PER) one."""
+        sent = sentence(["Bolt", "was", "founded", "by", "Maria"],
                         [(0, 1, "ORG"), (4, 5, "PER")],
                         pos=["NNP", "VBD", "VBN", "IN", "NNP"])
-        [inst] = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "PER")).instances
+        [inst] = extract_instances([sent], emb4, (2, 6, 2), ("PER", "ORG")).instances
         assert inst.pair.types == inst.template.type_pair == ("PER", "ORG")
-        assert inst.pair.e1.surface == "Maria"
-        # the type gate reads sentence order: the swapped order is not kept
-        assert not extract_instances([sent], emb4, (2, 6, 2), ("PER", "ORG")).instances
+        assert (inst.pair.e1.surface, inst.pair.e2.surface) == ("Maria", "Bolt")
+        assert inst.id == "s0:0.1-4.5"
+        assert not extract_instances([sent], emb4, (2, 6, 2), ("ORG", "PER")).instances
+        # without the passive, the sentence order is the pair's
+        active = dataclasses.replace(sent, pos=None)
+        assert not extract_instances([active], emb4, (2, 6, 2), ("PER", "ORG")).instances
+        [inst] = extract_instances([active], emb4, (2, 6, 2), ("ORG", "PER")).instances
+        assert inst.pair.types == inst.template.type_pair == ("ORG", "PER")
 
     def test_active_unchanged(self, emb4):
         inst = self.extract(emb4, ["Adidas", "acquired", "Reebok"],
