@@ -59,14 +59,18 @@ class Setting:
         """A flag's text or a config-file value as this setting's type, read
         by json_value once number text is read as the number it spells, and
         an integral float as the int it equals where the setting is an int
-        ("2.0" is 2, as the JSON number 2.0 is). An error names the config
-        file ``path`` of a value read from one."""
+        ("2.0" is 2, as the JSON number 2.0 is). Text with an underscore or a
+        character outside ASCII stays text, although int() and float() read
+        "1_0" and full-width digits: it spells no JSON number. An error names
+        the config file ``path`` of a value read from one."""
         kind = (self.kind,) * len(self.parts) if self.parts else self.kind
 
         def number(item):
             if self.kind is str or not isinstance(item, (str, float)):
                 return item
             if isinstance(item, str):
+                if "_" in item or not item.isascii():
+                    return item
                 try:
                     return int(item)
                 except ValueError:

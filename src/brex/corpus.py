@@ -20,7 +20,8 @@ ten thousand, keep their own checks (_record_problem).
 The corpus and the embedding table are each read by one reader
 (_parse_split) and merged in file order. It cuts a regular file at line
 starts into byte ranges parsed at the same time, one per CPU this process
-may run on: a corpus from 4 MiB on, a table from 10 MiB on. A smaller file
+may run on, at most one per 2 MiB of corpus or per 512 KiB of table: on 2
+CPUs a corpus splits from 4 MiB on, a table from 1 MiB on. A smaller file
 or a pipe is one range, read once. The results, warnings and errors are
 those of one pass over the file.
 
@@ -188,10 +189,15 @@ def unit(v: np.ndarray) -> np.ndarray:
 _EMBEDDING_BLOCK = 1024
 
 # The fewest table bytes per parse range. Measured on 2 CPUs in fresh
-# processes, two ranges were slower than one at 7 MB, even or faster at 10 MB
-# and faster in every pair from 11 MB on (0.12-0.15 s against 0.22-0.27 s).
-# So a table splits from 10 MiB on, and a 6.5 MB table stays one range.
-_MIN_TABLE_RANGE_BYTES = 5 << 20
+# processes, 10 alternating pairs per prefix of a 61 MB table, load_embeddings
+# took (median seconds; pairs that two ranges won):
+#   table   0.25 MB  0.5 MB  0.75 MB  1 MB   2 MB   4 MB   6.5 MB
+#   one      0.004   0.007   0.014   0.016  0.034  0.048  0.085
+#   two      0.007   0.009   0.011   0.013  0.022  0.037  0.052
+#   won      0/10    0/10    7/10    9/10  10/10  10/10  10/10
+# At 0.75 MB another 10 pairs gave two ranges 4/10. So a table splits from
+# 1 MiB on, and a 0.2 MB table stays one range.
+_MIN_TABLE_RANGE_BYTES = 512 << 10
 
 
 def load_embeddings(path, vocab) -> EmbeddingStore:
@@ -204,8 +210,9 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     that is not UTF-8. The table is read more than once, so it must be a
     regular file.
 
-    The table is read as parts of at least ``_MIN_TABLE_RANGE_BYTES`` bytes,
-    one per CPU, or as one part (see _parse_split). A word's row from the
+    The table is read as parts of at least ``_MIN_TABLE_RANGE_BYTES`` bytes
+    (512 KiB), one per CPU, or as one part (see _parse_split): on 2 CPUs a
+    table of 1 MiB or more is two parts. A word's row from the
     earliest part wins, so the rows and their bits are those of one pass;
     a later part may reject a duplicate row of a word seen in an earlier one,
     and then the one pass reads the table.
@@ -551,13 +558,23 @@ def json_kind(kind) -> str:
     return "finite float" if kind is float else kind.__name__
 
 
+def _strings(items: list) -> bool:
+    """Whether every item of ``items`` is a str; str.join checks each one in
+    C, about twice as fast per corpus record as a generator of isinstance."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
 def _record_problem(record: dict) -> str | None:
     """What keeps a corpus record from the format's fields and field types,
     or None."""
     if "tokens" not in record or "entities" not in record:
         return "record must be an object with 'tokens' and 'entities'"
     tokens = record["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if not isinstance(tokens, list) or not _strings(tokens):
         return "'tokens' must be a list of strings"
     entities = record["entities"]
     if not isinstance(entities, list):
@@ -572,7 +589,7 @@ def _record_problem(record: dict) -> str | None:
             return "each entity needs integer 'start'/'end' and string 'type'"
     pos = record.get("pos")
     if pos is not None:
-        if not isinstance(pos, list) or not all(isinstance(p, str) for p in pos):
+        if not isinstance(pos, list) or not _strings(pos):
             return "'pos' must be a list of strings"
         if len(pos) != len(tokens):
             return f"'pos' length {len(pos)} != token count {len(tokens)}"

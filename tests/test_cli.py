@@ -404,7 +404,9 @@ class TestSettings:
                                        {"sim_weights": [1, True, 1]},
                                        {"iters": 1.9}, {"iters": math.inf},
                                        {"wn": math.nan}, {"wu": math.inf},
-                                       {"sim_weights": [math.nan, 0.5, 0.5]}])
+                                       {"sim_weights": [math.nan, 0.5, 0.5]},
+                                       {"iters": "1_0"}, {"tau_sim": "０.７"},
+                                       {"max_after": "٣"}])
     def test_wrong_type_config_value_exits_2(self, data_dir, tmp_path, capsys, value):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(value))
@@ -443,6 +445,15 @@ class TestSettings:
         assert main(run_args(data_dir, out, "--iters", text)) == 2
         assert f"error: iters: expected int, got '{text}'" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    @pytest.mark.parametrize("name, text, kind", [
+        ("iters", "1_0", "int"), ("tau_sim", "０.７", "finite float"),
+        ("wn", "1_000.5", "finite float"), ("max_after", "٣", "int")])
+    def test_number_text_json_cannot_spell_exits_2(self, data_dir, tmp_path, capsys,
+                                                    name, text, kind):
+        """int() and float() read "1_0" and non-ASCII digits; brex does not."""
+        assert main(run_args(data_dir, tmp_path / "run", SETTINGS[name].flag, text)) == 2
+        assert f"error: {name}: expected {kind}, got '{text}'\n" in capsys.readouterr().err
 
     def test_bad_sweep_value_exits_2(self, data_dir, tmp_path, capsys):
         run = run_args(data_dir, tmp_path / "sweep")

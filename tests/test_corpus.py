@@ -625,6 +625,51 @@ class TestRangeSplit:
         assert len(os.listdir("/dev/fd")) == fds
 
 
+class TestTableSplitFloor:
+    """On 2 CPUs a table splits in two from 1 MiB on, about where two ranges
+    began to beat one in fresh processes, and a smaller one is one range."""
+
+    SPLIT = 1 << 20
+
+    @staticmethod
+    def table(path, size):
+        """A table of distinct rows w0, w1, ... whose size is within a row of
+        ``size`` bytes."""
+        rows, total = [], 0
+        for k in itertools.count():
+            row = f"w{k} {k / 7!r} {-k / 3!r}\n"
+            if total + len(row) > size:
+                break
+            rows.append(row)
+            total += len(row)
+        path.write_text("".join(rows), encoding="utf-8")
+        return path, {f"w{k}" for k in range(0, len(rows), 97)} | {f"w{len(rows) - 1}"}
+
+    @staticmethod
+    def load(path, vocab, cpus):
+        with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            emb = load_embeddings(path, vocab)
+        return emb, fork.call_count
+
+    def test_table_from_1_mib_forks_once(self, tmp_path):
+        path, vocab = self.table(tmp_path / "emb.txt", self.SPLIT + 64)
+        assert path.stat().st_size >= self.SPLIT
+        emb, forks = self.load(path, vocab, cpus=2)
+        assert forks == 1
+        one, forks = self.load(path, vocab, cpus=1)
+        assert forks == 0
+        assert len(emb) == len(vocab)
+        assert_same_rows(emb, one, vocab)
+        assert_no_child_left()
+
+    def test_table_under_1_mib_is_one_range(self, tmp_path):
+        path, vocab = self.table(tmp_path / "emb.txt", self.SPLIT - 1)
+        emb, forks = self.load(path, vocab, cpus=2)
+        assert forks == 0
+        assert len(emb) == len(vocab)
+
+
 OK = record(["Acme", "bought", "Bolt"], [ORG(0, 1), ORG(2, 3)])
 MIXED = record(["Maria", "left", "Acme", "for", "Bolt"], [PER(0, 1), ORG(2, 3), ORG(4, 5)])
 OVERLAP = record(["a", "b", "c"], [ORG(0, 2), ORG(1, 3)])
