@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import itertools
 import json
 import logging
@@ -18,13 +17,13 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from pathlib import Path
 
 from . import __version__
-from .corpus import EmbeddingStore, EntityPair, SeedFileSpec, TypedEntity, \
-    extract_instances, json_kind, json_lines, json_object, json_value, load_corpus, \
-    load_embeddings, parse_seed_file
+from .corpus import EmbeddingStore, EntityPair, HashedPath, SeedFileSpec, TypedEntity, \
+    extract_instances, json_kind, json_lines, json_object, json_text, \
+    json_value, load_corpus, load_embeddings, parse_seed_file
 # Not called here: perfbench/op.py traces this name in this module.
 from .corpus import reorder_passive  # noqa: F401
 from .engine import bootstrap, match_channels
@@ -83,7 +82,7 @@ class Setting:
         except (TypeError, ValueError):
             where = f" in {path}" if path else ""
             raise InputError(f"{self.name}: expected {json_kind(kind)}, "
-                             f"got {value!r}{where}") from None
+                             f"got {json_text(value)}{where}") from None
 
 
 SETTINGS = {setting.name: setting for setting in (
@@ -114,21 +113,6 @@ GRAPH_SETTINGS = ("sim", "sim_weights", "tau_sim")
 def settings_key(cfg: RunConfig, names) -> tuple:
     """The values the named settings have in ``cfg``."""
     return tuple(reduce(getattr, SETTINGS[name].field.split("."), cfg) for name in names)
-
-
-def _sha256(path) -> str | None:
-    """The digest of the regular file ``path``; None for an unreadable file
-    or anything else, such as a pipe, which ingest must read first."""
-    if not os.path.isfile(path):
-        return None
-    try:
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                digest.update(chunk)
-        return digest.hexdigest()
-    except OSError:
-        return None
 
 
 @contextmanager
@@ -252,24 +236,28 @@ class RunInputs:
     also keeps the gold file and threshold. The cells that agree on
     GRAPH_SETTINGS share a similarity graph; only the latest graph is kept,
     so the cells that share one must run one after another. The inputs are
-    digested only when a manifest first asks, before ingest reads them."""
+    digested only when a manifest first asks, before ingest reads them; the
+    table's digest then also keys its row index (see load_embeddings), so
+    each input is hashed once."""
 
     def __init__(self, args):
         self.paths = (args.corpus, args.embeddings, args.seeds)
         self.gold_path = getattr(args, "gold", None)
         self.threshold = getattr(args, "threshold", None)
+        self._hashed: list[HashedPath] | None = None
         self._ingested: Ingested | None = None
         self._graph_key: tuple | None = None
         self._graph: SimilarityGraph | None = None
 
-    @cached_property
     def digests(self) -> dict:
-        return {name: {"path": str(path), "sha256": _sha256(path)}
-                for name, path in zip(("corpus", "embeddings", "seeds"), self.paths)}
+        if self._hashed is None:
+            self._hashed = [HashedPath(path) for path in self.paths]
+        return {name: {"path": str(path), "sha256": path.sha256}
+                for name, path in zip(("corpus", "embeddings", "seeds"), self._hashed)}
 
     def ingest(self, cfg: RunConfig) -> Ingested:
         if self._ingested is None:
-            self._ingested = ingest_inputs(*self.paths, cfg.limits)
+            self._ingested = ingest_inputs(*(self._hashed or self.paths), cfg.limits)
         return self._ingested
 
     def graph(self, cfg: RunConfig) -> SimilarityGraph:
@@ -338,7 +326,7 @@ def run_cell(args, out_dir: Path, inputs: RunInputs,
         "status": "failed",
         "error": None,
         "config": None,
-        "inputs": inputs.digests,
+        "inputs": inputs.digests(),
         "iterations": [],
     }
     code, report = 0, None

@@ -25,6 +25,12 @@ CPUs a corpus splits from 4 MiB on, a table from 1 MiB on. A smaller file
 or a pipe is one range, read once. The results, warnings and errors are
 those of one pass over the file.
 
+A table is validated in full once: its parse writes a row index (the words
+of its rows and the byte offset of each) in the user's cache directory,
+keyed by the table's sha256, and a later load of a table with that digest
+reads only the rows of its vocabulary there (see load_embeddings). The index
+holds no vectors, and the store it gives is the one a parse gives.
+
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
 bounded cosines. Window sums run over tokens in sorted order, which makes the
@@ -34,6 +40,7 @@ vectors bit-identical for any two windows with the same token multiset.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -43,6 +50,8 @@ import os
 import pickle
 import signal
 import stat
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,6 +209,45 @@ _EMBEDDING_BLOCK = 1024
 _MIN_TABLE_RANGE_BYTES = 512 << 10
 
 
+class HashedPath(str):
+    """A path to a file, with the sha256 of the file's bytes and the file's
+    identity (see _identity) from just before they were read. A caller that
+    digests a table anyway (brex.cli, for the run's manifest) hands this to
+    load_embeddings, which then needs no second read to find the row index,
+    and tells by the identity a table replaced since it was digested."""
+
+    def __new__(cls, path):
+        self = super().__new__(cls, path)
+        self.identity = _identity(path)
+        self.sha256 = file_sha256(path) if self.identity else None
+        return self
+
+
+def _identity(path):
+    """The inode, size and mtime of the file ``path`` (or of the open file
+    descriptor ``path``); None when it cannot be read."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def file_sha256(path) -> str | None:
+    """The hex sha256 of the regular file ``path``; None for an unreadable
+    file or anything else, such as a pipe, which its reader must read first."""
+    if not os.path.isfile(path):
+        return None
+    try:
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(chunk)
+        return digest.hexdigest()
+    except OSError:
+        return None
+
+
 def load_embeddings(path, vocab) -> EmbeddingStore:
     """Load a GloVe text table, keeping the words in ``vocab``; the first row
     of a word wins.
@@ -216,21 +264,137 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     earliest part wins, so the rows and their bits are those of one pass;
     a later part may reject a duplicate row of a word seen in an earlier one,
     and then the one pass reads the table.
+
+    A table is validated once: after a parse in which every row validated,
+    the word and the byte offset of each row are stored in a row index in the
+    cache directory, keyed by the table's sha256 (that of a HashedPath, else
+    computed here; see _index_path). A later load of a table with that digest
+    reads only the rows of ``vocab`` at their offsets, in file order, through
+    the same row parser, and gives the same store. A missing, unreadable,
+    corrupt or mismatched index, a row read there that is not its word's
+    valid row, or a table replaced since it was digested means the parse
+    above, which rewrites the index unless the table was replaced; a cache
+    directory that cannot be written means a parse every time. A part of a
+    table whose line ends mix "\\r\\n" with another kind has no offsets (see
+    _parse_range), so such a table is parsed every time.
     """
     if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe could not be read more than once
         raise EmbeddingFormatError(f"{path}: not a regular file")
+    hashed = path if isinstance(path, HashedPath) else HashedPath(path)
+    index = _index_path(hashed.sha256)
     try:
         dimension = _dimension(path)
-        parts = _parse_split(path, _MIN_TABLE_RANGE_BYTES, lambda start, end: _parse_range(
-            path, start, end, dimension, vocab))
+        part = index and _indexed_part(hashed, index, dimension, vocab)
+        parts = [part] if part else _parse_split(
+            path, _MIN_TABLE_RANGE_BYTES,
+            lambda start, end: _parse_range(path, start, end, dimension, vocab))
     except UnicodeDecodeError:
         raise _not_utf8(path, EmbeddingFormatError) from None
+    rows = [part_rows for _, _, part_rows in parts]
+    # a part without rows has no offsets (see _parse_range), and the offsets
+    # of a table replaced since it was digested are not the digest's
+    if (index and not part and all(r is not None for r in rows)
+            and _identity(path) == hashed.identity):
+        _write_index(index, hashed.sha256, rows)
     vectors = {}
-    for words, values in parts:
+    for words, values, _ in parts:
         values.setflags(write=False)  # a part unpickled from a worker is writable
         for word, vec in zip(words, values):
             vectors.setdefault(word, vec)
     return EmbeddingStore(dimension, vectors)
+
+
+# The format of the row index; an index of another version is rewritten.
+_INDEX_VERSION = 1
+
+
+def _index_path(digest: str | None) -> str | None:
+    """Where the row index of the table with sha256 ``digest`` lives:
+    ``$XDG_CACHE_HOME/brex/DIGEST.npz``, or under ``~/.cache`` when that
+    variable is unset or not an absolute path; None without a digest or a
+    home directory."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    if digest is None or not os.path.isabs(root):
+        return None
+    return os.path.join(root, "brex", digest + ".npz")
+
+
+def _index_key(digest: str) -> str:
+    return f"{digest} {_INDEX_VERSION}"
+
+
+def _write_index(index: str, digest: str, parts) -> None:
+    """Store the rows of a table that validated in full, given as the
+    ``(words, offsets)`` of its parts in file order (see _parse_range), as the
+    index at ``index``: an uncompressed npz of the key, the words joined by
+    newlines as UTF-8 bytes, and the offsets, written to a temporary file that
+    then replaces ``index``. A cache directory that cannot be written is left
+    as it is."""
+    directory = os.path.dirname(index)
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, key=np.array(_index_key(digest)),
+                         words=np.frombuffer(b"\n".join(w for w, _ in parts if w),
+                                             dtype=np.uint8),
+                         offsets=np.concatenate([offsets for _, offsets in parts]))
+            os.replace(tmp, index)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        log.debug("table index not written: %s", exc)
+
+
+def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
+    """The part (see _parse_range) of the ``vocab`` rows of the table at
+    ``path``, read at their offsets in the index at ``index``; None when the
+    index is missing, unreadable, corrupt or of another table or format, a
+    row read is not the valid first row of the word the index names, or the
+    table is not the file ``path`` digested. A zip member whose bytes changed
+    fails its CRC check as it is read.
+
+    A row's bytes run from its offset to the next row's, or to the end of the
+    table, and end at its first line end; the rest are blank lines."""
+    try:
+        with np.load(index, allow_pickle=False) as data:
+            if data["key"].item() != _index_key(path.sha256):
+                return None
+            words = data["words"].tobytes().decode("utf-8").split("\n")
+            offsets = data["offsets"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if offsets.dtype != np.int64 or offsets.shape != (len(words),) or offsets[0] < 0:
+        return None
+    ends = np.append(offsets[1:], path.identity[1])
+    if not (offsets < ends).all():
+        return None
+    first: dict[str, int] = {}
+    for i in itertools.compress(range(len(words)), map(vocab.__contains__, words)):
+        first.setdefault(words[i], i)
+    vectors: dict[str, np.ndarray] = {}
+    try:
+        with open(path, "rb") as fh:
+            lines = []
+            for i in first.values():
+                fh.seek(offsets[i])
+                line = fh.read(ends[i] - offsets[i]).splitlines(keepends=True)[0]
+                lines.append(line.decode("utf-8"))
+            if _identity(fh.fileno()) != path.identity:
+                return None
+        seen: set[str] = set()
+        for k in range(0, len(lines), _EMBEDDING_BLOCK):
+            _parse_lines(path, lines[k:k + _EMBEDDING_BLOCK], 1, dimension, seen, vocab,
+                         vectors)
+    except (EmbeddingFormatError, UnicodeDecodeError):
+        return None
+    if list(vectors) != list(first):
+        return None
+    return *_packed(vectors, dimension), None
 
 
 def _dimension(path) -> int:
@@ -302,26 +466,50 @@ def _open_text(path, start: int, end: int | None):
 def _parse_range(path, start: int, end: int | None, dimension: int, vocab):
     """The words of ``vocab`` in bytes [start, end) of the table (see
     _open_text) and their first rows as one read-only (words, dimension)
-    array, which pickles several times faster than one array per word. The
-    range is validated as if it were the whole table (its first line is line
-    1), read as text in blocks of ``_EMBEDDING_BLOCK`` lines."""
+    array, which pickles several times faster than one array per word, plus
+    the rows for the index (see _write_index): the words of the range's
+    non-blank lines as UTF-8 bytes joined by newlines, and the byte offset of
+    each in the file. The range is validated as if it were the whole table
+    (its first line is line 1), read as text in blocks of ``_EMBEDDING_BLOCK``
+    lines.
+
+    A line read ends in "\\n" where the range has "\\n", "\\r" or "\\r\\n", so
+    a line's byte length is its length as UTF-8, plus one if the range's line
+    ends are all "\\r\\n". A range whose line ends mix "\\r\\n" with another
+    kind gives no rows (None), since the lines read do not show which of
+    them ended in two bytes."""
     vectors: dict[str, np.ndarray] = {}
     seen: set[str] = set()  # every word so far; later rows of a word are not parsed
+    row_words: list[str] = []
+    starts = []  # of each line, counting each line end as one byte
+    blank: list[int] = []  # the lines of the range that hold no row
+    offset = start
     with _open_text(path, start, end) as fh:
         lineno = 1
         while lines := list(itertools.islice(fh, _EMBEDDING_BLOCK)):
-            parsed = _parse_block(lines, dimension)
-            if parsed is None:
-                _check_lines(path, lines, lineno, dimension, seen, vocab, vectors)
-            else:
-                words, values = parsed
-                rows: dict[str, int] = {}
-                for i, word in enumerate(words):
-                    if word in vocab and word not in vectors:
-                        rows.setdefault(word, i)
-                vectors.update(zip(rows, values[list(rows.values())]))
-                seen.update(words)
+            words = _parse_lines(path, lines, lineno, dimension, seen, vocab, vectors)
+            sizes = (np.fromiter(map(len, lines), np.int64, len(lines))
+                     if all(map(str.isascii, lines))
+                     else np.array([len(line.encode("utf-8")) for line in lines], np.int64))
+            ends = offset + np.cumsum(sizes)
+            starts.append(ends - sizes)
+            offset = int(ends[-1])
+            if len(words) < len(lines):
+                blank += [lineno - 1 + i for i, line in enumerate(lines) if line.isspace()]
+            row_words += words
             lineno += len(lines)
+        line_ends = fh.newlines
+    if isinstance(line_ends, tuple) and "\r\n" in line_ends:
+        return *_packed(vectors, dimension), None
+    offsets = np.concatenate(starts or [np.zeros(0, np.int64)])
+    if line_ends == "\r\n":  # each line end before a line is two bytes, read as one
+        offsets += np.arange(len(offsets))
+    rows = "\n".join(row_words).encode("utf-8"), np.delete(offsets, blank)
+    return *_packed(vectors, dimension), rows
+
+
+def _packed(vectors: dict, dimension: int):
+    """The words of ``vectors`` and their rows as one read-only array."""
     values = np.array(list(vectors.values()), dtype=np.float64)
     values = values.reshape(len(vectors), dimension)
     values.setflags(write=False)
@@ -421,6 +609,26 @@ def _parse_block(lines, dimension):
             or not np.isfinite(values).all()):
         return None
     return [p[0] for p in parts], values
+
+
+def _parse_lines(path, lines, lineno: int, dimension: int, seen: set, vocab,
+                 vectors: dict) -> list[str]:
+    """Validate a block of table lines starting at line ``lineno``, as
+    _parse_block or else _check_lines does, storing in ``vectors`` the first
+    row of each word of ``vocab`` not in ``seen``, and adding its words to
+    ``seen``; return the words of its non-blank lines."""
+    parsed = _parse_block(lines, dimension)
+    if parsed is None:
+        _check_lines(path, lines, lineno, dimension, seen, vocab, vectors)
+        return [line.split(None, 1)[0] for line in lines if not line.isspace()]
+    words, values = parsed
+    rows: dict[str, int] = {}
+    for i, word in enumerate(words):
+        if word in vocab and word not in vectors:
+            rows.setdefault(word, i)
+    vectors.update(zip(rows, values[list(rows.values())]))
+    seen.update(words)
+    return words
 
 
 def _check_lines(path, lines, lineno, dimension, seen, vocab, vectors):
@@ -529,13 +737,16 @@ def json_value(value, kind, name: str):
     ``float`` (a finite number, returned as a float), ``[kind]`` for a list of
     that kind, or a tuple of kinds for a list of exactly that many values,
     returned as a tuple. A JSON true or false is a bool and no number. Any
-    other value raises TypeError naming ``name`` and the kind (see json_kind).
+    other value raises TypeError naming ``name`` and the kind (see json_kind)
+    and showing the value (see json_text); in a list of the right shape, the
+    first bad item is named by its index (``positive_pairs[0][1]``).
     """
     try:
         if isinstance(kind, list) and isinstance(value, list):
-            return [json_value(item, kind[0], name) for item in value]
+            return [json_value(item, kind[0], f"{name}[{i}]") for i, item in enumerate(value)]
         if isinstance(kind, tuple) and isinstance(value, list) and len(value) == len(kind):
-            return tuple(json_value(item, part, name) for item, part in zip(value, kind))
+            return tuple(json_value(item, part, f"{name}[{i}]")
+                         for i, (item, part) in enumerate(zip(value, kind)))
         if kind is float and (_is_int(value) or isinstance(value, float)):
             number = float(value)  # an integer beyond the float range overflows
             if math.isfinite(number):
@@ -543,9 +754,15 @@ def json_value(value, kind, name: str):
         elif (_is_int(value) if kind is int
               else kind in (str, bool) and isinstance(value, kind)):
             return value
-    except (TypeError, OverflowError):
+    except OverflowError:
         pass
-    raise TypeError(f"{name}: expected {json_kind(kind)}, got {value!r}")
+    raise TypeError(f"{name}: expected {json_kind(kind)}, got {json_text(value)}")
+
+
+def json_text(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error line, cut to ``limit`` characters."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 def json_kind(kind) -> str:

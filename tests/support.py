@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -15,6 +20,17 @@ from brex.similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure, \
     sim_instances
 
 DIM = 6
+
+
+@contextlib.contextmanager
+def fresh_cache():
+    """Point the cache (see conftest.py) at a new empty directory for the
+    block, so that its loads parse the table instead of reading the row
+    index an earlier load wrote; yields the directory that holds the
+    indexes."""
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.dict(os.environ, {"XDG_CACHE_HOME": root}):
+        yield Path(root) / "brex"
 
 
 def vec(*components, dim=DIM):

@@ -12,6 +12,7 @@ import pytest
 
 import brex.cli
 import brex.corpus
+import support
 from brex.cli import SETTINGS, config_dict, main
 from brex.model import RunConfig
 from brex.similarity import SimilarityGraph
@@ -205,11 +206,14 @@ class TestRun:
             return merged[-1]
 
         split = tmp_path / "split"
-        with mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
+        # a fresh cache: the first run's row index would spare the table's parse
+        with support.fresh_cache() as cache, \
+                mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
                 mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
                 mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2}), \
                 mock.patch.object(brex.corpus, "_parse_split", spy):
             assert main(run_args(data_dir, split)) == 0
+            assert len(list(cache.iterdir())) == 1  # the split parse wrote the index
         corpus_parts, table_parts = merged
         # the three ranges of each file were merged
         assert len(corpus_parts) == len(table_parts) == 3
@@ -610,30 +614,39 @@ class TestEval:
 
 # One row per mistyped JSON value, for each file whose values json_value
 # reads: the file, an edit of its object (of the first row of a JSON-lines
-# file) and the key or field the error must name.
+# file) and what the error must say after the file: the key or field, by its
+# index path in a list, and the value, cut to 80 characters.
 MISTYPED_VALUES = {
     "seed-null-entity": ("seeds.json", {"positive_pairs": [["Aerodyne", None]]},
-                         "positive_pairs"),
-    "seed-object-relation": ("seeds.json", {"relation": {"x": 1}}, "relation"),
-    "seed-null-pair-list": ("seeds.json", {"negative_pairs": None}, "negative_pairs"),
-    "seed-number-type": ("seeds.json", {"type_pair": ["ORG", 5]}, "type_pair"),
-    "seed-number-template": ("seeds.json", {"positive_templates": [5]},
-                             "positive_templates"),
-    "config-overflowing-wn": ("config.json", {"wn": 10 ** 400}, "wn"),
-    "config-text-weights": ("config.json", {"sim_weights": "123"}, "sim_weights"),
-    "accepted-null-entity": ("accepted.jsonl", {"e1": None}, "e1"),
+                         "positive_pairs[0][1]: expected str, got None"),
+    "seed-object-relation": ("seeds.json", {"relation": {"x": 1}},
+                             "relation: expected str, got {'x': 1}"),
+    "seed-null-pair-list": ("seeds.json", {"negative_pairs": None},
+                            "negative_pairs: expected [[str, str], ...], got None"),
+    "seed-number-type": ("seeds.json", {"type_pair": ["ORG", 5]},
+                         "type_pair[1]: expected str, got 5"),
+    "seed-number-template": ("seeds.json", {"positive_templates": ["[X] of [Y]", 5]},
+                             "positive_templates[1]: expected str, got 5"),
+    "config-overflowing-wn": ("config.json", {"wn": 10 ** 400},
+                              f"wn: expected finite float, got 1{'0' * 76}..."),
+    "config-text-weights": ("config.json", {"sim_weights": "123"},
+                            "sim_weights: expected [finite float, finite float, finite float], "
+                            "got '123'"),
+    "accepted-null-entity": ("accepted.jsonl", {"e1": None}, "e1: expected str, got None"),
     "extractors-null-samples": ("extractors.jsonl", {"sample_between_contexts": None},
-                                "sample_between_contexts"),
-    "labels-text-flag": ("labels.json", {"sig-x": "false"}, "'sig-x'"),
+                                "sample_between_contexts: expected [str, ...], got None"),
+    "labels-text-flag": ("labels.json", {"sig-x": "false"},
+                         "'sig-x': expected bool, got 'false'"),
 }
 
 
 class TestJsonValues:
-    @pytest.mark.parametrize("name, edit, key", MISTYPED_VALUES.values(),
+    @pytest.mark.parametrize("name, edit, message", MISTYPED_VALUES.values(),
                              ids=MISTYPED_VALUES.keys())
-    def test_mistyped_value_exits_2(self, data_dir, tmp_path, capsys, name, edit, key):
+    def test_mistyped_value_exits_2(self, data_dir, tmp_path, capsys, name, edit,
+                                    message):
         """Each JSON value is read with its field's type: another type exits 2
-        with an error line that names the file and the key."""
+        with an error line that names the file, the key and the value."""
         inputs = tmp_path / "inputs"
         inputs.mkdir()
         for other in ("corpus.jsonl", "embeddings.txt", "seeds.json", "gold.tsv"):
@@ -663,7 +676,7 @@ class TestJsonValues:
         assert main(args) == 2
         [error] = [line for line in capsys.readouterr().err.splitlines()
                    if line.startswith("error: ")]
-        assert str(path) in error and f"{key}: expected " in error
+        assert str(path) in error and message in error
 
 
 class TestStatsAndHits:
@@ -767,18 +780,57 @@ class TestStatsAndHits:
         assert [payload[key] for key in ("by_pair", "by_template", "either")] == \
             [first[key] for key in ("hits_by_pair", "hits_by_template", "hits")]
 
-    def test_hits_hashes_no_input(self, data_dir, tmp_path, monkeypatch):
-        sha256, hashed = brex.cli._sha256, []
+    def test_each_input_is_hashed_once(self, data_dir, tmp_path, table_cache):
+        """The manifest's digest of the table also keys its row index: a run
+        hashes each input once, cold or warm, and `brex hits`, which writes
+        no manifest, hashes only the table, for its index."""
+        sha256, hashed = brex.corpus.file_sha256, []
 
         def spy(path):
-            hashed.append(path)
+            hashed.append(str(path))
             return sha256(path)
 
-        monkeypatch.setattr(brex.cli, "_sha256", spy)
-        assert main(hits_args(data_dir, tmp_path / "hits.json")) == 0
-        assert hashed == []  # no manifest, so no digests
-        assert main(run_args(data_dir, tmp_path / "run")) == 0
-        assert len(hashed) == 3  # the run's manifest digests each input once
+        inputs = [str(data_dir / name) for name in ("corpus.jsonl", "embeddings.txt",
+                                                    "seeds.json")]
+        with mock.patch.object(brex.corpus, "file_sha256", spy):
+            for name in ("cold", "warm"):
+                assert main(run_args(data_dir, tmp_path / name)) == 0
+                assert sorted(hashed) == sorted(inputs)
+                hashed.clear()
+            assert main(hits_args(data_dir, tmp_path / "hits.json")) == 0
+            assert hashed == [inputs[1]]
+        digest = json.loads((tmp_path / "warm" / "manifest.json").read_text())[
+            "inputs"]["embeddings"]["sha256"]
+        assert [index.name for index in table_cache.iterdir()] == [digest + ".npz"]
+
+    def test_table_replaced_after_its_digest_is_not_indexed(self, data_dir, tmp_path,
+                                                            table_cache):
+        """A table replaced between the manifest's digest and ingest is read as
+        it is then, and its row offsets are not filed under the digest of the
+        bytes it replaced."""
+        table = tmp_path / "embeddings.txt"
+        table.write_bytes((data_dir / "embeddings.txt").read_bytes())
+        moved = tmp_path / "moved.txt"
+        moved.write_bytes(b"\n" + table.read_bytes())  # each row one byte later
+        digests = brex.cli.RunInputs.digests
+
+        def digest_then_replace(inputs):
+            found = digests(inputs)
+            if moved.exists():
+                os.replace(moved, table)
+            return found
+
+        args = run_args(data_dir, tmp_path / "run")
+        args[args.index("--embeddings") + 1] = str(table)
+        with mock.patch.object(brex.cli.RunInputs, "digests", digest_then_replace):
+            assert main(args) == 0
+            manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+            assert manifest["inputs"]["embeddings"]["sha256"] == \
+                brex.corpus.file_sha256(data_dir / "embeddings.txt")
+            assert not table_cache.exists() or list(table_cache.iterdir()) == []
+            assert main(args) == 0  # the replacement, digested as it is now
+        assert [index.name for index in table_cache.iterdir()] == [
+            brex.corpus.file_sha256(table) + ".npz"]
 
 
 class TestSweep:

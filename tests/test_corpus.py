@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import re
+import stat
 import threading
 from pathlib import Path
 from unittest import mock
@@ -336,10 +337,26 @@ def write_lines(path, lines):
 
 
 def split_load(path, vocab, cpus=2):
-    """load_embeddings with ranges of one byte or more on ``cpus`` CPUs."""
-    with mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
+    """load_embeddings with ranges of one byte or more on ``cpus`` CPUs, in a
+    fresh cache, so that the table is parsed even when it was loaded before."""
+    return split_loads(path, vocab, cpus, warm=False)[0][0]
+
+
+def split_loads(path, vocab, cpus=2, warm=True):
+    """split_load, and then, if ``warm``, a load that reads the row index the
+    first one wrote, if it wrote one, instead of parsing the table; the
+    stores, and whether the first load wrote an index."""
+    with support.fresh_cache() as cache, \
+            mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
             mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))):
-        return load_embeddings(path, vocab)
+        stores = [load_embeddings(path, vocab)]
+        indexed = bool(indexes(cache))
+        if warm:
+            with mock.patch.object(brex.corpus, "_parse_split",
+                                   wraps=brex.corpus._parse_split) as parse_split:
+                stores.append(load_embeddings(path, vocab))
+            assert parse_split.called != indexed
+    return stores, indexed
 
 
 def cuts(path, count):
@@ -394,7 +411,9 @@ class TestVocabularyLoad:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_reference_loader(self, tmp_path, lines, data, block, vocab, cpus):
         """Against the one-pass reference, for any block size and any split
-        into up to ``cpus`` byte ranges, with mixed line ends."""
+        into up to ``cpus`` byte ranges, with mixed line ends; a later load
+        that reads the row index gives the same store. A table is indexed
+        unless its line ends mix "\\r\\n" with another kind."""
         ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                                   min_size=len(lines), max_size=len(lines)))
         path = tmp_path / "emb.txt"
@@ -407,7 +426,11 @@ class TestVocabularyLoad:
                     split_load(path, vocab, cpus)
                 assert str(got.value) == str(exc)
                 return
-            emb = split_load(path, vocab, cpus)
+            (emb, warm), indexed = split_loads(path, vocab, cpus)
+        assert store_rows(warm) == store_rows(emb)
+        data = path.read_bytes()
+        if b"\r\n" not in data or not re.search(rb"[\r\n]", data.replace(b"\r\n", b"")):
+            assert indexed
         assert emb.dimension == expected.dimension
         zero = np.zeros(expected.dimension)
         for word in WORDS:
@@ -647,9 +670,15 @@ class TestTableSplitFloor:
 
     @staticmethod
     def load(path, vocab, cpus):
-        with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
-                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        """load_embeddings on ``cpus`` CPUs in a fresh cache, so that the
+        table is parsed each time; the store and the count of forks."""
+        with support.fresh_cache(), \
+                mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                mock.patch.object(brex.corpus, "_parse_split",
+                                  wraps=brex.corpus._parse_split) as parse_split:
             emb = load_embeddings(path, vocab)
+        assert parse_split.call_count == 1  # parsed, not read from an index
         return emb, fork.call_count
 
     def test_table_from_1_mib_forks_once(self, tmp_path):
@@ -668,6 +697,190 @@ class TestTableSplitFloor:
         emb, forks = self.load(path, vocab, cpus=2)
         assert forks == 0
         assert len(emb) == len(vocab)
+
+
+# Rows with blank lines, words outside ASCII, a duplicate word and a
+# component that only float() reads ("1_0"); "b" and "c" are not in INDEXED.
+INDEXED_ROWS = ["a 1 0.5", "", "b 0.25 -1", "café 1_0 2", "  ", "日本 3 4", "a 9 9",
+                "c 0 0", "d 1e308 -2e-3"]
+INDEXED = {"a", "café", "日本", "d", "zz"}
+
+
+def indexes(cache):
+    """The row indexes in the cache directory ``cache`` (see conftest.py)."""
+    return sorted(cache.glob("*")) if cache.exists() else []
+
+
+def store_rows(emb):
+    """The words of ``emb`` in its order, each with its vector's bytes."""
+    return [(word, vec.tobytes()) for word, vec in emb._vectors.items()]
+
+
+def reference_rows(path, vocab):
+    """store_rows of the one-pass reference load of ``path`` kept to ``vocab``."""
+    return [row for row in store_rows(support.reference_load_embeddings(path))
+            if row[0] in vocab]
+
+
+def rewrite_index(index, **arrays):
+    """Replace arrays of the npz row index at ``index``."""
+    with np.load(index, allow_pickle=False) as data:
+        arrays = {**{name: data[name] for name in data.files}, **arrays}
+    with open(index, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestTableIndex:
+    """The first load of a table that validates in full writes its row index
+    under its sha256; a later load reads only the vocabulary's rows there and
+    gives the same store, and any doubt about the index means a parse."""
+
+    @staticmethod
+    def table(path, end="\n"):
+        path.write_bytes("".join(row + end for row in INDEXED_ROWS).encode("utf-8"))
+        return path
+
+    @staticmethod
+    def load(path, vocab=INDEXED, cpus=2):
+        """load_embeddings over ranges of one byte or more on ``cpus`` CPUs;
+        the store and whether the table was parsed."""
+        with mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
+                mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
+                mock.patch.object(brex.corpus, "_parse_split",
+                                  wraps=brex.corpus._parse_split) as parse_split:
+            emb = load_embeddings(path, vocab)
+        return emb, parse_split.call_count == 1
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_warm_load_gives_the_cold_store(self, tmp_path, table_cache, end):
+        path = self.table(tmp_path / "emb.txt", end)
+        cold, parsed = self.load(path)
+        assert parsed
+        assert [index.name for index in indexes(table_cache)] == [
+            brex.corpus.file_sha256(path) + ".npz"]
+        warm, parsed = self.load(path)
+        assert not parsed
+        assert store_rows(cold) == store_rows(warm) == reference_rows(path, INDEXED)
+        assert [word for word, _ in store_rows(warm)] == ["a", "café", "日本", "d"]
+        assert warm.lookup("a").tolist() == [1, 0.5]  # the first row wins
+        assert not warm.lookup("d").flags.writeable
+
+    def test_a_table_mixing_crlf_with_lf_is_parsed_each_time(self, tmp_path,
+                                                             table_cache):
+        path = tmp_path / "emb.txt"
+        path.write_bytes("".join(row + ("\r\n" if k % 2 else "\n")
+                                 for k, row in enumerate(INDEXED_ROWS)).encode("utf-8"))
+        for _ in range(2):
+            emb, parsed = self.load(path, cpus=1)
+            assert parsed
+            assert store_rows(emb) == reference_rows(path, INDEXED)
+            assert indexes(table_cache) == []
+
+    def test_a_table_replaced_since_its_digest_is_parsed_and_not_indexed(
+            self, tmp_path, table_cache):
+        path = self.table(tmp_path / "emb.txt")
+        self.load(path)
+        [index] = indexes(table_cache)
+        written = index.read_bytes()
+        hashed = brex.corpus.HashedPath(path)
+        other = tmp_path / "other.txt"  # same size and row offsets, other bits
+        other.write_bytes(path.read_bytes().replace(b"a 1 0.5", b"a 1 0.7"))
+        os.replace(other, path)
+        emb, parsed = self.load(hashed)
+        assert parsed
+        assert store_rows(emb) == reference_rows(path, INDEXED)
+        assert emb.lookup("a").tolist() == [1, 0.7]
+        assert indexes(table_cache) == [index] and index.read_bytes() == written
+
+    def test_the_index_is_written_whole_in_a_private_directory(self, tmp_path,
+                                                               table_cache):
+        path = self.table(tmp_path / "emb.txt")
+        with mock.patch.object(os, "replace", wraps=os.replace) as replace:
+            self.load(path)
+        [index] = indexes(table_cache)
+        [(tmp, target)] = [call.args for call in replace.call_args_list]
+        assert (Path(tmp).parent, target) == (table_cache, str(index))
+        assert stat.S_IMODE(table_cache.stat().st_mode) == 0o700
+
+    @pytest.mark.parametrize("damage", ["table-rewritten", "truncated", "corrupt",
+                                        "other-word", "unordered-offsets", "pickled",
+                                        "other-version"])
+    def test_a_doubtful_index_means_a_parse_that_rewrites_it(self, tmp_path, table_cache,
+                                                             damage):
+        path = self.table(tmp_path / "emb.txt")
+        self.load(path)
+        [index] = indexes(table_cache)
+        if damage == "table-rewritten":  # same size and mtime, other bits
+            before = path.stat()
+            path.write_bytes(path.read_bytes().replace(b"a 1 0.5", b"a 1 0.7"))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            assert (path.stat().st_size, path.stat().st_mtime_ns) == (
+                before.st_size, before.st_mtime_ns)
+        elif damage == "truncated":
+            index.write_bytes(index.read_bytes()[:-100])
+        elif damage == "corrupt":
+            data = bytearray(index.read_bytes())
+            data[len(data) // 2] ^= 1
+            index.write_bytes(bytes(data))
+        elif damage == "other-word":  # the offset of "a" is that of the row of "b"
+            with np.load(index) as data:
+                words = data["words"].tobytes().split(b"\n")
+            words[:2] = words[1::-1]
+            rewrite_index(index, words=np.frombuffer(b"\n".join(words), dtype=np.uint8))
+        elif damage == "unordered-offsets":
+            with np.load(index) as data:
+                offsets = data["offsets"][::-1].copy()
+            rewrite_index(index, offsets=offsets)
+        elif damage == "pickled":  # an object array, which only a pickle holds
+            with np.load(index) as data:
+                words = data["words"].tobytes().decode("utf-8").split("\n")
+            rewrite_index(index, words=np.array(words, dtype=object))
+        else:
+            version = brex.corpus._INDEX_VERSION + 1
+            rewrite_index(index, key=np.array(f"{index.stem} {version}"))
+        emb, parsed = self.load(path)
+        assert parsed
+        assert store_rows(emb) == reference_rows(path, INDEXED)
+        [rewritten] = [entry for entry in indexes(table_cache)
+                       if entry.stem == brex.corpus.file_sha256(path)]
+        warm, parsed = self.load(path)  # the rewritten entry is read
+        assert not parsed
+        assert store_rows(warm) == store_rows(emb)
+
+    def test_a_table_with_a_bad_row_is_never_indexed(self, tmp_path, table_cache):
+        path = write_lines(tmp_path / "emb.txt", ["a 1 0", "b 1 x", "c 0 1"])
+        for _ in range(2):
+            with pytest.raises(EmbeddingFormatError,
+                               match="line 2: non-numeric component"):
+                self.load(path, {"a"})
+            assert indexes(table_cache) == []
+
+    def test_an_unwritable_cache_means_a_parse_each_time(self, tmp_path, monkeypatch,
+                                                         caplog):
+        blocker = tmp_path / "cache"
+        blocker.write_text("")  # a file: no directory can be made under it
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        path = self.table(tmp_path / "emb.txt")
+        for _ in range(2):
+            emb, parsed = self.load(path)
+            assert parsed
+            assert store_rows(emb) == reference_rows(path, INDEXED)
+        assert [rec for rec in caplog.records if rec.levelno >= logging.WARNING] == []
+
+    def test_a_warm_load_parses_only_the_vocabulary_rows(self, tmp_path):
+        rows = [f"u{k} {k} {-k}" for k in range(3 * BLOCK)]
+        path = write_lines(tmp_path / "emb.txt", rows)
+        vocab = {"u5", f"u{2 * BLOCK}", "zz"}
+        cold, parsed = self.load(path, vocab)
+        assert parsed
+        with mock.patch.object(brex.corpus, "_parse_block",
+                               wraps=brex.corpus._parse_block) as parse_block, \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            warm, parsed = self.load(path, vocab)
+        assert not parsed and fork.call_count == 0
+        [(lines, _)] = [call.args for call in parse_block.call_args_list]
+        assert lines == [rows[5] + "\n", rows[2 * BLOCK] + "\n"]
+        assert store_rows(warm) == store_rows(cold) == reference_rows(path, vocab)
 
 
 OK = record(["Acme", "bought", "Bolt"], [ORG(0, 1), ORG(2, 3)])
