@@ -12,10 +12,15 @@ File formats:
 json_object and json_lines read every JSON file of the package: the seed
 file and the corpus here, and in brex.cli the --config and --labels files
 and the run files that `brex eval` and `brex stats` read back (manifest.json,
-stats.json, accepted.jsonl, extractors.jsonl). Each error they raise names
-the file, and the line where there is one. json_value gives each value read
-from them the type its field needs; only the corpus records, read by the
-ten thousand, keep their own checks (_record_problem).
+stats.json, accepted.jsonl, extractors.jsonl). Each text goes through one
+decode rule, _as_object: each value and each error text is the one
+json.loads gives, and an object that starts at the text's first character
+is read by the C decoder alone; text nested too deeply or an integer too
+long for int is invalid JSON too. Each error they raise names the file, and
+the line where there is one. json_value gives each value read from them the
+type its field needs; only the corpus records, read by the ten thousand,
+keep their own checks on the decoded values (_record_problem,
+_span_problem), and only a record kept as a sentence is built into one.
 
 The corpus and the embedding table are each read by one reader
 (_parse_split) and merged in file order. It cuts a regular file at line
@@ -685,27 +690,56 @@ def json_lines(path, error: type[InputError], start: int = 0, end: int | None = 
     """(line number, object) of each non-blank line of the JSON-lines file
     ``path``, or of its bytes [start, end) (see _open_text) counted from line
     1, raising ``error`` as json_object does, with the line; the generator
-    returns the count of text lines, blank ones included. It reads the file
-    itself: a second generator layer per line slows load_corpus."""
+    returns the count of text lines, blank ones included. A line is blank when
+    every character is whitespace, as str.isspace has it. It reads the file
+    itself and makes one call per line, _as_object: load_corpus spends most
+    of its time in this loop, where another generator layer or call per line
+    shows."""
     lineno = 0
     with _open_text(path, start, end) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if line.strip():
+                if not line.isspace():  # a line read is never empty
                     yield lineno, _as_object(line, error, path, lineno)
         except UnicodeDecodeError:
             raise _not_utf8(path, error) from None
     return lineno
 
 
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"
+
+
 def _as_object(text: str, error: type[InputError], path, lineno=None) -> dict:
+    """The JSON object ``text``, as json.loads reads it; text that is not JSON
+    or a value that is no object raises ``error`` naming ``path`` and, when
+    given, the line ``lineno``.
+
+    The decoder's raw_decode at index 0 reads most objects at once: when it
+    gives a dict followed by JSON whitespace only, json.loads gives that
+    dict, since it is raw_decode at the first character that is not JSON
+    whitespace, a check that the rest is JSON whitespace, and a check for a
+    leading BOM that a value read at index 0 cannot have. Any other text is
+    read by json.loads, for its value or its error. Text nested too deeply
+    for the decoder (RecursionError), or an integer with more digits than
+    int converts (sys.get_int_max_str_digits), is invalid JSON too."""
     try:
+        try:
+            value, end = _DECODER.raw_decode(text)
+            if type(value) is dict and not text[end:].strip(_JSON_SPACE):
+                return value
+        except ValueError:
+            pass
         value = json.loads(text)
         if isinstance(value, dict):
             return value
         problem = "expected a JSON object"
     except json.JSONDecodeError as exc:
         problem = f"invalid JSON ({exc.msg})"
+    except RecursionError:
+        problem = "invalid JSON (nested too deeply)"
+    except ValueError as exc:  # int's digit limit, without its advice to callers
+        problem = f"invalid JSON ({str(exc).split(';')[0]})"
     where = f"{path}: line {lineno}" if lineno else path
     raise error(f"{where}: {problem}")
 
@@ -813,11 +847,23 @@ def _record_problem(record: dict) -> str | None:
     return None
 
 
-# The fewest corpus bytes per parse range; a corpus costs about 2.5 times the
-# table per byte. Measured on 2 CPUs in fresh processes, 8 pairs per size, two
-# ranges were slower than one at 2 and 3 MiB (136 against 124 ms, 200 against
-# 187 ms) and faster at 4 MiB (152 against 245 ms, 6 of 8 pairs) and 6 MiB
-# (215 against 350 ms, 8 of 8). So a corpus splits from 4 MiB on.
+# The fewest corpus bytes per parse range. Measured on 2 CPUs in fresh
+# processes, alternating pairs, load_corpus took (median seconds; pairs that
+# two ranges won) on prefixes of a sparse corpus, where 1% of the records
+# are kept as sentences (the ingest-heavy benchmark's):
+#   sparse   1 MiB  1.5 MiB  2 MiB  3 MiB  4 MiB  6 MiB  7.5 MiB
+#   one      0.031  0.038    0.035  0.054  0.127  0.159  0.230
+#   two      0.022  0.029    0.023  0.041  0.075  0.111  0.134
+#   won      13/16  12/16    16/16  14/16  16/16  16/16  16/16
+# and on a dense corpus, where 79% are (scale-brej's, repeated):
+#   dense    1.3 MiB  2.2 MiB  3.9 MiB  8.6 MiB
+#   one      0.062    0.118    0.234    0.636
+#   two      0.079    0.163    0.271    0.750
+#   won      1/10     1/10     2/10     1/10
+# (Each size was measured at its own time; compare within a column.) A
+# worker pickles its kept sentences back, so a sparse corpus gains from
+# the split at every size and a dense one loses at every size. The floor
+# does not tell them apart; it stays, so that a corpus splits from 4 MiB on.
 _MIN_CORPUS_RANGE_BYTES = 2 << 20
 
 
@@ -882,7 +928,11 @@ def _log_rejected(path, parts: list[_CorpusPart]) -> None:
 def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _CorpusPart:
     """What bytes [start, end) of the corpus give (see _open_text), as if they
     were the whole file. A malformed record raises CorpusFormatError naming
-    its line, whose ``part`` holds what the records before it gave."""
+    its line, whose ``part`` holds what the records before it gave.
+
+    Spans are checked and types counted on the decoded values; the tokens,
+    tags and spans are copied into a TaggedSentence only for a record left
+    with two entities or more, which are few in a large corpus."""
     part = _CorpusPart()
     sentences = part.sentences
     accepted = 0
@@ -894,35 +944,21 @@ def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _C
             problem = _record_problem(record)
             if problem:
                 raise CorpusFormatError(f"{path}: line {lineno}: {problem}")
-            tokens = tuple(record["tokens"])
-            spans = []
-            ok = True
-            for ent in record["entities"]:
-                if not (0 <= ent["start"] < ent["end"] <= len(tokens)):
-                    part.rejected.append(
-                        (lineno, f"bad entity span ({ent['start']}, {ent['end']})"))
-                    ok = False
-                    break
-                spans.append(EntitySpan(ent["start"], ent["end"], ent["type"]))
-            if ok:
-                spans.sort(key=lambda s: (s.start, s.end))
-                for prev, cur in zip(spans, spans[1:]):
-                    if cur.start < prev.end:
-                        part.rejected.append((lineno, "overlapping entity spans"))
-                        ok = False
-                        break
-            if not ok:
-                continue
-            kept = []
-            for span in spans:
-                if span.etype in type_vocab:
-                    kept.append(span)
-                else:
-                    dropped += 1
-            if len(kept) >= 2:
-                pos = tuple(record["pos"]) if record.get("pos") is not None else None
-                sentences.append(TaggedSentence(sid=accepted, tokens=tokens,
-                                                entities=tuple(kept), pos=pos))
+            entities = record["entities"]
+            if entities:
+                problem = _span_problem(entities, len(record["tokens"]))
+                if problem:
+                    part.rejected.append((lineno, problem))
+                    continue
+                kept = [ent for ent in entities if ent["type"] in type_vocab]
+                dropped += len(entities) - len(kept)
+                if len(kept) >= 2:
+                    spans = sorted((ent["start"], ent["end"], ent["type"]) for ent in kept)
+                    pos = record.get("pos")
+                    sentences.append(TaggedSentence(
+                        sid=accepted, tokens=tuple(record["tokens"]),
+                        entities=tuple(EntitySpan(*span) for span in spans),
+                        pos=None if pos is None else tuple(pos)))
             accepted += 1
     except StopIteration as stop:
         part.lines = stop.value
@@ -932,6 +968,24 @@ def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _C
     part.accepted = accepted
     part.dropped = dropped
     return part
+
+
+def _span_problem(entities: list, count: int) -> str | None:
+    """Why the spans of a record's ``entities``, checked by _record_problem,
+    over ``count`` tokens reject the record, or None: the first span in
+    record order that is empty or out of bounds, else any two spans that
+    overlap."""
+    spans = []
+    for ent in entities:
+        start, end = ent["start"], ent["end"]
+        if not 0 <= start < end <= count:
+            return f"bad entity span ({start}, {end})"
+        spans.append((start, end))
+    spans.sort()
+    for (_, prev_end), (start, _) in zip(spans, spans[1:]):
+        if start < prev_end:
+            return "overlapping entity spans"
+    return None
 
 
 def extract_instances(

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import math
 import os
+import re
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import strategies as st
 
 from brex.corpus import EmbeddingStore, EntityPair, Instance, Template, TypedEntity
 from brex.errors import EmbeddingFormatError
@@ -309,3 +314,62 @@ def reference_load_embeddings(path) -> EmbeddingStore:
     if dimension is None:
         raise EmbeddingFormatError(f"{path}: no embedding entries found")
     return EmbeddingStore(dimension, vectors)
+
+
+# int refuses text of more digits than this (0: no limit, or an older Python)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="int converts any digit count")
+
+JSON_SPACE = st.sampled_from(["", " ", "\t", "  ", " \t"])
+
+
+@st.composite
+def json_spelling(draw, value, space=JSON_SPACE):
+    """``value`` as JSON text, spelled one of many ways that json.loads reads
+    as ``value``: ``space`` (JSON whitespace) before and after it and around
+    each bracket, comma and colon, the keys of each object in any order, and
+    each character of a string as itself or escaped (``\\u0041``)."""
+    def spell(item):
+        if isinstance(item, dict):
+            keys = draw(st.permutations(list(item)))
+            return "{" + ",".join(
+                draw(space) + spell(key) + draw(space) + ":" + draw(space)
+                + spell(item[key]) + draw(space) for key in keys) + draw(space) + "}"
+        if isinstance(item, list):
+            return "[" + ",".join(draw(space) + spell(x) + draw(space)
+                                  for x in item) + draw(space) + "]"
+        if isinstance(item, str):
+            return '"' + "".join(json.dumps(ch, ensure_ascii=draw(st.booleans()))[1:-1]
+                                 for ch in item) + '"'
+        return json.dumps(item)
+
+    return draw(space) + spell(value) + draw(space)
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of ``text`` as a text file read with universal newlines
+    gives them, each ending in "\\n" except maybe the last: a line ends at
+    LF, CR LF or a lone CR, and at nothing else (str.splitlines also ends
+    one at "\\x1c", "\\u2028" and others)."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    return [line + "\n" for line in lines[:-1]] + [lines[-1]] * bool(lines[-1])
+
+
+def reference_json_lines(path, text: str):
+    """The objects of the JSON-lines ``text`` of the file ``path``, as
+    (line number, object) pairs read by json.loads, with blank lines (all
+    whitespace as str.isspace has it) skipped; or the error line that
+    brex.corpus.json_lines raises for the first line that is not JSON or not
+    an object."""
+    rows = []
+    for lineno, line in enumerate(text_lines(text), start=1):
+        if line.isspace():
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"{path}: line {lineno}: invalid JSON ({exc.msg})"
+        if not isinstance(value, dict):
+            return f"{path}: line {lineno}: expected a JSON object"
+        rows.append((lineno, value))
+    return rows

@@ -4,15 +4,20 @@ import contextlib
 import json
 import math
 import os
+import shutil
+import tempfile
 import threading
 import weakref
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import brex.cli
 import brex.corpus
 import support
+from support import INT_DIGITS, needs_int_limit
 from brex.cli import SETTINGS, config_dict, main
 from brex.model import RunConfig
 from brex.similarity import SimilarityGraph
@@ -327,6 +332,18 @@ class TestRun:
         assert snapshot["mode"] == "bree"      # from the config file
         assert snapshot["w_neg"] == 0.5        # untouched default
 
+    @pytest.mark.parametrize("value, problem", [
+        ("[" * 100_000, "nested too deeply"),
+        pytest.param("7" * (INT_DIGITS + 1), f"Exceeds the limit ({INT_DIGITS} digits)",
+                     marks=needs_int_limit),
+    ], ids=["deep", "long-int"])
+    def test_unreadable_json_config_exits_2(self, data_dir, tmp_path, capsys, value,
+                                            problem):
+        config = tmp_path / "config.json"
+        config.write_text('{"iters": ' + value + "}")
+        assert main(run_args(data_dir, tmp_path / "r", "--config", str(config))) == 2
+        assert f"error: {config}: invalid JSON ({problem}" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, data_dir, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"tau": 0.8}))
@@ -465,7 +482,49 @@ class TestSettings:
         assert "error: tau_sim: " in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def evaluated_run(data_dir, tmp_path_factory):
+    """A finished default run with its report.json."""
+    out = tmp_path_factory.mktemp("evaluated") / "run"
+    assert main(run_args(data_dir, out)) == 0
+    assert main(["eval", "--run", str(out), "--gold", str(data_dir / "gold.tsv")]) == 0
+    return out
+
+
 class TestEval:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_accepted_rows_read_as_json_loads_reads_them(self, data_dir, evaluated_run,
+                                                         tmp_path, capsys, data):
+        """The rows of accepted.jsonl spelled any way (see
+        support.json_spelling), among lines of whitespace and maybe a line
+        that is not an object, with any line ends: eval gives the report of
+        the rows as written, or the error line json.loads leads to."""
+        rows = (evaluated_run / "accepted.jsonl").read_text().splitlines()
+        lines = [data.draw(support.json_spelling(json.loads(row))) for row in rows]
+        for _ in range(data.draw(st.integers(0, 3))):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(
+                ["", " ", "\t", "\u3000", "\x1c", "\ufeff" + rows[0], rows[0] + " x",
+                 "[1, 2]", "NaN", "-3"])))
+        text = "".join(line + data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                       for line in lines)
+        run = tempfile.mkdtemp(dir=tmp_path)
+        for name in ("manifest.json", "stats.json"):
+            shutil.copy(evaluated_run / name, run)
+        accepted = os.path.join(run, "accepted.jsonl")
+        with open(accepted, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = support.reference_json_lines(accepted, text)
+        capsys.readouterr()
+        code = main(["eval", "--run", run, "--gold", str(data_dir / "gold.tsv")])
+        if isinstance(expected, str):
+            assert (code, capsys.readouterr().err) == (2, f"error: {expected}\n")
+        else:
+            assert code == 0
+            with open(os.path.join(run, "report.json"), "rb") as fh:
+                assert fh.read() == (evaluated_run / "report.json").read_bytes()
+
     def test_round_trip(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(run_args(data_dir, out, "--mode", "brej")) == 0

@@ -22,6 +22,7 @@ import brex.corpus
 from brex.cli import ingest_inputs
 from brex.corpus import (
     EntitySpan,
+    LoadedCorpus,
     TaggedSentence,
     TypedEntity,
     extract_instances,
@@ -35,6 +36,7 @@ from brex.model import RunConfig, build_seed_state
 from brex.synth import build_planted_fixture
 
 import support
+from support import INT_DIGITS, needs_int_limit
 
 
 @pytest.fixture
@@ -981,7 +983,11 @@ class TestCorpusSplit:
     @pytest.mark.parametrize("bad, message, rejected", [
         (b"{not json\n", "line 6: invalid JSON (", [3]),
         (b'{"tokens": ["\xff"], "entities": []}\n', "line 6: not UTF-8 (byte 0xff", []),
-    ], ids=["json", "utf-8"])
+        (b"[" * 100_000 + b"\n", "line 6: invalid JSON (nested too deeply)", [3]),
+        (pytest.param(b'{"tokens": [], "entities": [], "n": ' + b"7" * (INT_DIGITS + 1)
+                      + b"}\n", f"line 6: invalid JSON (Exceeds the limit ({INT_DIGITS} digits)",
+                      [3], marks=needs_int_limit)),
+    ], ids=["json", "utf-8", "deep", "long-int"])
     def test_bad_record_in_a_later_range_names_its_line(self, corpus, warnings,
                                                         bad, message, rejected):
         path = corpus(f"{OK}\n{OVERLAP}\n", f"{MIXED}\n\n".encode() + bad)
@@ -1064,9 +1070,10 @@ def fuzzed_records(draw):
     (end to start), overlapping it, nested in it or out of bounds, of the
     relation's types or another, maybe after a pair of spans of the
     relation's types, in either order, around a passive-shaped window, with
-    POS tags missing, null or drawn; and what load_corpus makes of it: None
-    when it is rejected, else its sentence (sid 0, None when it yields none)
-    and its dropped-entity count."""
+    POS tags missing, null or drawn, spelled any way (see
+    support.json_spelling); and what load_corpus makes of it: why it is
+    rejected, else its sentence (sid 0, None when it yields none) and its
+    dropped-entity count."""
     n = draw(st.integers(1, 8))
     tokens = [draw(st.sampled_from(FUZZ_WORDS)) for _ in range(n)]
     spans = []
@@ -1091,14 +1098,17 @@ def fuzzed_records(draw):
         spans.append((start, end, draw(st.sampled_from(FUZZ_TYPES + ("LOC",)))))
     pos = draw(st.sampled_from(["missing", "null", "tagged"]))
     tags = [draw(st.sampled_from(FUZZ_TAGS)) for _ in tokens] if pos == "tagged" else None
-    line = record(tokens, [{"start": s, "end": e, "type": t} for s, e, t in spans], tags)
-    if pos == "null":
-        line = line[:-1] + ', "pos": null}'
-    if any(not 0 <= s < e <= n for s, e, _ in spans):
-        return line, None
+    row = {"tokens": tokens, "entities": [{"start": s, "end": e, "type": t}
+                                          for s, e, t in spans]}
+    if pos != "missing":
+        row["pos"] = tags
+    line = draw(support.json_spelling(row))
+    for s, e, _ in spans:
+        if not 0 <= s < e <= n:
+            return line, f"bad entity span ({s}, {e})"
     ordered = sorted(spans)
     if any(b[0] < a[1] for a, b in zip(ordered, ordered[1:])):
-        return line, None
+        return line, "overlapping entity spans"
     kept = [EntitySpan(*span) for span in ordered if span[2] in FUZZ_TYPES]
     sent = sentence(tokens, [(s.start, s.end, s.etype) for s in kept], pos=tags)
     return line, (sent if len(kept) >= 2 else None, len(spans) - len(kept))
@@ -1161,13 +1171,19 @@ class TestFuzzedCorpus:
                 expected = (b, a) if is_passive(sent, a_end, b_start) else (a, b)
                 assert (pair.e1, pair.e2) == expected
                 assert key[0] == pair.types == FUZZ_TYPES  # the gate reads the swapped pair
-        loaded, _, instances, _ = one
-        accepted = [outcome for (_, outcome), _, _ in rows if outcome is not None]
+        loaded, _, instances, logged = one
+        accepted = [outcome for (_, outcome), _, _ in rows if not isinstance(outcome, str)]
         assert loaded.sentences == [dataclasses.replace(sent, sid=sid)
                                     for sid, (sent, _) in enumerate(accepted) if sent]
+        dropped = sum(dropped for _, dropped in accepted)
         assert (loaded.accepted_records, loaded.rejected_records,
-                loaded.dropped_entities) == (len(accepted), len(rows) - len(accepted),
-                                             sum(dropped for _, dropped in accepted))
+                loaded.dropped_entities) == (len(accepted), len(rows) - len(accepted), dropped)
+        linenos = itertools.accumulate(1 + bool(blank) for _, _, blank in rows)
+        assert logged == [
+            f"{corpus}: line {lineno - bool(blank)}: {outcome}, record rejected"
+            for lineno, ((_, outcome), _, blank) in zip(linenos, rows)
+            if isinstance(outcome, str)
+        ] + [f"dropped {dropped} entities with types outside {sorted(FUZZ_TYPES)}"] * bool(dropped)
         ids = [iid for iid, _, _ in instances]
         assert len(set(ids)) == len(ids)
         # every pair of the relation's types after the swap, within the
@@ -1187,6 +1203,91 @@ class TestFuzzedCorpus:
             sid, a_start, a_end, b_start, b_end = map(int, re.findall(r"\d+", iid))
             assert {(a_start, a_end), (b_start, b_end)} <= spans[sid]
             assert a_end <= b_start  # never from nested or overlapping spans
+
+
+DECODE_WORDS = ("Acme", "bought", "Zoë", "été", "😀")
+BLANKS = ("", " ", "\t", "\u3000", "\x1c", " \u3000\x1c\t")  # str.isspace, not JSON
+
+
+@st.composite
+def json_lines_line(draw):
+    """A line without its line end, as a JSON-lines file may hold one: a
+    corpus record of ORG spans spelled any way (see support.json_spelling),
+    that record after a BOM or before trailing data, an array, a number, a
+    constant such as NaN, or a line of whitespace."""
+    kind = draw(st.sampled_from(["record", "record", "bom", "trailing", "array",
+                                 "number", "constant", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(BLANKS))
+    if kind == "array":
+        return draw(support.json_spelling(["Acme", 1, None, {}]))
+    if kind == "number":
+        return draw(support.json_spelling(draw(st.sampled_from([3, -0.5, 1e300]))))
+    if kind == "constant":
+        return draw(st.sampled_from(["NaN", "-Infinity", "null", "true", '"Acme"']))
+    n = draw(st.integers(1, 4))
+    tokens = [draw(st.sampled_from(DECODE_WORDS)) for _ in range(n)]
+    entities = draw(st.sampled_from([[], [ORG(0, 1)]] + [[ORG(0, 1), ORG(n - 1, n)]] * (n > 1)))
+    line = draw(support.json_spelling({"tokens": tokens, "entities": entities}))
+    if kind == "bom":
+        return "\ufeff" + line
+    if kind == "trailing":
+        return line + draw(st.sampled_from(["{}", "x", " 1", ",", "]"]))
+    return line
+
+
+def decoded(line):
+    """What _as_object makes of the line ``line`` of a file "f": the object,
+    or the error line."""
+    try:
+        return brex.corpus._as_object(line, CorpusFormatError, "f", 1)
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+class TestJsonDecode:
+    """Each line of a JSON-lines file reads as json.loads reads it: the same
+    object, or the same error line; a line of whitespace is blank."""
+
+    @given(st.lists(st.tuples(json_lines_line(), st.sampled_from(["\n", "\r\n", "\r"])),
+                    min_size=1, max_size=8))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(rows=[(" " + OK, "\n"), ("\u3000", "\r"), ("\x1c", "\r\n"), (OK + "\t", "\n")])
+    def test_lines_read_as_json_loads_reads_them(self, tmp_path, rows):
+        for line in (line + "\n" for line, _ in rows):
+            if not line.isspace():
+                expected = support.reference_json_lines("f", line)
+                got = decoded(line)
+                if isinstance(expected, str):
+                    assert got == expected
+                else:
+                    [(_, value)] = expected
+                    assert got == value and list(got) == list(value)
+        text = "".join(line + end for line, end in rows)
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(text.encode())
+        expected = support.reference_json_lines(path, text)
+        if isinstance(expected, str):
+            for load in (lambda: load_corpus(path, {"ORG"}),
+                         lambda: TestCorpusSplit.split_corpus(path)):
+                with pytest.raises(CorpusFormatError) as exc:
+                    load()
+                assert str(exc.value) == expected
+            return
+        sentences = [sentence(row["tokens"], [(e["start"], e["end"], e["type"])
+                                              for e in row["entities"]], sid=sid)
+                     for sid, (_, row) in enumerate(expected) if len(row["entities"]) == 2]
+        corpus = LoadedCorpus(sentences, accepted_records=len(expected))
+        assert load_corpus(path, {"ORG"}) == corpus
+        assert TestCorpusSplit.split_corpus(path)[0] == corpus
+
+    @needs_int_limit
+    def test_long_integer_is_invalid_json(self):
+        assert decoded('{"n": ' + "7" * (INT_DIGITS + 1) + "}") == (
+            f"f: line 1: invalid JSON (Exceeds the limit ({INT_DIGITS} digits) for integer "
+            f"string conversion: value has {INT_DIGITS + 1} digits)")
+        assert decoded('{"n": ' + "7" * INT_DIGITS + "}") == {"n": int("7" * INT_DIGITS)}
 
 
 def _memory_emb():
@@ -1366,4 +1467,16 @@ class TestSeedFile:
         path = tmp_path / "seeds.json"
         path.write_text(json.dumps({"relation": "r"}))
         with pytest.raises(SeedFormatError):
+            parse_seed_file(path)
+
+    @pytest.mark.parametrize("value, problem", [
+        ("[" * 100_000, "nested too deeply"),
+        pytest.param("7" * (INT_DIGITS + 1), f"Exceeds the limit ({INT_DIGITS} digits)",
+                     marks=needs_int_limit),
+    ], ids=["deep", "long-int"])
+    def test_unreadable_json_errors(self, tmp_path, value, problem):
+        path = tmp_path / "seeds.json"
+        path.write_text('{"relation": "r", "type_pair": ' + value + "}")
+        with pytest.raises(SeedFormatError,
+                           match=re.escape(f"{path}: invalid JSON ({problem}")):
             parse_seed_file(path)
