@@ -233,12 +233,13 @@ class RunInputs:
     """The inputs of `run`, `sweep` or `hits`, ingested once: no setting that
     ingest reads (the window limits) is sweepable, so every cell reads one
     ingest and builds its own seed state from it under its pairing. A sweep
-    also keeps the gold file and threshold. The cells that agree on
-    GRAPH_SETTINGS share a similarity graph; only the latest graph is kept,
-    so the cells that share one must run one after another. The inputs are
-    digested only when a manifest first asks, before ingest reads them; the
-    table's digest then also keys its row index (see load_embeddings), so
-    each input is hashed once."""
+    also keeps the gold file and threshold, and reads the gold file once per
+    pairing. The cells that agree on GRAPH_SETTINGS share a similarity graph;
+    only the latest graph is kept, so the cells that share one must run one
+    after another. The inputs are digested only when a manifest first asks,
+    before ingest reads them; the digests of the corpus and the table then
+    also key their indexes (see load_corpus and load_embeddings), so each
+    input is hashed once."""
 
     def __init__(self, args):
         self.paths = (args.corpus, args.embeddings, args.seeds)
@@ -248,6 +249,7 @@ class RunInputs:
         self._ingested: Ingested | None = None
         self._graph_key: tuple | None = None
         self._graph: SimilarityGraph | None = None
+        self._gold: dict[str, GoldKB | Exception] = {}
 
     def digests(self) -> dict:
         if self._hashed is None:
@@ -271,6 +273,22 @@ class RunInputs:
                                           cfg.tau_sim)
         return self._graph
 
+    def gold(self, relation: str, pairing: str) -> GoldKB | None:
+        """The gold pairs of ``relation`` under ``pairing``, None without a
+        gold file. A gold file that cannot be read raises the same error for
+        every cell that asks."""
+        if self.gold_path is None:
+            return None
+        if pairing not in self._gold:
+            try:
+                self._gold[pairing] = load_gold(self.gold_path, relation, pairing)
+            except (OSError, ValueError) as exc:
+                self._gold[pairing] = exc
+        gold = self._gold[pairing]
+        if isinstance(gold, Exception):
+            raise gold
+        return gold
+
 
 def write_report(path: Path, relation: str, accepted, gold: GoldKB,
                  threshold: float) -> dict:
@@ -293,7 +311,7 @@ def run_pipeline(cfg: RunConfig, inputs: RunInputs, out_dir: Path,
     ingested = inputs.ingest(cfg)
     seeds = build_seed_state(ingested.spec, ingested.emb, cfg.pairing)
     relation = ingested.spec.relation
-    gold = load_gold(inputs.gold_path, relation, cfg.pairing) if inputs.gold_path else None
+    gold = inputs.gold(relation, cfg.pairing)
     result = bootstrap(ingested.instances, seeds, cfg, inputs.graph(cfg))
     manifest["iterations"] = result.per_iteration_stats
     write_outputs(out_dir, relation, result, ingested.counters)

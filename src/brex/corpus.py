@@ -34,7 +34,13 @@ A table is validated in full once: its parse writes a row index (the words
 of its rows and the byte offset of each) in the user's cache directory,
 keyed by the table's sha256, and a later load of a table with that digest
 reads only the rows of its vocabulary there (see load_embeddings). The index
-holds no vectors, and the store it gives is the one a parse gives.
+holds no vectors, and the store it gives is the one a parse gives. A corpus
+is validated once per type vocabulary the same way: its index holds the line
+and the sid of each sentence, the counts and the rejected records, and a
+later load decodes only the lines of the sentences (see load_corpus). Both
+indexes go through one path rule, writer and reader (_index_path,
+_write_index, _read_index), and both are read only while the file is the
+one the digest was taken of (HashedPath.unchanged).
 
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
@@ -227,6 +233,11 @@ class HashedPath(str):
         self.sha256 = file_sha256(path) if self.identity else None
         return self
 
+    def unchanged(self, file=None) -> bool:
+        """Whether the file at this path, or the open file descriptor
+        ``file``, still has the identity it had when it was digested."""
+        return _identity(self if file is None else file) == self.identity
+
 
 def _identity(path):
     """The inode, size and mtime of the file ``path`` (or of the open file
@@ -298,9 +309,10 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     rows = [part_rows for _, _, part_rows in parts]
     # a part without rows has no offsets (see _parse_range), and the offsets
     # of a table replaced since it was digested are not the digest's
-    if (index and not part and all(r is not None for r in rows)
-            and _identity(path) == hashed.identity):
-        _write_index(index, hashed.sha256, rows)
+    if index and not part and all(r is not None for r in rows) and hashed.unchanged():
+        _write_index(index, _index_key(hashed.sha256),
+                     words=np.frombuffer(b"\n".join(w for w, _ in rows if w), dtype=np.uint8),
+                     offsets=np.concatenate([offsets for _, offsets in rows]))
     vectors = {}
     for words, values, _ in parts:
         values.setflags(write=False)  # a part unpickled from a worker is writable
@@ -309,69 +321,82 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     return EmbeddingStore(dimension, vectors)
 
 
-# The format of the row index; an index of another version is rewritten.
+# The format of the indexes; an index of another version is rewritten.
 _INDEX_VERSION = 1
 
 
-def _index_path(digest: str | None) -> str | None:
-    """Where the row index of the table with sha256 ``digest`` lives:
-    ``$XDG_CACHE_HOME/brex/DIGEST.npz``, or under ``~/.cache`` when that
-    variable is unset or not an absolute path; None without a digest or a
-    home directory."""
+def _index_path(digest: str | None, name: str = "") -> str | None:
+    """Where the index of the file with sha256 ``digest`` lives:
+    ``$XDG_CACHE_HOME/brex/DIGEST.npz`` for a table, ``DIGEST-NAME.npz`` for
+    a corpus read under the type vocabulary that ``name`` stands for, or
+    under ``~/.cache`` when that variable is unset or not an absolute path;
+    None without a digest or a home directory."""
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         root = os.path.join(os.path.expanduser("~"), ".cache")
     if digest is None or not os.path.isabs(root):
         return None
-    return os.path.join(root, "brex", digest + ".npz")
+    return os.path.join(root, "brex", digest + (name and "-" + name) + ".npz")
 
 
-def _index_key(digest: str) -> str:
-    return f"{digest} {_INDEX_VERSION}"
+def _index_key(digest: str, *rest: str) -> str:
+    """The key an index stores and is read under: the digest of its file,
+    the index format and ``rest``, what else the index depends on (the type
+    vocabulary a corpus was read under)."""
+    return " ".join([digest, str(_INDEX_VERSION), *rest])
 
 
-def _write_index(index: str, digest: str, parts) -> None:
-    """Store the rows of a table that validated in full, given as the
-    ``(words, offsets)`` of its parts in file order (see _parse_range), as the
-    index at ``index``: an uncompressed npz of the key, the words joined by
-    newlines as UTF-8 bytes, and the offsets, written to a temporary file that
-    then replaces ``index``. A cache directory that cannot be written is left
-    as it is."""
+def _write_index(index: str, key: str, **arrays) -> None:
+    """Store ``key`` and ``arrays`` as the index at ``index``: an uncompressed
+    npz written to a temporary file in the cache directory, made private
+    (0700) if it is new, that then replaces ``index``. A cache directory that
+    cannot be written is left as it is."""
     directory = os.path.dirname(index)
     try:
         os.makedirs(directory, mode=0o700, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, key=np.array(_index_key(digest)),
-                         words=np.frombuffer(b"\n".join(w for w, _ in parts if w),
-                                             dtype=np.uint8),
-                         offsets=np.concatenate([offsets for _, offsets in parts]))
+                np.savez(fh, key=np.array(key), **arrays)
             os.replace(tmp, index)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     except OSError as exc:
-        log.debug("table index not written: %s", exc)
+        log.debug("index not written: %s", exc)
+
+
+def _read_index(index: str, key: str, *names: str) -> list | None:
+    """The arrays ``names`` of the index at ``index``, read without
+    unpickling; None when the index is missing, unreadable or corrupt, lacks
+    one of them or holds another key. A zip member whose bytes changed fails
+    its CRC check as it is read."""
+    try:
+        with np.load(index, allow_pickle=False) as data:
+            if data["key"].item() != key:
+                return None
+            return [data[name] for name in names]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
 
 
 def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
     """The part (see _parse_range) of the ``vocab`` rows of the table at
-    ``path``, read at their offsets in the index at ``index``; None when the
-    index is missing, unreadable, corrupt or of another table or format, a
-    row read is not the valid first row of the word the index names, or the
-    table is not the file ``path`` digested. A zip member whose bytes changed
-    fails its CRC check as it is read.
+    ``path``, read at their offsets in the index at ``index``: the words of
+    the table's rows and the byte offset of each (see _write_index); None
+    when the index is missing or doubtful (see _read_index), a row read is
+    not the valid first row of the word the index names, or the table is not
+    the file ``path`` digested.
 
     A row's bytes run from its offset to the next row's, or to the end of the
     table, and end at its first line end; the rest are blank lines."""
+    arrays = _read_index(index, _index_key(path.sha256), "words", "offsets")
+    if arrays is None:
+        return None
+    words, offsets = arrays
     try:
-        with np.load(index, allow_pickle=False) as data:
-            if data["key"].item() != _index_key(path.sha256):
-                return None
-            words = data["words"].tobytes().decode("utf-8").split("\n")
-            offsets = data["offsets"]
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        words = words.tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError:
         return None
     if offsets.dtype != np.int64 or offsets.shape != (len(words),) or offsets[0] < 0:
         return None
@@ -389,7 +414,7 @@ def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
                 fh.seek(offsets[i])
                 line = fh.read(ends[i] - offsets[i]).splitlines(keepends=True)[0]
                 lines.append(line.decode("utf-8"))
-            if _identity(fh.fileno()) != path.identity:
+            if not path.unchanged(fh.fileno()):
                 return None
         seen: set[str] = set()
         for k in range(0, len(lines), _EMBEDDING_BLOCK):
@@ -873,6 +898,7 @@ class _CorpusPart:
     their first record and their first line."""
 
     sentences: list[TaggedSentence] = field(default_factory=list)
+    sentence_lines: list[int] = field(default_factory=list)  # the line of each sentence
     accepted: int = 0
     dropped: int = 0
     rejected: list[tuple[int, str]] = field(default_factory=list)  # (line, why)
@@ -893,36 +919,131 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     one per CPU, or as one part (see _parse_split); each part counts its sids
     and lines from its start, and the parts are merged in file order, so the
     sentences, counts and warnings are those of one pass.
+
+    A corpus is validated once per type vocabulary: after a parse that raised
+    no error, the line and the sid of each sentence, the counts and the line
+    and reason of each rejected record are stored in an index in the cache
+    directory, keyed by the corpus's sha256 (that of a HashedPath, else
+    computed here) and the sorted ``type_vocab`` (see _index_path). A later
+    load with that key reads the corpus's text lines, sends only the lines of
+    the sentences through the record checks, and logs the stored warnings,
+    so it gives what the parse gave. A missing, corrupt or mismatched index,
+    an indexed line that no longer gives its sentence, or a corpus replaced
+    since it was digested means the parse, which rewrites the index unless
+    the corpus was replaced. A pipe has no digest and is parsed every time.
     """
+    hashed = path if isinstance(path, HashedPath) else HashedPath(path)
+    types = json.dumps(sorted(type_vocab))
+    index = _index_path(hashed.sha256, hashlib.sha256(types.encode()).hexdigest()[:16])
+    key = index and _index_key(hashed.sha256, types)
+    corpus = index and _indexed_corpus(hashed, index, key, type_vocab)
+    if not corpus:
+        try:
+            corpus = _merged(_parse_split(
+                path, _MIN_CORPUS_RANGE_BYTES,
+                lambda start, end: _parse_corpus(path, type_vocab, start, end)))
+        except CorpusFormatError as exc:
+            _log_rejected(path, exc.part.rejected)  # those before the bad record
+            raise
+        if index and hashed.unchanged():
+            _write_index(index, key, **_corpus_arrays(corpus))
+    _log_rejected(path, corpus.rejected)
+    if corpus.dropped:
+        log.warning("dropped %d entities with types outside %s", corpus.dropped,
+                    sorted(type_vocab))
+    return LoadedCorpus(sentences=corpus.sentences, accepted_records=corpus.accepted,
+                        dropped_entities=corpus.dropped,
+                        rejected_records=len(corpus.rejected))
+
+
+def _merged(parts: list[_CorpusPart]) -> _CorpusPart:
+    """The parts of consecutive bytes of the corpus as one part, with sids
+    and line numbers counted from the first part's start."""
+    whole = parts[0]
+    for part in parts[1:]:
+        whole.sentences += [dataclasses.replace(sent, sid=whole.accepted + sent.sid)
+                            for sent in part.sentences]
+        whole.sentence_lines += [whole.lines + n for n in part.sentence_lines]
+        whole.rejected += [(whole.lines + n, why) for n, why in part.rejected]
+        whole.accepted += part.accepted
+        whole.dropped += part.dropped
+        whole.lines += part.lines
+    return whole
+
+
+def _log_rejected(path, rejected: list[tuple[int, str]]) -> None:
+    """Log each rejected record, given as (line, why), at its line."""
+    for lineno, why in rejected:
+        log.warning("%s: line %d: %s, record rejected", path, lineno, why)
+
+
+def _corpus_arrays(corpus: _CorpusPart) -> dict:
+    """The arrays of a corpus's index (see _write_index): the line and the
+    sid of each sentence, the accepted and dropped counts and the text-line
+    count, and the line and the reason of each rejected record."""
+    return {"sentence_lines": np.array(corpus.sentence_lines, np.int64),
+            "sids": np.array([sent.sid for sent in corpus.sentences], np.int64),
+            "counts": np.array([corpus.accepted, corpus.dropped, corpus.lines], np.int64),
+            "rejected_lines": np.array([n for n, _ in corpus.rejected], np.int64),
+            "reasons": np.frombuffer("\n".join(why for _, why in corpus.rejected).encode(),
+                                     np.uint8)}
+
+
+def _ascending(values: np.ndarray, low: int, high: int) -> bool:
+    """Whether ``values`` are int64s rising strictly from ``low`` on, below
+    ``high``."""
+    return values.dtype == np.int64 and values.ndim == 1 and (
+        not values.size or (values[0] >= low and values[-1] < high
+                            and (np.diff(values) > 0).all()))
+
+
+def _indexed_corpus(path: HashedPath, index: str, key: str, type_vocab) -> _CorpusPart | None:
+    """What the corpus at ``path`` gives (see load_corpus), read with the
+    index at ``index`` (see _corpus_arrays): its text lines are read as
+    json_lines reads them, and only the line of each sentence is decoded and
+    checked as _parse_corpus checks it. None when the index is missing or
+    doubtful (see _read_index), such a line does not give a sentence, the
+    line count differs, or the corpus is not the file ``path`` digested."""
+    arrays = _read_index(index, key, "sentence_lines", "sids", "counts", "rejected_lines",
+                         "reasons")
+    if arrays is None:
+        return None
+    lines, sids, counts, rejected, reasons = arrays
     try:
-        parts = _parse_split(path, _MIN_CORPUS_RANGE_BYTES, lambda start, end: _parse_corpus(
-            path, type_vocab, start, end))
-    except CorpusFormatError as exc:
-        _log_rejected(path, [exc.part])  # the records rejected before the bad one
-        raise
-    _log_rejected(path, parts)
-    sentences: list[TaggedSentence] = []
-    accepted = 0
-    for part in parts:
-        sentences.extend(dataclasses.replace(sent, sid=accepted + sent.sid)
-                         if accepted else sent for sent in part.sentences)
-        accepted += part.accepted
-    dropped = sum(part.dropped for part in parts)
-    if dropped:
-        log.warning("dropped %d entities with types outside %s", dropped, sorted(type_vocab))
-    return LoadedCorpus(sentences=sentences, accepted_records=accepted,
-                        dropped_entities=dropped,
-                        rejected_records=sum(len(part.rejected) for part in parts))
-
-
-def _log_rejected(path, parts: list[_CorpusPart]) -> None:
-    """Log each rejected record of ``parts``, consecutive in the file, at its
-    line in the file."""
-    offset = 0
-    for part in parts:
-        for lineno, why in part.rejected:
-            log.warning("%s: line %d: %s, record rejected", path, offset + lineno, why)
-        offset += part.lines
+        reasons = reasons.tobytes().decode("utf-8").split("\n") if reasons.size else []
+    except UnicodeDecodeError:
+        return None
+    if counts.dtype != np.int64 or counts.shape != (3,) or (counts < 0).any():
+        return None
+    corpus = _CorpusPart(accepted=int(counts[0]), dropped=int(counts[1]),
+                         lines=int(counts[2]))
+    if not (_ascending(lines, 1, corpus.lines + 1) and _ascending(sids, 0, corpus.accepted)
+            and _ascending(rejected, 1, corpus.lines + 1)
+            and len(sids) == len(lines) and len(reasons) == len(rejected)):
+        return None
+    corpus.rejected = list(zip(rejected.tolist(), reasons))
+    corpus.sentence_lines = lines.tolist()
+    lineno = 0
+    try:
+        with _open_text(path, 0, None) as fh:
+            for target, sid in zip(corpus.sentence_lines, sids.tolist()):
+                # the lines before it are read in C, and not decoded as JSON
+                line = next(itertools.islice(fh, target - lineno - 1, None), "")
+                lineno = target
+                record = _as_object(line, CorpusFormatError, path, lineno)
+                if _record_problem(record) or _span_problem(record["entities"],
+                                                            len(record["tokens"])):
+                    return None
+                kept = [ent for ent in record["entities"] if ent["type"] in type_vocab]
+                if len(kept) < 2:
+                    return None
+                corpus.sentences.append(_sentence(record, kept, sid))
+            lineno += sum(1 for _ in fh)
+            if not path.unchanged(fh.fileno()):
+                return None
+    except (CorpusFormatError, UnicodeDecodeError):
+        return None
+    return corpus if lineno == corpus.lines else None
 
 
 def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _CorpusPart:
@@ -953,12 +1074,8 @@ def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _C
                 kept = [ent for ent in entities if ent["type"] in type_vocab]
                 dropped += len(entities) - len(kept)
                 if len(kept) >= 2:
-                    spans = sorted((ent["start"], ent["end"], ent["type"]) for ent in kept)
-                    pos = record.get("pos")
-                    sentences.append(TaggedSentence(
-                        sid=accepted, tokens=tuple(record["tokens"]),
-                        entities=tuple(EntitySpan(*span) for span in spans),
-                        pos=None if pos is None else tuple(pos)))
+                    sentences.append(_sentence(record, kept, accepted))
+                    part.sentence_lines.append(lineno)
             accepted += 1
     except StopIteration as stop:
         part.lines = stop.value
@@ -968,6 +1085,16 @@ def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _C
     part.accepted = accepted
     part.dropped = dropped
     return part
+
+
+def _sentence(record: dict, kept: list, sid: int) -> TaggedSentence:
+    """The sentence ``sid`` of a record that passed _record_problem and
+    _span_problem, with the entities ``kept`` in span order."""
+    spans = sorted((ent["start"], ent["end"], ent["type"]) for ent in kept)
+    pos = record.get("pos")
+    return TaggedSentence(sid=sid, tokens=tuple(record["tokens"]),
+                          entities=tuple(EntitySpan(*span) for span in spans),
+                          pos=None if pos is None else tuple(pos))
 
 
 def _span_problem(entities: list, count: int) -> str | None:

@@ -14,9 +14,11 @@ def session_cache(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def table_cache(tmp_path_factory, monkeypatch):
-    """An empty cache directory of the test's own, so that no test reads the
-    row index (see brex.corpus.load_embeddings) of the user's cache or of
-    another test; returns the directory that holds the indexes."""
+    """An empty cache directory of the test's own, so that no test reads an
+    index of the user's cache or of another test: a table's row index (see
+    brex.corpus.load_embeddings) or a corpus's record index (see
+    brex.corpus.load_corpus); returns the directory that holds the
+    indexes."""
     root = tmp_path_factory.mktemp("cache")
     monkeypatch.setenv("XDG_CACHE_HOME", str(root))
     return root / "brex"

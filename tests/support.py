@@ -30,12 +30,19 @@ DIM = 6
 @contextlib.contextmanager
 def fresh_cache():
     """Point the cache (see conftest.py) at a new empty directory for the
-    block, so that its loads parse the table instead of reading the row
-    index an earlier load wrote; yields the directory that holds the
-    indexes."""
+    block, so that its loads parse the table and the corpus instead of
+    reading the indexes an earlier load wrote; yields the directory that
+    holds the indexes."""
     with tempfile.TemporaryDirectory() as root, \
             mock.patch.dict(os.environ, {"XDG_CACHE_HOME": root}):
         yield Path(root) / "brex"
+
+
+def table_indexes(cache):
+    """The sorted digests of the tables whose row index is in the cache
+    directory ``cache``; the name of a corpus index also holds a tag of its
+    type vocabulary, after a hyphen."""
+    return sorted(index.stem for index in cache.glob("*.npz") if "-" not in index.stem)
 
 
 def vec(*components, dim=DIM):

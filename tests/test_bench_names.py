@@ -48,8 +48,9 @@ def restored(op):
 
 
 def test_traced_warm_run_loads_through_the_traced_name(tmp_path, table_cache):
-    """A run that reads the table's row index still calls the traced
-    brex.cli.load_embeddings, whose store the tracer counts."""
+    """A run that reads the table's and the corpus's indexes still calls the
+    traced brex.cli.load_embeddings and brex.cli.load_corpus, whose store and
+    sentences the tracer counts."""
     op = load_op()
     paths = build_planted_fixture(n_sentences=40).write(tmp_path)
     runs = []
@@ -62,10 +63,13 @@ def test_traced_warm_run_loads_through_the_traced_name(tmp_path, table_cache):
                 "run", "--corpus", str(paths["corpus"]), "--embeddings",
                 str(paths["embeddings"]), "--seeds", str(paths["seeds"]),
                 "--out", str(tmp_path / name)]) == 0
-        runs.append((tracer.counts["corpus.embedding_words"],
-                     len(tracer.intervals("corpus.load_embeddings")), parse_split.call_count))
-    (cold_words, cold_spans, cold_parses), (warm_words, warm_spans, warm_parses) = runs
+        runs.append((tracer.counts["corpus.embedding_words"], tracer.counts["corpus.instances"],
+                     len(tracer.intervals("corpus.load_embeddings")),
+                     len(tracer.intervals("corpus.load_corpus")), parse_split.call_count))
+    (cold_words, cold_instances, *cold_spans, cold_parses), \
+        (warm_words, warm_instances, *warm_spans, warm_parses) = runs
     assert cold_words == warm_words > 0
-    assert cold_spans == warm_spans == 1
-    assert (cold_parses, warm_parses) == (2, 1)  # the warm run parses only the corpus
-    assert len(list(table_cache.iterdir())) == 1
+    assert cold_instances == warm_instances > 0
+    assert cold_spans == warm_spans == [1, 1]
+    assert (cold_parses, warm_parses) == (2, 0)  # the warm run parses neither file
+    assert len(list(table_cache.iterdir())) == 2

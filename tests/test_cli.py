@@ -211,14 +211,14 @@ class TestRun:
             return merged[-1]
 
         split = tmp_path / "split"
-        # a fresh cache: the first run's row index would spare the table's parse
+        # a fresh cache: the first run's indexes would spare both parses
         with support.fresh_cache() as cache, \
                 mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
                 mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
                 mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2}), \
                 mock.patch.object(brex.corpus, "_parse_split", spy):
             assert main(run_args(data_dir, split)) == 0
-            assert len(list(cache.iterdir())) == 1  # the split parse wrote the index
+            assert len(list(cache.iterdir())) == 2  # the split parses wrote both indexes
         corpus_parts, table_parts = merged
         # the three ranges of each file were merged
         assert len(corpus_parts) == len(table_parts) == 3
@@ -840,9 +840,10 @@ class TestStatsAndHits:
             [first[key] for key in ("hits_by_pair", "hits_by_template", "hits")]
 
     def test_each_input_is_hashed_once(self, data_dir, tmp_path, table_cache):
-        """The manifest's digest of the table also keys its row index: a run
-        hashes each input once, cold or warm, and `brex hits`, which writes
-        no manifest, hashes only the table, for its index."""
+        """The manifest's digests of the corpus and the table also key their
+        indexes: a run hashes each input once, cold or warm, and `brex hits`,
+        which writes no manifest, hashes only the corpus and the table, for
+        their indexes."""
         sha256, hashed = brex.corpus.file_sha256, []
 
         def spy(path):
@@ -857,10 +858,12 @@ class TestStatsAndHits:
                 assert sorted(hashed) == sorted(inputs)
                 hashed.clear()
             assert main(hits_args(data_dir, tmp_path / "hits.json")) == 0
-            assert hashed == [inputs[1]]
-        digest = json.loads((tmp_path / "warm" / "manifest.json").read_text())[
-            "inputs"]["embeddings"]["sha256"]
-        assert [index.name for index in table_cache.iterdir()] == [digest + ".npz"]
+            assert hashed == inputs[:2]
+        digests = json.loads((tmp_path / "warm" / "manifest.json").read_text())["inputs"]
+        assert support.table_indexes(table_cache) == [digests["embeddings"]["sha256"]]
+        [corpus_index] = set(table_cache.iterdir()) - {
+            table_cache / (digests["embeddings"]["sha256"] + ".npz")}
+        assert corpus_index.name.startswith(digests["corpus"]["sha256"] + "-")
 
     def test_table_replaced_after_its_digest_is_not_indexed(self, data_dir, tmp_path,
                                                             table_cache):
@@ -886,10 +889,9 @@ class TestStatsAndHits:
             manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
             assert manifest["inputs"]["embeddings"]["sha256"] == \
                 brex.corpus.file_sha256(data_dir / "embeddings.txt")
-            assert not table_cache.exists() or list(table_cache.iterdir()) == []
+            assert support.table_indexes(table_cache) == []
             assert main(args) == 0  # the replacement, digested as it is now
-        assert [index.name for index in table_cache.iterdir()] == [
-            brex.corpus.file_sha256(table) + ".npz"]
+        assert support.table_indexes(table_cache) == [brex.corpus.file_sha256(table)]
 
 
 class TestSweep:
@@ -914,10 +916,15 @@ class TestSweep:
             assert (out / name / "accepted.jsonl").exists()
 
     @pytest.mark.parametrize("gold", ["missing", "malformed"])
-    def test_bad_gold_exits_2_and_writes_summary(self, data_dir, tmp_path, capsys, gold):
+    def test_bad_gold_exits_2_and_writes_summary(self, data_dir, tmp_path, capsys, gold,
+                                                 monkeypatch):
         gold_path = tmp_path / "gold.tsv"
         if gold == "malformed":
             gold_path.write_text("Acme Corp without a tab\n")
+        reads = []
+        load_gold = brex.cli.load_gold
+        monkeypatch.setattr(brex.cli, "load_gold",
+                            lambda *args: reads.append(args) or load_gold(*args))
         out = tmp_path / "sweep"
         code = main(["sweep",
                      "--corpus", str(data_dir / "corpus.jsonl"),
@@ -926,13 +933,32 @@ class TestSweep:
                      "--mode", "bree,brej", "--gold", str(gold_path),
                      "--out", str(out)])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert len(reads) == 1  # the second cell fails with the first one's error
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert [row["exit_code"] for row in summary] == [2, 2]
-        for row in summary:
-            manifest = json.loads((out / row["cell"] / "manifest.json").read_text())
+        manifests = [json.loads((out / row["cell"] / "manifest.json").read_text())
+                     for row in summary]
+        for manifest in manifests:
             assert manifest["status"] == "failed"
             assert str(gold_path) in manifest["error"]
+            assert manifest["error"] == manifests[0]["error"]
+
+    def test_gold_is_read_once_per_pairing(self, tmp_path, monkeypatch):
+        inputs, gold = self.biset_inputs(tmp_path)
+        reads = []
+        load_gold = brex.cli.load_gold
+        monkeypatch.setattr(brex.cli, "load_gold",
+                            lambda *args: reads.append(args) or load_gold(*args))
+        out = tmp_path / "sweep"
+        assert main(["sweep", *inputs, "--mode", "bree,bret,brej",
+                     "--pairing", "ordered,biset", "--gold", gold,
+                     "--out", str(out)]) == 0
+        assert sorted(pairing for _, _, pairing in reads) == ["biset", "ordered"]
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert len(summary) == 6 and all("scores" in row for row in summary)
 
     @staticmethod
     def biset_inputs(tmp_path):

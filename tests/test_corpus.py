@@ -917,8 +917,9 @@ class TestCorpusSplit:
 
     @staticmethod
     def split_corpus(path, cpus=2):
-        """load_corpus with ranges of one byte or more on ``cpus`` CPUs, and
-        the results of _parse_split, its lists of parts."""
+        """load_corpus with ranges of one byte or more on ``cpus`` CPUs, in a
+        fresh cache, so that the corpus is parsed even when it was loaded
+        before, and the results of _parse_split, its lists of parts."""
         parse_split = brex.corpus._parse_split
         results = []
 
@@ -926,7 +927,8 @@ class TestCorpusSplit:
             results.append(parse_split(*args))
             return results[-1]
 
-        with mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
+        with support.fresh_cache(), \
+                mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
                 mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
                 mock.patch.object(brex.corpus, "_parse_split", spy):
             return load_corpus(path, {"ORG"}), results
@@ -1047,6 +1049,217 @@ class TestCorpusSplit:
         assert warnings() == [line.replace(str(regular), str(fifo)) for line in logged]
 
 
+# Records with blank lines, two rejected records and entities of a type
+# outside {"ORG"}; MIXED and PER_ONLY give sentences only under {"ORG", "PER"}.
+PER_ONLY = record(["Maria", "met", "Ann"], [PER(0, 1), PER(2, 3)])
+INDEXED_RECORDS = [OK, "", MIXED, OVERLAP, "  ", BAD_SPAN, PER_ONLY, OK, "\t", MIXED]
+
+
+class TestCorpusIndex:
+    """The first load of a corpus that parses without error writes its index
+    under its sha256 and type vocabulary; a later load decodes only the lines
+    of its sentences and gives the same corpus and warnings, and any doubt
+    about the index means a parse."""
+
+    @pytest.fixture(autouse=True)
+    def warnings(self, caplog):
+        caplog.set_level(logging.WARNING, logger="brex.corpus")
+
+        def take():
+            messages = [rec.getMessage() for rec in caplog.records]
+            caplog.clear()
+            return messages
+        return take
+
+    @staticmethod
+    def corpus(path, end="\n", rows=INDEXED_RECORDS):
+        path.write_bytes("".join(row + end for row in rows).encode("utf-8"))
+        return path
+
+    @staticmethod
+    def load(path, vocab=frozenset({"ORG"}), cpus=2):
+        """load_corpus over ranges of one byte or more on ``cpus`` CPUs; the
+        corpus and whether it was parsed."""
+        with mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
+                mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
+                mock.patch.object(brex.corpus, "_parse_split",
+                                  wraps=brex.corpus._parse_split) as parse_split:
+            loaded = load_corpus(path, set(vocab))
+        return loaded, parse_split.call_count == 1
+
+    @staticmethod
+    def reference(path, vocab=frozenset({"ORG"})):
+        """The one-range parse of ``path`` in a fresh cache."""
+        with support.fresh_cache():
+            return load_corpus(path, set(vocab))
+
+    @staticmethod
+    def corpus_indexes(cache, path):
+        """The indexes in ``cache`` of the corpus at ``path`` as it is now."""
+        return [index for index in indexes(cache)
+                if index.name.startswith(brex.corpus.file_sha256(path) + "-")]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_warm_load_gives_the_cold_corpus(self, tmp_path, table_cache, warnings, end):
+        path = self.corpus(tmp_path / "corpus.jsonl", end)
+        cold, parsed = self.load(path)
+        logged = warnings()
+        assert parsed
+        assert [index.name for index in indexes(table_cache)] == [
+            index.name for index in self.corpus_indexes(table_cache, path)]
+        assert len(indexes(table_cache)) == 1
+        warm, parsed = self.load(path)
+        assert not parsed
+        assert warnings() == logged
+        assert warm == cold == self.reference(path)
+        assert logged == [f"{path}: line 4: overlapping entity spans, record rejected",
+                          f"{path}: line 6: bad entity span (1, 5), record rejected",
+                          "dropped 4 entities with types outside ['ORG']"]
+        assert [sent.sid for sent in warm.sentences] == [0, 1, 3, 4]
+        assert (warm.accepted_records, warm.rejected_records, warm.dropped_entities) == (
+            5, 2, 4)
+
+    def test_each_type_vocabulary_has_its_own_index(self, tmp_path, table_cache, warnings):
+        path = self.corpus(tmp_path / "corpus.jsonl")
+        loads = {}
+        for vocab in ({"ORG"}, {"PER", "ORG"}):
+            loads[frozenset(vocab)], parsed = self.load(path, vocab)
+            assert parsed
+        assert len(self.corpus_indexes(table_cache, path)) == 2
+        wide = loads[frozenset({"ORG", "PER"})]
+        assert len(wide.sentences) == 5 and wide.dropped_entities == 0
+        for vocab, cold in loads.items():
+            warnings()
+            warm, parsed = self.load(path, vocab)
+            assert not parsed
+            assert warm == cold == self.reference(path, vocab)
+
+    def test_a_corpus_replaced_since_its_digest_is_parsed_and_not_indexed(
+            self, tmp_path, table_cache):
+        path = self.corpus(tmp_path / "corpus.jsonl")
+        self.load(path)
+        [index] = indexes(table_cache)
+        written = index.read_bytes()
+        hashed = brex.corpus.HashedPath(path)
+        # the indexed lines still give their sentences; line 7 gives one more
+        rows = [row.replace("PER", "ORG") if row == PER_ONLY else row
+                for row in INDEXED_RECORDS]
+        other = self.corpus(tmp_path / "other.jsonl", rows=rows)
+        os.replace(other, path)
+        loaded, parsed = self.load(hashed)
+        assert parsed
+        assert loaded == self.reference(path)
+        assert [sent.sid for sent in loaded.sentences] == [0, 1, 2, 3, 4]
+        assert indexes(table_cache) == [index] and index.read_bytes() == written
+
+    @pytest.mark.parametrize("damage", ["corpus-rewritten", "truncated", "corrupt",
+                                        "other-line", "line-count", "scalar", "pickled",
+                                        "other-version"])
+    def test_a_doubtful_index_means_a_parse_that_rewrites_it(self, tmp_path, table_cache,
+                                                             warnings, damage):
+        path = self.corpus(tmp_path / "corpus.jsonl")
+        self.load(path)
+        [index] = indexes(table_cache)
+        if damage == "corpus-rewritten":  # same size and mtime: a PER becomes an ORG
+            before = path.stat()
+            with open(path, "r+b") as fh:
+                data = fh.read()
+                fh.seek(data.index(b'"PER"'))
+                fh.write(b'"ORG"')
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            assert (path.stat().st_ino, path.stat().st_size, path.stat().st_mtime_ns) == (
+                before.st_ino, before.st_size, before.st_mtime_ns)
+        elif damage == "truncated":
+            index.write_bytes(index.read_bytes()[:-100])
+        elif damage == "corrupt":  # a bit of the first sentence line flipped
+            data = bytearray(index.read_bytes())
+            data[data.index(b"\x93NUMPY", data.index(b"sentence_lines")) + 128] ^= 1
+            index.write_bytes(bytes(data))
+        elif damage == "other-line":  # the first sentence's line is a rejected record's
+            with np.load(index) as data:
+                lines = data["sentence_lines"].copy()
+            lines[0] = 4
+            rewrite_index(index, sentence_lines=lines)
+        elif damage == "line-count":  # one text line more than the corpus has
+            with np.load(index) as data:
+                counts = data["counts"] + [0, 0, 1]
+            rewrite_index(index, counts=counts)
+        elif damage == "scalar":  # an array of no length
+            rewrite_index(index, rejected_lines=np.array(4))
+        elif damage == "pickled":  # an object array, which only a pickle holds
+            with np.load(index) as data:
+                reasons = data["reasons"].tobytes().decode("utf-8").split("\n")
+            rewrite_index(index, reasons=np.array(reasons, dtype=object))
+        else:
+            with np.load(index) as data:
+                digest, version, vocab = data["key"].item().split(" ", 2)
+            rewrite_index(index, key=np.array(f"{digest} {int(version) + 1} {vocab}"))
+        warnings()
+        loaded, parsed = self.load(path)
+        logged = warnings()
+        assert parsed
+        assert loaded == self.reference(path)
+        if damage == "corpus-rewritten":
+            assert loaded.sentences[0].entities[0] == EntitySpan(0, 1, "ORG")
+        [rewritten] = self.corpus_indexes(table_cache, path)
+        assert (damage == "corpus-rewritten") == (rewritten != index)
+        warnings()
+        warm, parsed = self.load(path)  # the rewritten entry is read
+        assert not parsed
+        assert warm == loaded
+        assert warnings() == logged
+
+    def test_a_corpus_with_a_bad_record_is_never_indexed(self, tmp_path, table_cache,
+                                                        warnings):
+        path = self.corpus(tmp_path / "corpus.jsonl",
+                           rows=INDEXED_RECORDS[:5] + ["{not json"] + INDEXED_RECORDS[5:])
+        errors = []
+        for _ in range(2):
+            with pytest.raises(CorpusFormatError, match="line 6: invalid JSON") as got:
+                self.load(path)
+            errors.append((str(got.value), warnings()))
+            assert indexes(table_cache) == []
+        assert errors[0] == errors[1]
+        assert errors[0][1] == [f"{path}: line 4: overlapping entity spans, record rejected"]
+
+    def test_an_unwritable_cache_means_a_parse_each_time(self, tmp_path, monkeypatch,
+                                                         warnings):
+        blocker = tmp_path / "cache"
+        blocker.write_text("")  # a file: no directory can be made under it
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        path = self.corpus(tmp_path / "corpus.jsonl")
+        for _ in range(2):
+            loaded, parsed = self.load(path)
+            assert parsed
+            assert loaded == self.reference(path)
+
+    def test_a_warm_load_decodes_only_the_sentences_and_forks_nothing(self, tmp_path):
+        path = self.corpus(tmp_path / "corpus.jsonl", rows=INDEXED_RECORDS * 5)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            cold, parsed = self.load(path)
+        assert parsed and fork.call_count == 1
+        with mock.patch.object(brex.corpus, "_as_object",
+                               wraps=brex.corpus._as_object) as as_object, \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            warm, parsed = self.load(path)
+        assert not parsed and fork.call_count == 0
+        decoded_lines = [call.args[3] for call in as_object.call_args_list]
+        assert decoded_lines == [k * 10 + n for k in range(5) for n in (1, 3, 8, 10)]
+        assert warm == cold
+
+    def test_one_range_and_split_loads_write_the_same_index(self, tmp_path):
+        path = self.corpus(tmp_path / "corpus.jsonl", rows=INDEXED_RECORDS * 5)
+        written = []
+        for cpus in (1, 2, 3):
+            with support.fresh_cache() as cache, \
+                    mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                loaded, parsed = self.load(path, cpus=cpus)
+                [index] = indexes(cache)
+                written.append((index.name, index.read_bytes(), loaded))
+            assert parsed and fork.call_count == cpus - 1
+        assert written[0] == written[1] == written[2]
+
+
 FUZZ_WORDS = ("Acme", "bought", "Bolt", "was", "by", "Maria")
 FUZZ_TYPES = ("ORG", "PER")  # the relation's type pair
 FUZZ_TAGS = ("NNP", "VBD", "VBN", "IN")
@@ -1126,7 +1339,8 @@ def passive_row(first, second):
 
 class TestFuzzedCorpus:
     """Random records and span layouts through load_corpus, the table and
-    extract_instances, each file read in one part and in two."""
+    extract_instances, each file read in one part, in two, and through the
+    indexes the first read wrote."""
 
     @given(st.lists(st.tuples(fuzzed_records(), st.sampled_from(["\n", "\r\n"]),
                               st.sampled_from(["", "", "\n", "  \r\n"])), max_size=10))
@@ -1155,11 +1369,15 @@ class TestFuzzedCorpus:
                     [rec.getMessage() for rec in caplog.records])
 
         one = ingest()
-        with mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
+        with support.fresh_cache(), \
+                mock.patch.object(brex.corpus, "_MIN_CORPUS_RANGE_BYTES", 1), \
                 mock.patch.object(brex.corpus, "_MIN_TABLE_RANGE_BYTES", 1), \
                 mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
             split = ingest()
-        assert split == one
+        with mock.patch.object(brex.corpus, "_parse_split") as parse_split:
+            warm = ingest()  # through the indexes the first ingest wrote
+        assert not parse_split.called
+        assert split == warm == one
         for loaded, _, instances, _ in (one, split):
             sentences = {sent.sid: sent for sent in loaded.sentences}
             for iid, pair, key in instances:
