@@ -234,12 +234,12 @@ class RunInputs:
     ingest reads (the window limits) is sweepable, so every cell reads one
     ingest and builds its own seed state from it under its pairing. A sweep
     also keeps the gold file and threshold, and reads the gold file once per
-    pairing. The cells that agree on GRAPH_SETTINGS share a similarity graph;
-    only the latest graph is kept, so the cells that share one must run one
-    after another. The inputs are digested only when a manifest first asks,
-    before ingest reads them; the digests of the corpus and the table then
-    also key their indexes (see load_corpus and load_embeddings), so each
-    input is hashed once."""
+    relation and pairing. The cells that agree on GRAPH_SETTINGS share a
+    similarity graph; only the latest graph is kept, so the cells that share
+    one must run one after another. The inputs are digested only when a
+    manifest first asks, before ingest reads them; the digests of the corpus
+    and the table then also key their indexes (see load_corpus and
+    load_embeddings), so each input is hashed once."""
 
     def __init__(self, args):
         self.paths = (args.corpus, args.embeddings, args.seeds)
@@ -249,7 +249,7 @@ class RunInputs:
         self._ingested: Ingested | None = None
         self._graph_key: tuple | None = None
         self._graph: SimilarityGraph | None = None
-        self._gold: dict[str, GoldKB | Exception] = {}
+        self._gold: dict[tuple[str, str], GoldKB | Exception] = {}
 
     def digests(self) -> dict:
         if self._hashed is None:
@@ -279,12 +279,13 @@ class RunInputs:
         every cell that asks."""
         if self.gold_path is None:
             return None
-        if pairing not in self._gold:
+        key = relation, pairing
+        if key not in self._gold:
             try:
-                self._gold[pairing] = load_gold(self.gold_path, relation, pairing)
+                self._gold[key] = load_gold(self.gold_path, relation, pairing)
             except (OSError, ValueError) as exc:
-                self._gold[pairing] = exc
-        gold = self._gold[pairing]
+                self._gold[key] = exc
+        gold = self._gold[key]
         if isinstance(gold, Exception):
             raise gold
         return gold

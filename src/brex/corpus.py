@@ -223,9 +223,10 @@ _MIN_TABLE_RANGE_BYTES = 512 << 10
 class HashedPath(str):
     """A path to a file, with the sha256 of the file's bytes and the file's
     identity (see _identity) from just before they were read. A caller that
-    digests a table anyway (brex.cli, for the run's manifest) hands this to
-    load_embeddings, which then needs no second read to find the row index,
-    and tells by the identity a table replaced since it was digested."""
+    digests its inputs anyway (brex.cli, for the run's manifest) hands these
+    to load_embeddings and load_corpus, which then need no second read to
+    find the table's row index or the corpus's record index, and tell by the
+    identity (see unchanged) a file replaced since it was digested."""
 
     def __new__(cls, path):
         self = super().__new__(cls, path)
@@ -845,8 +846,10 @@ def _strings(items: list) -> bool:
 
 
 def _record_problem(record: dict) -> str | None:
-    """What keeps a corpus record from the format's fields and field types,
-    or None."""
+    """What keeps a corpus record, as JSON decodes it, from the format's
+    fields and field types, or None. Decoded JSON holds no subclass of dict,
+    int or str, and a JSON true or false is a bool, so an entity's fields are
+    checked by their exact type, which is cheaper than isinstance."""
     if "tokens" not in record or "entities" not in record:
         return "record must be an object with 'tokens' and 'entities'"
     tokens = record["tokens"]
@@ -857,10 +860,10 @@ def _record_problem(record: dict) -> str | None:
         return "'entities' must be a list"
     for ent in entities:
         if (
-            not isinstance(ent, dict)
-            or not _is_int(ent.get("start"))
-            or not _is_int(ent.get("end"))
-            or not isinstance(ent.get("type"), str)
+            type(ent) is not dict
+            or type(ent.get("start")) is not int
+            or type(ent.get("end")) is not int
+            or type(ent.get("type")) is not str
         ):
             return "each entity needs integer 'start'/'end' and string 'type'"
     pos = record.get("pos")
@@ -1101,17 +1104,17 @@ def _span_problem(entities: list, count: int) -> str | None:
     """Why the spans of a record's ``entities``, checked by _record_problem,
     over ``count`` tokens reject the record, or None: the first span in
     record order that is empty or out of bounds, else any two spans that
-    overlap."""
-    spans = []
+    overlap. Many records have one entity, which overlaps nothing, so the
+    spans are sorted only when there are more."""
     for ent in entities:
         start, end = ent["start"], ent["end"]
         if not 0 <= start < end <= count:
             return f"bad entity span ({start}, {end})"
-        spans.append((start, end))
-    spans.sort()
-    for (_, prev_end), (start, _) in zip(spans, spans[1:]):
-        if start < prev_end:
-            return "overlapping entity spans"
+    if len(entities) > 1:
+        spans = sorted([(ent["start"], ent["end"]) for ent in entities])
+        for (_, prev_end), (start, _) in zip(spans, spans[1:]):
+            if start < prev_end:
+                return "overlapping entity spans"
     return None
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, outputs, manifest, config precedence, sweep."""
 
+import argparse
 import contextlib
 import json
 import math
@@ -959,6 +960,18 @@ class TestSweep:
         assert sorted(pairing for _, _, pairing in reads) == ["biset", "ordered"]
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert len(summary) == 6 and all("scores" in row for row in summary)
+
+    def test_gold_is_kept_per_relation_and_pairing(self, tmp_path):
+        _, gold = self.biset_inputs(tmp_path)
+        inputs = brex.cli.RunInputs(argparse.Namespace(
+            corpus=None, embeddings=None, seeds=None, gold=gold, threshold=0.5))
+        first = inputs.gold("acquired", "ordered")
+        assert inputs.gold("acquired", "ordered") is first
+        other = inputs.gold("founded", "ordered")
+        assert (other.relation, other.pairing) == ("founded", "ordered")
+        assert other.facts == first.facts
+        biset = inputs.gold("acquired", "biset")
+        assert (biset.relation, biset.pairing) == ("acquired", "biset")
 
     @staticmethod
     def biset_inputs(tmp_path):
