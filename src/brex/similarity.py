@@ -12,15 +12,17 @@ All measures return 0 when the two type pairs differ. Results are clamped to
 [0, 1]: negative dot products would otherwise leak into threshold checks and
 confidence products, and the cc-sym2 side-window sum can exceed unit norm.
 
-``sim_instances`` is the definition and the source of every similarity value
-the engine reads. ``SimilarityGraph`` finds which pairs of a frozen instance
-list reach tau_sim. The engine only asks for the in-edges of selected
-columns, so a column is scored when it is first read: row-blocked matrix
-products score every row of its entity-type pair against it. A pair's score
-decides whether it is an edge unless it lies within its rounding margin of
-tau_sim, where ``sim_instances`` decides. A value the engine reads (a
-max-linkage similarity) is always a ``sim_instances`` value; the scores only
-rule out the pairs that cannot be the maximum.
+``sim_instances`` is the definition of every similarity value the engine
+reads, and the test oracle. ``SimilarityGraph`` finds which pairs of a frozen
+instance list reach tau_sim. The engine only asks for the in-edges of
+selected columns, so a column is scored when it is first read: row-blocked
+matrix products score every row of its entity-type pair against it. A pair's
+score decides whether it is an edge unless it lies within its rounding margin
+of tau_sim, where its exact value decides. Exact values come from one batched
+path, ``exact_values``, equal to ``sim_instances`` bit for bit: both take
+their dot products from the same kernel and combine them in the same order.
+A value the engine reads (a max-linkage similarity) is always an exact value;
+the scores only rule out the pairs that cannot be the maximum.
 """
 
 from __future__ import annotations
@@ -154,9 +156,64 @@ def _stack(contexts: list[Template]):
     between = np.array([t.v_between for t in contexts], dtype=np.float64)
     after = np.array([t.v_after for t in contexts], dtype=np.float64)
     sides = before + after
-    bound = np.linalg.norm(np.stack([before, between, after, sides]), axis=2).max(axis=0)
+    # one window's norms at a time: stacking the four would copy them again
+    bound = np.linalg.norm(before, axis=1)
+    for window in (between, after, sides):
+        np.maximum(bound, np.linalg.norm(window, axis=1), out=bound)
     slack = _MARGIN_ULPS * (between.shape[1] + 4) * _UNIT_ROUNDOFF * bound
     return (before, between, after, sides), bound, slack
+
+
+def _first_max(first, *rest):
+    """Python's max of arrays, element by element: a later value replaces the
+    one kept only if it is greater, so a NaN kept first stays and a NaN that
+    comes later is skipped."""
+    for value in rest:
+        first = np.where(value > first, value, first)
+    return first
+
+
+def exact_values(measure: SimilarityMeasure, probes: tuple, p_at: np.ndarray,
+                 targets: tuple, t_at: np.ndarray) -> np.ndarray:
+    """sim_instances of probe row ``p_at[k]`` of the stack ``probes`` against
+    target row ``t_at[k]`` of ``targets`` (both (before, between, after,
+    sides) stacks of one type pair), for every k, bit for bit.
+
+    np.vecdot runs the same dot kernel as the 1-D ``@`` of sim_instances on
+    contiguous rows (every vector ingest builds is one), and the terms are
+    combined in its order: match's weighted sum left to right, each max as
+    Python's, then max(0.0, v) and min(1.0, v), which map NaN and -0.0 to
+    0.0 as Python's max and min do (np.maximum and np.clip would keep them).
+    Pairs are gathered in chunks of about _BLOCK_CELLS values per window."""
+    values = np.empty(len(p_at))
+    step = max(1, _BLOCK_CELLS // max(1, probes[1].shape[1]))
+    kind = measure.kind
+    # overflowing dot products give inf or NaN, as they do in sim_instances
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(p_at), step):
+            p, t = p_at[start:start + step], t_at[start:start + step]
+            p_between, t_between = probes[1][p], targets[1][t]
+            if kind == "match":
+                w_before, w_between, w_after = measure.weights
+                value = (w_before * np.vecdot(probes[0][p], targets[0][t])
+                         + w_between * np.vecdot(p_between, t_between)
+                         + w_after * np.vecdot(probes[2][p], targets[2][t]))
+            elif kind == "cc-sym2":
+                value = _first_max(np.vecdot(probes[3][p], t_between),
+                                   np.vecdot(targets[3][t], p_between),
+                                   np.vecdot(p_between, t_between))
+            else:
+                value = _first_max(np.vecdot(probes[0][p], t_between),
+                                   np.vecdot(p_between, t_between),
+                                   np.vecdot(probes[2][p], t_between))
+                if kind == "cc-sym1":
+                    value = _first_max(value, _first_max(
+                        np.vecdot(targets[0][t], p_between),
+                        np.vecdot(t_between, p_between),
+                        np.vecdot(targets[2][t], p_between)))
+            value = np.where(value > 0.0, value, 0.0)
+            values[start:start + step] = np.where(value < 1.0, value, 1.0)
+    return values
 
 
 def _scores(measure: SimilarityMeasure, p, t) -> np.ndarray:
@@ -210,11 +267,13 @@ class SimilarityGraph:
 
     The graph keeps one interval [lo, hi] per candidate that holds its
     sim_instances value: the score minus and plus its margin, capped at 1.
-    The interval decides an edge unless tau_sim lies inside it; sim_instances
-    is called only for those candidates and for the values a caller reads,
-    and closes the interval at its value. A value is known when lo == hi.
-    Without a call, that happens only where the cap closes the interval at 1
-    (score - margin >= 1), and there sim_instances is exactly 1.0. This
+    The interval decides an edge unless tau_sim lies inside it. Only those
+    candidates and the values a caller reads get exact values, in batches
+    from ``exact_values`` (equal to sim_instances bit for bit, since both use
+    one dot kernel), and each closes its interval at its value. A value is
+    known when lo == hi. Without an exact value, that happens only where the
+    cap closes the interval at 1 (score - margin >= 1), and there
+    sim_instances is exactly 1.0. This
     needs every other candidate's margin to exceed the rounding of its
     score: the margin is at least 40 u R_i R_j and |score| about R_i R_j at
     most, so it holds unless the margin underflows. Contexts of unit or zero
@@ -261,6 +320,17 @@ class SimilarityGraph:
                                            *_stack(contexts))
         return groups
 
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's type group (its index in _types) and its position in
+        the group's stacks."""
+        group_of = np.empty(len(self), dtype=np.intp)
+        position = np.empty(len(self), dtype=np.intp)
+        for k, group in enumerate(self._types.values()):
+            group_of[group.rows] = k
+            position[group.rows] = np.arange(len(group.rows))
+        return group_of, position
+
     def _candidates_against(self, group: _TypeGroup, targets: tuple,
                             target_slack: np.ndarray):
         """(rows, target positions, lo, hi) of the pairs of the group's rows
@@ -271,7 +341,7 @@ class SimilarityGraph:
         blocks of about _BLOCK_CELLS scores."""
         found = []
         step = max(1, _BLOCK_CELLS // len(target_slack))
-        # an overflowing or NaN score is a candidate; sim_instances decides it
+        # an overflowing or NaN score is a candidate; its exact value decides it
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(group.rows), step):
                 block = tuple(m[start:start + step] for m in group.stack)
@@ -303,12 +373,19 @@ class SimilarityGraph:
 
     def _fill(self, idx: np.ndarray) -> np.ndarray:
         """Close the intervals of candidates ``idx`` at their sim_instances
-        values and return them."""
-        instances, measure = self.instances, self.measure
-        self._lo[idx] = self._hi[idx] = [
-            sim_instances(instances[i], instances[j], measure)
-            for i, j in zip(self._rows[idx].tolist(), self._cols[idx].tolist())]
-        return self._lo[idx]
+        values and return them. A candidate's row and column share a type
+        group, whose stacks hold both."""
+        rows, cols = self._rows[idx], self._cols[idx]
+        group_of, position = self._slots
+        in_group = group_of[rows]
+        values = np.empty(len(idx))
+        for k, group in enumerate(self._types.values()):
+            at = np.flatnonzero(in_group == k)
+            if len(at):
+                values[at] = exact_values(self.measure, group.stack, position[rows[at]],
+                                          group.stack, position[cols[at]])
+        self._lo[idx] = self._hi[idx] = values
+        return values
 
     def edges_into(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of the edges whose column is selected by the bool
@@ -397,9 +474,10 @@ class SimilarityGraph:
                         f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
                 targets, _, target_slack = _stack([template])
                 rows, _, lo, hi = self._candidates_against(group, targets, target_slack)
-                unsure = (lo < self.tau_sim) & (hi >= self.tau_sim)
-                lo[unsure] = [sim_instances(self.instances[row], template, self.measure)
-                              for row in rows[unsure].tolist()]
+                unsure = np.flatnonzero((lo < self.tau_sim) & (hi >= self.tau_sim))
+                lo[unsure] = exact_values(self.measure, group.stack,
+                                          self._slots[1][rows[unsure]], targets,
+                                          np.zeros(len(unsure), dtype=np.intp))
                 column[rows[lo >= self.tau_sim]] = True
             self._template_columns[key] = column
         return column

@@ -178,20 +178,22 @@ def clustered_world(rng, measure):
 
 
 @pytest.fixture
-def scalar_calls(monkeypatch):
-    calls = []
-    scalar = brex.similarity.sim_instances
+def exact_pairs(monkeypatch):
+    """The (probe, target) stack positions of every pair whose exact value
+    the graph computes, one entry per pair."""
+    pairs = []
+    batched = brex.similarity.exact_values
 
-    def counted(i, j, measure):
-        calls.append((i, j))
-        return scalar(i, j, measure)
+    def counted(measure, probes, p_at, targets, t_at):
+        pairs.extend(zip(p_at.tolist(), t_at.tolist()))
+        return batched(measure, probes, p_at, targets, t_at)
 
-    monkeypatch.setattr(brex.similarity, "sim_instances", counted)
-    return calls
+    monkeypatch.setattr(brex.similarity, "exact_values", counted)
+    return pairs
 
 
 @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
-def test_membership_reads_far_from_tau_make_no_scalar_calls(measure, scalar_calls):
+def test_membership_reads_far_from_tau_make_no_scalar_calls(measure, exact_pairs):
     rng = np.random.default_rng(5)
     instances, tau_sim = clustered_world(rng, measure)
     seeds = SeedState.empty("ordered")
@@ -199,25 +201,25 @@ def test_membership_reads_far_from_tau_make_no_scalar_calls(measure, scalar_call
     seeds.pos_templates.add(instances[9].template)
     seeds.pos_templates.add(clustered_template(unit(np.eye(50)[2] + 0.01)))
     graph = SimilarityGraph(instances, measure, tau_sim)
-    scalar_calls.clear()
+    exact_pairs.clear()
     hits = match_channels(graph, seeds)
     hit_rows = np.flatnonzero(hits.matched("brej")).tolist()
     clusters = cluster_hop1(graph, hit_rows)
-    assert scalar_calls == []
+    assert exact_pairs == []
     assert hits.pos_template.sum() == 12  # clusters 1 and 2
     assert [len(ex) for ex in clusters] == [1, 6, 6]  # row 0 by its pair, clusters 1, 2
 
 
 @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
-def test_max_into_calls_once_per_row_and_group(measure, scalar_calls):
+def test_max_into_calls_once_per_row_and_group(measure, exact_pairs):
     rng = np.random.default_rng(6)
     instances, tau_sim = clustered_world(rng, measure)
     graph = SimilarityGraph(instances, measure, tau_sim)
     owner = np.array([k % 8 if k % 8 < 3 else -1 for k in range(len(instances))])
-    scalar_calls.clear()
+    exact_pairs.clear()
     rows, owners, values = graph.max_into(owner)
     # no edge lies within any margin of tau_sim, so one value per (row, group)
-    assert len(scalar_calls) <= len(rows)
+    assert len(exact_pairs) <= len(rows)
     expected = {}
     for i, a in enumerate(instances):
         for j, b in enumerate(instances):
@@ -229,7 +231,7 @@ def test_max_into_calls_once_per_row_and_group(measure, scalar_calls):
     assert values.tolist() == [expected[key] for key in sorted(expected)]
 
 
-def test_intervals_capped_at_one_need_no_scalar_call(scalar_calls):
+def test_intervals_capped_at_one_need_no_scalar_call(exact_pairs):
     """cc-sym2 scores (v_bef + v_aft)(i) . v_bet(j): with before = after =
     between, near pairs score about 2, so the cap closes their intervals at
     1, which is their sim_instances value."""
@@ -240,9 +242,9 @@ def test_intervals_capped_at_one_need_no_scalar_call(scalar_calls):
     measure = SimilarityMeasure("cc-sym2")
     assert all(sim_instances(a, b, measure) == 1.0 for a in instances for b in instances)
     graph = SimilarityGraph(instances, measure, 0.7)
-    scalar_calls.clear()
+    exact_pairs.clear()
     rows, owners, values = graph.max_into(np.array([0, 0, 1, -1, -1]))
-    assert scalar_calls == []
+    assert exact_pairs == []
     assert list(zip(rows.tolist(), owners.tolist())) == [(r, k) for r in range(5)
                                                          for k in (0, 1)]
     assert values.tolist() == [1.0] * 10

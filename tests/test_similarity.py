@@ -1,14 +1,20 @@
-"""The four similarity measures: hand arithmetic, laws, and the cluster-max oracle."""
+"""The four similarity measures: hand arithmetic, laws, the cluster-max oracle,
+and the batched exact values against sim_instances."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brex.similarity
 from brex.similarity import (
+    MEASURE_KINDS,
     SimilarityMeasure,
+    _stack,
+    exact_values,
     sim_instance_cluster,
     sim_instance_templateset,
     sim_instances,
@@ -193,3 +199,45 @@ class TestClusterAndTemplateSet:
         seed = make_template(v_between=u)
         assert sim_instance_templateset(probe, [seed], MATCH) == pytest.approx(
             0.6, abs=1e-12)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bytes, with any NaN equal to any NaN."""
+    nan = np.isnan(a)
+    return (nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def random_contexts(rng, n, dim, log_scale):
+    """n templates whose windows have components near 1 or near
+    10**log_scale, a fifth of them zero. Two large windows overflow their
+    dot product to inf or NaN, while a pair's other products stay finite."""
+    windows = rng.normal(size=(n, 3, dim)) * np.where(
+        rng.random((n, 3, 1)) < 0.5, 10.0 ** log_scale, 1.0)
+    windows[rng.random((n, 3)) < 0.2] = 0.0
+    return [make_template(*window, dim=dim) for window in windows]
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(MEASURE_KINDS),
+       dim=st.sampled_from([1, 3, 8, 50, 67]),
+       log_scale=st.sampled_from([-170.0, 0.0, 160.0]) | st.floats(-170.0, 160.0),
+       block_cells=st.sampled_from([1, 100, 1 << 17]))
+@settings(max_examples=300, deadline=None)
+def test_exact_values_equal_sim_instances_bit_for_bit(seed, kind, dim, log_scale,
+                                                      block_cells):
+    """The batched exact values of gathered probe and target rows are the
+    sim_instances values of those rows' templates, bit for bit, in chunks of
+    any size."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(3)
+    measure = SimilarityMeasure(kind, tuple((weights / weights.sum()).tolist()))
+    probes = random_contexts(rng, int(rng.integers(1, 8)), dim, log_scale)
+    targets = random_contexts(rng, int(rng.integers(1, 8)), dim, log_scale)
+    pairs = int(rng.integers(0, 40))
+    p_at = rng.integers(0, len(probes), size=pairs)
+    t_at = rng.integers(0, len(targets), size=pairs)
+    with (mock.patch.object(brex.similarity, "_BLOCK_CELLS", block_cells),
+          np.errstate(over="ignore", invalid="ignore")):
+        values = exact_values(measure, _stack(probes)[0], p_at, _stack(targets)[0], t_at)
+        expected = np.array([sim_instances(probes[i], targets[j], measure)
+                             for i, j in zip(p_at.tolist(), t_at.tolist())])
+    assert same_bits(values, expected)
