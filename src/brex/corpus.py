@@ -44,8 +44,15 @@ one the digest was taken of (HashedPath.unchanged).
 
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
-bounded cosines. Window sums run over tokens in sorted order, which makes the
-vectors bit-identical for any two windows with the same token multiset.
+bounded cosines. The EmbeddingStore keeps one table of distinct contexts, a
+row per sorted token multiset: extract_instances, parse_seed_templates and
+context_vector give each window its row, then build the new rows in one
+batch, as one read-only matrix (a corpus's contexts are one matrix), and
+every window of a multiset shares its row's array. Window sums run over
+tokens in sorted order, which makes the vectors bit-identical for any two
+windows with the same token multiset. A window whose sum or norm overflows
+float64 raises EmbeddingFormatError naming its tokens (exit 2), where it
+would otherwise give a NaN or zero vector and silently zero similarities.
 """
 
 from __future__ import annotations
@@ -159,14 +166,22 @@ class ExtractionResult:
 
 
 class EmbeddingStore:
-    """Immutable word-vector table; unknown words map to the zero vector."""
+    """Immutable word-vector table; unknown words map to the zero vector.
+
+    The store also holds the table of distinct context vectors: each sorted
+    token multiset has one row (context_row), and context_rows builds the
+    rows added since its last call as one read-only matrix. Every window of
+    a multiset shares that row's array, a C-contiguous view of its matrix.
+    """
 
     def __init__(self, dimension: int, vectors: dict[str, np.ndarray]):
         self.dimension = dimension
         self._vectors = vectors
         self._zero = np.zeros(dimension, dtype=np.float64)
         self._zero.setflags(write=False)
-        self._contexts: dict[tuple[str, ...], np.ndarray] = {}
+        self._rows: dict[tuple[str, ...], int] = {}
+        self._contexts: list[np.ndarray] = []  # the built rows, by row
+        self._pending: list[tuple[str, ...]] = []  # the multisets of the rows not built yet
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -177,31 +192,75 @@ class EmbeddingStore:
     def lookup(self, word: str) -> np.ndarray:
         return self._vectors.get(word, self._zero)
 
-    def context_vector(self, tokens) -> np.ndarray:
-        """Unit-normalized sum of the token embeddings (zero if nothing embeds).
-
-        Tokens are summed in sorted order so that equal multisets give
-        bit-equal vectors; the read-only vector of each multiset is built
-        once and shared.
-        """
+    def context_row(self, tokens) -> int:
+        """The row of the context table that holds the context vector of
+        ``tokens``; a multiset not seen before gets the next row, which the
+        next context_rows call builds."""
         key = tuple(sorted(tokens))
-        vector = self._contexts.get(key)
-        if vector is None:
-            total = np.zeros(self.dimension, dtype=np.float64)
-            for tok in key:
-                total += self.lookup(tok)
-            vector = self._contexts[key] = unit(total)
-        return vector
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = len(self._rows)
+            self._pending.append(key)
+        return row
+
+    def context_rows(self) -> list[np.ndarray]:
+        """The context vector of every row of the context table, by row,
+        after building those added since the last call (see _build)."""
+        if self._pending:
+            self._contexts.extend(self._build(self._pending))
+            self._pending = []
+        return self._contexts
+
+    def context_vector(self, tokens) -> np.ndarray:
+        """Unit-normalized sum of the token embeddings (zero if nothing embeds);
+        the read-only vector of each multiset is built once and shared."""
+        row = self.context_row(tokens)
+        return self.context_rows()[row]
+
+    def _build(self, keys: list[tuple[str, ...]]) -> np.ndarray:
+        """The read-only (len(keys), d) matrix of the context vectors of the
+        sorted token multisets ``keys``, built _CONTEXT_WINDOWS windows at a
+        time.
+
+        A chunk's sums start from zeros and add the rows of each window's
+        first tokens, then of its second ones, and so on: each window's sum
+        has the bits of ``total += lookup(tok)`` over its sorted tokens, and
+        equal multisets give bit-equal vectors. (A window that has run out
+        of tokens adds zeros, which leave a sum from zeros unchanged: such a
+        sum is never -0.0. np.add.reduce and reduceat would sum a window's
+        rows pairwise where numpy's loop order puts them innermost.) The
+        norm is sqrt(np.vecdot(s, s)), the dot kernel of np.linalg.norm's
+        ``s.dot(s)``; a norm below _ZERO_NORM gives the zero vector, any
+        other divides the sum. A sum or norm that is not finite (the tokens'
+        rows overflow float64) raises EmbeddingFormatError naming the
+        tokens: such a context would make every similarity it enters NaN or
+        0."""
+        out = np.empty((len(keys), self.dimension), dtype=np.float64)
+        for start in range(0, len(keys), _CONTEXT_WINDOWS):
+            chunk = keys[start:start + _CONTEXT_WINDOWS]
+            sums = np.zeros((len(chunk), self.dimension), dtype=np.float64)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for at in range(max(map(len, chunk))):
+                    sums += np.array([self.lookup(key[at]) if at < len(key) else self._zero
+                                      for key in chunk], dtype=np.float64)
+                norms = np.sqrt(np.vecdot(sums, sums))
+            # a sum that is not finite has no finite norm
+            bad = np.flatnonzero(~np.isfinite(norms))
+            if len(bad):
+                raise EmbeddingFormatError(
+                    f"the context vector of the tokens {list(chunk[bad[0]])} "
+                    f"overflows: its sum or norm is not finite")
+            zero = norms < _ZERO_NORM
+            block = out[start:start + len(chunk)]
+            np.divide(sums, norms[:, None], out=block, where=~zero[:, None])
+            block[zero] = 0.0
+        out.setflags(write=False)
+        return out
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm < _ZERO_NORM:
-        out = np.zeros_like(v)
-    else:
-        out = v / norm
-    out.setflags(write=False)
-    return out
+# Windows per chunk of the context builder (EmbeddingStore._build): at d = 50
+# a chunk's sums take 100 KB.
+_CONTEXT_WINDOWS = 256
 
 
 # Lines per block of the embedding table: numpy parses a block's components in
@@ -1144,7 +1203,9 @@ def extract_instances(
     touch form a pair with an empty between window.
     """
     max_before, max_between, max_after = limits
-    instances: list[Instance] = []
+    # each pair's fields and its windows' rows of the context table, whose
+    # rows are built in one batch once every window has its row
+    drafts = []
     skipped = 0
     for sent in sentences:
         ents = sorted(sent.entities, key=lambda s: (s.start, s.end))
@@ -1165,16 +1226,14 @@ def extract_instances(
                     TypedEntity(" ".join(sent.tokens[e1.start:e1.end]), e1.etype),
                     TypedEntity(" ".join(sent.tokens[e2.start:e2.end]), e2.etype),
                 )
-                template = Template(
-                    v_before=emb.context_vector(before),
-                    v_between=emb.context_vector(between),
-                    v_after=emb.context_vector(after),
-                    type_pair=(e1.etype, e2.etype),
-                )
-                instances.append(
-                    Instance(id=iid, pair=pair, template=template,
-                             sentence_ref=sent.sid, tokens_between=tuple(between))
-                )
+                drafts.append((iid, pair, sent.sid, between, emb.context_row(before),
+                               emb.context_row(between), emb.context_row(after)))
+    contexts = emb.context_rows()
+    instances = [
+        Instance(id=iid, pair=pair, sentence_ref=sid, tokens_between=tuple(between),
+                 template=Template(v_before=contexts[b], v_between=contexts[w],
+                                   v_after=contexts[a], type_pair=pair.types))
+        for iid, pair, sid, between, b, w, a in drafts]
     if skipped:
         log.info("skipped %d entity pairs over the between-window limit", skipped)
     return ExtractionResult(instances=instances, skipped_over_limit=skipped)
@@ -1206,19 +1265,15 @@ def parse_seed_templates(raw, emb: EmbeddingStore,
                          type_pair: tuple[str, str]) -> list[Template]:
     """Turn "[X] acquire [Y]"-style strings, as parse_seed_file checked them,
     into context-vector templates."""
-    templates = []
+    rows = []
     for text in raw:
         tokens = text.split()
         ix, iy = tokens.index("[X]"), tokens.index("[Y]")
-        templates.append(
-            Template(
-                v_before=emb.context_vector(tokens[:ix]),
-                v_between=emb.context_vector(tokens[ix + 1:iy]),
-                v_after=emb.context_vector(tokens[iy + 1:]),
-                type_pair=type_pair,
-            )
-        )
-    return templates
+        rows.append([emb.context_row(window)
+                     for window in (tokens[:ix], tokens[ix + 1:iy], tokens[iy + 1:])])
+    contexts = emb.context_rows()
+    return [Template(v_before=contexts[b], v_between=contexts[w], v_after=contexts[a],
+                     type_pair=type_pair) for b, w, a in rows]
 
 
 @dataclass

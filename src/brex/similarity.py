@@ -148,20 +148,42 @@ _MARGIN_ULPS = 8.0
 _BLOCK_CELLS = 1 << 17
 
 
-def _stack(contexts: list[Template]):
+def _stack(contexts: list[Template], sides: bool = True):
     """Before, between, after and before+after rows, each row's norm bound R,
     and its slack _MARGIN_ULPS * (d + 4) * u * R: a pair's margin is the
-    probe's R times the target's slack."""
-    before = np.array([t.v_before for t in contexts], dtype=np.float64)
-    between = np.array([t.v_between for t in contexts], dtype=np.float64)
-    after = np.array([t.v_after for t in contexts], dtype=np.float64)
-    sides = before + after
-    # one window's norms at a time: stacking the four would copy them again
-    bound = np.linalg.norm(before, axis=1)
-    for window in (between, after, sides):
-        np.maximum(bound, np.linalg.norm(window, axis=1), out=bound)
+    probe's R times the target's slack. Without ``sides`` the before+after
+    stack is None (only cc-sym2 reads it), but R still covers its norms.
+
+    Ingest gives all windows of one token multiset one array, so the
+    distinct window arrays, told apart by identity, are copied once into a
+    table; the three window stacks are gathered from it, and norms are taken
+    once per distinct array. Only before+after is summed and normed per
+    context. Windows of other shapes raise ValueError."""
+    windows = [window for t in contexts for window in (t.v_before, t.v_between, t.v_after)]
+    ids, at = np.unique(np.fromiter(map(id, windows), dtype=np.uint64, count=len(windows)),
+                        return_inverse=True)
+    pick = np.empty(len(ids), dtype=np.intp)
+    pick[at] = np.arange(len(windows))  # any window of an id is its array
+    distinct = [windows[k] for k in pick.tolist()]
+    shapes = sorted({window.shape for window in distinct})
+    if len(shapes) > 1:
+        raise ValueError(f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
+    table = np.array(distinct, dtype=np.float64)
+    at = at.reshape(-1, 3).T
+    bound = np.linalg.norm(table, axis=1)[at].max(axis=0)
+    before, between, after = np.take(table, at, axis=0)
+    del table  # before the sum allocates one more N-row stack
+    summed = before + after
+    np.maximum(bound, np.linalg.norm(summed, axis=1), out=bound)
     slack = _MARGIN_ULPS * (between.shape[1] + 4) * _UNIT_ROUNDOFF * bound
-    return (before, between, after, sides), bound, slack
+    return (before, between, after, summed if sides else None), bound, slack
+
+
+def _take(stack: tuple, at) -> tuple:
+    """The rows ``at`` (an index array or a slice) of each array of a
+    (before, between, after, before+after) ``stack``; an absent before+after
+    stack stays absent."""
+    return tuple(None if rows is None else rows[at] for rows in stack)
 
 
 def _first_max(first, *rest):
@@ -244,8 +266,9 @@ def _scores(measure: SimilarityMeasure, p, t) -> np.ndarray:
 
 class _TypeGroup(NamedTuple):
     """The rows of one entity-type pair, ascending, with their before,
-    between, after and before+after stack, each row's norm bound R and its
-    slack (see _stack)."""
+    between, after and before+after stack (the last one only under cc-sym2,
+    the one measure that reads it), each row's norm bound R and its slack
+    (see _stack)."""
 
     rows: np.ndarray
     stack: tuple
@@ -309,16 +332,10 @@ class SimilarityGraph:
         members: dict[tuple, list[int]] = {}
         for row, instance in enumerate(self.instances):
             members.setdefault(instance.template.type_pair, []).append(row)
-        groups = {}
-        for type_pair, rows in members.items():
-            contexts = [self.instances[row].template for row in rows]
-            shapes = sorted({context.v_between.shape for context in contexts})
-            if len(shapes) > 1:
-                raise ValueError(
-                    f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
-            groups[type_pair] = _TypeGroup(np.asarray(rows, dtype=np.int32),
-                                           *_stack(contexts))
-        return groups
+        sides = self.measure.kind == "cc-sym2"
+        return {type_pair: _TypeGroup(np.asarray(rows, dtype=np.int32), *_stack(
+                    [self.instances[row].template for row in rows], sides))
+                for type_pair, rows in members.items()}
 
     @cached_property
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -344,7 +361,7 @@ class SimilarityGraph:
         # an overflowing or NaN score is a candidate; its exact value decides it
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(group.rows), step):
-                block = tuple(m[start:start + step] for m in group.stack)
+                block = _take(group.stack, slice(start, start + step))
                 scores = _scores(self.measure, block, targets)
                 margin = np.outer(group.bound[start:start + step], target_slack)
                 rows, cols = np.nonzero(~(scores < self.tau_sim - margin))
@@ -365,7 +382,7 @@ class SimilarityGraph:
             at = np.flatnonzero(new[group.rows])
             if len(at):
                 rows, k, lo, hi = self._candidates_against(
-                    group, tuple(m[at] for m in group.stack), group.slack[at])
+                    group, _take(group.stack, at), group.slack[at])
                 found.append((rows, group.rows[at][k], lo, hi))
         if len(found) > 1:
             self._rows, self._cols, self._lo, self._hi = map(np.concatenate, zip(*found))

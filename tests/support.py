@@ -56,6 +56,18 @@ def unit(v):
     return v / norm if norm > 0 else v
 
 
+def reference_context(vectors: dict, tokens, dim: int) -> np.ndarray:
+    """The scalar reference of a context vector: each token's row of
+    ``vectors`` (zeros for a word not in it) added in sorted order to zeros,
+    then divided by np.linalg.norm of the sum, or the zero vector where that
+    norm is below 1e-12."""
+    total = np.zeros(dim, dtype=np.float64)
+    for tok in sorted(tokens):
+        total += vectors.get(tok, np.zeros(dim))
+    norm = float(np.linalg.norm(total))
+    return np.zeros(dim) if norm < 1e-12 else total / norm
+
+
 def axis(k, dim=DIM):
     out = np.zeros(dim, dtype=np.float64)
     out[k] = 1.0

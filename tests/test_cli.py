@@ -159,6 +159,25 @@ class TestRun:
         assert manifest["status"] == "failed"
         assert "line 2: non-finite" in manifest["error"]
 
+    def test_overflowing_context_exits_2(self, data_dir, tmp_path):
+        """A finite row whose context vectors overflow float64 exits 2 naming
+        the tokens, rather than making their similarities silently zero."""
+        lines = (data_dir / "embeddings.txt").read_text().splitlines()
+        word, *values = lines[0].split()
+        lines[0] = " ".join([word, "1e200", *values[1:]])
+        embeddings = tmp_path / "embeddings.txt"
+        embeddings.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code = main(["run",
+                     "--corpus", str(data_dir / "corpus.jsonl"),
+                     "--embeddings", str(embeddings),
+                     "--seeds", str(data_dir / "seeds.json"),
+                     "--out", str(out)])
+        assert code == 2
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert f"'{word}'" in error
+        assert "overflows: its sum or norm is not finite" in error
+
     @pytest.mark.parametrize("last, message", [
         ("0 0", "components, found"),
         ("abc", "non-numeric component"),

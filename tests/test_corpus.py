@@ -36,7 +36,7 @@ from brex.model import RunConfig, build_seed_state
 from brex.synth import build_planted_fixture
 
 import support
-from support import INT_DIGITS, needs_int_limit
+from support import INT_DIGITS, needs_int_limit, reference_context
 
 
 @pytest.fixture
@@ -312,13 +312,96 @@ class TestLoadEmbeddings:
         vectors = {f"w{k}": rng.normal(size=5) for k in range(4)}
         emb = brex.corpus.EmbeddingStore(5, vectors)
         for tokens in calls:
-            total = np.zeros(5)
-            for tok in sorted(tokens):
-                total += vectors.get(tok, 0.0)
-            expected = brex.corpus.unit(total)
+            expected = reference_context(vectors, tokens, 5)
             got = emb.context_vector(tokens)
             assert got.tobytes() == expected.tobytes()
             assert not got.flags.writeable
+
+
+class TestContextTable:
+    """EmbeddingStore's table of distinct contexts, built in batches."""
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 3, 50]),
+           windows=st.lists(st.lists(st.sampled_from(["w0", "w1", "w2", "w3", "w4", "oov"]),
+                                     max_size=8), min_size=1, max_size=30),
+           chunk=st.sampled_from([1, 2, 3, 7, 256]))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_scalar_reference(self, seed, dim, windows, chunk):
+        """Each window's vector has the bits of the scalar reference, in
+        chunks of any number of windows, with repeated and
+        out-of-vocabulary tokens, empty windows, -0.0 components and rows of
+        any scale short of overflow (tiny ones give the zero vector). It is
+        a C-contiguous read-only array, shared by every window of its
+        multiset and by no other window, also in a later batch."""
+        rng = np.random.default_rng(seed)
+        vectors = {}
+        for k in range(5):
+            row = rng.normal(size=dim) * 10.0 ** rng.uniform(-170.0, 150.0)
+            row[rng.random(dim) < 0.3] = -0.0
+            vectors[f"w{k}"] = row
+        emb = brex.corpus.EmbeddingStore(dim, vectors)
+        with mock.patch.object(brex.corpus, "_CONTEXT_WINDOWS", chunk):
+            rows = [emb.context_row(window) for window in windows]
+            contexts = emb.context_rows()
+            got = [contexts[row] for row in rows]
+            for window, vector in zip(windows, got):
+                assert vector.tobytes() == reference_context(vectors, window, dim).tobytes()
+                assert vector.flags.c_contiguous and not vector.flags.writeable
+            for (a, u), (b, v) in itertools.combinations(zip(windows, got), 2):
+                assert (u is v) == (sorted(a) == sorted(b))
+            assert all(emb.context_vector(window[::-1]) is vector
+                       for window, vector in zip(windows, got))
+
+    def test_ingest_shares_one_row_per_multiset(self, emb4):
+        """The windows of instances and seed templates with one token
+        multiset share one array; windows of two multisets never do."""
+        sents = [sentence(["merger", "A", "with", "acquire", "B", "with"],
+                          [(1, 2, "ORG"), (4, 5, "ORG")]),
+                 sentence(["with", "A", "acquire", "with", "B", "merger"],
+                          [(1, 2, "ORG"), (4, 5, "ORG")], sid=1)]
+        first, second = extract_instances(sents, emb4, (2, 6, 2), ("ORG", "ORG")).instances
+        (seed,) = parse_seed_templates(["merger [X] acquire with [Y] with"], emb4,
+                                       ("ORG", "ORG"))
+        assert (first.template.v_between is second.template.v_between
+                is seed.v_between)
+        assert first.template.v_before is second.template.v_after is seed.v_before
+        assert first.template.v_after is second.template.v_before is seed.v_after
+        arrays = {id(v): v for t in (first.template, second.template, seed)
+                  for v in (t.v_before, t.v_between, t.v_after)}
+        assert len(arrays) == 3
+        assert all(v.flags.c_contiguous and not v.flags.writeable for v in arrays.values())
+
+    @pytest.mark.parametrize("vectors, window", [
+        ({"big": np.full(4, 1e308)}, ["big", "big"]),  # the sum overflows
+        ({"huge": np.array([1e200, 0.0, 0.0, 0.0])}, ["huge"]),  # only the norm does
+    ], ids=["sum", "norm"])
+    def test_overflowing_context_raises_naming_its_tokens(self, vectors, window):
+        emb = brex.corpus.EmbeddingStore(4, vectors)
+        with pytest.raises(EmbeddingFormatError, match=re.escape(
+                f"the context vector of the tokens {window} overflows: "
+                f"its sum or norm is not finite")):
+            emb.context_vector(window)
+
+    def test_overflow_names_the_window_in_its_chunk(self):
+        emb = brex.corpus.EmbeddingStore(2, {"ok": np.array([1.0, 0.0]),
+                                             "big": np.array([1e200, 0.0])})
+        with mock.patch.object(brex.corpus, "_CONTEXT_WINDOWS", 2):
+            for window in (["ok"], [], ["ok", "ok"], ["ok", "big"], ["big"]):
+                emb.context_row(window)
+            with pytest.raises(EmbeddingFormatError, match=re.escape("['big', 'ok'] ")):
+                emb.context_rows()
+
+    def test_ingest_of_an_overflowing_table_raises(self, tmp_path):
+        """A run whose corpus windows reach a row near float64's limit stops
+        with an input error (exit 2 from the CLI), not zero similarities."""
+        paths = build_planted_fixture(n_sentences=40).write(tmp_path / "data")
+        table = paths["embeddings"]
+        lines = table.read_text().splitlines()
+        word, *values = lines[0].split()
+        lines[0] = " ".join([word, "1e200", *values[1:]])
+        table.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EmbeddingFormatError, match=f"'{word}'.* overflows"):
+            ingest_inputs(paths["corpus"], table, paths["seeds"], RunConfig().limits)
 
 
 BLOCK = brex.corpus._EMBEDDING_BLOCK
@@ -1364,6 +1447,11 @@ class TestFuzzedCorpus:
             emb = load_embeddings(table, set(FUZZ_WORDS))
             result = extract_instances(loaded.sentences, emb, RunConfig().limits,
                                        FUZZ_TYPES)
+            # the condition under which exact_values equals sim_instances
+            assert all(v.flags.c_contiguous and not v.flags.writeable
+                       for i in result.instances
+                       for v in (i.template.v_before, i.template.v_between,
+                                 i.template.v_after))
             return (loaded, [emb.lookup(word).tobytes() for word in FUZZ_WORDS],
                     [(i.id, i.pair, i.template.key()) for i in result.instances],
                     [rec.getMessage() for rec in caplog.records])

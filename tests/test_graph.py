@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brex.similarity
+from brex.cli import ingest_inputs
 from brex.engine import bootstrap, cluster_hop1, match_channels
-from brex.model import MODES, PAIRINGS, SCORE_AGAINST, RunConfig, SeedState, TemplateSet
+from brex.model import MODES, PAIRINGS, SCORE_AGAINST, RunConfig, SeedState, TemplateSet, \
+    build_seed_state
 from brex.similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure, \
     sim_instances
+from brex.synth import build_planted_fixture
 
 from support import graph_for, make_instance, make_template, mixed_world, \
     rand_template, random_world, reference_bootstrap, unit
@@ -44,11 +47,15 @@ def skewed_scores(sign):
     exact = brex.similarity._scores
     scored = []
 
+    def bound(stack):
+        # R of each row; a graph keeps the before+after stack only under cc-sym2
+        before, between, after, _ = stack
+        return np.linalg.norm(np.stack([before, between, after, before + after]),
+                              axis=2).max(axis=0)
+
     def skewed(measure, p, t):
         scored.append(len(t[0]))
-        p_bound = np.linalg.norm(np.stack(p), axis=2).max(axis=0)
-        t_bound = np.linalg.norm(np.stack(t), axis=2).max(axis=0)
-        skew = (p[0].shape[1] + 4) * 2.0 ** -53 * np.outer(p_bound, t_bound)
+        skew = (p[0].shape[1] + 4) * 2.0 ** -53 * np.outer(bound(p), bound(t))
         return exact(measure, p, t) + sign * skew
 
     with mock.patch.object(brex.similarity, "_scores", skewed):
@@ -393,3 +400,41 @@ def test_read_sequences_equal_fresh_reads(seed, measure, tau_sim, reads):
             owner = np.where(picked, rng.integers(0, 4, len(graph)), -1)
             got, expected = graph.max_into(owner), fresh.max_into(owner)
         assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+
+
+def _own_arrays(template):
+    """``template`` with each window its own copy of its array."""
+    return dataclasses.replace(template, v_before=template.v_before.copy(),
+                               v_between=template.v_between.copy(),
+                               v_after=template.v_after.copy())
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
+def test_shared_context_arrays_give_the_outputs_of_copied_ones(measure, tmp_path):
+    """Ingest gives all windows of one token multiset one array, and the
+    graph stacks each distinct array once: the ingested planted world gives,
+    in every mode, the outputs it gives with every window its own array."""
+    paths = build_planted_fixture(n_sentences=200).write(tmp_path)
+    cfg = RunConfig(measure=measure)
+    ingested = ingest_inputs(paths["corpus"], paths["embeddings"], paths["seeds"],
+                             cfg.limits)
+    shared = ingested.instances
+    assert len({id(i.template.v_between) for i in shared}) < len(shared) / 2
+    seeds = build_seed_state(ingested.spec, ingested.emb, cfg.pairing)
+    own = [dataclasses.replace(i, template=_own_arrays(i.template)) for i in shared]
+    own_seeds = SeedState(seeds.pos_pairs.copy(), seeds.neg_pairs.copy(),
+                          TemplateSet(), TemplateSet())
+    for name in ("pos_templates", "neg_templates"):
+        for template in getattr(seeds, name):
+            getattr(own_seeds, name).add(_own_arrays(template))
+    for mode in MODES:
+        cfg = RunConfig(mode=mode, measure=measure)
+        outputs = []
+        for instances, state in ((shared, seeds), (own, own_seeds)):
+            result = bootstrap(instances, state.copy(), cfg, graph_for(instances, cfg))
+            outputs.append(repr((
+                [(i.id, c) for i, c in result.accepted],
+                [([m.id for m in ex.members], ex.n_pos, ex.n_neg, ex.n_unknown,
+                  ex.confidence) for ex in result.extractors],
+                result.per_iteration_stats)))
+        assert outputs[0] == outputs[1]
