@@ -45,8 +45,8 @@ one the digest was taken of (HashedPath.unchanged).
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
 bounded cosines. The EmbeddingStore keeps one table of distinct contexts, a
-row per sorted token multiset: extract_instances, parse_seed_templates and
-context_vector give each window its row, then build the new rows in one
+row per sorted token multiset: extract_instances and parse_seed_templates
+give each window its row (context_row), then build the new rows in one
 batch, as one read-only matrix (a corpus's contexts are one matrix), and
 every window of a multiset shares its row's array. Window sums run over
 tokens in sorted order, which makes the vectors bit-identical for any two
@@ -210,12 +210,6 @@ class EmbeddingStore:
             self._contexts.extend(self._build(self._pending))
             self._pending = []
         return self._contexts
-
-    def context_vector(self, tokens) -> np.ndarray:
-        """Unit-normalized sum of the token embeddings (zero if nothing embeds);
-        the read-only vector of each multiset is built once and shared."""
-        row = self.context_row(tokens)
-        return self.context_rows()[row]
 
     def _build(self, keys: list[tuple[str, ...]]) -> np.ndarray:
         """The read-only (len(keys), d) matrix of the context vectors of the

@@ -22,8 +22,6 @@ from .model import MODE_CHANNELS, Extractor, RunConfig, SeedHits
 # Not called here: perfbench/op.py traces these names in this module.
 from .similarity import sim_instance_cluster, sim_instance_templateset  # noqa: F401
 
-CATEGORIES = ("NNHC", "NNLC", "NHC", "NLC")
-
 
 def reliability(n_pos: float, n_neg: float, n_unknown: float,
                 w_neg: float, w_unk: float) -> float:

@@ -16,20 +16,20 @@ confidence products, and the cc-sym2 side-window sum can exceed unit norm.
 reads, and the test oracle. ``SimilarityGraph`` finds which pairs of a frozen
 instance list reach tau_sim. The engine only asks for the in-edges of
 selected columns, so a column is scored when it is first read: row-blocked
-matrix products score every row of its entity-type pair against it. A pair's
-score decides whether it is an edge unless it lies within its rounding margin
-of tau_sim, where its exact value decides. Exact values come from one batched
-path, ``exact_values``, equal to ``sim_instances`` bit for bit: both take
-their dot products from the same kernel and combine them in the same order.
-A value the engine reads (a max-linkage similarity) is always an exact value;
-the scores only rule out the pairs that cannot be the maximum.
+matrix products score every row against it, and only pairs of one
+entity-type pair are kept. A pair's score decides whether it is an edge
+unless it lies within its rounding margin of tau_sim, where its exact value
+decides. Exact values come from one batched path, ``exact_values``, equal
+to ``sim_instances`` bit for bit: both take their dot products from the
+same kernel and combine them in the same order. A value the engine reads
+(a max-linkage similarity) is always an exact value; the scores only rule
+out the pairs that cannot be the maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,7 +149,8 @@ _BLOCK_CELLS = 1 << 17
 
 
 def _stack(contexts: list[Template], sides: bool = True):
-    """Before, between, after and before+after rows, each row's norm bound R,
+    """The before, between, after and before+after stack of ``contexts``
+    (row k is contexts[k], whatever its type pair), each row's norm bound R,
     and its slack _MARGIN_ULPS * (d + 4) * u * R: a pair's margin is the
     probe's R times the target's slack. Without ``sides`` the before+after
     stack is None (only cc-sym2 reads it), but R still covers its norms.
@@ -158,7 +159,8 @@ def _stack(contexts: list[Template], sides: bool = True):
     distinct window arrays, told apart by identity, are copied once into a
     table; the three window stacks are gathered from it, and norms are taken
     once per distinct array. Only before+after is summed and normed per
-    context. Windows of other shapes raise ValueError."""
+    context. Windows of more than one shape raise ValueError, also across
+    type pairs."""
     windows = [window for t in contexts for window in (t.v_before, t.v_between, t.v_after)]
     ids, at = np.unique(np.fromiter(map(id, windows), dtype=np.uint64, count=len(windows)),
                         return_inverse=True)
@@ -199,7 +201,8 @@ def exact_values(measure: SimilarityMeasure, probes: tuple, p_at: np.ndarray,
                  targets: tuple, t_at: np.ndarray) -> np.ndarray:
     """sim_instances of probe row ``p_at[k]`` of the stack ``probes`` against
     target row ``t_at[k]`` of ``targets`` (both (before, between, after,
-    sides) stacks of one type pair), for every k, bit for bit.
+    sides) stacks), for every k, bit for bit. Stacks hold no type pairs: the
+    two rows of each pair must share theirs.
 
     np.vecdot runs the same dot kernel as the 1-D ``@`` of sim_instances on
     contiguous rows (every vector ingest builds is one), and the terms are
@@ -264,29 +267,17 @@ def _scores(measure: SimilarityMeasure, p, t) -> np.ndarray:
     return score
 
 
-class _TypeGroup(NamedTuple):
-    """The rows of one entity-type pair, ascending, with their before,
-    between, after and before+after stack (the last one only under cc-sym2,
-    the one measure that reads it), each row's norm bound R and its slack
-    (see _stack)."""
-
-    rows: np.ndarray
-    stack: tuple
-    bound: np.ndarray
-    slack: np.ndarray
-
-
 class SimilarityGraph:
     """The tau-graph of a frozen instance list under one measure.
 
     Row i has an edge to every instance j with sim_instances(i, j) >=
     tau_sim; the probe comes first, as in every engine comparison. Every
     read asks about the in-edges of selected columns, and a column is scored
-    when it is first read: row-blocked matrix products score every row of
-    its entity-type pair against it, and the pairs that may reach tau_sim
-    (the candidates) are kept. Memory follows the candidates in the columns
-    read, not N^2, and a graph shared by several bootstrap runs scores each
-    column once.
+    when it is first read: row-blocked matrix products score every row
+    against it, and the pairs of one entity-type pair that may reach tau_sim
+    (the candidates) are kept; pairs across type pairs are 0 and never
+    candidates. Memory follows the candidates in the columns read, not N^2,
+    and a graph shared by several bootstrap runs scores each column once.
 
     The graph keeps one interval [lo, hi] per candidate that holds its
     sim_instances value: the score minus and plus its margin, capped at 1.
@@ -326,48 +317,49 @@ class SimilarityGraph:
         return len(self.instances)
 
     @cached_property
-    def _types(self) -> dict[tuple, _TypeGroup]:
-        """Each entity-type pair's rows and stacks, built on the first read;
-        pairs across type pairs are 0 and are never scored."""
-        members: dict[tuple, list[int]] = {}
-        for row, instance in enumerate(self.instances):
-            members.setdefault(instance.template.type_pair, []).append(row)
-        sides = self.measure.kind == "cc-sym2"
-        return {type_pair: _TypeGroup(np.asarray(rows, dtype=np.int32), *_stack(
-                    [self.instances[row].template for row in rows], sides))
-                for type_pair, rows in members.items()}
+    def _contexts(self) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """Every row's before, between, after and before+after stack (the
+        last one only under cc-sym2, the one measure that reads it), norm
+        bound R and slack (see _stack), in row order, built on the first
+        read."""
+        return _stack([instance.template for instance in self.instances],
+                      self.measure.kind == "cc-sym2")
 
     @cached_property
-    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's type group (its index in _types) and its position in
-        the group's stacks."""
-        group_of = np.empty(len(self), dtype=np.intp)
-        position = np.empty(len(self), dtype=np.intp)
-        for k, group in enumerate(self._types.values()):
-            group_of[group.rows] = k
-            position[group.rows] = np.arange(len(group.rows))
-        return group_of, position
+    def _type_ids(self) -> tuple[dict[tuple, int], np.ndarray]:
+        """An id per entity-type pair of the rows, and each row's id."""
+        ids: dict[tuple, int] = {}
+        row_ids = np.fromiter((ids.setdefault(instance.template.type_pair, len(ids))
+                               for instance in self.instances), dtype=np.int32,
+                              count=len(self))
+        return ids, row_ids
 
-    def _candidates_against(self, group: _TypeGroup, targets: tuple,
-                            target_slack: np.ndarray):
-        """(rows, target positions, lo, hi) of the pairs of the group's rows
-        and the ``targets`` stack whose similarity may reach tau_sim: those
-        whose score is not below tau_sim by more than the pair's margin.
-        [lo, hi] bounds each pair's sim_instances value, and is unbounded
-        where the score or the margin is not finite. Rows are scored in
-        blocks of about _BLOCK_CELLS scores."""
+    def _candidates_against(self, targets: tuple, target_slack: np.ndarray,
+                            target_types: np.ndarray):
+        """(rows, target positions, lo, hi) of the pairs of a row and a
+        target of the ``targets`` stack whose similarity may reach tau_sim:
+        those of one type pair (``target_types`` holds each target's id in
+        _type_ids) whose score is not below tau_sim by more than the pair's
+        margin. [lo, hi] bounds each pair's sim_instances value, and is
+        unbounded where the score or the margin is not finite. Rows are
+        scored in blocks of about _BLOCK_CELLS scores."""
+        stack, bound, _ = self._contexts
+        row_types = self._type_ids[1]
         found = []
         step = max(1, _BLOCK_CELLS // len(target_slack))
         # an overflowing or NaN score is a candidate; its exact value decides it
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(group.rows), step):
-                block = _take(group.stack, slice(start, start + step))
-                scores = _scores(self.measure, block, targets)
-                margin = np.outer(group.bound[start:start + step], target_slack)
-                rows, cols = np.nonzero(~(scores < self.tau_sim - margin))
+            for start in range(0, len(self), step):
+                block = slice(start, start + step)
+                scores = _scores(self.measure, _take(stack, block), targets)
+                margin = np.outer(bound[block], target_slack)
+                near = ~(scores < self.tau_sim - margin)
+                near &= np.equal.outer(row_types[block], target_types)
+                rows, cols = np.nonzero(near)
                 score, margin = scores[rows, cols], margin[rows, cols]
                 sure = np.isfinite(score) & np.isfinite(margin)
-                found.append((group.rows[start + rows], cols,
+                rows += start
+                found.append((rows.astype(np.int32), cols,
                               np.where(sure, np.minimum(score - margin, 1.0), -np.inf),
                               np.where(sure, np.minimum(score + margin, 1.0), np.inf)))
                 del scores  # free this block's matrices before scoring the next
@@ -377,30 +369,22 @@ class SimilarityGraph:
         """Add the candidates of the columns selected by the bool mask
         ``columns`` that are not scored yet to the store."""
         new = columns & ~self._scored
-        found = [(self._rows, self._cols, self._lo, self._hi)]
-        for group in self._types.values():
-            at = np.flatnonzero(new[group.rows])
-            if len(at):
-                rows, k, lo, hi = self._candidates_against(
-                    group, _take(group.stack, at), group.slack[at])
-                found.append((rows, group.rows[at][k], lo, hi))
-        if len(found) > 1:
-            self._rows, self._cols, self._lo, self._hi = map(np.concatenate, zip(*found))
+        at = np.flatnonzero(new).astype(np.int32)
+        if len(at):
+            stack, _, slack = self._contexts
+            rows, k, lo, hi = self._candidates_against(
+                _take(stack, at), slack[at], self._type_ids[1][at])
+            self._rows, self._cols, self._lo, self._hi = map(np.concatenate, zip(
+                (self._rows, self._cols, self._lo, self._hi), (rows, at[k], lo, hi)))
         self._scored |= new
 
     def _fill(self, idx: np.ndarray) -> np.ndarray:
         """Close the intervals of candidates ``idx`` at their sim_instances
-        values and return them. A candidate's row and column share a type
-        group, whose stacks hold both."""
-        rows, cols = self._rows[idx], self._cols[idx]
-        group_of, position = self._slots
-        in_group = group_of[rows]
-        values = np.empty(len(idx))
-        for k, group in enumerate(self._types.values()):
-            at = np.flatnonzero(in_group == k)
-            if len(at):
-                values[at] = exact_values(self.measure, group.stack, position[rows[at]],
-                                          group.stack, position[cols[at]])
+        values and return them."""
+        if not len(idx):  # a graph of no rows has no stack to build
+            return np.zeros(0)
+        stack = self._contexts[0]
+        values = exact_values(self.measure, stack, self._rows[idx], stack, self._cols[idx])
         self._lo[idx] = self._hi[idx] = values
         return values
 
@@ -482,18 +466,18 @@ class SimilarityGraph:
         column = self._template_columns.get(key)
         if column is None:
             column = np.zeros(len(self), dtype=bool)
-            group = self._types.get(template.type_pair)
-            if group is not None:
-                dim = group.stack[1].shape[1]
-                shapes = sorted({(dim,), template.v_between.shape})
+            type_id = self._type_ids[0].get(template.type_pair)
+            if type_id is not None:
+                stack = self._contexts[0]
+                shapes = sorted({stack[1].shape[1:], template.v_between.shape})
                 if len(shapes) > 1:
                     raise ValueError(
                         f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
                 targets, _, target_slack = _stack([template])
-                rows, _, lo, hi = self._candidates_against(group, targets, target_slack)
+                rows, _, lo, hi = self._candidates_against(
+                    targets, target_slack, np.array([type_id], dtype=np.int32))
                 unsure = np.flatnonzero((lo < self.tau_sim) & (hi >= self.tau_sim))
-                lo[unsure] = exact_values(self.measure, group.stack,
-                                          self._slots[1][rows[unsure]], targets,
+                lo[unsure] = exact_values(self.measure, stack, rows[unsure], targets,
                                           np.zeros(len(unsure), dtype=np.intp))
                 column[rows[lo >= self.tau_sim]] = True
             self._template_columns[key] = column

@@ -113,6 +113,24 @@ class TestRun:
         rows = read_jsonl(out / "accepted.jsonl")
         assert rows and all(r["confidence"] >= 0.7 for r in rows)
 
+    def test_type_pair_without_instances_runs_to_empty_outputs(self, data_dir, tmp_path,
+                                                                capsys):
+        """A type pair no sentence holds yields no instance: the graph has no
+        row, and the seed templates match nothing."""
+        seeds = json.loads((data_dir / "seeds.json").read_text())
+        assert seeds["positive_templates"]
+        seeds["type_pair"] = ["LOC", "LOC"]
+        (tmp_path / "seeds.json").write_text(json.dumps(seeds))
+        out = tmp_path / "run"
+        args = run_args(data_dir, out)
+        args[args.index("--seeds") + 1] = str(tmp_path / "seeds.json")
+        assert main(args) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["instances"] == 0
+        assert summary["diagnostic"] == "no instance matched the initial seeds"
+        assert (out / "accepted.jsonl").read_text() == ""
+        assert (out / "extractors.jsonl").read_text() == ""
+
     def test_boolean_entity_offset_exits_2(self, data_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text((data_dir / "corpus.jsonl").read_text() + json.dumps(

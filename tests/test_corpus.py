@@ -287,10 +287,12 @@ class TestLoadEmbeddings:
         np.testing.assert_array_equal(emb.lookup("a"), [1, 0])
 
     def test_context_vector_is_normalized_sum(self, emb4):
-        v = emb4.context_vector(["merger", "with"])
+        rows = [emb4.context_row(tokens)
+                for tokens in (["merger", "with"], [], ["zzz", "yyy"])]
+        v, empty, unknown = (emb4.context_rows()[row] for row in rows)
         np.testing.assert_allclose(v, np.array([0, 1, 1, 0]) / np.sqrt(2))
-        assert emb4.context_vector([]).tolist() == [0, 0, 0, 0]
-        assert emb4.context_vector(["zzz", "yyy"]).tolist() == [0, 0, 0, 0]
+        assert empty.tolist() == [0, 0, 0, 0]
+        assert unknown.tolist() == [0, 0, 0, 0]
 
     @given(st.lists(st.sampled_from(["acquire", "merger", "with", "bought", "oov"]),
                     min_size=1, max_size=6),
@@ -300,8 +302,8 @@ class TestLoadEmbeddings:
         emb = _memory_emb()
         shuffled = list(tokens)
         pyrandom.shuffle(shuffled)
-        a = emb.context_vector(tokens)
-        b = emb.context_vector(shuffled)
+        rows = [emb.context_row(tokens), emb.context_row(shuffled)]
+        a, b = (emb.context_rows()[row] for row in rows)
         assert a.tobytes() == b.tobytes()
 
     @given(st.lists(st.lists(st.sampled_from(["w0", "w1", "w2", "w3", "oov"]),
@@ -313,7 +315,8 @@ class TestLoadEmbeddings:
         emb = brex.corpus.EmbeddingStore(5, vectors)
         for tokens in calls:
             expected = reference_context(vectors, tokens, 5)
-            got = emb.context_vector(tokens)
+            row = emb.context_row(tokens)
+            got = emb.context_rows()[row]
             assert got.tobytes() == expected.tobytes()
             assert not got.flags.writeable
 
@@ -349,8 +352,8 @@ class TestContextTable:
                 assert vector.flags.c_contiguous and not vector.flags.writeable
             for (a, u), (b, v) in itertools.combinations(zip(windows, got), 2):
                 assert (u is v) == (sorted(a) == sorted(b))
-            assert all(emb.context_vector(window[::-1]) is vector
-                       for window, vector in zip(windows, got))
+            again = [emb.context_row(window[::-1]) for window in windows]
+            assert all(emb.context_rows()[row] is vector for row, vector in zip(again, got))
 
     def test_ingest_shares_one_row_per_multiset(self, emb4):
         """The windows of instances and seed templates with one token
@@ -380,7 +383,8 @@ class TestContextTable:
         with pytest.raises(EmbeddingFormatError, match=re.escape(
                 f"the context vector of the tokens {window} overflows: "
                 f"its sum or norm is not finite")):
-            emb.context_vector(window)
+            emb.context_row(window)
+            emb.context_rows()
 
     def test_overflow_names_the_window_in_its_chunk(self):
         emb = brex.corpus.EmbeddingStore(2, {"ok": np.array([1.0, 0.0]),

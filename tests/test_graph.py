@@ -275,11 +275,15 @@ def test_graph_for_other_inputs_raises():
 
 
 def test_dimension_mismatch_raises():
-    a = make_instance(template=make_template(v_between=np.ones(6)))
-    b = make_instance(template=make_template(v_between=np.ones(7), dim=7))
-    graph = SimilarityGraph([a, b], SimilarityMeasure("cc-asym"), 0.7)
-    with pytest.raises(ValueError, match="dimension"):
-        all_edges(graph)
+    """Contexts of two dimensions fail the first read, also when each type
+    pair's own rows share one dimension."""
+    for types in (("ORG", "ORG"), ("ORG", "PER")):
+        a = make_instance(template=make_template(v_between=np.ones(6)))
+        b = make_instance(template=make_template(v_between=np.ones(7), dim=7, types=types),
+                          types=types)
+        graph = SimilarityGraph([a, b], SimilarityMeasure("cc-asym"), 0.7)
+        with pytest.raises(ValueError, match="context dimension mismatch"):
+            all_edges(graph)
 
 
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES),
