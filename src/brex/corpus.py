@@ -426,7 +426,9 @@ def _read_index(index: str, key: str, *names: str) -> list | None:
     one of them or holds another key. A zip member whose bytes changed fails
     its CRC check as it is read."""
     try:
-        with np.load(index, allow_pickle=False) as data:
+        # np.load leaves a file it opened open when it fails on a corrupt
+        # index; one opened here is closed whatever happens
+        with open(index, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if data["key"].item() != key:
                 return None
             return [data[name] for name in names]

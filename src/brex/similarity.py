@@ -15,9 +15,10 @@ confidence products, and the cc-sym2 side-window sum can exceed unit norm.
 ``sim_instances`` is the definition of every similarity value the engine
 reads, and the test oracle. ``SimilarityGraph`` finds which pairs of a frozen
 instance list reach tau_sim. The engine only asks for the in-edges of
-selected columns, so a column is scored when it is first read: row-blocked
-matrix products score every row against it, and only pairs of one
-entity-type pair are kept. A pair's score decides whether it is an edge
+selected columns, so a column is scored when it is first read: one matrix
+product of the graph's distinct contexts against the column's distinct
+rows scores every row against it, and only pairs of one entity-type pair
+are kept. A pair's score decides whether it is an edge
 unless it lies within its rounding margin of tau_sim, where its exact value
 decides. Exact values come from one batched path, ``exact_values``, equal
 to ``sim_instances`` bit for bit: both take their dot products from the
@@ -29,7 +30,8 @@ out the pairs that cannot be the maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,49 +145,81 @@ def sim_instance_templateset(i, templates, measure: SimilarityMeasure) -> float:
 # margin and of the score's difference from it.
 _UNIT_ROUNDOFF = 2.0 ** -53
 _MARGIN_ULPS = 8.0
-# A block of rows is scored against all targets at once; each score matrix
-# of a block holds about this many float64 values.
+# A column batch is scored from one matrix product of the distinct contexts
+# against the targets' distinct rows per chunk of targets (see _product).
+# Each product holds about _BLOCK_CELLS float64 values, as does each chunk
+# of exact values per window. Row blocks only gather their scores from the
+# product, about _GATHER_CELLS per block, so their size sets no product.
+# The before+after sums of _stack are built in chunks of that size too.
 _BLOCK_CELLS = 1 << 17
+_GATHER_CELLS = 1 << 15
+# The (probe window, target window) dot products of each measure, in the
+# order sim_instances combines them. Windows 0, 1 and 2 are before, between
+# and after; window 3 is before+after.
+_TERMS = {"match": ((0, 0), (1, 1), (2, 2)),
+          "cc-asym": ((0, 1), (1, 1), (2, 1)),
+          "cc-sym1": ((0, 1), (1, 1), (2, 1), (1, 0), (1, 2)),
+          "cc-sym2": ((3, 1), (1, 3), (1, 1))}
 
 
-def _stack(contexts: list[Template], sides: bool = True):
-    """The before, between, after and before+after stack of ``contexts``
-    (row k is contexts[k], whatever its type pair), each row's norm bound R,
-    and its slack _MARGIN_ULPS * (d + 4) * u * R: a pair's margin is the
-    probe's R times the target's slack. Without ``sides`` the before+after
-    stack is None (only cc-sym2 reads it), but R still covers its norms.
+class _Contexts(NamedTuple):
+    """The context vectors of a list of templates as a table of distinct rows.
+
+    ``table`` holds each distinct window array once, then, with sides, each
+    distinct before+after sum once. Row k's window w (see _TERMS) is
+    ``table[ids[k, w]]``; ``ids`` has the fourth column only with sides.
+    ``bound`` is each row's norm bound R, the largest norm among its before,
+    between, after and before+after vectors, and ``slack`` is _MARGIN_ULPS *
+    (d + 4) * u * R: a pair's margin is the probe's R times the target's
+    slack."""
+
+    table: np.ndarray
+    ids: np.ndarray
+    bound: np.ndarray
+    slack: np.ndarray
+
+
+def _stack(contexts: list[Template], sides: bool = True) -> _Contexts:
+    """The _Contexts of ``contexts`` (row k is contexts[k], whatever its type
+    pair). Without ``sides`` the table holds no before+after sums (only
+    cc-sym2 reads them), but R still covers their norms.
 
     Ingest gives all windows of one token multiset one array, so the
-    distinct window arrays, told apart by identity, are copied once into a
-    table; the three window stacks are gathered from it, and norms are taken
-    once per distinct array. Only before+after is summed and normed per
-    context. Windows of more than one shape raise ValueError, also across
-    type pairs."""
+    distinct window arrays, told apart by identity, are copied once into
+    the table, and their norms are taken once. A before+after sum is built
+    once per distinct (before, after) pair of ids, in chunks of about
+    _GATHER_CELLS values, for its norm and, with sides, its table row: no
+    array of a vector per row is built. Windows of more than one shape raise
+    ValueError, also across type pairs."""
     windows = [window for t in contexts for window in (t.v_before, t.v_between, t.v_after)]
-    ids, at = np.unique(np.fromiter(map(id, windows), dtype=np.uint64, count=len(windows)),
-                        return_inverse=True)
-    pick = np.empty(len(ids), dtype=np.intp)
+    keys, at = np.unique(np.fromiter(map(id, windows), dtype=np.uint64, count=len(windows)),
+                         return_inverse=True)
+    pick = np.empty(len(keys), dtype=np.intp)
     pick[at] = np.arange(len(windows))  # any window of an id is its array
     distinct = [windows[k] for k in pick.tolist()]
     shapes = sorted({window.shape for window in distinct})
     if len(shapes) > 1:
         raise ValueError(f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
-    table = np.array(distinct, dtype=np.float64)
-    at = at.reshape(-1, 3).T
-    bound = np.linalg.norm(table, axis=1)[at].max(axis=0)
-    before, between, after = np.take(table, at, axis=0)
-    del table  # before the sum allocates one more N-row stack
-    summed = before + after
-    np.maximum(bound, np.linalg.norm(summed, axis=1), out=bound)
-    slack = _MARGIN_ULPS * (between.shape[1] + 4) * _UNIT_ROUNDOFF * bound
-    return (before, between, after, summed if sides else None), bound, slack
-
-
-def _take(stack: tuple, at) -> tuple:
-    """The rows ``at`` (an index array or a slice) of each array of a
-    (before, between, after, before+after) ``stack``; an absent before+after
-    stack stays absent."""
-    return tuple(None if rows is None else rows[at] for rows in stack)
+    ids = at.reshape(-1, 3).astype(np.int32)
+    n = len(distinct)
+    pairs, pair_ids = np.unique(ids[:, 0].astype(np.int64) * n + ids[:, 2],
+                                return_inverse=True)
+    table = np.empty((n + (len(pairs) if sides else 0),) + shapes[0])
+    np.stack(distinct, out=table[:n])
+    bound = np.linalg.norm(table[:n], axis=1)[ids].max(axis=1)
+    pair_norms = np.empty(len(pairs))
+    step = max(1, _GATHER_CELLS // max(1, table.shape[1]))
+    for start in range(0, len(pairs), step):
+        pair = pairs[start:start + step]
+        summed = table[pair // n] + table[pair % n]
+        pair_norms[start:start + step] = np.linalg.norm(summed, axis=1)
+        if sides:
+            table[n + start:n + start + len(pair)] = summed
+    np.maximum(bound, pair_norms[pair_ids], out=bound)
+    slack = _MARGIN_ULPS * (table.shape[1] + 4) * _UNIT_ROUNDOFF * bound
+    if sides:
+        ids = np.column_stack((ids, n + pair_ids)).astype(np.int32)
+    return _Contexts(table, ids, bound, slack)
 
 
 def _first_max(first, *rest):
@@ -197,73 +231,81 @@ def _first_max(first, *rest):
     return first
 
 
-def exact_values(measure: SimilarityMeasure, probes: tuple, p_at: np.ndarray,
-                 targets: tuple, t_at: np.ndarray) -> np.ndarray:
-    """sim_instances of probe row ``p_at[k]`` of the stack ``probes`` against
-    target row ``t_at[k]`` of ``targets`` (both (before, between, after,
-    sides) stacks), for every k, bit for bit. Stacks hold no type pairs: the
-    two rows of each pair must share theirs.
+def exact_values(measure: SimilarityMeasure, probes: _Contexts, p_at: np.ndarray,
+                 targets: _Contexts, t_at: np.ndarray) -> np.ndarray:
+    """sim_instances of probe row ``p_at[k]`` of ``probes`` against target
+    row ``t_at[k]`` of ``targets`` (both _Contexts), for every k, bit for
+    bit. Contexts hold no type pairs: the two rows of each pair must share
+    theirs.
 
-    np.vecdot runs the same dot kernel as the 1-D ``@`` of sim_instances on
-    contiguous rows (every vector ingest builds is one), and the terms are
-    combined in its order: match's weighted sum left to right, each max as
-    Python's, then max(0.0, v) and min(1.0, v), which map NaN and -0.0 to
-    0.0 as Python's max and min do (np.maximum and np.clip would keep them).
-    Pairs are gathered in chunks of about _BLOCK_CELLS values per window."""
+    Each pair's vectors are gathered from the tables by id. Table rows are
+    copies of the arrays the templates hold, and a before+after row is
+    their sum, so each keeps its bits. np.vecdot runs the same dot kernel as
+    the 1-D ``@`` of sim_instances on contiguous rows (every gathered row is
+    one), and the terms are combined in its order: match's weighted sum left
+    to right, each max as Python's, then max(0.0, v) and min(1.0, v), which
+    map NaN and -0.0 to 0.0 as Python's max and min do (np.maximum and
+    np.clip would keep them). Pairs are gathered in chunks of about
+    _BLOCK_CELLS values per window."""
     values = np.empty(len(p_at))
-    step = max(1, _BLOCK_CELLS // max(1, probes[1].shape[1]))
+    step = max(1, _BLOCK_CELLS // max(1, probes.table.shape[1]))
     kind = measure.kind
     # overflowing dot products give inf or NaN, as they do in sim_instances
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(p_at), step):
-            p, t = p_at[start:start + step], t_at[start:start + step]
-            p_between, t_between = probes[1][p], targets[1][t]
+            p = probes.ids[p_at[start:start + step]].T
+            t = targets.ids[t_at[start:start + step]].T
+            p_between, t_between = probes.table[p[1]], targets.table[t[1]]
             if kind == "match":
                 w_before, w_between, w_after = measure.weights
-                value = (w_before * np.vecdot(probes[0][p], targets[0][t])
+                value = (w_before * np.vecdot(probes.table[p[0]], targets.table[t[0]])
                          + w_between * np.vecdot(p_between, t_between)
-                         + w_after * np.vecdot(probes[2][p], targets[2][t]))
+                         + w_after * np.vecdot(probes.table[p[2]], targets.table[t[2]]))
             elif kind == "cc-sym2":
-                value = _first_max(np.vecdot(probes[3][p], t_between),
-                                   np.vecdot(targets[3][t], p_between),
+                value = _first_max(np.vecdot(probes.table[p[3]], t_between),
+                                   np.vecdot(targets.table[t[3]], p_between),
                                    np.vecdot(p_between, t_between))
             else:
-                value = _first_max(np.vecdot(probes[0][p], t_between),
+                value = _first_max(np.vecdot(probes.table[p[0]], t_between),
                                    np.vecdot(p_between, t_between),
-                                   np.vecdot(probes[2][p], t_between))
+                                   np.vecdot(probes.table[p[2]], t_between))
                 if kind == "cc-sym1":
                     value = _first_max(value, _first_max(
-                        np.vecdot(targets[0][t], p_between),
+                        np.vecdot(targets.table[t[0]], p_between),
                         np.vecdot(t_between, p_between),
-                        np.vecdot(targets[2][t], p_between)))
+                        np.vecdot(targets.table[t[2]], p_between)))
             value = np.where(value > 0.0, value, 0.0)
             values[start:start + step] = np.where(value < 1.0, value, 1.0)
     return values
 
 
-def _scores(measure: SimilarityMeasure, p, t) -> np.ndarray:
-    """sim_instances before clamping, for every probe row of ``p`` against
-    every target row of ``t`` (both (before, between, after, sides) stacks)."""
-    p_before, p_between, p_after, p_sides = p
-    t_before, t_between, t_after, t_sides = t
+def _product(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The dot product of every row of ``rows`` with every row of
+    ``targets``: the one matrix product (BLAS) that scoring makes."""
+    return rows @ targets.T
+
+
+def _scores(measure: SimilarityMeasure, product: np.ndarray, p_ids: np.ndarray,
+            t_pos: np.ndarray) -> np.ndarray:
+    """sim_instances before clamping, for every probe of a row block against
+    every target, gathered from ``product`` (see _product): probe k's
+    window w is row ``p_ids[k, w]`` of it, and target j's window w is
+    column ``t_pos[j, w]``. Each term is one dot product of length d. The
+    max measures take the max over the probe windows met by one target
+    window before gathering that window's columns."""
     kind = measure.kind
+    rows = {p: product[p_ids[:, p]] for p in {p for p, _ in _TERMS[kind]}}
     if kind == "match":
         w_before, w_between, w_after = measure.weights
-        return (w_before * (p_before @ t_before.T)
-                + w_between * (p_between @ t_between.T)
-                + w_after * (p_after @ t_after.T))
-    if kind == "cc-sym2":
-        score = p_sides @ t_between.T
-        np.maximum(score, p_between @ t_sides.T, out=score)
-        np.maximum(score, p_between @ t_between.T, out=score)
-        return score
-    score = p_before @ t_between.T
-    for term in (p_between @ t_between.T, p_after @ t_between.T):
-        np.maximum(score, term, out=score)
-    if kind == "cc-sym1":
-        # the mirrored cc-asym: the target's windows against the probe's between
-        for term in (p_between @ t_before.T, p_between @ t_after.T):
-            np.maximum(score, term, out=score)
+        return (w_before * rows[0][:, t_pos[:, 0]] + w_between * rows[1][:, t_pos[:, 1]]
+                + w_after * rows[2][:, t_pos[:, 2]])
+    score = None
+    for t in {t for _, t in _TERMS[kind]}:
+        best = reduce(np.maximum, (rows[p] for p, target in _TERMS[kind] if target == t))
+        if score is None:
+            score = best[:, t_pos[:, t]]
+        else:
+            np.maximum(score, best[:, t_pos[:, t]], out=score)
     return score
 
 
@@ -273,11 +315,18 @@ class SimilarityGraph:
     Row i has an edge to every instance j with sim_instances(i, j) >=
     tau_sim; the probe comes first, as in every engine comparison. Every
     read asks about the in-edges of selected columns, and a column is scored
-    when it is first read: row-blocked matrix products score every row
-    against it, and the pairs of one entity-type pair that may reach tau_sim
-    (the candidates) are kept; pairs across type pairs are 0 and never
-    candidates. Memory follows the candidates in the columns read, not N^2,
-    and a graph shared by several bootstrap runs scores each column once.
+    when it is first read against every row, and the pairs of one
+    entity-type pair that may reach tau_sim (the candidates) are kept; pairs
+    across type pairs are 0 and never candidates. Memory follows the
+    candidates in the columns read, not N^2, and a graph shared by several
+    bootstrap runs scores each column once.
+
+    The rows' contexts are kept as one table of distinct vectors plus each
+    row's ids into it (_Contexts), never as a vector per row. A batch of
+    columns is scored by one matrix product of the table against the
+    columns' distinct rows per chunk of targets (_product), and blocks of
+    rows only gather their scores from it (_scores), so the block size sets
+    neither the number of products nor more than a bounded temporary.
 
     The graph keeps one interval [lo, hi] per candidate that holds its
     sim_instances value: the score minus and plus its margin, capped at 1.
@@ -317,11 +366,11 @@ class SimilarityGraph:
         return len(self.instances)
 
     @cached_property
-    def _contexts(self) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """Every row's before, between, after and before+after stack (the
-        last one only under cc-sym2, the one measure that reads it), norm
+    def _contexts(self) -> _Contexts:
+        """Every row's contexts as a table of distinct rows plus ids, norm
         bound R and slack (see _stack), in row order, built on the first
-        read."""
+        read. The table holds before+after sums only under cc-sym2, the one
+        measure that reads them."""
         return _stack([instance.template for instance in self.instances],
                       self.measure.kind == "cc-sym2")
 
@@ -334,35 +383,53 @@ class SimilarityGraph:
                               count=len(self))
         return ids, row_ids
 
-    def _candidates_against(self, targets: tuple, target_slack: np.ndarray,
+    def _candidates_against(self, targets: _Contexts, at: np.ndarray,
                             target_types: np.ndarray):
-        """(rows, target positions, lo, hi) of the pairs of a row and a
-        target of the ``targets`` stack whose similarity may reach tau_sim:
-        those of one type pair (``target_types`` holds each target's id in
-        _type_ids) whose score is not below tau_sim by more than the pair's
-        margin. [lo, hi] bounds each pair's sim_instances value, and is
-        unbounded where the score or the margin is not finite. Rows are
-        scored in blocks of about _BLOCK_CELLS scores."""
-        stack, bound, _ = self._contexts
+        """(rows, targets, lo, hi) of the pairs of a row and a target ``at[k]``
+        of ``targets`` whose similarity may reach tau_sim: those of one type
+        pair (``target_types[k]`` holds target k's id in _type_ids) whose
+        score is not below tau_sim by more than the pair's margin. [lo, hi]
+        bounds each pair's sim_instances value, and is unbounded where the
+        score or the margin is not finite.
+
+        Targets are taken in chunks whose product of the graph's table with
+        their distinct rows (see _product) holds about _BLOCK_CELLS values.
+        Rows are scored in blocks of about _GATHER_CELLS scores gathered from
+        that product (see _scores). A block's scores are first tested against
+        the block's widest margin; only the pairs that pass get their own,
+        bound[row] * slack[target], so no margin matrix is built."""
+        table, ids, bound, _ = self._contexts
         row_types = self._type_ids[1]
+        reads = sorted({t for _, t in _TERMS[self.measure.kind]})
         found = []
-        step = max(1, _BLOCK_CELLS // len(target_slack))
+        width = max(1, _BLOCK_CELLS // (len(table) * len(reads)))
         # an overflowing or NaN score is a candidate; its exact value decides it
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(self), step):
-                block = slice(start, start + step)
-                scores = _scores(self.measure, _take(stack, block), targets)
-                margin = np.outer(bound[block], target_slack)
-                near = ~(scores < self.tau_sim - margin)
-                near &= np.equal.outer(row_types[block], target_types)
-                rows, cols = np.nonzero(near)
-                score, margin = scores[rows, cols], margin[rows, cols]
-                sure = np.isfinite(score) & np.isfinite(margin)
-                rows += start
-                found.append((rows.astype(np.int32), cols,
-                              np.where(sure, np.minimum(score - margin, 1.0), -np.inf),
-                              np.where(sure, np.minimum(score + margin, 1.0), np.inf)))
-                del scores  # free this block's matrices before scoring the next
+            for first in range(0, len(at), width):
+                chunk = at[first:first + width]
+                keys, pos = np.unique(targets.ids[chunk][:, reads], return_inverse=True)
+                t_pos = np.zeros((len(chunk), targets.ids.shape[1]), dtype=np.intp)
+                t_pos[:, reads] = pos.reshape(len(chunk), len(reads))
+                product = _product(table, targets.table[keys])
+                slack, types = targets.slack[chunk], target_types[first:first + width]
+                widest = slack.max()
+                step = max(1, _GATHER_CELLS // len(chunk))
+                for start in range(0, len(self), step):
+                    block = slice(start, start + step)
+                    scores = _scores(self.measure, product, ids[block], t_pos)
+                    rows, cols = np.nonzero(
+                        ~(scores < self.tau_sim - bound[block].max() * widest))
+                    score = scores[rows, cols]
+                    del scores  # free this block's matrix before the next is gathered
+                    rows += start
+                    margin = bound[rows] * slack[cols]
+                    near = np.flatnonzero(~(score < self.tau_sim - margin)
+                                          & (row_types[rows] == types[cols]))
+                    rows, cols, score, margin = rows[near], cols[near], score[near], margin[near]
+                    sure = np.isfinite(score) & np.isfinite(margin)
+                    found.append((rows.astype(np.int32), chunk[cols],
+                                  np.where(sure, np.minimum(score - margin, 1.0), -np.inf),
+                                  np.where(sure, np.minimum(score + margin, 1.0), np.inf)))
         return tuple(map(np.concatenate, zip(*found)))
 
     def _score_columns(self, columns: np.ndarray) -> None:
@@ -371,20 +438,19 @@ class SimilarityGraph:
         new = columns & ~self._scored
         at = np.flatnonzero(new).astype(np.int32)
         if len(at):
-            stack, _, slack = self._contexts
-            rows, k, lo, hi = self._candidates_against(
-                _take(stack, at), slack[at], self._type_ids[1][at])
+            found = self._candidates_against(self._contexts, at, self._type_ids[1][at])
             self._rows, self._cols, self._lo, self._hi = map(np.concatenate, zip(
-                (self._rows, self._cols, self._lo, self._hi), (rows, at[k], lo, hi)))
+                (self._rows, self._cols, self._lo, self._hi), found))
         self._scored |= new
 
     def _fill(self, idx: np.ndarray) -> np.ndarray:
         """Close the intervals of candidates ``idx`` at their sim_instances
         values and return them."""
-        if not len(idx):  # a graph of no rows has no stack to build
+        if not len(idx):  # a graph of no rows has no table to build
             return np.zeros(0)
-        stack = self._contexts[0]
-        values = exact_values(self.measure, stack, self._rows[idx], stack, self._cols[idx])
+        contexts = self._contexts
+        values = exact_values(self.measure, contexts, self._rows[idx], contexts,
+                              self._cols[idx])
         self._lo[idx] = self._hi[idx] = values
         return values
 
@@ -468,16 +534,17 @@ class SimilarityGraph:
             column = np.zeros(len(self), dtype=bool)
             type_id = self._type_ids[0].get(template.type_pair)
             if type_id is not None:
-                stack = self._contexts[0]
-                shapes = sorted({stack[1].shape[1:], template.v_between.shape})
+                contexts = self._contexts
+                shapes = sorted({contexts.table.shape[1:], template.v_between.shape})
                 if len(shapes) > 1:
                     raise ValueError(
                         f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
-                targets, _, target_slack = _stack([template])
+                # the template as a one-row table
+                targets = _stack([template], self.measure.kind == "cc-sym2")
                 rows, _, lo, hi = self._candidates_against(
-                    targets, target_slack, np.array([type_id], dtype=np.int32))
+                    targets, np.zeros(1, dtype=np.int32), np.array([type_id], dtype=np.int32))
                 unsure = np.flatnonzero((lo < self.tau_sim) & (hi >= self.tau_sim))
-                lo[unsure] = exact_values(self.measure, stack, rows[unsure], targets,
+                lo[unsure] = exact_values(self.measure, contexts, rows[unsure], targets,
                                           np.zeros(len(unsure), dtype=np.intp))
                 column[rows[lo >= self.tau_sim]] = True
             self._template_columns[key] = column

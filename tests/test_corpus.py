@@ -891,6 +891,9 @@ class TestTableIndex:
         assert (Path(tmp).parent, target) == (table_cache, str(index))
         assert stat.S_IMODE(table_cache.stat().st_mode) == 0o700
 
+    # a doubtful index is closed as it is found doubtful, not left to the collector
+    @pytest.mark.filterwarnings("error::ResourceWarning",
+                                "error::pytest.PytestUnraisableExceptionWarning")
     @pytest.mark.parametrize("damage", ["table-rewritten", "truncated", "corrupt",
                                         "other-word", "unordered-offsets", "pickled",
                                         "other-version"])
@@ -1239,6 +1242,9 @@ class TestCorpusIndex:
         assert [sent.sid for sent in loaded.sentences] == [0, 1, 2, 3, 4]
         assert indexes(table_cache) == [index] and index.read_bytes() == written
 
+    # a doubtful index is closed as it is found doubtful, not left to the collector
+    @pytest.mark.filterwarnings("error::ResourceWarning",
+                                "error::pytest.PytestUnraisableExceptionWarning")
     @pytest.mark.parametrize("damage", ["corpus-rewritten", "truncated", "corrupt",
                                         "other-line", "line-count", "scalar", "pickled",
                                         "other-version"])

@@ -3,6 +3,7 @@ whole bootstrap loop against the per-pair reference loop."""
 
 import dataclasses
 import itertools
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -41,24 +42,26 @@ def scalar_edges(instances, measure, tau_sim):
 
 @contextmanager
 def skewed_scores(sign):
-    """Matrix scores moved by sign * (d + 4) u R_i R_j, half the rounding
-    error the margins allow: a BLAS that rounds every score one way. Yields
-    the number of target columns of each scoring call, in call order."""
-    exact = brex.similarity._scores
+    """Every dot product a . b of the scoring products moved by sign * (d + 4)
+    u |a| |b|, so a score moves by at most (d + 4) u R_i R_j, half the
+    rounding error the margins allow: a BLAS that rounds every product one
+    way. Yields the number of target columns of each scoring call, in call
+    order."""
+    exact = brex.similarity._product
+    scoring = SimilarityGraph._candidates_against
     scored = []
 
-    def bound(stack):
-        # R of each row; a graph keeps the before+after stack only under cc-sym2
-        before, between, after, _ = stack
-        return np.linalg.norm(np.stack([before, between, after, before + after]),
-                              axis=2).max(axis=0)
+    def skewed(rows, targets):
+        skew = (rows.shape[1] + 4) * 2.0 ** -53 * np.outer(
+            np.linalg.norm(rows, axis=1), np.linalg.norm(targets, axis=1))
+        return exact(rows, targets) + sign * skew
 
-    def skewed(measure, p, t):
-        scored.append(len(t[0]))
-        skew = (p[0].shape[1] + 4) * 2.0 ** -53 * np.outer(bound(p), bound(t))
-        return exact(measure, p, t) + sign * skew
+    def counted(graph, targets, at, target_types):
+        scored.append(len(at))
+        return scoring(graph, targets, at, target_types)
 
-    with mock.patch.object(brex.similarity, "_scores", skewed):
+    with (mock.patch.object(brex.similarity, "_product", skewed),
+          mock.patch.object(SimilarityGraph, "_candidates_against", counted)):
         yield scored
 
 
@@ -367,19 +370,44 @@ def test_shared_graph_scores_no_column_twice():
     measure = SimilarityMeasure("cc-sym1")
     graph = SimilarityGraph(instances, measure, 0.3)
     targets = []
-    exact = brex.similarity._scores
+    scoring = SimilarityGraph._candidates_against
 
-    def recorded(measure, p, t):
-        targets.extend(b"".join(w.tobytes() for w in window) for window in zip(*t[:3]))
-        return exact(measure, p, t)
+    def recorded(graph, contexts, at, target_types):
+        windows = contexts.table[contexts.ids[at][:, :3]]
+        targets.extend(window.tobytes() for window in windows)
+        return scoring(graph, contexts, at, target_types)
 
-    with mock.patch.object(brex.similarity, "_scores", recorded):
+    with mock.patch.object(SimilarityGraph, "_candidates_against", recorded):
         for mode in ("bree", "brej"):
             cfg = RunConfig(mode=mode, measure=measure, tau_sim=0.3, tau_cnf=0.3)
             bootstrap(instances, seeds.copy(), cfg, graph)
     assert len({i.template.key() for i in instances}) == len(instances)
     assert len(targets) > 10
     assert len(set(targets)) == len(targets)
+
+
+def test_scoring_memory_follows_the_candidates():
+    """Scoring 20 columns of 6,000 rows whose windows share 12 read-only
+    arrays, as ingest shares them, allocates at most 2 MB beyond the
+    candidates it keeps: no array of a vector per row, and block
+    temporaries of bounded size."""
+    rng = np.random.default_rng(41)
+    basis = np.eye(50)[:12]
+    basis.flags.writeable = False
+    arrays = list(basis)
+    instances = [make_instance(template=make_template(*(arrays[k] for k in picks), dim=50))
+                 for picks in rng.integers(0, len(arrays), size=(6000, 3)).tolist()]
+    graph = SimilarityGraph(instances, SimilarityMeasure("cc-asym"), 0.7)
+    columns = np.arange(len(graph)) < 20
+    tracemalloc.start()
+    try:
+        graph._score_columns(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = sum(a.nbytes for a in (graph._rows, graph._cols, graph._lo, graph._hi))
+    assert len(graph._rows) > 20_000  # about a quarter of the pairs are edges
+    assert peak - store <= 2 << 20, (peak, store)
 
 
 READS = st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1)),

@@ -217,27 +217,56 @@ def random_contexts(rng, n, dim, log_scale):
     return [make_template(*window, dim=dim) for window in windows]
 
 
+def share_windows(rng, templates, sharing):
+    """``templates`` with about a third of their windows replaced by another
+    window of the list: the same array (``sharing`` "shared"), as ingest
+    shares one array among the windows of a token multiset, or an equal
+    copy of it ("equal"); "own" changes nothing."""
+    if sharing == "own":
+        return templates
+    windows = [[t.v_before, t.v_between, t.v_after] for t in templates]
+    flat = [window for triple in windows for window in triple]
+    for triple in windows:
+        for w in range(3):
+            if rng.random() < 0.35:
+                source = flat[int(rng.integers(len(flat)))]
+                triple[w] = source if sharing == "shared" else source.copy()
+    return [make_template(*triple, dim=len(triple[0])) for triple in windows]
+
+
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(MEASURE_KINDS),
        dim=st.sampled_from([1, 3, 8, 50, 67]),
        log_scale=st.sampled_from([-170.0, 0.0, 160.0]) | st.floats(-170.0, 160.0),
-       block_cells=st.sampled_from([1, 100, 1 << 17]))
+       block_cells=st.sampled_from([1, 100, 1 << 17]),
+       sharing=st.sampled_from(["own", "shared", "equal"]))
 @settings(max_examples=300, deadline=None)
 def test_exact_values_equal_sim_instances_bit_for_bit(seed, kind, dim, log_scale,
-                                                      block_cells):
-    """The batched exact values of gathered probe and target rows are the
-    sim_instances values of those rows' templates, bit for bit, in chunks of
-    any size."""
+                                                      block_cells, sharing):
+    """The batched exact values of probe and target rows gathered from their
+    tables of distinct contexts are the sim_instances values of those rows'
+    templates, bit for bit, in chunks of any size, whether rows share one
+    array, hold equal copies or hold their own. A before+after row of a
+    table, built in chunks of any size, has the bits of the two windows'
+    sum."""
     rng = np.random.default_rng(seed)
     weights = rng.random(3)
     measure = SimilarityMeasure(kind, tuple((weights / weights.sum()).tolist()))
-    probes = random_contexts(rng, int(rng.integers(1, 8)), dim, log_scale)
-    targets = random_contexts(rng, int(rng.integers(1, 8)), dim, log_scale)
+    probes = share_windows(rng, random_contexts(rng, int(rng.integers(1, 8)), dim, log_scale),
+                           sharing)
+    targets = share_windows(rng, random_contexts(rng, int(rng.integers(1, 8)), dim, log_scale),
+                            sharing)
     pairs = int(rng.integers(0, 40))
     p_at = rng.integers(0, len(probes), size=pairs)
     t_at = rng.integers(0, len(targets), size=pairs)
     with (mock.patch.object(brex.similarity, "_BLOCK_CELLS", block_cells),
+          mock.patch.object(brex.similarity, "_GATHER_CELLS", block_cells),
           np.errstate(over="ignore", invalid="ignore")):
-        values = exact_values(measure, _stack(probes)[0], p_at, _stack(targets)[0], t_at)
+        probe_table, target_table = _stack(probes), _stack(targets)
+        values = exact_values(measure, probe_table, p_at, target_table, t_at)
         expected = np.array([sim_instances(probes[i], targets[j], measure)
                              for i, j in zip(p_at.tolist(), t_at.tolist())])
+        sides = np.array([t.v_before + t.v_after for t in probes])
     assert same_bits(values, expected)
+    assert same_bits(probe_table.table[probe_table.ids[:, 3]], sides)
+    assert same_bits(probe_table.table[probe_table.ids[:, :3]],
+                     np.array([[t.v_before, t.v_between, t.v_after] for t in probes]))
