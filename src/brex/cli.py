@@ -21,8 +21,8 @@ from functools import reduce
 from pathlib import Path
 
 from . import __version__
-from .corpus import EmbeddingStore, EntityPair, HashedPath, SeedFileSpec, TypedEntity, \
-    extract_instances, json_kind, json_lines, json_object, json_text, \
+from .corpus import EmbeddingStore, EntityPair, HashedPath, InstanceTable, SeedFileSpec, \
+    TypedEntity, extract_instances, json_kind, json_lines, json_object, json_text, \
     json_value, load_corpus, load_embeddings, parse_seed_file
 # Not called here: perfbench/op.py traces this name in this module.
 from .corpus import reorder_passive  # noqa: F401
@@ -178,7 +178,7 @@ class Ingested:
     """The seed file, the corpus instances and the embeddings of their words."""
 
     spec: SeedFileSpec
-    instances: list
+    table: InstanceTable
     emb: EmbeddingStore
     counters: dict
 
@@ -198,10 +198,10 @@ def ingest_inputs(corpus_path, embeddings_path, seeds_path,
         "sentences": loaded.accepted_records,
         "rejected_records": loaded.rejected_records,
         "dropped_entities": loaded.dropped_entities,
-        "instances": len(extraction.instances),
+        "instances": len(extraction.table),
         "skipped_over_limit": extraction.skipped_over_limit,
     }
-    return Ingested(spec=spec, instances=extraction.instances, emb=emb,
+    return Ingested(spec=spec, table=extraction.table, emb=emb,
                     counters=counters)
 
 
@@ -269,8 +269,7 @@ class RunInputs:
         if key != self._graph_key:
             self._graph = None  # free the previous graph before building this one
             self._graph_key = key
-            self._graph = SimilarityGraph(self.ingest(cfg).instances, cfg.measure,
-                                          cfg.tau_sim)
+            self._graph = SimilarityGraph(self.ingest(cfg).table, cfg.measure, cfg.tau_sim)
         return self._graph
 
     def gold(self, relation: str, pairing: str) -> GoldKB | None:
@@ -313,7 +312,7 @@ def run_pipeline(cfg: RunConfig, inputs: RunInputs, out_dir: Path,
     seeds = build_seed_state(ingested.spec, ingested.emb, cfg.pairing)
     relation = ingested.spec.relation
     gold = inputs.gold(relation, cfg.pairing)
-    result = bootstrap(ingested.instances, seeds, cfg, inputs.graph(cfg))
+    result = bootstrap(ingested.table, seeds, cfg, inputs.graph(cfg))
     manifest["iterations"] = result.per_iteration_stats
     write_outputs(out_dir, relation, result, ingested.counters)
     summary = {

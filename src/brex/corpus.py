@@ -53,6 +53,14 @@ tokens in sorted order, which makes the vectors bit-identical for any two
 windows with the same token multiset. A window whose sum or norm overflows
 float64 raises EmbeddingFormatError naming its tokens (exit 2), where it
 would otherwise give a NaN or zero vector and silently zero similarities.
+
+extract_instances gives its instances as an InstanceTable, columns made in
+the pass that gives each window its context row: each row's three context
+rows, type-pair id, entity-key ids, sentence and spans. It builds no
+Instance: a row's Instance is built when a caller first reads it
+(``table[row]``) and kept, so a run builds those of its extractors' members
+and accepted rows only. InstanceTable.from_instances gives the table of a
+list of instances, for tests and API callers.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import os
 import pickle
 import signal
@@ -159,9 +168,135 @@ class LoadedCorpus:
     rejected_records: int = 0  # bad or overlapping spans
 
 
+def distinct_windows(templates) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct window arrays of ``templates``, told apart by identity,
+    and each template's (before, between, after) positions among them as an
+    (N, 3) int32 array. Ingest gives all windows of one token multiset one
+    array, so its windows come out once each."""
+    windows = [window for t in templates for window in (t.v_before, t.v_between, t.v_after)]
+    keys, at = np.unique(np.fromiter(map(id, windows), dtype=np.uint64, count=len(windows)),
+                         return_inverse=True)
+    pick = np.empty(len(keys), dtype=np.intp)
+    pick[at] = np.arange(len(windows))  # any window of an id is its array
+    return [windows[k] for k in pick.tolist()], at.reshape(-1, 3).astype(np.int32)
+
+
+class InstanceTable:
+    """A frozen instance list as columns, one row per instance.
+
+    - ``contexts``: context vectors, and ``ids``, each row's (before,
+      between, after) positions among them as an (N, 3) int32 array;
+    - ``type_pairs``: the entity-type pairs of the rows, and ``type_ids``,
+      each row's position among them;
+    - ``entities``: an id per distinct entity key (TypedEntity.key) of the
+      rows, in the order first seen, and ``entity_ids``, each row's (e1, e2)
+      ids as an (N, 2) int32 array, from which pair_ids gives each row's
+      pair id under a pairing;
+    - of a table from extract_instances, ``sentences``, the sentences it
+      read that have a row, and ``spans``, each row's sentence (its index there), its two
+      entity spans in sentence order (start, end, start, end) and whether the
+      pair was swapped as passive (1) or not (0), as an (N, 6) int64 array.
+
+    ``table[row]`` is row's Instance, built on the first read and kept: the
+    same object on every read, whose template holds the arrays of
+    ``contexts``. A table from extract_instances builds it from its
+    sentences and spans, so only the rows read get one; a table
+    from_instances holds the instances it was given, and no spans.
+    """
+
+    def __init__(self, contexts: list[np.ndarray], ids: np.ndarray, type_pairs: list,
+                 type_ids: np.ndarray, entities: dict[tuple, int], entity_ids: np.ndarray,
+                 sentences=(), spans: np.ndarray | None = None):
+        self.contexts = contexts
+        self.ids = ids
+        self.type_pairs = type_pairs
+        self.type_ids = type_ids
+        self.entities = entities
+        self.entity_ids = entity_ids
+        self.sentences = sentences
+        self.spans = spans
+        self._instances: dict[int, Instance] = {}
+        self._row_of_template: dict[Template, int] = {}
+
+    @classmethod
+    def from_instances(cls, instances: list[Instance]) -> "InstanceTable":
+        """The table of ``instances``, whose windows become its contexts once
+        per array (see distinct_windows). Rows of several type pairs and
+        contexts of several shapes are allowed here; a similarity graph
+        raises on the shapes."""
+        contexts, ids = distinct_windows([instance.template for instance in instances])
+        types: dict[tuple, int] = {}
+        type_ids = np.fromiter((types.setdefault(instance.template.type_pair, len(types))
+                                for instance in instances), dtype=np.int32,
+                               count=len(instances))
+        entities: dict[tuple, int] = {}
+        entity_ids = np.fromiter((entities.setdefault(key, len(entities))
+                                  for instance in instances
+                                  for key in (instance.pair.e1.key(), instance.pair.e2.key())),
+                                 dtype=np.int32, count=2 * len(instances)).reshape(-1, 2)
+        table = cls(contexts, ids, list(types), type_ids, entities, entity_ids)
+        table._instances = dict(enumerate(instances))
+        table._row_of_template = {instance.template: row
+                                  for row, instance in enumerate(instances)}
+        return table
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, row) -> Instance:
+        row = operator.index(row)
+        instance = self._instances.get(row)
+        if instance is None:
+            if not 0 <= row < len(self):
+                raise IndexError(f"row {row} of a table of {len(self)}")
+            instance = self._instances[row] = self._instance(row)
+            self._row_of_template[instance.template] = row
+        return instance
+
+    def _instance(self, row: int) -> Instance:
+        index, a_start, a_end, b_start, b_end, swapped = self.spans[row].tolist()
+        sent = self.sentences[index]
+        tokens = sent.tokens
+        surfaces = " ".join(tokens[a_start:a_end]), " ".join(tokens[b_start:b_end])
+        first, second = surfaces[::-1] if swapped else surfaces
+        t1, t2 = self.type_pairs[self.type_ids[row]]
+        pair = EntityPair(TypedEntity(first, t1), TypedEntity(second, t2))
+        before, between, after = (self.contexts[k] for k in self.ids[row].tolist())
+        return Instance(id=f"s{sent.sid}:{a_start}.{a_end}-{b_start}.{b_end}", pair=pair,
+                        template=Template(v_before=before, v_between=between,
+                                          v_after=after, type_pair=pair.types),
+                        sentence_ref=sent.sid, tokens_between=tuple(tokens[a_end:b_start]))
+
+    def row_of(self, template: Template) -> int | None:
+        """The row whose built or given Instance holds ``template`` (the last
+        such row), or None. Templates compare by identity."""
+        return self._row_of_template.get(template)
+
+    def pair_ids(self, pairing: str) -> np.ndarray:
+        """Each row's pair id under ``pairing`` (see _pair_codes)."""
+        return self._pair_codes(self.entity_ids, pairing)
+
+    def key_pair_ids(self, keys, pairing: str) -> np.ndarray:
+        """The pair id under ``pairing`` of each EntityPair key in ``keys``
+        whose two entities are in some row; keys of other entities have
+        none."""
+        ids = [(self.entities.get(a), self.entities.get(b)) for a, b in keys]
+        known = [pair for pair in ids if None not in pair]
+        return self._pair_codes(np.array(known, dtype=np.int32).reshape(-1, 2), pairing)
+
+    def _pair_codes(self, entity_ids: np.ndarray, pairing: str) -> np.ndarray:
+        """The pair id of each (e1, e2) row of entity ids: e1's id * E +
+        e2's id, E the count of entities; under "biset" the smaller id comes
+        first, so that (a, b) and (b, a) share one id."""
+        first, second = entity_ids.astype(np.int64).T
+        if pairing == "biset":
+            first, second = np.minimum(first, second), np.maximum(first, second)
+        return first * len(self.entities) + second
+
+
 @dataclass
 class ExtractionResult:
-    instances: list[Instance]
+    table: InstanceTable
     skipped_over_limit: int = 0
 
 
@@ -1179,8 +1314,11 @@ def extract_instances(
     limits: tuple[int, int, int],
     type_pair: tuple[str, str],
 ) -> ExtractionResult:
-    """Build one instance per in-sentence entity pair whose type pair, in its
-    final orientation, is ``type_pair``.
+    """The InstanceTable of one instance per in-sentence entity pair whose
+    type pair, in its final orientation, is ``type_pair``, in sentence
+    order, then span order. Its rows are made in the pass that gives each
+    window its row of the store's context table, and no Instance is built
+    here (see InstanceTable).
 
     ``limits`` is (max_before, max_between, max_after). Pairs of the type pair
     separated by more than max_between tokens are skipped and counted; the
@@ -1199,40 +1337,48 @@ def extract_instances(
     touch form a pair with an empty between window.
     """
     max_before, max_between, max_after = limits
-    # each pair's fields and its windows' rows of the context table, whose
-    # rows are built in one batch once every window has its row
-    drafts = []
+    # the sentences with a pair (kept), and per pair: its sentence's index
+    # in kept, its spans in sentence order, whether it was swapped, the ids
+    # of its entities' keys (in the order first seen) and its windows' rows
+    # of the context table, whose rows are built in one batch once every
+    # window has its row
+    columns = []
+    entities: dict[tuple[str, str], int] = {}
     skipped = 0
+    kept = []
     for sent in sentences:
         ents = sorted(sent.entities, key=lambda s: (s.start, s.end))
-        for a_idx in range(len(ents)):
+        tokens = sent.tokens
+        keys = None
+        for a_idx, ea in enumerate(ents):
             for b_idx in range(a_idx + 1, len(ents)):
-                ea, eb = ents[a_idx], ents[b_idx]
+                eb = ents[b_idx]
                 e1, e2 = reorder_passive(ea, eb, sent)
                 if (e1.etype, e2.etype) != type_pair:
                     continue
-                between = sent.tokens[ea.end:eb.start]
+                between = tokens[ea.end:eb.start]
                 if len(between) > max_between:
                     skipped += 1
                     continue
-                before = sent.tokens[max(0, ea.start - max_before):ea.start]
-                after = sent.tokens[eb.end:eb.end + max_after]
-                iid = f"s{sent.sid}:{ea.start}.{ea.end}-{eb.start}.{eb.end}"
-                pair = EntityPair(
-                    TypedEntity(" ".join(sent.tokens[e1.start:e1.end]), e1.etype),
-                    TypedEntity(" ".join(sent.tokens[e2.start:e2.end]), e2.etype),
-                )
-                drafts.append((iid, pair, sent.sid, between, emb.context_row(before),
-                               emb.context_row(between), emb.context_row(after)))
-    contexts = emb.context_rows()
-    instances = [
-        Instance(id=iid, pair=pair, sentence_ref=sid, tokens_between=tuple(between),
-                 template=Template(v_before=contexts[b], v_between=contexts[w],
-                                   v_after=contexts[a], type_pair=pair.types))
-        for iid, pair, sid, between, b, w, a in drafts]
+                if keys is None:
+                    kept.append(sent)
+                    keys = [entities.setdefault((" ".join(tokens[e.start:e.end]).lower(),
+                                                 e.etype), len(entities)) for e in ents]
+                swapped = e1 is eb
+                columns.append((len(kept) - 1, ea.start, ea.end, eb.start, eb.end, swapped,
+                                keys[b_idx if swapped else a_idx],
+                                keys[a_idx if swapped else b_idx],
+                                emb.context_row(tokens[max(0, ea.start - max_before):ea.start]),
+                                emb.context_row(between),
+                                emb.context_row(tokens[eb.end:eb.end + max_after])))
+    columns = np.array(columns, dtype=np.int64).reshape(-1, 11)
+    table = InstanceTable(list(emb.context_rows()), columns[:, 8:].astype(np.int32),
+                          [type_pair] if len(columns) else [],
+                          np.zeros(len(columns), dtype=np.int32), entities,
+                          columns[:, 6:8].astype(np.int32), kept, columns[:, :6])
     if skipped:
         log.info("skipped %d entity pairs over the between-window limit", skipped)
-    return ExtractionResult(instances=instances, skipped_over_limit=skipped)
+    return ExtractionResult(table=table, skipped_over_limit=skipped)
 
 
 _TO_BE = {"be", "am", "is", "are", "was", "were", "been", "being"}

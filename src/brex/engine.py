@@ -14,9 +14,11 @@ Each iteration over the frozen instance set:
   4. add the accepted instances' items to the yield.
 
 Extractors are rebuilt from scratch every iteration; the yield only grows.
-Every similarity is read from one SimilarityGraph over the instances, whose
-edges are the pairs at or above tau_sim; the caller builds it, so the runs
-of a sweep share it. Matching and hop 1 read only whether edges exist.
+The instances are the rows of an InstanceTable, and every similarity is read
+from one SimilarityGraph over it, whose edges are the pairs at or above
+tau_sim; the caller builds it, so the runs of a sweep share it. Matching and
+hop 1 read only whether edges exist. An Instance is asked of the table only
+for the extractors' members and the accepted rows.
 Cluster similarity is max-linkage, and each instance belongs to at most one
 extractor, so hop 2 and hop 3 read one exact value per row and extractor
 within reach: the graph's max over the extractor's columns.
@@ -28,7 +30,7 @@ import logging
 
 import numpy as np
 
-from .corpus import Instance
+from .corpus import Instance, InstanceTable
 from .model import MODE_CHANNELS, BootstrapResult, Extractor, RunConfig, SeedHits, \
     SeedState
 from .scoring import instance_confidence, score_extractor
@@ -49,7 +51,7 @@ def match_channels(graph: SimilarityGraph, state: SeedState) -> SeedHits:
 
 
 def _extractors(graph: SimilarityGraph, clusters: list[list[int]]) -> list[Extractor]:
-    return [Extractor(id=k, members=[graph.instances[row] for row in rows], rows=rows)
+    return [Extractor(id=k, members=[graph.table[row] for row in rows], rows=rows)
             for k, rows in enumerate(clusters)]
 
 
@@ -139,18 +141,18 @@ def add_to_yield(instance: Instance, grown: SeedState, cfg: RunConfig) -> None:
         grown.pos_templates.add(instance.template)
 
 
-def bootstrap(instances: list[Instance], seeds: SeedState, cfg: RunConfig,
+def bootstrap(table: InstanceTable, seeds: SeedState, cfg: RunConfig,
               graph: SimilarityGraph) -> BootstrapResult:
     """Run the full loop for cfg.iterations and return yield, extractors,
     accepted instances with confidences, and per-iteration statistics.
 
-    ``graph`` must be built over this very ``instances`` list with cfg's
-    measure and tau_sim.
+    ``graph`` must be built over this very ``table`` with cfg's measure and
+    tau_sim.
     """
-    if (graph.instances is not instances or graph.measure != cfg.measure
+    if (graph.table is not table or graph.measure != cfg.measure
             or graph.tau_sim != cfg.tau_sim):
         raise ValueError("the similarity graph was built for another instance "
-                         "list, measure or tau_sim")
+                         "table, measure or tau_sim")
     # hop 3 grows the copy in place: an iteration matches it only before
     # hop 1, and the caller's seeds stay as given
     grown = seeds.copy()
@@ -177,7 +179,7 @@ def bootstrap(instances: list[Instance], seeds: SeedState, cfg: RunConfig,
                                                 cfg)
                 if not ok:
                     continue
-                instance = instances[row]
+                instance = table[row]
                 add_to_yield(instance, grown, cfg)
                 slot = accepted_index.get(instance.id)
                 if slot is None:

@@ -140,7 +140,7 @@ def build_seed_state(spec: SeedFileSpec, emb: EmbeddingStore,
 class SeedHits:
     """Which instances match one seed state, per channel and polarity.
 
-    Each field holds one bool per row of the bootstrap's instance list.
+    Each field holds one bool per row of the bootstrap's instance table.
     """
 
     pos_pair: np.ndarray
@@ -161,7 +161,7 @@ class SeedHits:
 class Extractor:
     """A cluster of instances acting as an extraction pattern.
 
-    ``rows`` are the members' positions in the bootstrap's instance list.
+    ``rows`` are the members' rows in the bootstrap's instance table.
     """
 
     id: int

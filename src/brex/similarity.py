@@ -13,12 +13,13 @@ All measures return 0 when the two type pairs differ. Results are clamped to
 confidence products, and the cc-sym2 side-window sum can exceed unit norm.
 
 ``sim_instances`` is the definition of every similarity value the engine
-reads, and the test oracle. ``SimilarityGraph`` finds which pairs of a frozen
-instance list reach tau_sim. The engine only asks for the in-edges of
-selected columns, so a column is scored when it is first read: one matrix
-product of the graph's distinct contexts against the column's distinct
-rows scores every row against it, and only pairs of one entity-type pair
-are kept. A pair's score decides whether it is an edge
+reads, and the test oracle. ``SimilarityGraph`` finds which pairs of the
+rows of an instance table (brex.corpus.InstanceTable) reach tau_sim, from
+the table's context, type and entity ids alone. The engine only asks for
+the in-edges of selected columns, so a column is scored when it is first
+read: one matrix product of the table's contexts against the column's
+distinct rows scores every row against it, and only pairs of one
+entity-type pair are kept. A pair's score decides whether it is an edge
 unless it lies within its rounding margin of tau_sim, where its exact value
 decides. Exact values come from one batched path, ``exact_values``, equal
 to ``sim_instances`` bit for bit: both take their dot products from the
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Instance, Template
+from .corpus import Instance, InstanceTable, Template, distinct_windows
 
 MEASURE_KINDS = ("match", "cc-asym", "cc-sym1", "cc-sym2")
 
@@ -179,33 +180,27 @@ class _Contexts(NamedTuple):
     slack: np.ndarray
 
 
-def _stack(contexts: list[Template], sides: bool = True) -> _Contexts:
-    """The _Contexts of ``contexts`` (row k is contexts[k], whatever its type
-    pair). Without ``sides`` the table holds no before+after sums (only
-    cc-sym2 reads them), but R still covers their norms.
+def _stack(windows: list[np.ndarray], ids: np.ndarray, sides: bool = True) -> _Contexts:
+    """The _Contexts of rows whose window w (before, between, after) is
+    ``windows[ids[k, w]]``, whatever their type pairs: an instance table's
+    contexts and ids, or those of distinct_windows. Without ``sides`` the
+    table holds no before+after sums (only cc-sym2 reads them), but R still
+    covers their norms.
 
-    Ingest gives all windows of one token multiset one array, so the
-    distinct window arrays, told apart by identity, are copied once into
-    the table, and their norms are taken once. A before+after sum is built
-    once per distinct (before, after) pair of ids, in chunks of about
-    _GATHER_CELLS values, for its norm and, with sides, its table row: no
-    array of a vector per row is built. Windows of more than one shape raise
-    ValueError, also across type pairs."""
-    windows = [window for t in contexts for window in (t.v_before, t.v_between, t.v_after)]
-    keys, at = np.unique(np.fromiter(map(id, windows), dtype=np.uint64, count=len(windows)),
-                         return_inverse=True)
-    pick = np.empty(len(keys), dtype=np.intp)
-    pick[at] = np.arange(len(windows))  # any window of an id is its array
-    distinct = [windows[k] for k in pick.tolist()]
-    shapes = sorted({window.shape for window in distinct})
+    The window arrays are copied once into the table, and their norms are
+    taken once. A before+after sum is built once per distinct (before,
+    after) pair of ids, in chunks of about _GATHER_CELLS values, for its
+    norm and, with sides, its table row: no array of a vector per row is
+    built. Windows of more than one shape raise ValueError, also across type
+    pairs."""
+    shapes = sorted({window.shape for window in windows})
     if len(shapes) > 1:
         raise ValueError(f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
-    ids = at.reshape(-1, 3).astype(np.int32)
-    n = len(distinct)
+    n = len(windows)
     pairs, pair_ids = np.unique(ids[:, 0].astype(np.int64) * n + ids[:, 2],
                                 return_inverse=True)
     table = np.empty((n + (len(pairs) if sides else 0),) + shapes[0])
-    np.stack(distinct, out=table[:n])
+    np.stack(windows, out=table[:n])
     bound = np.linalg.norm(table[:n], axis=1)[ids].max(axis=1)
     pair_norms = np.empty(len(pairs))
     step = max(1, _GATHER_CELLS // max(1, table.shape[1]))
@@ -310,7 +305,8 @@ def _scores(measure: SimilarityMeasure, product: np.ndarray, p_ids: np.ndarray,
 
 
 class SimilarityGraph:
-    """The tau-graph of a frozen instance list under one measure.
+    """The tau-graph of an instance table (brex.corpus.InstanceTable) under
+    one measure.
 
     Row i has an edge to every instance j with sim_instances(i, j) >=
     tau_sim; the probe comes first, as in every engine comparison. Every
@@ -321,8 +317,9 @@ class SimilarityGraph:
     candidates in the columns read, not N^2, and a graph shared by several
     bootstrap runs scores each column once.
 
-    The rows' contexts are kept as one table of distinct vectors plus each
-    row's ids into it (_Contexts), never as a vector per row. A batch of
+    The rows' contexts are the instance table's: its context vectors,
+    stacked once, plus each row's ids into them (_Contexts), never a vector
+    per row, and the graph builds no Instance. A batch of
     columns is scored by one matrix product of the table against the
     columns' distinct rows per chunk of targets (_product), and blocks of
     rows only gather their scores from it (_scores), so the block size sets
@@ -343,51 +340,41 @@ class SimilarityGraph:
     vectors have R = 0 or R >= 1, and a pair with R_i R_j = 0 scores 0 and is
     no candidate, since tau_sim > 0.
 
-    Template-set hits read the edges for templates of instances in the list
-    and compute, once per template, a column of hits for any other.
-    Pair-set hits key each row's entity pair once per pairing.
+    Template-set hits read the edges for templates of the table's built
+    instances (InstanceTable.row_of) and compute, once per template, a
+    column of hits for any other. Pair-set hits compare the table's pair
+    ids, one array per pairing, with the ids of the set's keys.
     """
 
-    def __init__(self, instances: list[Instance], measure: SimilarityMeasure,
-                 tau_sim: float):
-        self.instances = instances
+    def __init__(self, table: InstanceTable, measure: SimilarityMeasure, tau_sim: float):
+        self.table = table
         self.measure = measure
         self.tau_sim = tau_sim
         self._template_columns: dict[tuple, np.ndarray] = {}
-        # per pairing: an id per distinct pair key, and each row's key id
-        self._pair_ids: dict[str, tuple[dict[tuple, int], np.ndarray]] = {}
+        # per pairing: an index per distinct pair id, and each row's index
+        self._pair_ids: dict[str, tuple[dict[int, int], np.ndarray]] = {}
         # The candidates of the scored columns, in the order they were scored:
         # row, column, and the interval [lo, hi] holding the value.
-        self._scored = np.zeros(len(instances), dtype=bool)
+        self._scored = np.zeros(len(table), dtype=bool)
         self._rows = self._cols = np.zeros(0, dtype=np.int32)
         self._lo = self._hi = np.zeros(0)
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.table)
 
     @cached_property
     def _contexts(self) -> _Contexts:
-        """Every row's contexts as a table of distinct rows plus ids, norm
+        """Every row's contexts as the table's context vectors plus ids, norm
         bound R and slack (see _stack), in row order, built on the first
         read. The table holds before+after sums only under cc-sym2, the one
         measure that reads them."""
-        return _stack([instance.template for instance in self.instances],
-                      self.measure.kind == "cc-sym2")
-
-    @cached_property
-    def _type_ids(self) -> tuple[dict[tuple, int], np.ndarray]:
-        """An id per entity-type pair of the rows, and each row's id."""
-        ids: dict[tuple, int] = {}
-        row_ids = np.fromiter((ids.setdefault(instance.template.type_pair, len(ids))
-                               for instance in self.instances), dtype=np.int32,
-                              count=len(self))
-        return ids, row_ids
+        return _stack(self.table.contexts, self.table.ids, self.measure.kind == "cc-sym2")
 
     def _candidates_against(self, targets: _Contexts, at: np.ndarray,
                             target_types: np.ndarray):
         """(rows, targets, lo, hi) of the pairs of a row and a target ``at[k]``
         of ``targets`` whose similarity may reach tau_sim: those of one type
-        pair (``target_types[k]`` holds target k's id in _type_ids) whose
+        pair (``target_types[k]`` holds target k's type id in the table) whose
         score is not below tau_sim by more than the pair's margin. [lo, hi]
         bounds each pair's sim_instances value, and is unbounded where the
         score or the margin is not finite.
@@ -399,7 +386,7 @@ class SimilarityGraph:
         the block's widest margin; only the pairs that pass get their own,
         bound[row] * slack[target], so no margin matrix is built."""
         table, ids, bound, _ = self._contexts
-        row_types = self._type_ids[1]
+        row_types = self.table.type_ids
         reads = sorted({t for _, t in _TERMS[self.measure.kind]})
         found = []
         width = max(1, _BLOCK_CELLS // (len(table) * len(reads)))
@@ -438,7 +425,7 @@ class SimilarityGraph:
         new = columns & ~self._scored
         at = np.flatnonzero(new).astype(np.int32)
         if len(at):
-            found = self._candidates_against(self._contexts, at, self._type_ids[1][at])
+            found = self._candidates_against(self._contexts, at, self.table.type_ids[at])
             self._rows, self._cols, self._lo, self._hi = map(np.concatenate, zip(
                 (self._rows, self._cols, self._lo, self._hi), found))
         self._scored |= new
@@ -470,16 +457,24 @@ class SimilarityGraph:
         """(rows, owners, values), sorted by row, then owner: for each row and
         each group of columns sharing an owner id >= 0 in ``owner``, the
         row's max similarity to the group (max-linkage) where it reaches
-        tau_sim."""
+        tau_sim.
+
+        The candidates of the selected columns are grouped by one stable
+        sort of their cells, row * K + owner with K the count of owner ids.
+        Each scored batch of columns adds its candidates in runs of rising
+        rows, which the stable sort merges; it is faster than np.lexsort of
+        (owner, row) or np.unique with its inverse."""
         self._score_columns(owner >= 0)
-        rows = self._rows
         groups = owner[self._cols]
         idx = np.flatnonzero(groups >= 0)
-        idx = idx[np.lexsort((groups[idx], rows[idx]))]
-        r, g = rows[idx], groups[idx]
+        count = int(owner.max(initial=-1)) + 1
+        cells = self._rows[idx].astype(np.int64) * count + groups[idx]
+        order = np.argsort(cells, kind="stable")
+        idx, cells = idx[order], cells[order]
         start = np.ones(len(idx), dtype=bool)
-        start[1:] = (r[1:] != r[:-1]) | (g[1:] != g[:-1])
+        start[1:] = cells[1:] != cells[:-1]
         starts = np.flatnonzero(start)
+        r, g = self._rows[idx[starts]], groups[idx[starts]]
         if not len(starts):
             return r, g, np.zeros(0)
         lo, hi = self._lo[idx], self._hi[idx]
@@ -491,26 +486,20 @@ class SimilarityGraph:
         lo[need] = hi[need] = self._fill(idx[need])
         best = np.maximum.reduceat(np.where(lo == hi, lo, -np.inf), starts)
         keep = best >= self.tau_sim
-        return r[starts[keep]], g[starts[keep]], best[keep]
-
-    @cached_property
-    def _row_of_template(self) -> dict[Template, int]:
-        """Each instance's own template and its row. Templates compare by
-        identity, so this holds no vector bytes."""
-        return {instance.template: row for row, instance in enumerate(self.instances)}
+        return r[keep], g[keep], best[keep]
 
     def pair_hits(self, pairs) -> np.ndarray:
-        """Bool per row: the row's entity pair is in the PairSet ``pairs``.
-        Each row's pair is keyed once per pairing."""
+        """Bool per row: the row's entity pair is in the PairSet ``pairs``:
+        its pair id (InstanceTable.pair_ids, read once per pairing) is that
+        of one of the set's keys (InstanceTable.key_pair_ids). (np.isin would import numpy.ma on its
+        first call, ~37 ms of a fresh process.)"""
         if pairs.pairing not in self._pair_ids:
-            ids: dict[tuple, int] = {}
-            row_ids = np.fromiter(
-                (ids.setdefault(instance.pair.key(pairs.pairing), len(ids))
-                 for instance in self.instances), dtype=np.int64, count=len(self))
-            self._pair_ids[pairs.pairing] = ids, row_ids
+            codes, row_ids = np.unique(self.table.pair_ids(pairs.pairing), return_inverse=True)
+            self._pair_ids[pairs.pairing] = dict(zip(codes.tolist(), range(len(codes)))), row_ids
         ids, row_ids = self._pair_ids[pairs.pairing]
         member = np.zeros(len(ids), dtype=bool)
-        member[[ids[key] for key in pairs.keys() if key in ids]] = True
+        codes = self.table.key_pair_ids(pairs.keys(), pairs.pairing).tolist()
+        member[[ids[code] for code in codes if code in ids]] = True
         return member[row_ids]
 
     def template_hits(self, templates) -> np.ndarray:
@@ -519,7 +508,7 @@ class SimilarityGraph:
         hit = np.zeros(len(self), dtype=bool)
         target = np.zeros(len(self), dtype=bool)
         for key, template in templates.items():
-            row = self._row_of_template.get(template)
+            row = self.table.row_of(template)
             if row is not None:
                 target[row] = True
             else:
@@ -532,15 +521,15 @@ class SimilarityGraph:
         column = self._template_columns.get(key)
         if column is None:
             column = np.zeros(len(self), dtype=bool)
-            type_id = self._type_ids[0].get(template.type_pair)
-            if type_id is not None:
+            if template.type_pair in self.table.type_pairs:
                 contexts = self._contexts
                 shapes = sorted({contexts.table.shape[1:], template.v_between.shape})
                 if len(shapes) > 1:
                     raise ValueError(
                         f"context dimension mismatch: {shapes[0]} vs {shapes[1]}")
                 # the template as a one-row table
-                targets = _stack([template], self.measure.kind == "cc-sym2")
+                targets = _stack(*distinct_windows([template]), self.measure.kind == "cc-sym2")
+                type_id = self.table.type_pairs.index(template.type_pair)
                 rows, _, lo, hi = self._candidates_against(
                     targets, np.zeros(1, dtype=np.int32), np.array([type_id], dtype=np.int32))
                 unsure = np.flatnonzero((lo < self.tau_sim) & (hi >= self.tau_sim))

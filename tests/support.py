@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -17,8 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from brex.corpus import EmbeddingStore, EntityPair, Instance, Template, TypedEntity
+from brex.corpus import EmbeddingStore, EntityPair, Instance, InstanceTable, Template, \
+    TypedEntity
 from brex.errors import EmbeddingFormatError
+from brex.engine import bootstrap
 from brex.model import Extractor, RunConfig, SeedState
 from brex.scoring import reliability, soft_or
 from brex.similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure, \
@@ -66,6 +69,52 @@ def reference_context(vectors: dict, tokens, dim: int) -> np.ndarray:
         total += vectors.get(tok, np.zeros(dim))
     norm = float(np.linalg.norm(total))
     return np.zeros(dim) if norm < 1e-12 else total / norm
+
+
+TO_BE = {"be", "am", "is", "are", "was", "were", "been", "being"}
+
+
+def is_passive(sent, a_end, b_start):
+    """The passive rule, stated on its own: the sentence has POS tags, the
+    tokens between the entities end in "by", and one of them is a form of
+    "to be" whose next token is tagged VBD or VBN."""
+    between = sent.tokens[a_end:b_start]
+    if sent.pos is None or len(between) < 3 or between[-1].lower() != "by":
+        return False
+    return any(between[k].lower() in TO_BE and sent.pos[a_end + k + 1] in ("VBD", "VBN")
+               for k in range(len(between) - 1))
+
+
+def reference_instances(sentences, vectors: dict, dim: int, limits, type_pair):
+    """The per-pair instance builder: an Instance for each entity pair of a
+    sentence, in span order, whose type pair after the passive swap
+    (is_passive) is ``type_pair`` and whose between window holds at most
+    max_between tokens, with the context vectors of reference_context; and
+    the count of the pairs of the type pair skipped over that limit. The
+    oracle for the instance table of brex.corpus.extract_instances."""
+    max_before, max_between, max_after = limits
+    instances, skipped = [], 0
+    for sent in sentences:
+        tokens = sent.tokens
+        spans = sorted(sent.entities, key=lambda s: (s.start, s.end))
+        for a, b in itertools.combinations(spans, 2):
+            e1, e2 = (b, a) if is_passive(sent, a.end, b.start) else (a, b)
+            if (e1.etype, e2.etype) != tuple(type_pair):
+                continue
+            between = tokens[a.end:b.start]
+            if len(between) > max_between:
+                skipped += 1
+                continue
+            windows = (tokens[max(0, a.start - max_before):a.start], between,
+                       tokens[b.end:b.end + max_after])
+            pair = EntityPair(*(TypedEntity(" ".join(tokens[e.start:e.end]), e.etype)
+                                for e in (e1, e2)))
+            instances.append(Instance(
+                id=f"s{sent.sid}:{a.start}.{a.end}-{b.start}.{b.end}", pair=pair,
+                template=Template(*(reference_context(vectors, w, dim) for w in windows),
+                                  type_pair=pair.types),
+                sentence_ref=sent.sid, tokens_between=tuple(between)))
+    return instances, skipped
 
 
 def axis(k, dim=DIM):
@@ -153,10 +202,30 @@ def random_world(seed, max_instances=50):
     return instances, state, cfg
 
 
-def graph_for(instances: list, cfg):
-    """The similarity graph over the list ``instances`` itself under ``cfg``,
-    as bootstrap takes it."""
-    return SimilarityGraph(instances, cfg.measure, cfg.tau_sim)
+def graph_of(instances, measure, tau_sim):
+    """The similarity graph of the InstanceTable ``instances``, or of the
+    table of the list ``instances`` (InstanceTable.from_instances)."""
+    if not isinstance(instances, InstanceTable):
+        instances = InstanceTable.from_instances(instances)
+    return SimilarityGraph(instances, measure, tau_sim)
+
+
+def graph_for(instances, cfg):
+    """graph_of ``instances`` under cfg's measure and tau_sim, as bootstrap
+    takes it."""
+    return graph_of(instances, cfg.measure, cfg.tau_sim)
+
+
+def run_bootstrap(instances, seeds, cfg):
+    """bootstrap over ``instances`` (an InstanceTable or a list), with the
+    graph_for of them."""
+    graph = graph_for(instances, cfg)
+    return bootstrap(graph.table, seeds, cfg, graph)
+
+
+def instances_of(table) -> list:
+    """Every row's Instance of the InstanceTable ``table``, in row order."""
+    return [table[row] for row in range(len(table))]
 
 
 def extractor_of(instances, rows=None, k=0):

@@ -15,8 +15,7 @@ import pytest
 
 import brex
 from brex.cli import main
-from brex.engine import bootstrap, cluster_hop1, cover_hop3, grow_hop2, \
-    match_channels
+from brex.engine import cluster_hop1, cover_hop3, grow_hop2, match_channels
 from brex.evaluate import load_gold, prf1
 from brex.model import RunConfig, SeedState
 from brex.scoring import categorize_extractor, count_positives, reliability, \
@@ -25,7 +24,7 @@ from brex.similarity import SimilarityMeasure, sim_instances
 from brex.synth import build_biset_fixture, build_planted_fixture
 
 from support import axis, extractor_of, graph_for, make_instance, make_template, \
-    rand_template, random_world
+    rand_template, random_world, run_bootstrap
 
 ASYM = SimilarityMeasure("cc-asym")
 MATCH = SimilarityMeasure("match", (0.2, 0.6, 0.2))
@@ -249,14 +248,12 @@ def test_criterion_7_planted_recovery(planted):
     gold = load_gold(paths["gold"], "acquired", "ordered")
 
     joint_cfg = RunConfig(mode="brej")
-    joint = bootstrap(ingested.instances, seeds, joint_cfg,
-                      graph_for(ingested.instances, joint_cfg))
+    joint = run_bootstrap(ingested.table, seeds, joint_cfg)
     joint_scores = prf1(joint.accepted, gold, threshold=0.5)
     recovered_joint = round(joint_scores.recall * len(gold))
 
     pair_cfg = RunConfig(mode="bree")
-    pair_only = bootstrap(ingested.instances, seeds, pair_cfg,
-                          graph_for(ingested.instances, pair_cfg))
+    pair_only = run_bootstrap(ingested.table, seeds, pair_cfg)
     pair_scores = prf1(pair_only.accepted, gold, threshold=0.5)
     recovered_pair = round(pair_scores.recall * len(gold))
 
@@ -325,8 +322,7 @@ def test_criterion_9_ablation_switches(planted, tmp_path):
         ingested = ingest_inputs(data / "corpus.jsonl", data / "embeddings.txt",
                                  data / "seeds.json", cfg.limits)
         seeds = build_seed_state(ingested.spec, ingested.emb, cfg.pairing)
-        result = bootstrap(ingested.instances, seeds, cfg,
-                           graph_for(ingested.instances, cfg))
+        result = run_bootstrap(ingested.table, seeds, cfg)
         accepted[pairing] = {(i.pair.e1.surface, i.pair.e2.surface)
                              for i, _ in result.accepted}
     reversed_pair = ("Brightport", "Aerodyne")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import brex.cli
 import brex.corpus
+import brex.engine
 import support
 from support import INT_DIGITS, needs_int_limit
 from brex.cli import SETTINGS, config_dict, main
@@ -112,6 +113,39 @@ class TestRun:
         assert manifest["iterations"]
         rows = read_jsonl(out / "accepted.jsonl")
         assert rows and all(r["confidence"] >= 0.7 for r in rows)
+
+    def test_run_builds_instances_of_extractor_members_and_accepted_rows_only(
+            self, data_dir, tmp_path, monkeypatch):
+        """A run asks its instance table for the Instance of a row only where
+        the row is in some extractor (hop 2 holds every hop-1 member) or is
+        accepted: the table's cache of built rows is exactly those rows, and
+        they are fewer than the rows."""
+        ingested, members, results = [], set(), []
+        ingest, grow, bootstrap = brex.cli.ingest_inputs, brex.engine.grow_hop2, \
+            brex.cli.bootstrap
+
+        def recorded_ingest(*args):
+            ingested.append(ingest(*args))
+            return ingested[-1]
+
+        def recorded_grow(graph, theta):
+            extractors = grow(graph, theta)
+            members.update(row for extractor in extractors for row in extractor.rows)
+            return extractors
+
+        def recorded_bootstrap(*args):
+            results.append(bootstrap(*args))
+            return results[-1]
+
+        monkeypatch.setattr(brex.cli, "ingest_inputs", recorded_ingest)
+        monkeypatch.setattr(brex.engine, "grow_hop2", recorded_grow)
+        monkeypatch.setattr(brex.cli, "bootstrap", recorded_bootstrap)
+        assert main(run_args(data_dir, tmp_path / "run")) == 0
+        table = ingested[0].table
+        accepted = {table.row_of(instance.template) for instance, _ in results[0].accepted}
+        assert accepted and None not in accepted
+        assert set(table._instances) == members | accepted
+        assert len(members | accepted) < len(table)
 
     def test_type_pair_without_instances_runs_to_empty_outputs(self, data_dir, tmp_path,
                                                                 capsys):
@@ -1045,9 +1079,9 @@ class TestSweep:
             ingests.append(args)
             return ingest(*args)
 
-        def counted_init(graph, instances, measure, tau_sim):
+        def counted_init(graph, table, measure, tau_sim):
             graphs.append((measure.kind, tau_sim))
-            init(graph, instances, measure, tau_sim)
+            init(graph, table, measure, tau_sim)
 
         monkeypatch.setattr(brex.cli, "ingest_inputs", counted_ingest)
         monkeypatch.setattr(SimilarityGraph, "__init__", counted_init)
@@ -1063,11 +1097,11 @@ class TestSweep:
         init = SimilarityGraph.__init__
         built, alive = [], []
 
-        def counted(graph, instances, measure, tau_sim):
+        def counted(graph, table, measure, tau_sim):
             # graphs built before this one that are still referenced
             alive.append(sum(ref() is not None for _, ref in built))
             built.append((measure.kind, weakref.ref(graph)))
-            init(graph, instances, measure, tau_sim)
+            init(graph, table, measure, tau_sim)
 
         monkeypatch.setattr(SimilarityGraph, "__init__", counted)
         out = tmp_path / "sweep"

@@ -36,7 +36,8 @@ from brex.model import RunConfig, build_seed_state
 from brex.synth import build_planted_fixture
 
 import support
-from support import INT_DIGITS, needs_int_limit, reference_context
+from support import INT_DIGITS, instances_of, is_passive, needs_int_limit, \
+    reference_context
 
 
 @pytest.fixture
@@ -196,7 +197,7 @@ class TestCandidateSentences:
         table = write_lines(tmp_path / "emb.txt", ["bought 1 0", "acquired 0 1"])
         ingested = ingest_inputs(corpus, table, seeds, RunConfig().limits)
         assert [(i.id, i.sentence_ref, i.pair.e1.surface, i.pair.e2.surface)
-                for i in ingested.instances] == [
+                for i in instances_of(ingested.table)] == [
             ("s0:0.1-2.3", 0, "Acme", "Bolt"),
             ("s5:0.1-4.5", 5, "Acme", "Bolt"),  # "Bolt was acquired by Acme"
             ("s6:0.1-3.4", 6, "Cog", "Dyn"),
@@ -221,13 +222,13 @@ class TestCandidateSentences:
         def snapshot(ingested, sid_of):
             return [(re.sub(r"^s\d+", f"s{sid_of(i.sentence_ref)}", i.id),
                      sid_of(i.sentence_ref), i.pair, i.template.key())
-                    for i in ingested.instances]
+                    for i in instances_of(ingested.table)]
 
         before, after = ingest(plain), ingest(mixed)
         tokens = [json.loads(line)["tokens"] for line in lines]  # every record has a sid
         assert any(sentence_order(i, tokens[i.sentence_ref]) != (i.pair.e1.surface,
                                                                  i.pair.e2.surface)
-                   for i in before.instances)  # some pair was swapped as passive
+                   for i in instances_of(before.table))  # some pair was swapped as passive
         assert snapshot(after, lambda sid: sid) == snapshot(before, lambda sid: 2 * sid)
         assert after.counters == dict(before.counters,
                                       sentences=2 * before.counters["sentences"],
@@ -362,7 +363,8 @@ class TestContextTable:
                           [(1, 2, "ORG"), (4, 5, "ORG")]),
                  sentence(["with", "A", "acquire", "with", "B", "merger"],
                           [(1, 2, "ORG"), (4, 5, "ORG")], sid=1)]
-        first, second = extract_instances(sents, emb4, (2, 6, 2), ("ORG", "ORG")).instances
+        first, second = instances_of(
+            extract_instances(sents, emb4, (2, 6, 2), ("ORG", "ORG")).table)
         (seed,) = parse_seed_templates(["merger [X] acquire with [Y] with"], emb4,
                                        ("ORG", "ORG"))
         assert (first.template.v_between is second.template.v_between
@@ -600,7 +602,7 @@ class TestVocabularyLoad:
             ingested = ingest_inputs(paths["corpus"], paths["embeddings"], paths["seeds"],
                                      RunConfig().limits)
             state = build_seed_state(ingested.spec, ingested.emb, "ordered")
-            return ([(i.id, i.pair, i.template.key()) for i in ingested.instances],
+            return ([(i.id, i.pair, i.template.key()) for i in instances_of(ingested.table)],
                     [list(state.pos_pairs.keys()), list(state.neg_pairs.keys()),
                      [key for key, _ in state.pos_templates.items()],
                      [key for key, _ in state.neg_templates.items()]],
@@ -1354,20 +1356,9 @@ class TestCorpusIndex:
 
 
 FUZZ_WORDS = ("Acme", "bought", "Bolt", "was", "by", "Maria")
+FUZZ_TABLE = FUZZ_WORDS[:-1]  # "Maria" is out of the table's vocabulary
 FUZZ_TYPES = ("ORG", "PER")  # the relation's type pair
 FUZZ_TAGS = ("NNP", "VBD", "VBN", "IN")
-TO_BE = {"be", "am", "is", "are", "was", "were", "been", "being"}
-
-
-def is_passive(sent, a_end, b_start):
-    """The passive rule, stated on its own: the sentence has POS tags, the
-    tokens between the entities end in "by", and one of them is a form of
-    "to be" whose next token is tagged VBD or VBN."""
-    between = sent.tokens[a_end:b_start]
-    if sent.pos is None or len(between) < 3 or between[-1].lower() != "by":
-        return False
-    return any(between[k].lower() in TO_BE and sent.pos[a_end + k + 1] in ("VBD", "VBN")
-               for k in range(len(between) - 1))
 
 
 @st.composite
@@ -1420,14 +1411,60 @@ def fuzzed_records(draw):
     return line, (sent if len(kept) >= 2 else None, len(spans) - len(kept))
 
 
-def passive_row(first, second):
+def fuzz_row(tokens, spans, tags=None):
     """A row of the fuzz test's corpus, as fuzzed_records and its line ends
-    give one: the tagged passive "Acme was bought by Maria", its entities
-    typed ``first`` and ``second``."""
-    tokens, tags = ["Acme", "was", "bought", "by", "Maria"], ["NNP", "VBD", "VBN", "IN", "NNP"]
-    spans = [(0, 1, first), (4, 5, second)]
+    give one, of a record whose spans are valid, in order and of the
+    relation's types."""
     line = record(tokens, [{"start": s, "end": e, "type": t} for s, e, t in spans], tags)
     return (line, (sentence(tokens, spans, pos=tags), 0)), "\n", ""
+
+
+def passive_row(first, second):
+    """The tagged passive "Acme was bought by Maria", its entities typed
+    ``first`` and ``second``, as a fuzz_row."""
+    return fuzz_row(["Acme", "was", "bought", "by", "Maria"],
+                    [(0, 1, first), (4, 5, second)], ["NNP", "VBD", "VBN", "IN", "NNP"])
+
+
+def check_table(result, sentences, vectors, limits):
+    """Every column of the instance table of ``result`` (extract_instances of
+    ``sentences``), and every Instance it builds, against the reference
+    builder (support.reference_instances) over the table rows ``vectors``;
+    and that a row's Instance is built on its first read only. The table
+    keeps the sentences with a row only, in sentence order."""
+    table = result.table
+    expected, skipped = support.reference_instances(sentences, vectors, 3, limits,
+                                                    FUZZ_TYPES)
+    assert (len(table), result.skipped_over_limit) == (len(expected), skipped)
+    assert table.type_pairs == [FUZZ_TYPES] * bool(expected)
+    assert [sent.sid for sent in table.sentences] == sorted(
+        {instance.sentence_ref for instance in expected})
+    assert np.unique(table.spans[:, 0]).tolist() == list(range(len(table.sentences)))
+    keys = list(table.entities)  # in id order
+    for row, reference in enumerate(expected):
+        template = reference.template
+        windows = [table.contexts[k] for k in table.ids[row].tolist()]
+        assert [window.tobytes() for window in windows] == [
+            v.tobytes() for v in (template.v_before, template.v_between, template.v_after)]
+        assert table.type_pairs[table.type_ids[row]] == template.type_pair
+        assert [keys[k] for k in table.entity_ids[row].tolist()] == [
+            reference.pair.e1.key(), reference.pair.e2.key()]
+        index, a_start, a_end, b_start, b_end, swapped = table.spans[row].tolist()
+        sent = table.sentences[index]
+        assert f"s{sent.sid}:{a_start}.{a_end}-{b_start}.{b_end}" == reference.id
+        assert swapped == is_passive(sent, a_end, b_start)
+        assert sorted(table._instances) == list(range(row))
+        instance = table[row]
+        assert table[row] is instance and table.row_of(instance.template) == row
+        assert (instance.id, instance.pair, instance.sentence_ref, instance.tokens_between,
+                instance.template.type_pair) == (
+            reference.id, reference.pair, reference.sentence_ref, reference.tokens_between,
+            template.type_pair)
+        built = instance.template
+        assert all(vector is window for vector, window in
+                   zip((built.v_before, built.v_between, built.v_after), windows))
+    with pytest.raises(IndexError):
+        table[len(table)]
 
 
 class TestFuzzedCorpus:
@@ -1436,34 +1473,46 @@ class TestFuzzedCorpus:
     indexes the first read wrote."""
 
     @given(st.lists(st.tuples(fuzzed_records(), st.sampled_from(["\n", "\r\n"]),
-                              st.sampled_from(["", "", "\n", "  \r\n"])), max_size=10))
+                              st.sampled_from(["", "", "\n", "  \r\n"])), max_size=10),
+           st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 2)))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     # the passive of each orientation: one kept, swapped, and one dropped
-    @example(rows=[passive_row(*FUZZ_TYPES[::-1]), passive_row(*FUZZ_TYPES)])
-    def test_invariants_and_split_load(self, tmp_path, caplog, rows):
+    @example(rows=[passive_row(*FUZZ_TYPES[::-1]), passive_row(*FUZZ_TYPES)],
+             limits=RunConfig().limits)
+    # spans that touch; a pair over the between limit beside one within it;
+    # windows all or partly out of the table's vocabulary
+    @example(rows=[fuzz_row(["bought", "Acme", "Maria", "by"], [(1, 2, "ORG"), (2, 3, "PER")]),
+                   fuzz_row(["Acme", "was", "bought", "by", "Bolt", "Maria"],
+                            [(0, 1, "ORG"), (4, 5, "ORG"), (5, 6, "PER")]),
+                   fuzz_row(["Maria", "Acme", "Maria", "by", "Maria", "Maria"],
+                            [(1, 2, "ORG"), (4, 5, "PER")])],
+             limits=(2, 2, 2))
+    def test_invariants_and_split_load(self, tmp_path, caplog, rows, limits):
+        """Pairs are skipped over the between limit and windows hold words
+        out of the table's vocabulary."""
         caplog.set_level(logging.WARNING, logger="brex.corpus")
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_bytes("".join(line + end + blank
                                    for (line, _), end, blank in rows).encode())
         rng = np.random.default_rng(0)
+        vectors = {word: rng.normal(size=3) for word in FUZZ_TABLE}
         table = write_lines(tmp_path / "emb.txt", [
-            " ".join([word, *map(repr, rng.normal(size=3).tolist())])
-            for word in FUZZ_WORDS])
+            " ".join([word, *map(repr, vector.tolist())]) for word, vector in vectors.items()])
 
         def ingest():
             caplog.clear()
             loaded = load_corpus(corpus, set(FUZZ_TYPES))
             emb = load_embeddings(table, set(FUZZ_WORDS))
-            result = extract_instances(loaded.sentences, emb, RunConfig().limits,
-                                       FUZZ_TYPES)
+            result = extract_instances(loaded.sentences, emb, limits, FUZZ_TYPES)
+            check_table(result, loaded.sentences, vectors, limits)
             # the condition under which exact_values equals sim_instances
             assert all(v.flags.c_contiguous and not v.flags.writeable
-                       for i in result.instances
+                       for i in instances_of(result.table)
                        for v in (i.template.v_before, i.template.v_between,
                                  i.template.v_after))
             return (loaded, [emb.lookup(word).tobytes() for word in FUZZ_WORDS],
-                    [(i.id, i.pair, i.template.key()) for i in result.instances],
+                    [(i.id, i.pair, i.template.key()) for i in instances_of(result.table)],
                     [rec.getMessage() for rec in caplog.records])
 
         one = ingest()
@@ -1510,7 +1559,7 @@ class TestFuzzedCorpus:
                 types = (a.etype, b.etype)
                 if is_passive(sent, a.end, b.start):
                     types = types[::-1]
-                if types == FUZZ_TYPES and b.start - a.end <= RunConfig().max_between:
+                if types == FUZZ_TYPES and b.start - a.end <= limits[1]:
                     wanted.add(f"s{sent.sid}:{a.start}.{a.end}-{b.start}.{b.end}")
         assert set(ids) == wanted
         spans = {sent.sid: {(s.start, s.end) for s in sent.entities}
@@ -1622,8 +1671,8 @@ class TestExtractInstances:
         sent = sentence(["Google", "acquired", "DoubleClick", "in", "2007"],
                         [(0, 1, "ORG"), (2, 3, "ORG")])
         result = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "ORG"))
-        assert len(result.instances) == 1
-        inst = result.instances[0]
+        assert len(result.table) == 1
+        inst = result.table[0]
         assert inst.tokens_between == ("acquired",)
         assert inst.pair.e1.surface == "Google"
         assert inst.pair.e2.surface == "DoubleClick"
@@ -1635,20 +1684,20 @@ class TestExtractInstances:
         tokens = ["A"] + ["w"] * 7 + ["B"]
         sent = sentence(tokens, [(0, 1, "ORG"), (8, 9, "ORG")])
         result = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "ORG"))
-        assert not result.instances
+        assert not len(result.table)
         assert result.skipped_over_limit == 1
 
     def test_pair_at_sentence_start_has_zero_before(self, emb4):
         sent = sentence(["A", "acquire", "B", "x"], [(0, 1, "ORG"), (2, 3, "ORG")])
         result = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "ORG"))
-        assert result.instances[0].template.v_before.tolist() == [0, 0, 0, 0]
+        assert result.table[0].template.v_before.tolist() == [0, 0, 0, 0]
 
     def test_type_pair_filter(self, emb4):
         sent = sentence(["A", "met", "B"], [(0, 1, "ORG"), (2, 3, "PER")])
         result = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "ORG"))
-        assert not result.instances
+        assert not len(result.table)
         result = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "PER"))
-        assert len(result.instances) == 1
+        assert len(result.table) == 1
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -1662,12 +1711,13 @@ class TestExtractInstances:
                   data.draw(st.integers(0, 3)))
         sent = sentence(tokens, [(a, a + 1, "ORG"), (b, b + 1, "ORG")])
         result = extract_instances([sent], emb, limits, ("ORG", "ORG"))
-        for inst in result.instances:
+        for inst in instances_of(result.table):
             assert len(inst.tokens_between) <= limits[1]
             assert inst.template.type_pair == inst.pair.types
         again = extract_instances([sent], emb, limits, ("ORG", "ORG"))
-        assert [i.id for i in again.instances] == [i.id for i in result.instances]
-        for first, second in zip(result.instances, again.instances):
+        instances, repeated = instances_of(result.table), instances_of(again.table)
+        assert [i.id for i in repeated] == [i.id for i in instances]
+        for first, second in zip(instances, repeated):
             assert first.template.key() == second.template.key()  # bit-equal vectors
 
 
@@ -1679,8 +1729,8 @@ class TestReorderPassive:
 
     @staticmethod
     def extract(emb4, tokens, spans, pos):
-        [inst] = extract_instances([sentence(tokens, spans, pos=pos)], emb4, (2, 6, 2),
-                                   ("ORG", "ORG")).instances
+        [inst] = instances_of(extract_instances([sentence(tokens, spans, pos=pos)], emb4,
+                                                (2, 6, 2), ("ORG", "ORG")).table)
         return inst
 
     def test_passive_swaps_pair(self, emb4):
@@ -1697,15 +1747,15 @@ class TestReorderPassive:
         sent = sentence(["Bolt", "was", "founded", "by", "Maria"],
                         [(0, 1, "ORG"), (4, 5, "PER")],
                         pos=["NNP", "VBD", "VBN", "IN", "NNP"])
-        [inst] = extract_instances([sent], emb4, (2, 6, 2), ("PER", "ORG")).instances
+        [inst] = instances_of(extract_instances([sent], emb4, (2, 6, 2), ("PER", "ORG")).table)
         assert inst.pair.types == inst.template.type_pair == ("PER", "ORG")
         assert (inst.pair.e1.surface, inst.pair.e2.surface) == ("Maria", "Bolt")
         assert inst.id == "s0:0.1-4.5"
-        assert not extract_instances([sent], emb4, (2, 6, 2), ("ORG", "PER")).instances
+        assert not len(extract_instances([sent], emb4, (2, 6, 2), ("ORG", "PER")).table)
         # without the passive, the sentence order is the pair's
         active = dataclasses.replace(sent, pos=None)
-        assert not extract_instances([active], emb4, (2, 6, 2), ("PER", "ORG")).instances
-        [inst] = extract_instances([active], emb4, (2, 6, 2), ("ORG", "PER")).instances
+        assert not len(extract_instances([active], emb4, (2, 6, 2), ("PER", "ORG")).table)
+        [inst] = instances_of(extract_instances([active], emb4, (2, 6, 2), ("ORG", "PER")).table)
         assert inst.pair.types == inst.template.type_pair == ("ORG", "PER")
 
     def test_active_unchanged(self, emb4):

@@ -7,7 +7,6 @@ import pytest
 
 from brex.engine import (
     add_to_yield,
-    bootstrap,
     check_instance,
     cluster_hop1,
     cover_hop3,
@@ -19,7 +18,7 @@ from brex.scoring import score_extractor
 from brex.similarity import SimilarityMeasure
 
 from support import axis, extractor_of, graph_for, make_instance, make_template, \
-    mixed_world, random_world, unit, vec
+    mixed_world, random_world, run_bootstrap, unit, vec
 
 ASYM = SimilarityMeasure("cc-asym")
 
@@ -134,8 +133,8 @@ class TestGrowHop2:
         centres = [make_instance(template=between(axis(0)), iid="c0"),
                    make_instance(template=between(axis(1)), iid="c1")]
         graph = graph_for(centres + probes, cfg)
-        theta = [extractor_of(graph.instances, [0], k=0),
-                 extractor_of(graph.instances, [1], k=1)]
+        theta = [extractor_of(graph.table, [0], k=0),
+                 extractor_of(graph.table, [1], k=1)]
         return [[m.id for m in ex.members] for ex in grow_hop2(graph, theta)]
 
     def test_argmax_assignment_is_exclusive(self):
@@ -176,7 +175,7 @@ class TestGrowHop2:
 def covered(instances, cfg):
     """Rows cover_hop3 reports for one extractor holding row 0."""
     graph = graph_for(instances, cfg)
-    return [graph.instances[row] for row in cover_hop3(graph, [extractor_of(instances, [0])])]
+    return [graph.table[row] for row in cover_hop3(graph, [extractor_of(instances, [0])])]
 
 
 class TestExpandAndCheck:
@@ -272,7 +271,7 @@ class TestBootstrap:
     def test_only_seed_occurrences_accepted(self):
         instances, state = self._seed_only_world()
         cfg = cfg_for("bree", iterations=1)
-        result = bootstrap(instances, state, cfg, graph_for(instances, cfg))
+        result = run_bootstrap(instances, state, cfg)
         assert sorted(i.id for i, _ in result.accepted) == ["s0", "s1"]
         assert len(result.yield_state.pos_pairs) == 1
 
@@ -284,7 +283,7 @@ class TestBootstrap:
                  for k in range(10)]
         world = instances + noisy
         cfg = cfg_for("bree", iterations=3, tau_sim=0.99)
-        result = bootstrap(world, state, cfg, graph_for(world, cfg))
+        result = run_bootstrap(world, state, cfg)
         accepted_pairs = {(i.pair.e1.surface, i.pair.e2.surface)
                           for i, _ in result.accepted}
         assert accepted_pairs <= {("Acme", "Bolt")}
@@ -295,7 +294,7 @@ class TestBootstrap:
         state = SeedState.empty("ordered")
         state.pos_pairs.add(make_instance("Nowhere", "ToBe").pair)
         cfg = cfg_for("bree", iterations=2)
-        result = bootstrap(instances, state, cfg, graph_for(instances, cfg))
+        result = run_bootstrap(instances, state, cfg)
         assert result.extractors == []
         assert result.accepted == []
         assert result.diagnostic is not None
@@ -303,7 +302,7 @@ class TestBootstrap:
     def test_monotone_yield_and_stats(self):
         for seed in range(10):
             instances, state, cfg = random_world(seed, max_instances=25)
-            result = bootstrap(instances, state, cfg, graph_for(instances, cfg))
+            result = run_bootstrap(instances, state, cfg)
             sizes = [s["yield"] for s in result.per_iteration_stats]
             for prev, cur in zip(sizes, sizes[1:]):
                 for key in prev:
@@ -314,7 +313,7 @@ class TestBootstrap:
     def test_accepted_items_appear_in_yield(self):
         for seed in range(10):
             instances, state, cfg = random_world(seed, max_instances=25)
-            result = bootstrap(instances, state, cfg, graph_for(instances, cfg))
+            result = run_bootstrap(instances, state, cfg)
             for inst, confidence in result.accepted:
                 assert confidence >= cfg.tau_cnf
                 if cfg.mode in ("bree", "brej"):
@@ -336,15 +335,15 @@ class TestBootstrap:
             instances, seeds = mixed_world(seed, pairing)
             before = items(seeds)
             cfg = cfg_for(mode, pairing=pairing, tau_sim=0.6, tau_cnf=0.5)
-            result = bootstrap(instances, seeds, cfg, graph_for(instances, cfg))
+            result = run_bootstrap(instances, seeds, cfg)
             assert items(seeds) == before
             grew += result.yield_state.sizes() != seeds.sizes()
         assert grew  # the yield grew in place on some world
 
     def test_deterministic(self):
         instances, state, cfg = random_world(7, max_instances=30)
-        first = bootstrap(instances, state.copy(), cfg, graph_for(instances, cfg))
-        second = bootstrap(instances, state.copy(), cfg, graph_for(instances, cfg))
+        first = run_bootstrap(instances, state.copy(), cfg)
+        second = run_bootstrap(instances, state.copy(), cfg)
         assert [(i.id, c) for i, c in first.accepted] == \
             [(i.id, c) for i, c in second.accepted]
         assert [[m.id for m in ex.members] for ex in first.extractors] == \

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import brex.similarity
 from brex.cli import ingest_inputs
+from brex.corpus import InstanceTable
 from brex.engine import bootstrap, cluster_hop1, match_channels
 from brex.model import MODES, PAIRINGS, SCORE_AGAINST, RunConfig, SeedState, TemplateSet, \
     build_seed_state
@@ -21,17 +22,22 @@ from brex.similarity import MEASURE_KINDS, SimilarityGraph, SimilarityMeasure, \
     sim_instances
 from brex.synth import build_planted_fixture
 
-from support import graph_for, make_instance, make_template, mixed_world, \
-    rand_template, random_world, reference_bootstrap, unit
+from support import graph_for, graph_of, instances_of, make_instance, make_template, \
+    mixed_world, rand_template, random_world, reference_bootstrap, run_bootstrap, unit
 
 MEASURES = [SimilarityMeasure("match", (0.3, 0.5, 0.2))] + [
     SimilarityMeasure(kind) for kind in MEASURE_KINDS if kind != "match"]
 
 
+def maxima_of(graph, owner):
+    """graph.max_into(owner) as a dict (row, owner) -> value."""
+    rows, owners, values = graph.max_into(owner)
+    return dict(zip(zip(rows.tolist(), owners.tolist()), values.tolist()))
+
+
 def all_edges(graph):
     """Every edge with its exact value: each column is its own group."""
-    rows, cols, values = graph.max_into(np.arange(len(graph)))
-    return {(r, c): v for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())}
+    return maxima_of(graph, np.arange(len(graph)))
 
 
 def scalar_edges(instances, measure, tau_sim):
@@ -89,7 +95,7 @@ def test_edges_equal_scalar_edges(seed, measure, log_scale, pick, above, skew):
         tau_sim = min(1.0, float(np.nextafter(tau_sim, 2.0)))
     expected = scalar_edges(instances, measure, tau_sim)
     with skewed_scores(skew):
-        graph = SimilarityGraph(instances, measure, tau_sim)
+        graph = graph_of(instances, measure, tau_sim)
         rows, cols = graph.edges_into(np.ones(len(graph), dtype=bool))
         assert set(zip(rows.tolist(), cols.tolist())) == set(expected)
         assert all_edges(graph) == expected
@@ -117,16 +123,16 @@ def test_pair_at_tau_is_an_edge_and_accepted(measure):
     for (tau_sim, expected), skew in itertools.product(
             ((at, True), (float(np.nextafter(at, 2.0)), False)), (-1, 0, 1)):
         with skewed_scores(skew):
-            graph = SimilarityGraph([member, probe], measure, tau_sim)
+            graph = graph_of([member, probe], measure, tau_sim)
             edge = all_edges(graph).get((1, 0))
             hop1 = [len(ex) for ex in cluster_hop1(graph, [0, 1])]
             hit = graph.template_hits(templates)[1]
-            foreign_hit = SimilarityGraph([probe], measure, tau_sim).template_hits(
+            foreign_hit = graph_of([probe], measure, tau_sim).template_hits(
                 templates)[0]
             cfg = RunConfig(mode="bree", measure=measure, tau_sim=tau_sim, tau_cnf=0.5,
                             iterations=1)
             world = [member, probe]
-            result = bootstrap(world, seeds, cfg, SimilarityGraph(world, measure, tau_sim))
+            result = run_bootstrap(world, seeds, cfg)
         members = [m.id for m in result.extractors[0].members]
         accepted = [i.id for i, _ in result.accepted]
         assert (edge == at, hop1 == [2], hit, foreign_hit, "p" in members,
@@ -140,7 +146,7 @@ def test_template_hits_equal_scalar_hits():
     templates = TemplateSet()
     for t in [rand_template(rng) for _ in range(3)] + [instances[4].template]:
         templates.add(t)
-    graph = SimilarityGraph(instances, measure, 0.6)
+    graph = graph_of(instances, measure, 0.6)
     expected = [max(sim_instances(i, t, measure) for t in templates) >= 0.6
                 for i in instances]
     assert graph.template_hits(templates).tolist() == expected
@@ -210,7 +216,7 @@ def test_membership_reads_far_from_tau_make_no_scalar_calls(measure, exact_pairs
     seeds.pos_pairs.add(instances[0].pair)
     seeds.pos_templates.add(instances[9].template)
     seeds.pos_templates.add(clustered_template(unit(np.eye(50)[2] + 0.01)))
-    graph = SimilarityGraph(instances, measure, tau_sim)
+    graph = graph_of(instances, measure, tau_sim)
     exact_pairs.clear()
     hits = match_channels(graph, seeds)
     hit_rows = np.flatnonzero(hits.matched("brej")).tolist()
@@ -224,7 +230,7 @@ def test_membership_reads_far_from_tau_make_no_scalar_calls(measure, exact_pairs
 def test_max_into_calls_once_per_row_and_group(measure, exact_pairs):
     rng = np.random.default_rng(6)
     instances, tau_sim = clustered_world(rng, measure)
-    graph = SimilarityGraph(instances, measure, tau_sim)
+    graph = graph_of(instances, measure, tau_sim)
     owner = np.array([k % 8 if k % 8 < 3 else -1 for k in range(len(instances))])
     exact_pairs.clear()
     rows, owners, values = graph.max_into(owner)
@@ -251,7 +257,7 @@ def test_intervals_capped_at_one_need_no_scalar_call(exact_pairs):
     instances = [make_instance(template=make_template(v, v, v, dim=50)) for v in vectors]
     measure = SimilarityMeasure("cc-sym2")
     assert all(sim_instances(a, b, measure) == 1.0 for a in instances for b in instances)
-    graph = SimilarityGraph(instances, measure, 0.7)
+    graph = graph_of(instances, measure, 0.7)
     exact_pairs.clear()
     rows, owners, values = graph.max_into(np.array([0, 0, 1, -1, -1]))
     assert exact_pairs == []
@@ -266,15 +272,16 @@ def test_graph_for_other_inputs_raises():
     cfg = RunConfig(mode="bree", measure=SimilarityMeasure("cc-asym"), tau_sim=0.7)
     seeds = SeedState.empty("ordered")
     seeds.pos_pairs.add(instances[0].pair)
-    for graph in (SimilarityGraph(list(instances), cfg.measure, 0.7),
-                  SimilarityGraph(instances, SimilarityMeasure("cc-sym1"), 0.7),
-                  SimilarityGraph(instances, cfg.measure, 0.75)):
-        with pytest.raises(ValueError, match="another instance list"):
-            bootstrap(instances, seeds, cfg, graph)
-    graph = SimilarityGraph(instances, cfg.measure, 0.7)
-    bootstrap(instances, seeds.copy(), cfg, graph)
-    assert bootstrap(instances, seeds.copy(), cfg, graph).accepted == \
-        bootstrap(instances, seeds.copy(), cfg, graph_for(instances, cfg)).accepted
+    table = InstanceTable.from_instances(instances)
+    for graph in (graph_of(instances, cfg.measure, 0.7),
+                  graph_of(table, SimilarityMeasure("cc-sym1"), 0.7),
+                  graph_of(table, cfg.measure, 0.75)):
+        with pytest.raises(ValueError, match="another instance table"):
+            bootstrap(table, seeds, cfg, graph)
+    graph = graph_of(table, cfg.measure, 0.7)
+    bootstrap(table, seeds.copy(), cfg, graph)
+    assert bootstrap(table, seeds.copy(), cfg, graph).accepted == \
+        run_bootstrap(instances, seeds.copy(), cfg).accepted
 
 
 def test_dimension_mismatch_raises():
@@ -284,7 +291,7 @@ def test_dimension_mismatch_raises():
         a = make_instance(template=make_template(v_between=np.ones(6)))
         b = make_instance(template=make_template(v_between=np.ones(7), dim=7, types=types),
                           types=types)
-        graph = SimilarityGraph([a, b], SimilarityMeasure("cc-asym"), 0.7)
+        graph = graph_of([a, b], SimilarityMeasure("cc-asym"), 0.7)
         with pytest.raises(ValueError, match="context dimension mismatch"):
             all_edges(graph)
 
@@ -299,7 +306,7 @@ def test_bootstrap_equals_scalar_reference(seed, mode, measure, pairing, score_a
     instances, seeds = mixed_world(seed, pairing)
     cfg = RunConfig(mode=mode, measure=measure, tau_sim=tau_sim, tau_cnf=tau_cnf,
                     pairing=pairing, score_against=score_against)
-    result = bootstrap(instances, seeds.copy(), cfg, graph_for(instances, cfg))
+    result = run_bootstrap(instances, seeds.copy(), cfg)
     accepted, extractors, stats = reference_bootstrap(instances, seeds, cfg)
     assert [(i.id, c) for i, c in result.accepted] == accepted
     assert [([m.id for m in ex.members], ex.n_pos, ex.n_neg, ex.n_unknown, ex.confidence)
@@ -320,7 +327,7 @@ def test_reads_score_only_unscored_columns(measure):
     again; a foreign seed template is one column, scored once."""
     rng = np.random.default_rng(3)
     instances = two_type_world(rng)
-    graph = SimilarityGraph(instances, measure, 0.5)
+    graph = graph_of(instances, measure, 0.5)
     first = rng.random(len(graph)) < 0.3
     owner = np.where(rng.random(len(graph)) < 0.4, rng.integers(0, 3, len(graph)), -1)
     templates = TemplateSet()
@@ -349,7 +356,7 @@ def test_skewed_scores_reach_every_lazy_read(skew):
     only its unscored columns."""
     rng = np.random.default_rng(31)
     instances = [make_instance(template=rand_template(rng)) for _ in range(12)]
-    graph = SimilarityGraph(instances, SimilarityMeasure("cc-asym"), 0.5)
+    graph = graph_of(instances, SimilarityMeasure("cc-asym"), 0.5)
     templates = TemplateSet()
     templates.add(rand_template(rng))
     with skewed_scores(skew) as scored:
@@ -368,7 +375,7 @@ def test_shared_graph_scores_no_column_twice():
     seeds.pos_templates.add(rand_template(rng))
     seeds.pos_templates.add(instances[5].template)
     measure = SimilarityMeasure("cc-sym1")
-    graph = SimilarityGraph(instances, measure, 0.3)
+    graph = graph_of(instances, measure, 0.3)
     targets = []
     scoring = SimilarityGraph._candidates_against
 
@@ -380,7 +387,7 @@ def test_shared_graph_scores_no_column_twice():
     with mock.patch.object(SimilarityGraph, "_candidates_against", recorded):
         for mode in ("bree", "brej"):
             cfg = RunConfig(mode=mode, measure=measure, tau_sim=0.3, tau_cnf=0.3)
-            bootstrap(instances, seeds.copy(), cfg, graph)
+            bootstrap(graph.table, seeds.copy(), cfg, graph)
     assert len({i.template.key() for i in instances}) == len(instances)
     assert len(targets) > 10
     assert len(set(targets)) == len(targets)
@@ -397,7 +404,7 @@ def test_scoring_memory_follows_the_candidates():
     arrays = list(basis)
     instances = [make_instance(template=make_template(*(arrays[k] for k in picks), dim=50))
                  for picks in rng.integers(0, len(arrays), size=(6000, 3)).tolist()]
-    graph = SimilarityGraph(instances, SimilarityMeasure("cc-asym"), 0.7)
+    graph = graph_of(instances, SimilarityMeasure("cc-asym"), 0.7)
     columns = np.arange(len(graph)) < 20
     tracemalloc.start()
     try:
@@ -421,11 +428,11 @@ def test_read_sequences_equal_fresh_reads(seed, measure, tau_sim, reads):
     """Any sequence of edge and max-linkage reads on one graph returns, at
     each read, what the same read returns on a fresh graph."""
     instances, _ = mixed_world(seed, "ordered")
-    graph = SimilarityGraph(instances, measure, tau_sim)
+    graph = graph_of(instances, measure, tau_sim)
     for edges, read_seed in reads:
         rng = np.random.default_rng(read_seed)
         picked = rng.random(len(graph)) < rng.random()
-        fresh = SimilarityGraph(instances, measure, tau_sim)
+        fresh = graph_of(instances, measure, tau_sim)
         if edges:
             got, expected = graph.edges_into(picked), fresh.edges_into(picked)
         else:
@@ -441,16 +448,25 @@ def _own_arrays(template):
                                v_after=template.v_after.copy())
 
 
+def bootstrap_outputs(result):
+    return repr(([(i.id, c) for i, c in result.accepted],
+                 [([m.id for m in ex.members], ex.n_pos, ex.n_neg, ex.n_unknown,
+                   ex.confidence) for ex in result.extractors],
+                 result.per_iteration_stats))
+
+
 @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
 def test_shared_context_arrays_give_the_outputs_of_copied_ones(measure, tmp_path):
     """Ingest gives all windows of one token multiset one array, and the
     graph stacks each distinct array once: the ingested planted world gives,
-    in every mode, the outputs it gives with every window its own array."""
+    in every mode, the same edges, maxima and outputs from its ingest-built
+    table, from the table of its instances (InstanceTable.from_instances)
+    and from the table of its instances with every window its own array."""
     paths = build_planted_fixture(n_sentences=200).write(tmp_path)
     cfg = RunConfig(measure=measure)
     ingested = ingest_inputs(paths["corpus"], paths["embeddings"], paths["seeds"],
                              cfg.limits)
-    shared = ingested.instances
+    shared = instances_of(ingested.table)
     assert len({id(i.template.v_between) for i in shared}) < len(shared) / 2
     seeds = build_seed_state(ingested.spec, ingested.emb, cfg.pairing)
     own = [dataclasses.replace(i, template=_own_arrays(i.template)) for i in shared]
@@ -459,14 +475,34 @@ def test_shared_context_arrays_give_the_outputs_of_copied_ones(measure, tmp_path
     for name in ("pos_templates", "neg_templates"):
         for template in getattr(seeds, name):
             getattr(own_seeds, name).add(_own_arrays(template))
+    worlds = ((ingested.table, seeds), (shared, seeds), (own, own_seeds))
+    owner = np.arange(len(shared)) % 5 - 1
+    graphs = [graph_for(instances, cfg) for instances, _ in worlds]
+    assert len({repr(all_edges(graph)) for graph in graphs}) == 1
+    assert len({repr([a.tolist() for a in graph.max_into(owner)]) for graph in graphs}) == 1
     for mode in MODES:
         cfg = RunConfig(mode=mode, measure=measure)
-        outputs = []
-        for instances, state in ((shared, seeds), (own, own_seeds)):
-            result = bootstrap(instances, state.copy(), cfg, graph_for(instances, cfg))
-            outputs.append(repr((
-                [(i.id, c) for i, c in result.accepted],
-                [([m.id for m in ex.members], ex.n_pos, ex.n_neg, ex.n_unknown,
-                  ex.confidence) for ex in result.extractors],
-                result.per_iteration_stats)))
-        assert outputs[0] == outputs[1]
+        outputs = {bootstrap_outputs(run_bootstrap(instances, state.copy(), cfg))
+                   for instances, state in worlds}
+        assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
+def test_mixed_type_pairs_give_the_edges_of_each_type_pair(measure):
+    """A table of two type pairs (a type-id column) has, between the rows of
+    each type pair, the edges and maxima of the table of those rows alone,
+    and none across type pairs."""
+    rng = np.random.default_rng(43)
+    instances = two_type_world(rng)
+    owner = rng.integers(-1, 3, len(instances))
+    edges = all_edges(graph_of(instances, measure, 0.5))
+    maxima = maxima_of(graph_of(instances, measure, 0.5), owner)
+    expected_edges, expected_maxima = {}, {}
+    for types in (("ORG", "ORG"), ("ORG", "PER")):
+        at = [k for k, i in enumerate(instances) if i.template.type_pair == types]
+        graph = graph_of([instances[k] for k in at], measure, 0.5)
+        expected_edges.update({(at[r], at[c]): v for (r, c), v in all_edges(graph).items()})
+        expected_maxima.update({(at[r], k): v
+                                for (r, k), v in maxima_of(graph, owner[at]).items()})
+    assert edges == expected_edges and edges
+    assert maxima == expected_maxima and maxima

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brex.similarity
+from brex.corpus import distinct_windows
 from brex.similarity import (
     MEASURE_KINDS,
     SimilarityMeasure,
@@ -261,7 +262,8 @@ def test_exact_values_equal_sim_instances_bit_for_bit(seed, kind, dim, log_scale
     with (mock.patch.object(brex.similarity, "_BLOCK_CELLS", block_cells),
           mock.patch.object(brex.similarity, "_GATHER_CELLS", block_cells),
           np.errstate(over="ignore", invalid="ignore")):
-        probe_table, target_table = _stack(probes), _stack(targets)
+        probe_table = _stack(*distinct_windows(probes))
+        target_table = _stack(*distinct_windows(targets))
         values = exact_values(measure, probe_table, p_at, target_table, t_at)
         expected = np.array([sim_instances(probes[i], targets[j], measure)
                              for i, j in zip(p_at.tolist(), t_at.tolist())])
