@@ -30,17 +30,18 @@ CPUs a corpus splits from 4 MiB on, a table from 1 MiB on. A smaller file
 or a pipe is one range, read once. The results, warnings and errors are
 those of one pass over the file.
 
-A table is validated in full once: its parse writes a row index (the words
-of its rows and the byte offset of each) in the user's cache directory,
-keyed by the table's sha256, and a later load of a table with that digest
-reads only the rows of its vocabulary there (see load_embeddings). The index
-holds no vectors, and the store it gives is the one a parse gives. A corpus
-is validated once per type vocabulary the same way: its index holds the line
-and the sid of each sentence, the counts and the rejected records, and a
-later load decodes only the lines of the sentences (see load_corpus). Both
-indexes go through one path rule, writer and reader (_index_path,
-_write_index, _read_index), and both are read only while the file is the
-one the digest was taken of (HashedPath.unchanged).
+A table is validated in full once: its parse writes a row index (a key of
+each distinct word and the byte range of its first row) in the user's cache
+directory, keyed by the table's sha256, and a later load of a table with
+that digest looks up the keys of its vocabulary there and reads only their
+rows (see load_embeddings). The index holds no vectors and no words, and the
+store it gives is the one a parse gives. A corpus is validated once per type
+vocabulary the same way: its index holds the line and the sid of each
+sentence, the counts and the rejected records, and a later load decodes only
+the lines of the sentences (see load_corpus). Both indexes go through one
+path rule, writer and reader (_index_path, _write_index, _read_index), and
+both are read only while the file is the one the digest was taken of
+(HashedPath.unchanged).
 
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
@@ -79,6 +80,7 @@ import signal
 import stat
 import tempfile
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -471,13 +473,16 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     and then the one pass reads the table.
 
     A table is validated once: after a parse in which every row validated,
-    the word and the byte offset of each row are stored in a row index in the
-    cache directory, keyed by the table's sha256 (that of a HashedPath, else
-    computed here; see _index_path). A later load of a table with that digest
-    reads only the rows of ``vocab`` at their offsets, in file order, through
-    the same row parser, and gives the same store. A missing, unreadable,
-    corrupt or mismatched index, a row read there that is not its word's
-    valid row, or a table replaced since it was digested means the parse
+    a row index is stored in the cache directory, keyed by the table's sha256
+    (that of a HashedPath, else computed here; see _index_path). It holds,
+    for each distinct word, the CRC-32 of the word and the byte range of its
+    first row, sorted by that key (see _row_index), and no words. A later
+    load of a table with that digest looks up the keys of ``vocab`` there
+    and reads only the rows they name, in file order, through the same row
+    parser (see _indexed_part): its work grows with the vocabulary, not with
+    the table. It gives the same store. A missing, unreadable, corrupt or
+    mismatched index, a row read there that is not the valid row of a word
+    of its key, or a table replaced since it was digested means the parse
     above, which rewrites the index unless the table was replaced; a cache
     directory that cannot be written means a parse every time. A part of a
     table whose line ends mix "\\r\\n" with another kind has no offsets (see
@@ -500,8 +505,7 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     # of a table replaced since it was digested are not the digest's
     if index and not part and all(r is not None for r in rows) and hashed.unchanged():
         _write_index(index, _index_key(hashed.sha256),
-                     words=np.frombuffer(b"\n".join(w for w, _ in rows if w), dtype=np.uint8),
-                     offsets=np.concatenate([offsets for _, offsets in rows]))
+                     rows=_row_index(path, rows, hashed.identity[1]))
     vectors = {}
     for words, values, _ in parts:
         values.setflags(write=False)  # a part unpickled from a worker is writable
@@ -511,7 +515,7 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
 
 
 # The format of the indexes; an index of another version is rewritten.
-_INDEX_VERSION = 1
+_INDEX_VERSION = 2
 
 
 def _index_path(digest: str | None, name: str = "") -> str | None:
@@ -571,49 +575,116 @@ def _read_index(index: str, key: str, *names: str) -> list | None:
         return None
 
 
+def _word_keys(words, count: int) -> np.ndarray:
+    """The row index key of each of the ``count`` ``words`` as an int64
+    array: the CRC-32 of its UTF-8 bytes. A lone surrogate, which a corpus
+    token may hold and no table word does, is encoded as it is
+    ("surrogatepass")."""
+    try:
+        return np.fromiter(map(zlib.crc32, map(str.encode, words)), np.int64, count)
+    except UnicodeEncodeError:
+        utf8 = map(str.encode, words, itertools.repeat("utf-8"),
+                   itertools.repeat("surrogatepass"))
+        return np.fromiter(map(zlib.crc32, utf8), np.int64, count)
+
+
+def _row_index(path, rows: list, size: int) -> np.ndarray:
+    """The row index of the table at ``path``, of ``size`` bytes, whose parts
+    gave ``rows`` (see _parse_range): for each distinct word, its key (see
+    _word_keys), the byte offset of its first row and the end of that row
+    (the next row's offset, or ``size``), as a (3, words) int64 array sorted
+    by key, then offset.
+
+    Rows whose keys are equal are the rows of one word, or of words whose
+    CRC-32 collide; only their words are read, to tell them apart."""
+    offsets = np.concatenate([part_offsets for part_offsets, _ in rows])
+    keys = np.concatenate([part_keys for _, part_keys in rows])
+    # one sort of key * 2**32 + row is a stable sort by key
+    cells = np.sort(keys.astype(np.uint64) << 32 | np.arange(len(keys), dtype=np.uint64))
+    keys = (cells >> 32).astype(np.int64)
+    order = (cells & 0xFFFFFFFF).astype(np.intp)
+    index = np.stack([keys, offsets[order], np.append(offsets[1:], size)[order]])
+    same = np.flatnonzero(keys[1:] == keys[:-1])  # entry i + 1 has the key of entry i
+    if not len(same):
+        return index
+    first = np.ones(len(keys), dtype=bool)
+    with open(path, "rb", buffering=0) as fh:
+        def word(i: int) -> str:  # as _parse_lines splits it
+            row = os.pread(fh.fileno(), index[2, i] - index[1, i], index[1, i])
+            return row.decode("utf-8").split(None, 1)[0]
+
+        for i in same.tolist():
+            if i == 0 or keys[i - 1] != keys[i]:
+                run = {word(i)}
+            later = word(i + 1)
+            first[i + 1] = later not in run
+            run.add(later)
+    return index[:, first]
+
+
 def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
     """The part (see _parse_range) of the ``vocab`` rows of the table at
-    ``path``, read at their offsets in the index at ``index``: the words of
-    the table's rows and the byte offset of each (see _write_index); None
-    when the index is missing or doubtful (see _read_index), a row read is
-    not the valid first row of the word the index names, or the table is not
-    the file ``path`` digested.
+    ``path``, read in the index at ``index`` (see _row_index); None when the
+    index is missing or doubtful (see _read_index), its keys are not sorted,
+    a row it names does not lie in the table or is cut short, a row read is
+    not a valid row of a word that hashes to its entry's key, a word has two
+    entries, or the table is not the file ``path`` digested.
 
-    A row's bytes run from its offset to the next row's, or to the end of the
-    table, and end at its first line end; the rest are blank lines."""
-    arrays = _read_index(index, _index_key(path.sha256), "words", "offsets")
+    The vocabulary's keys are looked up by binary search, so the load reads
+    the index's keys once and the table's rows of the vocabulary, not the
+    table's words; an index with no more entries than the vocabulary has
+    words has all its rows read instead, which hashes fewer words. The rows
+    are read in file order, and only those of ``vocab`` words are parsed;
+    the others are words whose CRC-32 collide with a vocabulary word's. The
+    bytes from a row's offset to its end are the row and the blank lines
+    after it."""
+    arrays = _read_index(index, _index_key(path.sha256), "rows")
     if arrays is None:
         return None
-    words, offsets = arrays
+    [rows] = arrays
+    if rows.dtype != np.int64 or rows.ndim != 2 or len(rows) != 3:
+        return None
+    keys, offsets, ends = rows
+    if not (keys[1:] >= keys[:-1]).all():  # a binary search would miss keys
+        return None
+    if len(keys) <= len(vocab):  # the table's words are fewer to hash: read every row
+        at = np.arange(len(keys))
+    else:
+        wanted = np.sort(_word_keys(vocab, len(vocab)))  # equal keys side by side
+        lo, hi = np.searchsorted(keys, wanted, "left"), np.searchsorted(keys, wanted, "right")
+        count = hi - lo
+        count[1:][hi[1:] == hi[:-1]] = 0  # words of one key share its entries
+        at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    at = at[np.argsort(offsets[at])]
+    starts, stops = offsets[at], ends[at]
+    if not ((starts >= 0) & (starts < stops) & (stops <= path.identity[1])).all():
+        return None
     try:
-        words = words.tobytes().decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        return None
-    if offsets.dtype != np.int64 or offsets.shape != (len(words),) or offsets[0] < 0:
-        return None
-    ends = np.append(offsets[1:], path.identity[1])
-    if not (offsets < ends).all():
-        return None
-    first: dict[str, int] = {}
-    for i in itertools.compress(range(len(words)), map(vocab.__contains__, words)):
-        first.setdefault(words[i], i)
-    vectors: dict[str, np.ndarray] = {}
-    try:
-        with open(path, "rb") as fh:
-            lines = []
-            for i in first.values():
-                fh.seek(offsets[i])
-                line = fh.read(ends[i] - offsets[i]).splitlines(keepends=True)[0]
-                lines.append(line.decode("utf-8"))
+        with open(path, "rb", buffering=0) as fh:
+            data = b"".join([os.pread(fh.fileno(), stop - start, start)
+                             for start, stop in zip(starts.tolist(), stops.tolist())])
             if not path.unchanged(fh.fileno()):
                 return None
-        seen: set[str] = set()
-        for k in range(0, len(lines), _EMBEDDING_BLOCK):
-            _parse_lines(path, lines[k:k + _EMBEDDING_BLOCK], 1, dimension, seen, vocab,
-                         vectors)
-    except (EmbeddingFormatError, UnicodeDecodeError):
+        # lines as _open_text reads them
+        lines = [line for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+                 if not line.isspace()]
+    except UnicodeDecodeError:
         return None
-    if list(vectors) != list(first):
+    words = [line.split(None, 1)[0] for line in lines]
+    if (len(words) != len(at) or len(set(words)) != len(words)
+            or (_word_keys(words, len(words)) != keys[at]).any()):
+        return None
+    # a row cut short has no line end; an earlier one runs into the next row
+    if lines and not lines[-1].endswith("\n") and stops[-1] < path.identity[1]:
+        return None
+    # the other words only share a key with a vocabulary word
+    lines = [line for line, word in zip(lines, words) if word in vocab]
+    vectors: dict[str, np.ndarray] = {}
+    try:
+        for k in range(0, len(lines), _EMBEDDING_BLOCK):
+            _parse_lines(path, lines[k:k + _EMBEDDING_BLOCK], 1, dimension, set(), vocab,
+                         vectors)
+    except EmbeddingFormatError:
         return None
     return *_packed(vectors, dimension), None
 
@@ -688,10 +759,10 @@ def _parse_range(path, start: int, end: int | None, dimension: int, vocab):
     """The words of ``vocab`` in bytes [start, end) of the table (see
     _open_text) and their first rows as one read-only (words, dimension)
     array, which pickles several times faster than one array per word, plus
-    the rows for the index (see _write_index): the words of the range's
-    non-blank lines as UTF-8 bytes joined by newlines, and the byte offset of
-    each in the file. The range is validated as if it were the whole table
-    (its first line is line 1), read as text in blocks of ``_EMBEDDING_BLOCK``
+    the rows for the index (see _row_index): the byte offset of each of the
+    range's non-blank lines in the file and the key of its word (see
+    _word_keys). The range is validated as if it were the whole table (its
+    first line is line 1), read as text in blocks of ``_EMBEDDING_BLOCK``
     lines.
 
     A line read ends in "\\n" where the range has "\\n", "\\r" or "\\r\\n", so
@@ -725,7 +796,7 @@ def _parse_range(path, start: int, end: int | None, dimension: int, vocab):
     offsets = np.concatenate(starts or [np.zeros(0, np.int64)])
     if line_ends == "\r\n":  # each line end before a line is two bytes, read as one
         offsets += np.arange(len(offsets))
-    rows = "\n".join(row_words).encode("utf-8"), np.delete(offsets, blank)
+    rows = np.delete(offsets, blank), _word_keys(row_words, len(row_words))
     return *_packed(vectors, dimension), rows
 
 

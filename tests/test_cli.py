@@ -6,9 +6,12 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -113,6 +116,22 @@ class TestRun:
         assert manifest["iterations"]
         rows = read_jsonl(out / "accepted.jsonl")
         assert rows and all(r["confidence"] >= 0.7 for r in rows)
+
+    def test_a_run_does_not_import_numpy_ma(self, data_dir, tmp_path):
+        """numpy.ma costs a fresh process ~15 ms to import, and np.isin and a
+        plain np.unique (no return_index, return_inverse or return_counts)
+        import it. A run, cold and then warm, imports it nowhere."""
+        src = str(Path(brex.__file__).resolve().parent.parent)
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for name in ("cold", "warm"):
+            code = ("import sys; from brex.cli import main; "
+                    f"code = main({run_args(data_dir, tmp_path / name)!r}); "
+                    "print(code, 'numpy.ma' in sys.modules)")
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=False)
+            assert proc.stdout.splitlines()[-1].split() == ["0", "False"], proc.stderr
+        assert len(support.table_indexes(tmp_path / "cache" / "brex")) == 1
 
     def test_run_builds_instances_of_extractor_members_and_accepted_rows_only(
             self, data_dir, tmp_path, monkeypatch):

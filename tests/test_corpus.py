@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import logging
@@ -9,6 +10,8 @@ import os
 import re
 import stat
 import threading
+import zipfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -821,6 +824,76 @@ def rewrite_index(index, **arrays):
         np.savez(fh, **arrays)
 
 
+def index_rows(index):
+    """The (3, words) keys, offsets and ends of the row index at ``index``."""
+    with np.load(index, allow_pickle=False) as data:
+        return data["rows"].copy()
+
+
+def key(word):
+    """The row index key of ``word``."""
+    return zlib.crc32(word.encode("utf-8"))
+
+
+def entry(rows, word):
+    """The column of ``word``'s entry in the row index ``rows``."""
+    [column] = np.flatnonzero(rows[0] == key(word))
+    return column
+
+
+def by_key(rows):
+    """The entries of ``rows`` sorted by key, then offset."""
+    return rows[:, np.lexsort((rows[1], rows[0]))]
+
+
+# Words whose CRC-32 are equal, in pairs
+COLLIDING = (("plumless", "buckeroo"), ("codding", "gnu"))
+
+
+@contextlib.contextmanager
+def counted_reads(table):
+    """Count the bytes that brex.corpus reads from the file ``table``: through
+    the files it opens there, and through os.pread; yields the list of the
+    sizes of the reads."""
+    sizes = []
+
+    class Counted(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            sizes.append(n or 0)
+            return n
+
+        def read(self, size=-1):
+            data = super().read(size)
+            sizes.append(len(data or b""))
+            return data
+
+        def readall(self):
+            data = super().readall()
+            sizes.append(len(data))
+            return data
+
+    def opener(file, mode="r", buffering=-1, encoding=None, **kwargs):
+        if not isinstance(file, int) and os.fspath(file) == os.fspath(table):
+            raw = Counted(file, "r")
+            if buffering == 0:
+                return raw
+            return (io.BufferedReader(raw) if "b" in mode
+                    else io.TextIOWrapper(io.BufferedReader(raw), encoding=encoding))
+        return open(file, mode, buffering, encoding, **kwargs)
+
+    pread = os.pread
+
+    def counted_pread(fd, size, offset):
+        data = pread(fd, size, offset)
+        sizes.append(len(data))
+        return data
+
+    with mock.patch.object(brex.corpus, "open", opener, create=True), \
+            mock.patch.object(os, "pread", counted_pread):
+        yield sizes
+
+
 class TestTableIndex:
     """The first load of a table that validates in full writes its row index
     under its sha256; a later load reads only the vocabulary's rows there and
@@ -898,12 +971,15 @@ class TestTableIndex:
                                 "error::pytest.PytestUnraisableExceptionWarning")
     @pytest.mark.parametrize("damage", ["table-rewritten", "truncated", "corrupt",
                                         "other-word", "unordered-offsets", "pickled",
-                                        "other-version"])
+                                        "other-version", "unordered-keys",
+                                        "end-past-the-file", "end-inside-its-row",
+                                        "unhashed-row", "two-entries"])
     def test_a_doubtful_index_means_a_parse_that_rewrites_it(self, tmp_path, table_cache,
                                                              damage):
         path = self.table(tmp_path / "emb.txt")
         self.load(path)
         [index] = indexes(table_cache)
+        rows = index_rows(index)
         if damage == "table-rewritten":  # same size and mtime, other bits
             before = path.stat()
             path.write_bytes(path.read_bytes().replace(b"a 1 0.5", b"a 1 0.7"))
@@ -912,26 +988,40 @@ class TestTableIndex:
                 before.st_size, before.st_mtime_ns)
         elif damage == "truncated":
             index.write_bytes(index.read_bytes()[:-100])
-        elif damage == "corrupt":
+        elif damage == "corrupt":  # a bit of the entries flipped
             data = bytearray(index.read_bytes())
-            data[len(data) // 2] ^= 1
+            with zipfile.ZipFile(index) as archive:
+                member = archive.getinfo("rows.npy")
+            data[data.index(b"\x93NUMPY", member.header_offset)
+                 + member.compress_size - rows.nbytes // 2] ^= 1
             index.write_bytes(bytes(data))
-        elif damage == "other-word":  # the offset of "a" is that of the row of "b"
-            with np.load(index) as data:
-                words = data["words"].tobytes().split(b"\n")
-            words[:2] = words[1::-1]
-            rewrite_index(index, words=np.frombuffer(b"\n".join(words), dtype=np.uint8))
+        elif damage == "other-word":  # the key of "a" names the row of "b"
+            a, b = entry(rows, "a"), entry(rows, "b")
+            rows[0, [a, b]] = rows[0, [b, a]]
+            rewrite_index(index, rows=by_key(rows))
         elif damage == "unordered-offsets":
-            with np.load(index) as data:
-                offsets = data["offsets"][::-1].copy()
-            rewrite_index(index, offsets=offsets)
+            rows[1] = rows[1, ::-1]
+            rewrite_index(index, rows=rows)
         elif damage == "pickled":  # an object array, which only a pickle holds
-            with np.load(index) as data:
-                words = data["words"].tobytes().decode("utf-8").split("\n")
-            rewrite_index(index, words=np.array(words, dtype=object))
-        else:
+            rewrite_index(index, rows=np.array(rows.tolist(), dtype=object))
+        elif damage == "other-version":
             version = brex.corpus._INDEX_VERSION + 1
             rewrite_index(index, key=np.array(f"{index.stem} {version}"))
+        elif damage == "unordered-keys":  # each entry still names its word's row
+            rewrite_index(index, rows=rows[:, ::-1])
+        elif damage == "end-past-the-file":
+            rows[2, entry(rows, "d")] = path.stat().st_size + 1
+            rewrite_index(index, rows=rows)
+        elif damage == "end-inside-its-row":  # "d 1e308 -2e-3" read as "d 1e308 -2"
+            rows[2, entry(rows, "d")] -= 4
+            rewrite_index(index, rows=rows)
+        elif damage == "unhashed-row":  # the row of "b" under the key of "a" as well
+            extra = rows[:, [entry(rows, "b")]]
+            extra[0] = key("a")
+            rewrite_index(index, rows=by_key(np.hstack([rows, extra])))
+        else:  # "café" has two entries
+            rewrite_index(index, rows=by_key(rows[:, np.r_[:rows.shape[1],
+                                                           entry(rows, "café")]]))
         emb, parsed = self.load(path)
         assert parsed
         assert store_rows(emb) == reference_rows(path, INDEXED)
@@ -940,6 +1030,72 @@ class TestTableIndex:
         warm, parsed = self.load(path)  # the rewritten entry is read
         assert not parsed
         assert store_rows(warm) == store_rows(emb)
+
+    def test_the_index_holds_each_word_once_sorted_by_key(self, tmp_path, table_cache):
+        path = self.table(tmp_path / "emb.txt")
+        self.load(path)
+        [index] = indexes(table_cache)
+        rows = index_rows(index)
+        data = path.read_bytes()
+        firsts = {}  # the offset of each word's first row
+        for line in re.finditer(rb"[^\n]*\n", data):
+            if line.group().strip():
+                firsts.setdefault(line.group().split()[0].decode("utf-8"),
+                                  line.start())
+        starts = sorted(firsts.values())
+        ends = dict(zip(starts, starts[1:] + [len(data)]))
+        # the later row of "a" ends the row before it
+        ends[firsts["日本"]] = data.index(b"a 9 9")
+        assert rows.tolist() == by_key(np.array(
+            [[key(word), start, ends[start]] for word, start in firsts.items()]).T).tolist()
+
+    @pytest.mark.parametrize("vocab", [{"plumless"}, {"buckeroo", "plumless", "a"},
+                                       {"gnu"}, {"codding", "gnu"}, {"plumless", "gnu"}],
+                             ids=["one-of-a-pair", "both-of-a-pair", "partner-only",
+                                  "word-and-absent-partner", "one-of-each"])
+    def test_colliding_words_load_as_a_parse_loads_them(self, tmp_path, table_cache,
+                                                        vocab):
+        """Words whose keys are equal: the vocabulary holds one of a pair, both,
+        or a word whose partner is the only one of the pair in the table."""
+        assert all(key(a) == key(b) for a, b in COLLIDING)
+        path = write_lines(tmp_path / "emb.txt", [
+            "plumless 1 2", "a 3 4", "buckeroo 5 6", "plumless 7 8", "", "codding 9 10",
+            "buckeroo 11 12"])
+        cold, parsed = self.load(path, vocab)
+        assert parsed
+        [index] = indexes(table_cache)
+        # one entry per word, for its first row, by key; those of a pair in file order
+        assert index_rows(index).tolist() == [
+            [key("plumless"), key("buckeroo"), key("codding"), key("a")],
+            [0, 19, 46, 13], [13, 32, 59, 19]]
+        warm, parsed = self.load(path, vocab)
+        assert not parsed
+        assert store_rows(warm) == store_rows(cold) == reference_rows(path, vocab)
+
+    @given(st.lists(st.text("abcdef", min_size=1, max_size=3), min_size=1, max_size=30,
+                    unique=True),
+           st.lists(st.text("abcdefg", min_size=1, max_size=3), max_size=30), st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_vocabulary_loads_as_a_parse_loads_it(self, tmp_path, words, others, data):
+        """Vocabularies smaller and larger than the table, of table words,
+        absent words and words whose keys collide, with repeated rows."""
+        words = words + [word for pair in COLLIDING for word in pair][:3]
+        rows = [f"{word} {k} {-k}" for k, word in enumerate(words)]
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=5))
+        vocab = set(data.draw(st.lists(st.sampled_from(words), max_size=len(words))))
+        vocab |= set(others) | {"gnu"}
+        path = write_lines(tmp_path / "emb.txt", rows)
+        cold, warm = split_loads(path, vocab)[0]
+        assert store_rows(warm) == store_rows(cold) == reference_rows(path, vocab)
+
+    def test_a_vocabulary_word_no_table_word_can_spell_is_absent(self, tmp_path):
+        path = self.table(tmp_path / "emb.txt")
+        vocab = INDEXED | {"\ud800", "caf\udce9"}  # lone surrogates, from a JSON corpus
+        cold, parsed = self.load(path, vocab)
+        warm, parsed = self.load(path, vocab)
+        assert not parsed
+        assert store_rows(warm) == store_rows(cold) == reference_rows(path, INDEXED)
 
     def test_a_table_with_a_bad_row_is_never_indexed(self, tmp_path, table_cache):
         path = write_lines(tmp_path / "emb.txt", ["a 1 0", "b 1 x", "c 0 1"])
@@ -975,6 +1131,38 @@ class TestTableIndex:
         [(lines, _)] = [call.args for call in parse_block.call_args_list]
         assert lines == [rows[5] + "\n", rows[2 * BLOCK] + "\n"]
         assert store_rows(warm) == store_rows(cold) == reference_rows(path, vocab)
+
+    def test_a_warm_load_reads_as_much_of_a_small_table_as_of_a_large_one(self, tmp_path):
+        """A warm load reads the rows of its vocabulary and asks the vocabulary
+        about their words only, whatever the number of rows in the table."""
+
+        class Vocabulary(set):
+            asked = 0
+
+            def __contains__(self, word):
+                Vocabulary.asked += 1
+                return super().__contains__(word)
+
+        reads = []
+        for count in (2_000, 50_000):
+            path = write_lines(tmp_path / f"emb{count}.txt",
+                               [f"u{k} {k} {-k}" for k in range(count)])
+            hashed = brex.corpus.HashedPath(path)  # the digest reads the whole table
+            vocab = Vocabulary({"u5", "u700", "u1300"})
+            cold, parsed = self.load(hashed, vocab)
+            assert parsed
+            Vocabulary.asked = 0
+            with counted_reads(path) as sizes, \
+                    mock.patch.object(brex.corpus, "_parse_lines",
+                                      wraps=brex.corpus._parse_lines) as parse_lines:
+                warm, parsed = self.load(hashed, vocab)
+            rows = sum(len(call.args[1]) for call in parse_lines.call_args_list)
+            reads.append((rows, sum(sizes), Vocabulary.asked))
+            assert not parsed
+            assert store_rows(warm) == store_rows(cold) == reference_rows(path, vocab)
+        assert reads[0] == reads[1]
+        rows, size, _ = reads[0]
+        assert rows == 3 and 0 < size < (tmp_path / "emb2000.txt").stat().st_size // 2
 
 
 OK = record(["Acme", "bought", "Bolt"], [ORG(0, 1), ORG(2, 3)])

@@ -441,6 +441,24 @@ def test_read_sequences_equal_fresh_reads(seed, measure, tau_sim, reads):
         assert [a.tolist() for a in got] == [a.tolist() for a in expected]
 
 
+@given(seed=st.integers(0, 2**32 - 1), measure=st.sampled_from(MEASURES),
+       tau_sim=st.floats(0.05, 1.0), batches=st.integers(1, 5))
+@settings(max_examples=50, deadline=None)
+def test_edges_are_in_lexsort_order(seed, measure, tau_sim, batches):
+    """edges_into sorts the edges of a store scored over several batches of
+    columns as np.lexsort of (col, row) does."""
+    instances, _ = mixed_world(seed, "ordered")
+    graph = graph_of(instances, measure, tau_sim)
+    batch = np.random.default_rng(seed).integers(0, batches, len(graph))
+    for k in range(batches):
+        graph.edges_into(batch <= k)  # the store grows by a batch of columns
+        rows, cols = graph._rows, graph._cols
+        idx = np.flatnonzero((batch[cols] <= k) & (graph._lo >= graph.tau_sim))
+        idx = idx[np.lexsort((cols[idx], rows[idx]))]
+        assert [a.tolist() for a in graph.edges_into(batch <= k)] == [
+            rows[idx].tolist(), cols[idx].tolist()]
+
+
 def _own_arrays(template):
     """``template`` with each window its own copy of its array."""
     return dataclasses.replace(template, v_before=template.v_before.copy(),
