@@ -30,12 +30,12 @@ CPUs a corpus splits from 4 MiB on, a table from 1 MiB on. A smaller file
 or a pipe is one range, read once. The results, warnings and errors are
 those of one pass over the file.
 
-A table is validated in full once: its parse writes a row index (a key of
-each distinct word and the byte range of its first row) in the user's cache
-directory, keyed by the table's sha256, and a later load of a table with
-that digest looks up the keys of its vocabulary there and reads only their
-rows (see load_embeddings). The index holds no vectors and no words, and the
-store it gives is the one a parse gives. A corpus is validated once per type
+A table is validated in full once: its parse writes a row index (the key of
+each row's word and the row's byte range) in the user's cache directory,
+keyed by the table's sha256, and a later load of a table with that digest
+looks up the keys of its vocabulary there and reads only their rows (see
+load_embeddings). The index holds no vectors and no words, and the store it
+gives is the one a parse gives. A corpus is validated once per type
 vocabulary the same way: its index holds the line and the sid of each
 sentence, the counts and the rejected records, and a later load decodes only
 the lines of the sentences (see load_corpus). Both indexes go through one
@@ -475,18 +475,18 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     A table is validated once: after a parse in which every row validated,
     a row index is stored in the cache directory, keyed by the table's sha256
     (that of a HashedPath, else computed here; see _index_path). It holds,
-    for each distinct word, the CRC-32 of the word and the byte range of its
-    first row, sorted by that key (see _row_index), and no words. A later
-    load of a table with that digest looks up the keys of ``vocab`` there
-    and reads only the rows they name, in file order, through the same row
-    parser (see _indexed_part): its work grows with the vocabulary, not with
-    the table. It gives the same store. A missing, unreadable, corrupt or
-    mismatched index, a row read there that is not the valid row of a word
-    of its key, or a table replaced since it was digested means the parse
-    above, which rewrites the index unless the table was replaced; a cache
-    directory that cannot be written means a parse every time. A part of a
-    table whose line ends mix "\\r\\n" with another kind has no offsets (see
-    _parse_range), so such a table is parsed every time.
+    for each row, the CRC-32 of its word and the row's byte range, sorted by
+    that key (see _row_index), and no words. A later load of a table with
+    that digest looks up the keys of ``vocab`` there and reads only the rows
+    they name, in file order, through the same row parser (see
+    _indexed_part): its work grows with the vocabulary, not with the table.
+    It gives the same store. A missing, unreadable, corrupt or mismatched
+    index, a row read there that is not the valid row of a word of its key,
+    or a table replaced since it was digested means the parse above, which
+    rewrites the index unless the table was replaced; a cache directory that
+    cannot be written means a parse every time. A part of a table whose line
+    ends mix "\\r\\n" with another kind has no offsets (see _parse_range), so
+    such a table is parsed every time.
     """
     if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe could not be read more than once
         raise EmbeddingFormatError(f"{path}: not a regular file")
@@ -505,7 +505,7 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     # of a table replaced since it was digested are not the digest's
     if index and not part and all(r is not None for r in rows) and hashed.unchanged():
         _write_index(index, _index_key(hashed.sha256),
-                     rows=_row_index(path, rows, hashed.identity[1]))
+                     rows=_row_index(rows, hashed.identity[1]))
     vectors = {}
     for words, values, _ in parts:
         values.setflags(write=False)  # a part unpickled from a worker is writable
@@ -588,38 +588,18 @@ def _word_keys(words, count: int) -> np.ndarray:
         return np.fromiter(map(zlib.crc32, utf8), np.int64, count)
 
 
-def _row_index(path, rows: list, size: int) -> np.ndarray:
-    """The row index of the table at ``path``, of ``size`` bytes, whose parts
-    gave ``rows`` (see _parse_range): for each distinct word, its key (see
-    _word_keys), the byte offset of its first row and the end of that row
-    (the next row's offset, or ``size``), as a (3, words) int64 array sorted
-    by key, then offset.
-
-    Rows whose keys are equal are the rows of one word, or of words whose
-    CRC-32 collide; only their words are read, to tell them apart."""
+def _row_index(rows: list, size: int) -> np.ndarray:
+    """The row index of a table of ``size`` bytes whose parts gave ``rows``
+    (see _parse_range): for each non-blank row, the key of its word (see
+    _word_keys), its byte offset and its end (the next row's offset, or
+    ``size``), as a (3, rows) int64 array sorted by key, then offset."""
     offsets = np.concatenate([part_offsets for part_offsets, _ in rows])
     keys = np.concatenate([part_keys for _, part_keys in rows])
     # one sort of key * 2**32 + row is a stable sort by key
     cells = np.sort(keys.astype(np.uint64) << 32 | np.arange(len(keys), dtype=np.uint64))
-    keys = (cells >> 32).astype(np.int64)
     order = (cells & 0xFFFFFFFF).astype(np.intp)
-    index = np.stack([keys, offsets[order], np.append(offsets[1:], size)[order]])
-    same = np.flatnonzero(keys[1:] == keys[:-1])  # entry i + 1 has the key of entry i
-    if not len(same):
-        return index
-    first = np.ones(len(keys), dtype=bool)
-    with open(path, "rb", buffering=0) as fh:
-        def word(i: int) -> str:  # as _parse_lines splits it
-            row = os.pread(fh.fileno(), index[2, i] - index[1, i], index[1, i])
-            return row.decode("utf-8").split(None, 1)[0]
-
-        for i in same.tolist():
-            if i == 0 or keys[i - 1] != keys[i]:
-                run = {word(i)}
-            later = word(i + 1)
-            first[i + 1] = later not in run
-            run.add(later)
-    return index[:, first]
+    return np.stack([(cells >> 32).astype(np.int64), offsets[order],
+                     np.append(offsets[1:], size)[order]])
 
 
 def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
@@ -627,17 +607,17 @@ def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
     ``path``, read in the index at ``index`` (see _row_index); None when the
     index is missing or doubtful (see _read_index), its keys are not sorted,
     a row it names does not lie in the table or is cut short, a row read is
-    not a valid row of a word that hashes to its entry's key, a word has two
-    entries, or the table is not the file ``path`` digested.
+    not a valid row of a word that hashes to its entry's key, or the table
+    is not the file ``path`` digested.
 
     The vocabulary's keys are looked up by binary search, so the load reads
     the index's keys once and the table's rows of the vocabulary, not the
-    table's words; an index with no more entries than the vocabulary has
-    words has all its rows read instead, which hashes fewer words. The rows
-    are read in file order, and only those of ``vocab`` words are parsed;
-    the others are words whose CRC-32 collide with a vocabulary word's. The
-    bytes from a row's offset to its end are the row and the blank lines
-    after it."""
+    table's words. The rows are read in file order and only those of
+    ``vocab`` words are parsed, the others being words whose CRC-32 collide
+    with a vocabulary word's; as in a parse, the later rows of a word are
+    not parsed, so an index that holds only each word's first row gives the
+    same part. The bytes from a row's offset to its end are the row and the
+    blank lines after it."""
     arrays = _read_index(index, _index_key(path.sha256), "rows")
     if arrays is None:
         return None
@@ -647,14 +627,11 @@ def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
     keys, offsets, ends = rows
     if not (keys[1:] >= keys[:-1]).all():  # a binary search would miss keys
         return None
-    if len(keys) <= len(vocab):  # the table's words are fewer to hash: read every row
-        at = np.arange(len(keys))
-    else:
-        wanted = np.sort(_word_keys(vocab, len(vocab)))  # equal keys side by side
-        lo, hi = np.searchsorted(keys, wanted, "left"), np.searchsorted(keys, wanted, "right")
-        count = hi - lo
-        count[1:][hi[1:] == hi[:-1]] = 0  # words of one key share its entries
-        at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    wanted = np.sort(_word_keys(vocab, len(vocab)))  # equal keys side by side
+    lo, hi = np.searchsorted(keys, wanted, "left"), np.searchsorted(keys, wanted, "right")
+    count = hi - lo
+    count[1:][hi[1:] == hi[:-1]] = 0  # words of one key share its entries
+    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
     at = at[np.argsort(offsets[at])]
     starts, stops = offsets[at], ends[at]
     if not ((starts >= 0) & (starts < stops) & (stops <= path.identity[1])).all():
@@ -671,8 +648,7 @@ def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
     except UnicodeDecodeError:
         return None
     words = [line.split(None, 1)[0] for line in lines]
-    if (len(words) != len(at) or len(set(words)) != len(words)
-            or (_word_keys(words, len(words)) != keys[at]).any()):
+    if len(words) != len(at) or (_word_keys(words, len(words)) != keys[at]).any():
         return None
     # a row cut short has no line end; an earlier one runs into the next row
     if lines and not lines[-1].endswith("\n") and stops[-1] < path.identity[1]:
@@ -680,9 +656,10 @@ def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
     # the other words only share a key with a vocabulary word
     lines = [line for line, word in zip(lines, words) if word in vocab]
     vectors: dict[str, np.ndarray] = {}
+    seen: set[str] = set()  # as in a parse, a word's later rows are not parsed
     try:
         for k in range(0, len(lines), _EMBEDDING_BLOCK):
-            _parse_lines(path, lines[k:k + _EMBEDDING_BLOCK], 1, dimension, set(), vocab,
+            _parse_lines(path, lines[k:k + _EMBEDDING_BLOCK], 1, dimension, seen, vocab,
                          vectors)
     except EmbeddingFormatError:
         return None

@@ -493,8 +493,8 @@ class SimilarityGraph:
     def pair_hits(self, pairs) -> np.ndarray:
         """Bool per row: the row's entity pair is in the PairSet ``pairs``:
         its pair id (InstanceTable.pair_ids, read once per pairing) is that
-        of one of the set's keys (InstanceTable.key_pair_ids). (np.isin would import numpy.ma on its
-        first call, ~37 ms of a fresh process.)"""
+        of one of the set's keys (InstanceTable.key_pair_ids). (np.isin would
+        import numpy.ma on its first call, ~15 ms of a fresh process.)"""
         if pairs.pairing not in self._pair_ids:
             codes, row_ids = np.unique(self.table.pair_ids(pairs.pairing), return_inverse=True)
             self._pair_ids[pairs.pairing] = dict(zip(codes.tolist(), range(len(codes)))), row_ids

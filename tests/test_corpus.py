@@ -836,9 +836,9 @@ def key(word):
 
 
 def entry(rows, word):
-    """The column of ``word``'s entry in the row index ``rows``."""
-    [column] = np.flatnonzero(rows[0] == key(word))
-    return column
+    """The column of ``word``'s first entry, that of its first row, in the
+    row index ``rows`` of a table where no other word has its key."""
+    return np.flatnonzero(rows[0] == key(word))[0]
 
 
 def by_key(rows):
@@ -973,7 +973,7 @@ class TestTableIndex:
                                         "other-word", "unordered-offsets", "pickled",
                                         "other-version", "unordered-keys",
                                         "end-past-the-file", "end-inside-its-row",
-                                        "unhashed-row", "two-entries"])
+                                        "unhashed-row"])
     def test_a_doubtful_index_means_a_parse_that_rewrites_it(self, tmp_path, table_cache,
                                                              damage):
         path = self.table(tmp_path / "emb.txt")
@@ -1015,13 +1015,10 @@ class TestTableIndex:
         elif damage == "end-inside-its-row":  # "d 1e308 -2e-3" read as "d 1e308 -2"
             rows[2, entry(rows, "d")] -= 4
             rewrite_index(index, rows=rows)
-        elif damage == "unhashed-row":  # the row of "b" under the key of "a" as well
+        else:  # "unhashed-row": the row of "b" under the key of "a" as well
             extra = rows[:, [entry(rows, "b")]]
             extra[0] = key("a")
             rewrite_index(index, rows=by_key(np.hstack([rows, extra])))
-        else:  # "café" has two entries
-            rewrite_index(index, rows=by_key(rows[:, np.r_[:rows.shape[1],
-                                                           entry(rows, "café")]]))
         emb, parsed = self.load(path)
         assert parsed
         assert store_rows(emb) == reference_rows(path, INDEXED)
@@ -1031,23 +1028,18 @@ class TestTableIndex:
         assert not parsed
         assert store_rows(warm) == store_rows(emb)
 
-    def test_the_index_holds_each_word_once_sorted_by_key(self, tmp_path, table_cache):
+    def test_the_index_holds_each_row_once_sorted_by_key(self, tmp_path, table_cache):
         path = self.table(tmp_path / "emb.txt")
         self.load(path)
         [index] = indexes(table_cache)
-        rows = index_rows(index)
         data = path.read_bytes()
-        firsts = {}  # the offset of each word's first row
-        for line in re.finditer(rb"[^\n]*\n", data):
-            if line.group().strip():
-                firsts.setdefault(line.group().split()[0].decode("utf-8"),
-                                  line.start())
-        starts = sorted(firsts.values())
-        ends = dict(zip(starts, starts[1:] + [len(data)]))
-        # the later row of "a" ends the row before it
-        ends[firsts["日本"]] = data.index(b"a 9 9")
-        assert rows.tolist() == by_key(np.array(
-            [[key(word), start, ends[start]] for word, start in firsts.items()]).T).tolist()
+        rows = [line for line in re.finditer(rb"[^\n]*\n", data) if line.group().strip()]
+        starts = [line.start() for line in rows]
+        # a row ends where the next one starts, after its blank lines
+        expected = [[key(line.group().split()[0].decode("utf-8")), start, end]
+                    for line, start, end in zip(rows, starts, starts[1:] + [len(data)])]
+        assert index_rows(index).tolist() == by_key(np.array(expected).T).tolist()
+        assert data.index(b"a 9 9") in index_rows(index)[1]  # the later row of "a"
 
     @pytest.mark.parametrize("vocab", [{"plumless"}, {"buckeroo", "plumless", "a"},
                                        {"gnu"}, {"codding", "gnu"}, {"plumless", "gnu"}],
@@ -1064,13 +1056,56 @@ class TestTableIndex:
         cold, parsed = self.load(path, vocab)
         assert parsed
         [index] = indexes(table_cache)
-        # one entry per word, for its first row, by key; those of a pair in file order
+        # one entry per row, by key; those of a key in file order
         assert index_rows(index).tolist() == [
-            [key("plumless"), key("buckeroo"), key("codding"), key("a")],
-            [0, 19, 46, 13], [13, 32, 59, 19]]
+            [key("plumless")] * 4 + [key("codding"), key("a")],
+            [0, 19, 32, 59, 46, 13], [13, 32, 46, 74, 59, 19]]
         warm, parsed = self.load(path, vocab)
         assert not parsed
         assert store_rows(warm) == store_rows(cold) == reference_rows(path, vocab)
+
+    def test_writing_the_index_reads_no_row_again(self, tmp_path, table_cache):
+        """Rows of one key, those of a repeated word and of a CRC-32 pair, each
+        get an entry as the parse found them: no word is read a second time."""
+        path = write_lines(tmp_path / "emb.txt", [
+            "plumless 1 2", "buckeroo 3 4", "w 5 6", "w 7 8", "x 9 10"])
+        with mock.patch.object(os, "pread", wraps=os.pread) as pread:
+            cold, parsed = self.load(path, {"plumless", "w"})
+        assert parsed and pread.call_count == 0
+        [index] = indexes(table_cache)
+        assert index_rows(index).shape == (3, 5)
+
+    def test_an_index_of_first_rows_only_loads(self, tmp_path, table_cache):
+        """An index that holds only each word's first row, as format 2 was
+        first written, gives the store a parse gives."""
+        path = write_lines(tmp_path / "emb.txt", [
+            "plumless 1 2", "a 3 4", "buckeroo 5 6", "plumless 7 8", "", "a x 9"])
+        vocab = {"plumless", "buckeroo", "a"}
+        cold, parsed = self.load(path, vocab)
+        [index] = indexes(table_cache)
+        rows = index_rows(index)
+        firsts = rows[:, np.isin(rows[1], [0, 13, 19])]  # plumless, a, buckeroo
+        assert rows.shape == (3, 5)
+        rewrite_index(index, rows=firsts)
+        warm, parsed = self.load(path, vocab)
+        assert not parsed
+        assert store_rows(warm) == store_rows(cold) == reference_rows(path, vocab)
+        assert index_rows(index).tolist() == firsts.tolist()  # read, not rewritten
+
+    def test_a_words_later_rows_are_skipped_across_blocks(self, tmp_path, table_cache):
+        """A parse skips a word's later rows, counted but not converted, in
+        whatever block they are, and so does a warm load: "w x 5" is read
+        there, one row per block, after the block of "w 1 2"."""
+        path = write_lines(tmp_path / "emb.txt", [
+            "w 1 2", "x 3 4", "w x 5", "plumless 6 7", "buckeroo 8 9"])
+        vocab = {"w", "plumless"}
+        with mock.patch.object(brex.corpus, "_EMBEDDING_BLOCK", 1):
+            cold, parsed = self.load(path, vocab)
+            assert parsed and indexes(table_cache)
+            warm, parsed = self.load(path, vocab)
+        assert not parsed
+        assert store_rows(warm) == store_rows(cold) == reference_rows(path, vocab)
+        assert warm.lookup("w").tolist() == [1, 2]
 
     @given(st.lists(st.text("abcdef", min_size=1, max_size=3), min_size=1, max_size=30,
                     unique=True),
