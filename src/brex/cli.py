@@ -239,7 +239,8 @@ class RunInputs:
     one must run one after another. The inputs are digested only when a
     manifest first asks, before ingest reads them; the digests of the corpus
     and the table then also key their indexes (see load_corpus and
-    load_embeddings), so each input is hashed once."""
+    load_embeddings), so a run hashes each input at most once, and an input
+    whose digest memo matches it (see brex.corpus.file_sha256) not at all."""
 
     def __init__(self, args):
         self.paths = (args.corpus, args.embeddings, args.seeds)

@@ -41,7 +41,10 @@ sentence, the counts and the rejected records, and a later load decodes only
 the lines of the sentences (see load_corpus). Both indexes go through one
 path rule, writer and reader (_index_path, _write_index, _read_index), and
 both are read only while the file is the one the digest was taken of
-(HashedPath.unchanged).
+(HashedPath.unchanged). Each file is hashed once per version: file_sha256
+keeps a digest memo in that directory, one small file per inode, and a
+later call on a file whose device, inode, size, mtime and ctime are the
+memo's reads the digest there instead of the file.
 
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
@@ -76,9 +79,11 @@ import math
 import operator
 import os
 import pickle
+import re
 import signal
 import stat
 import tempfile
+import time
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -412,11 +417,12 @@ _MIN_TABLE_RANGE_BYTES = 512 << 10
 
 class HashedPath(str):
     """A path to a file, with the sha256 of the file's bytes and the file's
-    identity (see _identity) from just before they were read. A caller that
-    digests its inputs anyway (brex.cli, for the run's manifest) hands these
-    to load_embeddings and load_corpus, which then need no second read to
-    find the table's row index or the corpus's record index, and tell by the
-    identity (see unchanged) a file replaced since it was digested."""
+    identity (see _identity) from just before they were hashed or their
+    digest memo was read (see file_sha256). A caller that digests its inputs
+    anyway (brex.cli, for the run's manifest) hands these to load_embeddings
+    and load_corpus, which then need no second digest to find the table's
+    row index or the corpus's record index, and tell by the identity (see
+    unchanged) a file replaced or rewritten since it was digested."""
 
     def __new__(cls, path):
         self = super().__new__(cls, path)
@@ -431,28 +437,100 @@ class HashedPath(str):
 
 
 def _identity(path):
-    """The inode, size and mtime of the file ``path`` (or of the open file
-    descriptor ``path``); None when it cannot be read."""
+    """The device, inode, size, mtime and ctime (both in ns) of the file
+    ``path`` (or of the open file descriptor ``path``); None when it cannot
+    be read. Every write to a file and every change of its mtime moves its
+    ctime, so a file rewritten in place with its size and mtime restored has
+    another identity."""
     try:
-        st = os.stat(path)
+        return _stat_identity(os.stat(path))
     except OSError:
         return None
-    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _stat_identity(st: os.stat_result) -> tuple:
+    """The identity (see _identity) that the stat result ``st`` gives."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+# A digest memo is written only for a file whose mtime and ctime are both at
+# least this much older than the clock just before the hash (git's rule for
+# racily clean files): a file rewritten within one timestamp tick of the hash
+# may keep its identity, and its memo would then hold the old bytes' digest.
+_MEMO_MARGIN_NS = 2_000_000_000
+
+# The format of the digest memos; a memo of another format is rewritten.
+_MEMO_VERSION = 1
+
+# A memo ends in the digest: 64 lowercase hex digits and a line end.
+_MEMO_DIGEST = re.compile(rb"[0-9a-f]{64}\n")
 
 
 def file_sha256(path) -> str | None:
     """The hex sha256 of the regular file ``path``; None for an unreadable
-    file or anything else, such as a pipe, which its reader must read first."""
-    if not os.path.isfile(path):
-        return None
+    file or anything else, such as a pipe, which its reader must read first.
+
+    Each version of a file is hashed once: the digest is kept in a memo in
+    the cache directory (see _cache_dir), ``DEVICE-INODE.sha256``, which
+    holds the file's identity (see _identity), the memo format and the
+    digest, and a file whose identity is the memo's is not read again. A
+    memo is written only when the file kept its identity while it was
+    hashed, and its mtime and ctime are older than the clock just before the
+    hash by ``_MEMO_MARGIN_NS`` (2 s). A missing, unreadable, malformed or
+    mismatched memo means a hash, which rewrites it; a cache directory that
+    cannot be written means a hash every time."""
     try:
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                digest.update(chunk)
-        return digest.hexdigest()
+        st = os.stat(path)
     except OSError:
         return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    identity = _stat_identity(st)
+    directory = _cache_dir()
+    memo = directory and os.path.join(directory, "%d-%d.sha256" % identity[:2])
+    digest = memo and _memo_digest(memo, identity)
+    if digest:
+        return digest
+    started = time.time_ns()
+    try:
+        with open(path, "rb") as fh:
+            digest = _sha256(fh)
+            hashed = _stat_identity(os.fstat(fh.fileno()))
+    except OSError:
+        return None
+    if memo and hashed == identity and \
+            max(st.st_mtime_ns, st.st_ctime_ns) < started - _MEMO_MARGIN_NS:
+        line = _memo_head(identity) + digest.encode() + b"\n"
+        _write_cache(memo, lambda fh: fh.write(line))
+    return digest
+
+
+def _sha256(fh) -> str:
+    """The hex sha256 of the bytes the binary file ``fh`` has left."""
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 16), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _memo_head(identity: tuple) -> bytes:
+    """A memo's text before the digest: its format and the file's identity."""
+    return " ".join(map(str, (_MEMO_VERSION, *identity))).encode() + b" "
+
+
+def _memo_digest(memo: str, identity: tuple) -> str | None:
+    """The digest the memo at ``memo`` holds for the file of ``identity``;
+    None when the memo is missing, unreadable or malformed, or is another
+    format's or another identity's."""
+    try:
+        with open(memo, "rb") as fh:
+            text = fh.read(512)
+    except OSError:
+        return None
+    head = _memo_head(identity)
+    if text.startswith(head) and _MEMO_DIGEST.fullmatch(text, len(head)):
+        return text[len(head):-1].decode()
+    return None
 
 
 def load_embeddings(path, vocab) -> EmbeddingStore:
@@ -505,7 +583,7 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     # of a table replaced since it was digested are not the digest's
     if index and not part and all(r is not None for r in rows) and hashed.unchanged():
         _write_index(index, _index_key(hashed.sha256),
-                     rows=_row_index(rows, hashed.identity[1]))
+                     rows=_row_index(rows, hashed.identity[2]))
     vectors = {}
     for words, values, _ in parts:
         values.setflags(write=False)  # a part unpickled from a worker is writable
@@ -518,18 +596,25 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
 _INDEX_VERSION = 2
 
 
-def _index_path(digest: str | None, name: str = "") -> str | None:
-    """Where the index of the file with sha256 ``digest`` lives:
-    ``$XDG_CACHE_HOME/brex/DIGEST.npz`` for a table, ``DIGEST-NAME.npz`` for
-    a corpus read under the type vocabulary that ``name`` stands for, or
-    under ``~/.cache`` when that variable is unset or not an absolute path;
-    None without a digest or a home directory."""
+def _cache_dir() -> str | None:
+    """The directory of the indexes and the digest memos:
+    ``$XDG_CACHE_HOME/brex``, or ``~/.cache/brex`` when that variable is
+    unset or not an absolute path; None without a home directory."""
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         root = os.path.join(os.path.expanduser("~"), ".cache")
-    if digest is None or not os.path.isabs(root):
+    return os.path.join(root, "brex") if os.path.isabs(root) else None
+
+
+def _index_path(digest: str | None, name: str = "") -> str | None:
+    """Where the index of the file with sha256 ``digest`` lives:
+    ``DIGEST.npz`` in the cache directory (see _cache_dir) for a table,
+    ``DIGEST-NAME.npz`` for a corpus read under the type vocabulary that
+    ``name`` stands for; None without a digest or a cache directory."""
+    directory = _cache_dir()
+    if digest is None or directory is None:
         return None
-    return os.path.join(root, "brex", digest + (name and "-" + name) + ".npz")
+    return os.path.join(directory, digest + (name and "-" + name) + ".npz")
 
 
 def _index_key(digest: str, *rest: str) -> str:
@@ -540,23 +625,29 @@ def _index_key(digest: str, *rest: str) -> str:
 
 
 def _write_index(index: str, key: str, **arrays) -> None:
-    """Store ``key`` and ``arrays`` as the index at ``index``: an uncompressed
-    npz written to a temporary file in the cache directory, made private
-    (0700) if it is new, that then replaces ``index``. A cache directory that
-    cannot be written is left as it is."""
-    directory = os.path.dirname(index)
+    """Store ``key`` and ``arrays`` as the index at ``index``, an
+    uncompressed npz (see _write_cache)."""
+    _write_cache(index, lambda fh: np.savez(fh, key=np.array(key), **arrays))
+
+
+def _write_cache(path: str, write) -> None:
+    """Make ``path`` in the cache directory the file that ``write`` writes
+    to a binary file object: a temporary file in that directory, made
+    private (0700) if it is new, that then replaces ``path``. A cache
+    directory that cannot be written is left as it is."""
+    directory = os.path.dirname(path)
     try:
         os.makedirs(directory, mode=0o700, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, key=np.array(key), **arrays)
-            os.replace(tmp, index)
+                write(fh)
+            os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     except OSError as exc:
-        log.debug("index not written: %s", exc)
+        log.debug("cache file not written: %s", exc)
 
 
 def _read_index(index: str, key: str, *names: str) -> list | None:
@@ -634,7 +725,7 @@ def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
     at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
     at = at[np.argsort(offsets[at])]
     starts, stops = offsets[at], ends[at]
-    if not ((starts >= 0) & (starts < stops) & (stops <= path.identity[1])).all():
+    if not ((starts >= 0) & (starts < stops) & (stops <= path.identity[2])).all():
         return None
     try:
         with open(path, "rb", buffering=0) as fh:
@@ -651,7 +742,7 @@ def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
     if len(words) != len(at) or (_word_keys(words, len(words)) != keys[at]).any():
         return None
     # a row cut short has no line end; an earlier one runs into the next row
-    if lines and not lines[-1].endswith("\n") and stops[-1] < path.identity[1]:
+    if lines and not lines[-1].endswith("\n") and stops[-1] < path.identity[2]:
         return None
     # the other words only share a key with a vocabulary word
     lines = [line for line, word in zip(lines, words) if word in vocab]

@@ -11,6 +11,7 @@ import os
 import re
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import brex.corpus
 from brex.corpus import EmbeddingStore, EntityPair, Instance, InstanceTable, Template, \
     TypedEntity
 from brex.errors import EmbeddingFormatError
@@ -46,6 +48,48 @@ def table_indexes(cache):
     directory ``cache``; the name of a corpus index also holds a tag of its
     type vocabulary, after a hyphen."""
     return sorted(index.stem for index in cache.glob("*.npz") if "-" not in index.stem)
+
+
+@contextlib.contextmanager
+def memo_clock(ahead=True):
+    """Run the block with the wall clock (time.time_ns) that
+    brex.corpus.file_sha256 reads before it hashes a file moved ahead by
+    twice the digest memo margin, so that files written just before count
+    as old enough for a memo; the clock as it is when ``ahead`` is false."""
+    now = time.time_ns() + (2 * brex.corpus._MEMO_MARGIN_NS if ahead else 0)
+    with mock.patch.object(time, "time_ns", return_value=now):
+        yield
+
+
+@contextlib.contextmanager
+def counted_hashes():
+    """Count the files brex.corpus hashes in the block: yields the list of
+    the names of the files whose bytes its sha256 read loop read."""
+    sha256, hashed = brex.corpus._sha256, []
+
+    def spy(fh):
+        hashed.append(fh.name)
+        return sha256(fh)
+
+    with mock.patch.object(brex.corpus, "_sha256", spy):
+        yield hashed
+
+
+def rewrite_in_place(path, data: bytes):
+    """Write ``data``, as long as the file ``path``, over its bytes in place
+    and restore its mtime; repeated until its ctime has moved (at most for
+    5 s), since a file system may keep coarse timestamps."""
+    before = os.stat(path)
+    assert len(data) == before.st_size
+    deadline = time.monotonic() + 5
+    while True:
+        with open(path, "r+b") as fh:
+            fh.write(data)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        if os.stat(path).st_ctime_ns != before.st_ctime_ns:
+            return
+        assert time.monotonic() < deadline, f"{path}: the ctime did not move"
+        time.sleep(0.01)
 
 
 def vec(*components, dim=DIM):

@@ -72,4 +72,4 @@ def test_traced_warm_run_loads_through_the_traced_name(tmp_path, table_cache):
     assert cold_instances == warm_instances > 0
     assert cold_spans == warm_spans == [1, 1]
     assert (cold_parses, warm_parses) == (2, 0)  # the warm run parses neither file
-    assert len(list(table_cache.iterdir())) == 2
+    assert len(list(table_cache.glob("*.npz"))) == 2

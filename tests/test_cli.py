@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -309,7 +310,7 @@ class TestRun:
                 mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2}), \
                 mock.patch.object(brex.corpus, "_parse_split", spy):
             assert main(run_args(data_dir, split)) == 0
-            assert len(list(cache.iterdir())) == 2  # the split parses wrote both indexes
+            assert len(list(cache.glob("*.npz"))) == 2  # the split parses wrote both indexes
         corpus_parts, table_parts = merged
         # the three ranges of each file were merged
         assert len(corpus_parts) == len(table_parts) == 3
@@ -931,30 +932,29 @@ class TestStatsAndHits:
             [first[key] for key in ("hits_by_pair", "hits_by_template", "hits")]
 
     def test_each_input_is_hashed_once(self, data_dir, tmp_path, table_cache):
-        """The manifest's digests of the corpus and the table also key their
-        indexes: a run hashes each input once, cold or warm, and `brex hits`,
-        which writes no manifest, hashes only the corpus and the table, for
-        their indexes."""
-        sha256, hashed = brex.corpus.file_sha256, []
-
-        def spy(path):
-            hashed.append(str(path))
-            return sha256(path)
-
+        """A cold run hashes each input once, and the manifest's digests of
+        the corpus and the table also key their indexes. A rerun on inputs
+        older than the digest memo margin reads their digests in the memos
+        the cold run wrote and hashes none; nor does `brex hits`."""
         inputs = [str(data_dir / name) for name in ("corpus.jsonl", "embeddings.txt",
                                                     "seeds.json")]
-        with mock.patch.object(brex.corpus, "file_sha256", spy):
-            for name in ("cold", "warm"):
-                assert main(run_args(data_dir, tmp_path / name)) == 0
-                assert sorted(hashed) == sorted(inputs)
-                hashed.clear()
+        with support.memo_clock(), support.counted_hashes() as hashed:
+            assert main(run_args(data_dir, tmp_path / "cold")) == 0
+            assert sorted(hashed) == sorted(inputs)
+            hashed.clear()
+            assert main(run_args(data_dir, tmp_path / "warm")) == 0
             assert main(hits_args(data_dir, tmp_path / "hits.json")) == 0
-            assert hashed == inputs[:2]
-        digests = json.loads((tmp_path / "warm" / "manifest.json").read_text())["inputs"]
-        assert support.table_indexes(table_cache) == [digests["embeddings"]["sha256"]]
-        [corpus_index] = set(table_cache.iterdir()) - {
-            table_cache / (digests["embeddings"]["sha256"] + ".npz")}
-        assert corpus_index.name.startswith(digests["corpus"]["sha256"] + "-")
+            assert hashed == []
+        manifests = [json.loads((tmp_path / name / "manifest.json").read_text())["inputs"]
+                     for name in ("cold", "warm")]
+        assert manifests[0] == manifests[1]
+        digests = {name: manifests[1][name]["sha256"] for name in manifests[1]}
+        assert list(digests.values()) == [
+            hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs]
+        assert support.table_indexes(table_cache) == [digests["embeddings"]]
+        [corpus_index] = [index for index in table_cache.glob("*.npz")
+                          if index.stem != digests["embeddings"]]
+        assert corpus_index.name.startswith(digests["corpus"] + "-")
 
     def test_table_replaced_after_its_digest_is_not_indexed(self, data_dir, tmp_path,
                                                             table_cache):
@@ -983,6 +983,36 @@ class TestStatsAndHits:
             assert support.table_indexes(table_cache) == []
             assert main(args) == 0  # the replacement, digested as it is now
         assert support.table_indexes(table_cache) == [brex.corpus.file_sha256(table)]
+
+
+    def test_table_rewritten_in_place_after_its_digest_is_not_indexed(
+            self, data_dir, tmp_path, table_cache):
+        """A table rewritten in place between the manifest's digest and
+        ingest, with its size and mtime restored, is read as it is then, and
+        its row offsets are not filed under the digest of the bytes it
+        replaced: its ctime moved."""
+        table = tmp_path / "embeddings.txt"
+        table.write_bytes((data_dir / "embeddings.txt").read_bytes())
+        rows = table.read_bytes().splitlines(keepends=True)
+        rewritten = b"".join(rows[::-1])  # as long, each row at another offset
+        digests = brex.cli.RunInputs.digests
+
+        def digest_then_rewrite(inputs):
+            found = digests(inputs)
+            if table.read_bytes() != rewritten:
+                support.rewrite_in_place(table, rewritten)
+            return found
+
+        args = run_args(data_dir, tmp_path / "run")
+        args[args.index("--embeddings") + 1] = str(table)
+        with mock.patch.object(brex.cli.RunInputs, "digests", digest_then_rewrite):
+            assert main(args) == 0
+            manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+            assert manifest["inputs"]["embeddings"]["sha256"] == \
+                hashlib.sha256(b"".join(rows)).hexdigest()
+            assert support.table_indexes(table_cache) == []
+            assert main(args) == 0  # the rewritten table, digested as it is now
+        assert support.table_indexes(table_cache) == [hashlib.sha256(rewritten).hexdigest()]
 
 
 class TestSweep:

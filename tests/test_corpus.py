@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import os
 import re
 import stat
 import threading
+import time
 import zipfile
 import zlib
 from pathlib import Path
@@ -801,8 +803,9 @@ INDEXED = {"a", "café", "日本", "d", "zz"}
 
 
 def indexes(cache):
-    """The row indexes in the cache directory ``cache`` (see conftest.py)."""
-    return sorted(cache.glob("*")) if cache.exists() else []
+    """The indexes in the cache directory ``cache`` (see conftest.py); the
+    digest memos beside them (see TestDigestMemo) are not indexes."""
+    return sorted(cache.glob("*.npz"))
 
 
 def store_rows(emb):
@@ -962,7 +965,8 @@ class TestTableIndex:
         with mock.patch.object(os, "replace", wraps=os.replace) as replace:
             self.load(path)
         [index] = indexes(table_cache)
-        [(tmp, target)] = [call.args for call in replace.call_args_list]
+        [(tmp, target)] = [call.args for call in replace.call_args_list
+                           if call.args[1].endswith(".npz")]
         assert (Path(tmp).parent, target) == (table_cache, str(index))
         assert stat.S_IMODE(table_cache.stat().st_mode) == 0o700
 
@@ -1688,6 +1692,143 @@ def check_table(result, sentences, vectors, limits):
                    zip((built.v_before, built.v_between, built.v_after), windows))
     with pytest.raises(IndexError):
         table[len(table)]
+
+
+def memos(cache):
+    """The digest memos in the cache directory ``cache``."""
+    return sorted(cache.glob("*.sha256"))
+
+
+class TestDigestMemo:
+    """file_sha256 keeps the digest of each file version in a memo in the
+    cache directory, written only for a file older than the margin, and
+    gives it while the file keeps its identity; any doubt means a hash."""
+
+    @staticmethod
+    def sha256(path, ahead=True):
+        """file_sha256 of ``path`` under the clock of support.memo_clock, and
+        whether it read the file's bytes."""
+        with support.memo_clock(ahead), support.counted_hashes() as hashed:
+            digest = brex.corpus.file_sha256(path)
+        return digest, hashed == [str(path)]
+
+    @staticmethod
+    def reference(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_a_memo_gives_the_digest_without_reading_the_file(self, tmp_path,
+                                                              table_cache):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 0\n")
+        assert self.sha256(path) == (self.reference(path), True)
+        st = path.stat()
+        assert [memo.name for memo in memos(table_cache)] == [
+            f"{st.st_dev}-{st.st_ino}.sha256"]
+        assert stat.S_IMODE(table_cache.stat().st_mode) == 0o700
+        with counted_reads(path) as sizes:
+            assert self.sha256(path) == (self.reference(path), False)
+        assert sizes == []
+
+    def test_a_file_inside_the_margin_is_hashed_and_gets_no_memo(self, tmp_path,
+                                                                table_cache):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 0\n")
+        for _ in range(2):
+            assert self.sha256(path, ahead=False) == (self.reference(path), True)
+        assert memos(table_cache) == []
+        # the margin's edge: a file as old as the margin is too new for a memo
+        st = path.stat()
+        edge = max(st.st_mtime_ns, st.st_ctime_ns) + brex.corpus._MEMO_MARGIN_NS
+        for now, written in ((edge, 0), (edge + 1, 1)):
+            with mock.patch.object(time, "time_ns", return_value=now):
+                assert brex.corpus.file_sha256(path) == self.reference(path)
+            assert len(memos(table_cache)) == written
+
+    def test_a_rewrite_with_size_and_mtime_restored_is_hashed_again(self, tmp_path,
+                                                                    table_cache):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 0\n")
+        self.sha256(path)
+        support.rewrite_in_place(path, b"a 0 1\n")
+        assert self.sha256(path) == (self.reference(path), True)
+        assert self.sha256(path) == (self.reference(path), False)  # its new memo
+        assert len(memos(table_cache)) == 1
+
+    def test_a_file_changed_while_it_is_hashed_gets_no_memo(self, tmp_path, table_cache):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 0\n")
+        sha256 = brex.corpus._sha256
+
+        def hash_then_rewrite(fh):
+            digest = sha256(fh)
+            support.rewrite_in_place(path, b"a 0 1\n")
+            return digest
+
+        with support.memo_clock(), \
+                mock.patch.object(brex.corpus, "_sha256", hash_then_rewrite):
+            brex.corpus.file_sha256(path)
+        assert memos(table_cache) == []
+        assert self.sha256(path) == (self.reference(path), True)
+
+    @pytest.mark.parametrize("damage", ["truncated", "other-mtime", "other-format",
+                                        "not-hex", "other-inode", "directory"])
+    def test_a_doubtful_memo_means_a_hash_that_rewrites_it(self, tmp_path, table_cache,
+                                                          damage):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 0\n")
+        self.sha256(path)
+        [memo] = memos(table_cache)
+        written = memo.read_bytes()
+        fields = written.split(b" ")
+        if damage == "truncated":
+            memo.write_bytes(written[:-2])
+        elif damage in ("other-mtime", "other-format"):
+            at = 4 if damage == "other-mtime" else 0
+            fields[at] = str(int(fields[at]) + 1).encode()
+            memo.write_bytes(b" ".join(fields))
+        elif damage == "not-hex":
+            memo.write_bytes(b" ".join(fields[:-1] + [b"g" * 64 + b"\n"]))
+        elif damage == "other-inode":  # another file's valid memo
+            other = tmp_path / "other.txt"
+            other.write_bytes(b"b 1 0\n")
+            self.sha256(other)
+            [memo_of_other] = set(memos(table_cache)) - {memo}
+            memo.write_bytes(memo_of_other.read_bytes())
+        else:
+            memo.unlink()
+            memo.mkdir()
+        assert self.sha256(path) == (self.reference(path), True)
+        if damage == "directory":  # left as it is: a hash each time
+            assert memo.is_dir()
+            assert self.sha256(path) == (self.reference(path), True)
+        else:
+            assert memo.read_bytes() == written
+            assert self.sha256(path) == (self.reference(path), False)
+
+    def test_an_unwritable_cache_means_a_hash_each_time(self, tmp_path, monkeypatch,
+                                                        caplog):
+        blocker = tmp_path / "cache"
+        blocker.write_text("")  # a file: no directory can be made under it
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 0\n")
+        for _ in range(2):
+            assert self.sha256(path) == (self.reference(path), True)
+        assert [rec for rec in caplog.records if rec.levelno >= logging.WARNING] == []
+
+    def test_a_pipe_has_no_digest(self, tmp_path, table_cache):
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, b"a 1 0\n")
+        os.close(write_fd)
+        try:
+            assert self.sha256(f"/dev/fd/{read_fd}") == (None, False)
+            assert os.read(read_fd, 100) == b"a 1 0\n"  # nothing was read
+        finally:
+            os.close(read_fd)
+        fifo = tmp_path / "emb.fifo"
+        os.mkfifo(fifo)  # opened, it would wait for a writer
+        assert self.sha256(fifo) == (None, False)
+        assert memos(table_cache) == []
 
 
 class TestFuzzedCorpus:
