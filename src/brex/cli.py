@@ -200,6 +200,8 @@ def ingest_inputs(corpus_path, embeddings_path, seeds_path,
         "dropped_entities": loaded.dropped_entities,
         "instances": len(extraction.table),
         "skipped_over_limit": extraction.skipped_over_limit,
+        "swapped_as_passive": extraction.swapped_as_passive,
+        "dropped_by_type_gate": extraction.dropped_by_type_gate,
     }
     return Ingested(spec=spec, table=extraction.table, emb=emb,
                     counters=counters)

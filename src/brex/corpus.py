@@ -69,7 +69,7 @@ list of instances, for tests and API callers.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -87,6 +87,7 @@ import time
 import zipfile
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,15 +153,17 @@ class Instance:
     tokens_between: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     start: int
     end: int
     etype: str
 
 
-@dataclass(frozen=True)
-class TaggedSentence:
+class TaggedSentence(NamedTuple):
+    """One corpus record that can yield an instance. Sentences and spans are
+    plain tuples: load_corpus makes one per kept record, and
+    extract_instances unpacks them."""
+
     sid: int
     tokens: tuple[str, ...]
     entities: tuple[EntitySpan, ...]
@@ -305,6 +308,8 @@ class InstanceTable:
 class ExtractionResult:
     table: InstanceTable
     skipped_over_limit: int = 0
+    swapped_as_passive: int = 0  # instances whose pair was swapped as passive
+    dropped_by_type_gate: int = 0  # pairs whose final type pair is not the relation's
 
 
 class EmbeddingStore:
@@ -1293,7 +1298,7 @@ def _merged(parts: list[_CorpusPart]) -> _CorpusPart:
     and line numbers counted from the first part's start."""
     whole = parts[0]
     for part in parts[1:]:
-        whole.sentences += [dataclasses.replace(sent, sid=whole.accepted + sent.sid)
+        whole.sentences += [sent._replace(sid=whole.accepted + sent.sid)
                             for sent in part.sentences]
         whole.sentence_lines += [whole.lines + n for n in part.sentence_lines]
         whole.rejected += [(whole.lines + n, why) for n, why in part.rejected]
@@ -1422,11 +1427,18 @@ def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _C
 def _sentence(record: dict, kept: list, sid: int) -> TaggedSentence:
     """The sentence ``sid`` of a record that passed _record_problem and
     _span_problem, with the entities ``kept`` in span order."""
-    spans = sorted((ent["start"], ent["end"], ent["type"]) for ent in kept)
     pos = record.get("pos")
-    return TaggedSentence(sid=sid, tokens=tuple(record["tokens"]),
-                          entities=tuple(EntitySpan(*span) for span in spans),
-                          pos=None if pos is None else tuple(pos))
+    return _new_sentence((sid, tuple(record["tokens"]),
+                          tuple(sorted([_new_span((ent["start"], ent["end"], ent["type"]))
+                                        for ent in kept])),
+                          None if pos is None else tuple(pos)))
+
+
+# _sentence's makers: tuple.__new__ runs in C, where a named tuple's own
+# __new__ is a Python function; on scale-brej's 1,516 kept records that saves
+# ~1 ms of a warm load
+_new_span = functools.partial(tuple.__new__, EntitySpan)
+_new_sentence = functools.partial(tuple.__new__, TaggedSentence)
 
 
 def _span_problem(entities: list, count: int) -> str | None:
@@ -1464,52 +1476,56 @@ def extract_instances(
     before/after windows are truncated to their limits. Empty windows yield
     zero vectors.
 
-    Each pair takes its final orientation here, once: reorder_passive decides
-    which entity is e1, and the type gate, the pair and the template's type
-    pair follow it. So under ``("PER", "ORG")`` the passive "Bolt was founded
-    by Maria" is kept as (Maria, Bolt), and under ``("ORG", "PER")`` the
-    passive "Bolt was hired by Maria" is dropped. The windows and the
-    instance id stay in sentence order.
+    Each pair takes its final orientation here, once: _passive decides
+    which entity is e1, as reorder_passive does, and the type gate, the pair
+    and the template's type pair follow it. So under ``("PER", "ORG")`` the
+    passive "Bolt was founded by Maria" is kept as (Maria, Bolt), and under
+    ``("ORG", "PER")`` the passive "Bolt was hired by Maria" is dropped. The
+    windows and the instance id stay in sentence order. The result counts
+    the instances kept after a passive swap and the pairs the type gate
+    dropped.
 
     The entity spans of each sentence must not overlap, and sids must be
     unique, as load_corpus ensures: then no instance id repeats. Spans that
     touch form a pair with an empty between window.
     """
     max_before, max_between, max_after = limits
-    # the sentences with a pair (kept), and per pair: its sentence's index
-    # in kept, its spans in sentence order, whether it was swapped, the ids
-    # of its entities' keys (in the order first seen) and its windows' rows
-    # of the context table, whose rows are built in one batch once every
-    # window has its row
-    columns = []
+    context_row = emb.context_row
+    # the sentences with a pair (kept), and per pair, flat in one list: its
+    # sentence's index in kept, its spans in sentence order, whether it was
+    # swapped, the ids of its entities' keys (in the order first seen) and
+    # its windows' rows of the context table, whose rows are built in one
+    # batch once every window has its row
+    columns: list[int] = []
     entities: dict[tuple[str, str], int] = {}
-    skipped = 0
+    skipped = dropped = 0
     kept = []
     for sent in sentences:
-        ents = sorted(sent.entities, key=lambda s: (s.start, s.end))
-        tokens = sent.tokens
+        _, tokens, spans, pos = sent
+        spans = sorted(spans)
         keys = None
-        for a_idx, ea in enumerate(ents):
-            for b_idx in range(a_idx + 1, len(ents)):
-                eb = ents[b_idx]
-                e1, e2 = reorder_passive(ea, eb, sent)
-                if (e1.etype, e2.etype) != type_pair:
+        for a_idx, (a_start, a_end, a_type) in enumerate(spans):
+            for b_idx in range(a_idx + 1, len(spans)):
+                b_start, b_end, b_type = spans[b_idx]
+                between = tokens[a_end:b_start]
+                swapped = pos is not None and _passive(between, pos[a_end + 1:b_start])
+                if ((b_type, a_type) if swapped else (a_type, b_type)) != type_pair:
+                    dropped += 1
                     continue
-                between = tokens[ea.end:eb.start]
                 if len(between) > max_between:
                     skipped += 1
                     continue
                 if keys is None:
                     kept.append(sent)
-                    keys = [entities.setdefault((" ".join(tokens[e.start:e.end]).lower(),
-                                                 e.etype), len(entities)) for e in ents]
-                swapped = e1 is eb
-                columns.append((len(kept) - 1, ea.start, ea.end, eb.start, eb.end, swapped,
-                                keys[b_idx if swapped else a_idx],
-                                keys[a_idx if swapped else b_idx],
-                                emb.context_row(tokens[max(0, ea.start - max_before):ea.start]),
-                                emb.context_row(between),
-                                emb.context_row(tokens[eb.end:eb.end + max_after])))
+                    keys = [entities.setdefault((" ".join(tokens[start:end]).lower(), etype),
+                                                len(entities))
+                            for start, end, etype in spans]
+                first, second = (b_idx, a_idx) if swapped else (a_idx, b_idx)
+                columns += (len(kept) - 1, a_start, a_end, b_start, b_end, swapped,
+                            keys[first], keys[second],
+                            context_row(tokens[max(0, a_start - max_before):a_start]),
+                            context_row(between),
+                            context_row(tokens[b_end:b_end + max_after]))
     columns = np.array(columns, dtype=np.int64).reshape(-1, 11)
     table = InstanceTable(list(emb.context_rows()), columns[:, 8:].astype(np.int32),
                           [type_pair] if len(columns) else [],
@@ -1517,7 +1533,9 @@ def extract_instances(
                           columns[:, 6:8].astype(np.int32), kept, columns[:, :6])
     if skipped:
         log.info("skipped %d entity pairs over the between-window limit", skipped)
-    return ExtractionResult(table=table, skipped_over_limit=skipped)
+    return ExtractionResult(table=table, skipped_over_limit=skipped,
+                            swapped_as_passive=int(columns[:, 5].sum()),
+                            dropped_by_type_gate=dropped)
 
 
 _TO_BE = {"be", "am", "is", "are", "was", "were", "been", "being"}
@@ -1527,19 +1545,23 @@ _PAST_TAGS = {"VBD", "VBN"}  # Penn Treebank past tense / past participle
 def reorder_passive(ea: EntitySpan, eb: EntitySpan,
                     sent: TaggedSentence) -> tuple[EntitySpan, EntitySpan]:
     """The spans ``ea`` and ``eb`` of ``sent``, in sentence order, as (e1, e2):
-    swapped when the tokens between them are a passive construction.
-
-    The pattern: some form of "to be" directly followed by a verb tagged past
-    tense or past participle, with the final between token being "by". Without
-    POS tags the heuristic is disabled and the spans keep their order.
+    swapped when the tokens between them are a passive construction (see
+    _passive). Without POS tags the heuristic is disabled and the spans keep
+    their order.
     """
-    toks = sent.tokens[ea.end:eb.start]
-    if not sent.pos or len(toks) < 3 or toks[-1].lower() != "by":
-        return ea, eb
-    tags = sent.pos[ea.end + 1:eb.start]  # the tag of the token after each of toks
-    if any(tok.lower() in _TO_BE and tag in _PAST_TAGS for tok, tag in zip(toks, tags)):
+    if sent.pos and _passive(sent.tokens[ea.end:eb.start], sent.pos[ea.end + 1:eb.start]):
         return eb, ea
     return ea, eb
+
+
+def _passive(between, tags) -> bool:
+    """Whether the tokens ``between`` two entities are a passive
+    construction: some form of "to be" directly followed by a verb tagged
+    past tense or past participle, with the final between token being "by".
+    ``tags`` holds the tag of the token after each between token but the
+    last ("by", whose next token is the second entity's)."""
+    return len(between) > 2 and between[-1].lower() == "by" and any(
+        tok.lower() in _TO_BE and tag in _PAST_TAGS for tok, tag in zip(between, tags))
 
 
 def parse_seed_templates(raw, emb: EmbeddingStore,
@@ -1582,8 +1604,9 @@ def parse_seed_file(path) -> SeedFileSpec:
     ``relation`` and ``type_pair`` are required; an absent list is empty.
     Each value is read with json_value: the relation is a string, the type
     pair and each seed pair a list of two strings, each template a string.
-    A value of another type, a missing key or a template without exactly one
-    [X] before exactly one [Y] raises SeedFormatError naming the file.
+    A value of another type, a missing key, a template without exactly one
+    [X] before exactly one [Y], or a positive template whose whitespace tokens
+    are those of a negative one raises SeedFormatError naming the file.
     """
     data = json_object(path, SeedFormatError)
     try:
@@ -1606,4 +1629,9 @@ def parse_seed_file(path) -> SeedFileSpec:
                 raise SeedFormatError(f"{where}: needs exactly one [X] and one [Y]")
             if tokens.index("[X]") > tokens.index("[Y]"):
                 raise SeedFormatError(f"{where}: [X] must precede [Y]")
+    negatives = {tuple(text.split()) for text in spec.negative_templates}
+    for text in spec.positive_templates:
+        if tuple(text.split()) in negatives:
+            raise SeedFormatError(f"{path}: 'positive_templates' entry {text!r}: appears in "
+                                  "both positive and negative templates")
     return spec

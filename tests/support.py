@@ -134,21 +134,28 @@ def reference_instances(sentences, vectors: dict, dim: int, limits, type_pair):
     sentence, in span order, whose type pair after the passive swap
     (is_passive) is ``type_pair`` and whose between window holds at most
     max_between tokens, with the context vectors of reference_context; and
-    the count of the pairs of the type pair skipped over that limit. The
-    oracle for the instance table of brex.corpus.extract_instances."""
+    the counts of extract_instances' result: the pairs of the type pair
+    skipped over that limit, the instances swapped as passive and the pairs
+    of another type pair. The oracle for the instance table of
+    brex.corpus.extract_instances."""
     max_before, max_between, max_after = limits
-    instances, skipped = [], 0
+    instances = []
+    counts = dict.fromkeys(("skipped_over_limit", "swapped_as_passive",
+                            "dropped_by_type_gate"), 0)
     for sent in sentences:
         tokens = sent.tokens
         spans = sorted(sent.entities, key=lambda s: (s.start, s.end))
         for a, b in itertools.combinations(spans, 2):
-            e1, e2 = (b, a) if is_passive(sent, a.end, b.start) else (a, b)
+            swapped = is_passive(sent, a.end, b.start)
+            e1, e2 = (b, a) if swapped else (a, b)
             if (e1.etype, e2.etype) != tuple(type_pair):
+                counts["dropped_by_type_gate"] += 1
                 continue
             between = tokens[a.end:b.start]
             if len(between) > max_between:
-                skipped += 1
+                counts["skipped_over_limit"] += 1
                 continue
+            counts["swapped_as_passive"] += swapped
             windows = (tokens[max(0, a.start - max_before):a.start], between,
                        tokens[b.end:b.end + max_after])
             pair = EntityPair(*(TypedEntity(" ".join(tokens[e.start:e.end]), e.etype)
@@ -158,7 +165,7 @@ def reference_instances(sentences, vectors: dict, dim: int, limits, type_pair):
                 template=Template(*(reference_context(vectors, w, dim) for w in windows),
                                   type_pair=pair.types),
                 sentence_ref=sent.sid, tokens_between=tuple(between)))
-    return instances, skipped
+    return instances, counts
 
 
 def axis(k, dim=DIM):

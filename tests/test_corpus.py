@@ -1,7 +1,6 @@
 """Ingestion: corpus parsing, embeddings, windowing, passive reordering, seeds."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -26,6 +25,7 @@ import brex.cli
 import brex.corpus
 from brex.cli import ingest_inputs
 from brex.corpus import (
+    EmbeddingStore,
     EntitySpan,
     LoadedCorpus,
     TaggedSentence,
@@ -35,6 +35,7 @@ from brex.corpus import (
     load_embeddings,
     parse_seed_file,
     parse_seed_templates,
+    reorder_passive,
 )
 from brex.errors import CorpusFormatError, EmbeddingFormatError, SeedFormatError
 from brex.model import RunConfig, build_seed_state
@@ -209,7 +210,8 @@ class TestCandidateSentences:
         ]
         assert ingested.counters == {"sentences": 7, "rejected_records": 1,
                                      "dropped_entities": 3, "instances": 3,
-                                     "skipped_over_limit": 0}
+                                     "skipped_over_limit": 0, "swapped_as_passive": 1,
+                                     "dropped_by_type_gate": 0}
 
     def test_interleaved_records_only_shift_sids(self, tmp_path):
         fixture = build_planted_fixture(n_sentences=80)
@@ -1656,13 +1658,15 @@ def passive_row(first, second):
 def check_table(result, sentences, vectors, limits):
     """Every column of the instance table of ``result`` (extract_instances of
     ``sentences``), and every Instance it builds, against the reference
-    builder (support.reference_instances) over the table rows ``vectors``;
-    and that a row's Instance is built on its first read only. The table
-    keeps the sentences with a row only, in sentence order."""
+    builder (support.reference_instances) over the table rows ``vectors``,
+    with the result's counts; and that a row's Instance is built on its
+    first read only. The table keeps the sentences with a row only, in
+    sentence order."""
     table = result.table
-    expected, skipped = support.reference_instances(sentences, vectors, 3, limits,
-                                                    FUZZ_TYPES)
-    assert (len(table), result.skipped_over_limit) == (len(expected), skipped)
+    expected, counts = support.reference_instances(sentences, vectors, 3, limits,
+                                                   FUZZ_TYPES)
+    assert len(table) == len(expected)
+    assert {key: getattr(result, key) for key in counts} == counts
     assert table.type_pairs == [FUZZ_TYPES] * bool(expected)
     assert [sent.sid for sent in table.sentences] == sorted(
         {instance.sentence_ref for instance in expected})
@@ -1902,7 +1906,7 @@ class TestFuzzedCorpus:
                 assert key[0] == pair.types == FUZZ_TYPES  # the gate reads the swapped pair
         loaded, _, instances, logged = one
         accepted = [outcome for (_, outcome), _, _ in rows if not isinstance(outcome, str)]
-        assert loaded.sentences == [dataclasses.replace(sent, sid=sid)
+        assert loaded.sentences == [sent._replace(sid=sid)
                                     for sid, (sent, _) in enumerate(accepted) if sent]
         dropped = sum(dropped for _, dropped in accepted)
         assert (loaded.accepted_records, loaded.rejected_records,
@@ -2085,8 +2089,52 @@ class TestExtractInstances:
             assert first.template.key() == second.template.key()  # bit-equal vectors
 
 
+PASSIVE_WORDS = ("Acme", "was", "Were", "been", "bought", "by", "BY")
+
+
+@st.composite
+def passive_sentences(draw):
+    """A sentence of two or three one-token ORG spans, tagged or not. Its
+    other tokens are forms of "to be", a verb and "by" under any tags, and
+    the tokens before a second or third span often end in "by"; the span's
+    own token, whose tag follows that "by", may be tagged VBN too."""
+    tokens, spans = [], []
+    for k in range(draw(st.integers(2, 3))):
+        gap = [draw(st.sampled_from(PASSIVE_WORDS)) for _ in range(draw(st.integers(0, 4)))]
+        if k and gap and draw(st.booleans()):
+            gap[-1] = draw(st.sampled_from(["by", "BY"]))
+        tokens += gap
+        spans.append((len(tokens), len(tokens) + 1, "ORG"))
+        tokens.append("Bolt")
+    tokens += [draw(st.sampled_from(PASSIVE_WORDS)) for _ in range(draw(st.integers(0, 2)))]
+    tags = draw(st.none() | st.lists(st.sampled_from(FUZZ_TAGS), min_size=len(tokens),
+                                     max_size=len(tokens)))
+    return sentence(tokens, spans, pos=tags)
+
+
 class TestReorderPassive:
-    """extract_instances orients each pair once, through reorder_passive."""
+    """extract_instances orients each pair once, by the passive rule that
+    reorder_passive applies."""
+
+    @given(sent=passive_sentences())
+    # "by" ends the between tokens, and the tag after it is the second
+    # span's: only the tag of "by" itself, after "was", decides
+    @example(sent=sentence(["Acme", "it", "was", "by", "Bolt"], [(0, 1, "ORG"), (4, 5, "ORG")],
+                           pos=["NNP", "NNP", "VBD", "VBN", "VBN"]))
+    @example(sent=sentence(["Acme", "it", "was", "by", "Bolt"], [(0, 1, "ORG"), (4, 5, "ORG")],
+                           pos=["NNP", "NNP", "VBD", "IN", "VBN"]))
+    @settings(max_examples=200, deadline=None)
+    def test_one_passive_rule(self, sent):
+        """reorder_passive swaps a pair exactly when support.is_passive holds,
+        and so does extract_instances: the table's swap column is is_passive
+        of each row's pair."""
+        passive = []
+        for ea, eb in itertools.combinations(sent.entities, 2):
+            passive.append(is_passive(sent, ea.end, eb.start))
+            assert reorder_passive(ea, eb, sent) == ((eb, ea) if passive[-1] else (ea, eb))
+        result = extract_instances([sent], EmbeddingStore(3, {}), (2, 20, 2), ("ORG", "ORG"))
+        assert result.table.spans[:, 5].tolist() == passive
+        assert (result.swapped_as_passive, result.dropped_by_type_gate) == (sum(passive), 0)
 
     PASSIVE = (["Reebok", "was", "acquired", "by", "Adidas"],
                [(0, 1, "ORG"), (4, 5, "ORG")])
@@ -2111,13 +2159,17 @@ class TestReorderPassive:
         sent = sentence(["Bolt", "was", "founded", "by", "Maria"],
                         [(0, 1, "ORG"), (4, 5, "PER")],
                         pos=["NNP", "VBD", "VBN", "IN", "NNP"])
-        [inst] = instances_of(extract_instances([sent], emb4, (2, 6, 2), ("PER", "ORG")).table)
+        result = extract_instances([sent], emb4, (2, 6, 2), ("PER", "ORG"))
+        [inst] = instances_of(result.table)
         assert inst.pair.types == inst.template.type_pair == ("PER", "ORG")
         assert (inst.pair.e1.surface, inst.pair.e2.surface) == ("Maria", "Bolt")
         assert inst.id == "s0:0.1-4.5"
-        assert not len(extract_instances([sent], emb4, (2, 6, 2), ("ORG", "PER")).table)
+        assert (result.swapped_as_passive, result.dropped_by_type_gate) == (1, 0)
+        result = extract_instances([sent], emb4, (2, 6, 2), ("ORG", "PER"))
+        assert not len(result.table)
+        assert (result.swapped_as_passive, result.dropped_by_type_gate) == (0, 1)
         # without the passive, the sentence order is the pair's
-        active = dataclasses.replace(sent, pos=None)
+        active = sent._replace(pos=None)
         assert not len(extract_instances([active], emb4, (2, 6, 2), ("PER", "ORG")).table)
         [inst] = instances_of(extract_instances([active], emb4, (2, 6, 2), ("ORG", "PER")).table)
         assert inst.pair.types == inst.template.type_pair == ("ORG", "PER")
@@ -2192,6 +2244,21 @@ class TestSeedFile:
         assert spec.type_pair == ("ORG", "ORG")
         assert ("Adidas", "Reebok") in spec.positive_pairs
         assert spec.negative_pairs == [("A", "B")]
+
+    @pytest.mark.parametrize("negative", ["[X] acquire [Y]", " [X]\tacquire  [Y] "])
+    def test_template_in_both_lists_errors(self, tmp_path, negative):
+        """A negative template whose whitespace tokens are those of a positive
+        one raises, naming the file and the positive template."""
+        path = write_seeds(tmp_path, positive_templates=["[X] buy [Y]", "[X] acquire [Y]"],
+                           negative_templates=["[X] sell [Y]", negative])
+        with pytest.raises(SeedFormatError, match=re.escape(
+                f"{path}: 'positive_templates' entry '[X] acquire [Y]': appears in both "
+                "positive and negative templates")):
+            parse_seed_file(path)
+        path = write_seeds(tmp_path, positive_templates=["[X] acquire [Y]"],
+                           negative_templates=["[X] acquire it [Y]", "acquire [X] [Y]"])
+        assert parse_seed_file(path).negative_templates == ["[X] acquire it [Y]",
+                                                            "acquire [X] [Y]"]
 
     def test_missing_key_errors(self, tmp_path):
         path = tmp_path / "seeds.json"
