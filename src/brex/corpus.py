@@ -36,15 +36,15 @@ keyed by the table's sha256, and a later load of a table with that digest
 looks up the keys of its vocabulary there and reads only their rows (see
 load_embeddings). The index holds no vectors and no words, and the store it
 gives is the one a parse gives. A corpus is validated once per type
-vocabulary the same way: its index holds the line and the sid of each
-sentence, the counts and the rejected records, and a later load decodes only
-the lines of the sentences (see load_corpus). Both indexes go through one
-path rule, writer and reader (_index_path, _write_index, _read_index), and
-both are read only while the file is the one the digest was taken of
-(HashedPath.unchanged). Each file is hashed once per version: file_sha256
-keeps a digest memo in that directory, one small file per inode, and a
-later call on a file whose device, inode, size, mtime and ctime are the
-memo's reads the digest there instead of the file.
+vocabulary the same way: its index holds the sentences a parse kept, as
+columns, the counts and the rejected records, and a later load builds the
+sentences from them and never opens the corpus (see load_corpus). Both
+indexes go through one path rule, writer and reader (_index_path,
+_write_index, _read_index), and both are read only while the file is the
+one the digest was taken of (HashedPath.unchanged). Each file is hashed
+once per version: file_sha256 keeps a digest memo in that directory, one
+small file per inode, and a later call on a file whose device, inode, size,
+mtime and ctime are the memo's reads the digest there instead of the file.
 
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
@@ -69,7 +69,10 @@ list of instances, for tests and API callers.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
+import gc
 import hashlib
 import io
 import itertools
@@ -587,7 +590,7 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     # a part without rows has no offsets (see _parse_range), and the offsets
     # of a table replaced since it was digested are not the digest's
     if index and not part and all(r is not None for r in rows) and hashed.unchanged():
-        _write_index(index, _index_key(hashed.sha256),
+        _write_index(index, _index_key(hashed.sha256, _INDEX_VERSION),
                      rows=_row_index(rows, hashed.identity[2]))
     vectors = {}
     for words, values, _ in parts:
@@ -597,8 +600,10 @@ def load_embeddings(path, vocab) -> EmbeddingStore:
     return EmbeddingStore(dimension, vectors)
 
 
-# The format of the indexes; an index of another version is rewritten.
+# The formats of the table and of the corpus indexes; an index of another
+# format is rewritten.
 _INDEX_VERSION = 2
+_CORPUS_INDEX_VERSION = 3
 
 
 def _cache_dir() -> str | None:
@@ -622,11 +627,11 @@ def _index_path(digest: str | None, name: str = "") -> str | None:
     return os.path.join(directory, digest + (name and "-" + name) + ".npz")
 
 
-def _index_key(digest: str, *rest: str) -> str:
+def _index_key(digest: str, version: int, *rest: str) -> str:
     """The key an index stores and is read under: the digest of its file,
-    the index format and ``rest``, what else the index depends on (the type
-    vocabulary a corpus was read under)."""
-    return " ".join([digest, str(_INDEX_VERSION), *rest])
+    the index format ``version`` and ``rest``, what else the index depends
+    on (the type vocabulary a corpus was read under)."""
+    return " ".join([digest, str(version), *rest])
 
 
 def _write_index(index: str, key: str, **arrays) -> None:
@@ -714,7 +719,7 @@ def _indexed_part(path: HashedPath, index: str, dimension: int, vocab):
     not parsed, so an index that holds only each word's first row gives the
     same part. The bytes from a row's offset to its end are the row and the
     blank lines after it."""
-    arrays = _read_index(index, _index_key(path.sha256), "rows")
+    arrays = _read_index(index, _index_key(path.sha256, _INDEX_VERSION), "rows")
     if arrays is None:
         return None
     [rows] = arrays
@@ -1217,25 +1222,28 @@ def _record_problem(record: dict) -> str | None:
 #   one      0.031  0.038    0.035  0.054  0.127  0.159  0.230
 #   two      0.022  0.029    0.023  0.041  0.075  0.111  0.134
 #   won      13/16  12/16    16/16  14/16  16/16  16/16  16/16
-# and on a dense corpus, where 79% are (scale-brej's, repeated):
-#   dense    1.3 MiB  2.2 MiB  3.9 MiB  8.6 MiB
-#   one      0.062    0.118    0.234    0.636
-#   two      0.079    0.163    0.271    0.750
-#   won      1/10     1/10     2/10     1/10
-# (Each size was measured at its own time; compare within a column.) A
-# worker pickles its kept sentences back, so a sparse corpus gains from
-# the split at every size and a dense one loses at every size. The floor
-# does not tell them apart; it stays, so that a corpus splits from 4 MiB on.
+# (each size at its own time; compare within a column). On a dense corpus,
+# where 79% are (scale-brej's, repeated), two ranges took 0.22 s against
+# 0.20 s for one at 4.3 MiB and 0.40 s against 0.43 s at 8.6 MiB (medians
+# of 10). The floor stays, so that a corpus splits from 4 MiB on.
 _MIN_CORPUS_RANGE_BYTES = 2 << 20
 
 
 @dataclass
 class _CorpusPart:
     """What bytes of the corpus give, with sids and line numbers counted from
-    their first record and their first line."""
+    their first record and their first line. The kept sentences are columns
+    (see _sentences): each one's sid, token count, span count and whether it
+    has POS tags, then all their tokens, spans (start, end and type id, one
+    after another) and tags, in sentence order."""
 
-    sentences: list[TaggedSentence] = field(default_factory=list)
-    sentence_lines: list[int] = field(default_factory=list)  # the line of each sentence
+    sids: list[int] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)
+    span_counts: list[int] = field(default_factory=list)
+    tagged: list[bool] = field(default_factory=list)
+    tokens: list[str] = field(default_factory=list)
+    spans: list[int] = field(default_factory=list)
+    tags: list[str] = field(default_factory=list)
     accepted: int = 0
     dropped: int = 0
     rejected: list[tuple[int, str]] = field(default_factory=list)  # (line, why)
@@ -1258,39 +1266,55 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     sentences, counts and warnings are those of one pass.
 
     A corpus is validated once per type vocabulary: after a parse that raised
-    no error, the line and the sid of each sentence, the counts and the line
-    and reason of each rejected record are stored in an index in the cache
-    directory, keyed by the corpus's sha256 (that of a HashedPath, else
+    no error, its sentences as columns, the counts and the line and reason of
+    each rejected record are stored in an index in the cache directory (see
+    _corpus_arrays), keyed by the corpus's sha256 (that of a HashedPath, else
     computed here) and the sorted ``type_vocab`` (see _index_path). A later
-    load with that key reads the corpus's text lines, sends only the lines of
-    the sentences through the record checks, and logs the stored warnings,
-    so it gives what the parse gave. A missing, corrupt or mismatched index,
-    an indexed line that no longer gives its sentence, or a corpus replaced
+    load with that key builds the sentences from the columns, after checks
+    on whole arrays, logs the stored warnings and never opens the corpus, so
+    it gives what the parse gave. A missing, corrupt or mismatched index,
+    columns that no parse gives (see _indexed_corpus), or a corpus replaced
     since it was digested means the parse, which rewrites the index unless
     the corpus was replaced. A pipe has no digest and is parsed every time.
     """
     hashed = path if isinstance(path, HashedPath) else HashedPath(path)
-    types = json.dumps(sorted(type_vocab))
-    index = _index_path(hashed.sha256, hashlib.sha256(types.encode()).hexdigest()[:16])
-    key = index and _index_key(hashed.sha256, types)
-    corpus = index and _indexed_corpus(hashed, index, key, type_vocab)
-    if not corpus:
-        try:
-            corpus = _merged(_parse_split(
-                path, _MIN_CORPUS_RANGE_BYTES,
-                lambda start, end: _parse_corpus(path, type_vocab, start, end)))
-        except CorpusFormatError as exc:
-            _log_rejected(path, exc.part.rejected)  # those before the bad record
-            raise
-        if index and hashed.unchanged():
-            _write_index(index, key, **_corpus_arrays(corpus))
+    types = sorted(type_vocab)
+    tag = json.dumps(types)
+    index = _index_path(hashed.sha256, hashlib.sha256(tag.encode()).hexdigest()[:16])
+    key = index and _index_key(hashed.sha256, _CORPUS_INDEX_VERSION, tag)
+    with _gc_paused():
+        corpus = index and _indexed_corpus(hashed, index, key, len(types))
+        if not corpus:
+            try:
+                corpus = _merged(_parse_split(
+                    path, _MIN_CORPUS_RANGE_BYTES,
+                    lambda start, end: _parse_corpus(path, types, start, end)))
+            except CorpusFormatError as exc:
+                _log_rejected(path, exc.part.rejected)  # those before the bad record
+                raise
+            if index and hashed.unchanged():
+                _write_index(index, key, **_corpus_arrays(corpus))
+        sentences = _sentences(corpus, types)
     _log_rejected(path, corpus.rejected)
     if corpus.dropped:
-        log.warning("dropped %d entities with types outside %s", corpus.dropped,
-                    sorted(type_vocab))
-    return LoadedCorpus(sentences=corpus.sentences, accepted_records=corpus.accepted,
+        log.warning("dropped %d entities with types outside %s", corpus.dropped, types)
+    return LoadedCorpus(sentences=sentences, accepted_records=corpus.accepted,
                         dropped_entities=corpus.dropped,
                         rejected_records=len(corpus.rejected))
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector in the block, whose tuples (none in
+    a cycle) set it off again and again: building 30,320 sentences with it
+    on took twice as long."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _merged(parts: list[_CorpusPart]) -> _CorpusPart:
@@ -1298,9 +1322,9 @@ def _merged(parts: list[_CorpusPart]) -> _CorpusPart:
     and line numbers counted from the first part's start."""
     whole = parts[0]
     for part in parts[1:]:
-        whole.sentences += [sent._replace(sid=whole.accepted + sent.sid)
-                            for sent in part.sentences]
-        whole.sentence_lines += [whole.lines + n for n in part.sentence_lines]
+        whole.sids += [whole.accepted + sid for sid in part.sids]
+        for name in ("sizes", "span_counts", "tagged", "tokens", "spans", "tags"):
+            getattr(whole, name).extend(getattr(part, name))
         whole.rejected += [(whole.lines + n, why) for n, why in part.rejected]
         whole.accepted += part.accepted
         whole.dropped += part.dropped
@@ -1315,15 +1339,44 @@ def _log_rejected(path, rejected: list[tuple[int, str]]) -> None:
 
 
 def _corpus_arrays(corpus: _CorpusPart) -> dict:
-    """The arrays of a corpus's index (see _write_index): the line and the
-    sid of each sentence, the accepted and dropped counts and the text-line
-    count, and the line and the reason of each rejected record."""
-    return {"sentence_lines": np.array(corpus.sentence_lines, np.int64),
-            "sids": np.array([sent.sid for sent in corpus.sentences], np.int64),
-            "counts": np.array([corpus.accepted, corpus.dropped, corpus.lines], np.int64),
+    """The arrays of a corpus's index (see _write_index): the counts, the
+    rejected records and the sentences' columns (see _CorpusPart), with
+    offsets for counts, the spans as (start, end, type id) rows, and the
+    distinct token and tag strings as one UTF-8 blob ("surrogatepass") with
+    character offsets, for which each token and tag is its string's id."""
+    strings = collections.defaultdict(itertools.count().__next__)  # in first-seen order
+    token_ids, tag_ids = (np.fromiter(map(strings.__getitem__, values), np.int64, len(values))
+                          for values in (corpus.tokens, corpus.tags))
+    return {"counts": np.array([corpus.accepted, corpus.dropped, corpus.lines], np.int64),
             "rejected_lines": np.array([n for n, _ in corpus.rejected], np.int64),
             "reasons": np.frombuffer("\n".join(why for _, why in corpus.rejected).encode(),
-                                     np.uint8)}
+                                     np.uint8),
+            "sids": np.array(corpus.sids, np.int64),
+            "token_starts": _starts(corpus.sizes), "span_starts": _starts(corpus.span_counts),
+            "spans": np.array(corpus.spans, np.int64).reshape(-1, 3),
+            "tagged": np.array(corpus.tagged, bool),
+            "strings": np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"),
+                                     np.uint8),
+            "string_starts": _starts(map(len, strings)),
+            "token_ids": token_ids, "tag_ids": tag_ids}
+
+
+def _starts(counts) -> np.ndarray:
+    """The offsets 0, c0, c0 + c1, ... of runs of ``counts`` items, as int64."""
+    return np.cumsum(np.fromiter(itertools.chain([0], counts), np.int64))
+
+
+def _offsets(values: np.ndarray, count: int, end: int | None = None) -> bool:
+    """Whether ``values`` are ``count`` + 1 int64 offsets that rise from 0,
+    none below the one before, to ``end`` (to any end when None)."""
+    return (values.dtype == np.int64 and values.shape == (count + 1,) and values[0] == 0
+            and (end is None or values[-1] == end) and not (values[1:] < values[:-1]).any())
+
+
+def _ids(values: np.ndarray, count: int, bound: int) -> bool:
+    """Whether ``values`` are ``count`` int64s in [0, ``bound``)."""
+    return (values.dtype == np.int64 and values.shape == (count,)
+            and not ((values < 0) | (values >= bound)).any())
 
 
 def _ascending(values: np.ndarray, low: int, high: int) -> bool:
@@ -1334,65 +1387,83 @@ def _ascending(values: np.ndarray, low: int, high: int) -> bool:
                             and (np.diff(values) > 0).all()))
 
 
-def _indexed_corpus(path: HashedPath, index: str, key: str, type_vocab) -> _CorpusPart | None:
-    """What the corpus at ``path`` gives (see load_corpus), read with the
-    index at ``index`` (see _corpus_arrays): its text lines are read as
-    json_lines reads them, and only the line of each sentence is decoded and
-    checked as _parse_corpus checks it. None when the index is missing or
-    doubtful (see _read_index), such a line does not give a sentence, the
-    line count differs, or the corpus is not the file ``path`` digested."""
-    arrays = _read_index(index, key, "sentence_lines", "sids", "counts", "rejected_lines",
-                         "reasons")
-    if arrays is None:
+def _indexed_corpus(path: HashedPath, index: str, key: str,
+                    type_count: int) -> _CorpusPart | None:
+    """What the corpus at ``path`` gives (see load_corpus), read from the
+    index at ``index`` (see _corpus_arrays) alone, under a vocabulary of
+    ``type_count`` types. None when the index is missing or doubtful (see
+    _read_index), the corpus is not the file ``path`` digested, or the
+    columns are not ones a parse writes: each sentence needs two spans or
+    more, sorted without overlap, each non-empty and inside it, and a tagged
+    one a tag per token."""
+    arrays = _read_index(index, key, "counts", "rejected_lines", "reasons", "sids",
+                         "token_starts", "span_starts", "spans", "tagged", "strings",
+                         "string_starts", "token_ids", "tag_ids")
+    if arrays is None or not path.unchanged():
         return None
-    lines, sids, counts, rejected, reasons = arrays
+    (counts, rejected, reasons, sids, token_starts, span_starts, spans, tagged, strings,
+     string_starts, token_ids, tag_ids) = arrays
     try:
         reasons = reasons.tobytes().decode("utf-8").split("\n") if reasons.size else []
+        text = strings.tobytes().decode("utf-8", "surrogatepass")
     except UnicodeDecodeError:
         return None
     if counts.dtype != np.int64 or counts.shape != (3,) or (counts < 0).any():
         return None
-    corpus = _CorpusPart(accepted=int(counts[0]), dropped=int(counts[1]),
-                         lines=int(counts[2]))
-    if not (_ascending(lines, 1, corpus.lines + 1) and _ascending(sids, 0, corpus.accepted)
-            and _ascending(rejected, 1, corpus.lines + 1)
-            and len(sids) == len(lines) and len(reasons) == len(rejected)):
+    accepted, dropped, lines = counts.tolist()
+    n, m = sids.size, max(string_starts.size - 1, 0)  # sentences, distinct strings
+    if not (_ascending(sids, 0, accepted) and _ascending(rejected, 1, lines + 1)
+            and len(reasons) == len(rejected) and _offsets(token_starts, n)
+            and spans.dtype == np.int64 and spans.ndim == 2 and spans.shape[1] == 3
+            and _offsets(span_starts, n, len(spans)) and tagged.dtype == bool
+            and tagged.shape == (n,) and strings.dtype == np.uint8
+            and _offsets(string_starts, m, len(text))):
         return None
-    corpus.rejected = list(zip(rejected.tolist(), reasons))
-    corpus.sentence_lines = lines.tolist()
-    lineno = 0
-    try:
-        with _open_text(path, 0, None) as fh:
-            for target, sid in zip(corpus.sentence_lines, sids.tolist()):
-                # the lines before it are read in C, and not decoded as JSON
-                line = next(itertools.islice(fh, target - lineno - 1, None), "")
-                lineno = target
-                record = _as_object(line, CorpusFormatError, path, lineno)
-                if _record_problem(record) or _span_problem(record["entities"],
-                                                            len(record["tokens"])):
-                    return None
-                kept = [ent for ent in record["entities"] if ent["type"] in type_vocab]
-                if len(kept) < 2:
-                    return None
-                corpus.sentences.append(_sentence(record, kept, sid))
-            lineno += sum(1 for _ in fh)
-            if not path.unchanged(fh.fileno()):
-                return None
-    except (CorpusFormatError, UnicodeDecodeError):
+    sizes, span_counts = np.diff(token_starts), np.diff(span_starts)
+    owner = np.repeat(np.arange(n), span_counts)  # each span's sentence
+    starts, ends, type_ids = spans.T
+    if not ((span_counts >= 2).all() and (starts >= 0).all()
+            and (starts < ends).all() and (ends <= sizes[owner]).all()
+            and ((starts[1:] >= ends[:-1]) | (owner[1:] != owner[:-1])).all()
+            and _ids(type_ids, len(spans), type_count)
+            and _ids(token_ids, int(token_starts[-1]), m)
+            and _ids(tag_ids, int(sizes[tagged].sum()), m)):
         return None
-    return corpus if lineno == corpus.lines else None
+    bounds = string_starts.tolist()
+    words = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    tokens, tags = (list(map(words.__getitem__, ids.tolist()))
+                    for ids in (token_ids, tag_ids))
+    return _CorpusPart(sids.tolist(), sizes.tolist(), span_counts.tolist(), tagged.tolist(),
+                       tokens, spans.ravel().tolist(), tags, accepted, dropped,
+                       list(zip(rejected.tolist(), reasons)), lines)
 
 
-def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _CorpusPart:
-    """What bytes [start, end) of the corpus give (see _open_text), as if they
-    were the whole file. A malformed record raises CorpusFormatError naming
-    its line, whose ``part`` holds what the records before it gave.
+def _sentences(corpus: _CorpusPart, types: list[str]) -> list[TaggedSentence]:
+    """The sentences of the columns of ``corpus`` (see _CorpusPart), whose
+    type ids are places in ``types``."""
+    spans, tokens, tags = corpus.spans, tuple(corpus.tokens), tuple(corpus.tags)
+    entities = tuple(map(_new_span, zip(spans[::3], spans[1::3],
+                                        map(types.__getitem__, spans[2::3]))))
+    t, s, p = (list(itertools.accumulate(counts, initial=0)) for counts in (
+        corpus.sizes, corpus.span_counts, map(operator.mul, corpus.sizes, corpus.tagged)))
+    pos = [tags[a:b] if is_tagged else None
+           for a, b, is_tagged in zip(p, p[1:], corpus.tagged)]
+    return list(map(_new_sentence, zip(corpus.sids,
+                                       map(tokens.__getitem__, map(slice, t, t[1:])),
+                                       map(entities.__getitem__, map(slice, s, s[1:])), pos)))
+
+
+def _parse_corpus(path, types: list[str], start: int, end: int | None) -> _CorpusPart:
+    """What bytes [start, end) of the corpus give (see _open_text) as if they
+    were the whole file, under the sorted type vocabulary ``types``. A
+    malformed record raises CorpusFormatError naming its line, whose ``part``
+    holds what the records before it gave.
 
     Spans are checked and types counted on the decoded values; the tokens,
-    tags and spans are copied into a TaggedSentence only for a record left
-    with two entities or more, which are few in a large corpus."""
+    tags and spans join the columns only for a record left with two entities
+    or more, which are few in a large corpus."""
     part = _CorpusPart()
-    sentences = part.sentences
+    type_ids = {etype: k for k, etype in enumerate(types)}
     accepted = 0
     dropped = 0
     records = json_lines(path, CorpusFormatError, start, end)
@@ -1404,15 +1475,23 @@ def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _C
                 raise CorpusFormatError(f"{path}: line {lineno}: {problem}")
             entities = record["entities"]
             if entities:
-                problem = _span_problem(entities, len(record["tokens"]))
+                tokens = record["tokens"]
+                problem = _span_problem(entities, len(tokens))
                 if problem:
                     part.rejected.append((lineno, problem))
                     continue
-                kept = [ent for ent in entities if ent["type"] in type_vocab]
+                kept = [ent for ent in entities if ent["type"] in type_ids]
                 dropped += len(entities) - len(kept)
                 if len(kept) >= 2:
-                    sentences.append(_sentence(record, kept, accepted))
-                    part.sentence_lines.append(lineno)
+                    pos = record.get("pos")
+                    part.sids.append(accepted)
+                    part.sizes.append(len(tokens))
+                    part.span_counts.append(len(kept))
+                    part.tagged.append(pos is not None)
+                    part.tokens += tokens
+                    part.spans += itertools.chain.from_iterable(sorted(
+                        [(ent["start"], ent["end"], type_ids[ent["type"]]) for ent in kept]))
+                    part.tags += pos or ()
             accepted += 1
     except StopIteration as stop:
         part.lines = stop.value
@@ -1424,17 +1503,7 @@ def _parse_corpus(path, type_vocab: set[str], start: int, end: int | None) -> _C
     return part
 
 
-def _sentence(record: dict, kept: list, sid: int) -> TaggedSentence:
-    """The sentence ``sid`` of a record that passed _record_problem and
-    _span_problem, with the entities ``kept`` in span order."""
-    pos = record.get("pos")
-    return _new_sentence((sid, tuple(record["tokens"]),
-                          tuple(sorted([_new_span((ent["start"], ent["end"], ent["type"]))
-                                        for ent in kept])),
-                          None if pos is None else tuple(pos)))
-
-
-# _sentence's makers: tuple.__new__ runs in C, where a named tuple's own
+# _sentences' makers: tuple.__new__ runs in C, where a named tuple's own
 # __new__ is a Python function; on scale-brej's 1,516 kept records that saves
 # ~1 ms of a warm load
 _new_span = functools.partial(tuple.__new__, EntitySpan)

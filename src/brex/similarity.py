@@ -154,6 +154,12 @@ _MARGIN_ULPS = 8.0
 # The before+after sums of _stack are built in chunks of that size too.
 _BLOCK_CELLS = 1 << 17
 _GATHER_CELLS = 1 << 15
+# The most multiply-adds per call of the matrix product (_product). OpenBLAS
+# runs a gemm of at most 65536 * GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds
+# on the calling thread and wakes its threads for a larger one, which stalls
+# on a 2-CPU host: with OPENBLAS_NUM_THREADS=2 a 1506x50 by 50x41 product took
+# 7.0 ms in one call and 0.29 ms in such calls.
+_PRODUCT_MADDS = 1 << 18
 # The (probe window, target window) dot products of each measure, in the
 # order sim_instances combines them. Windows 0, 1 and 2 are before, between
 # and after; window 3 is before+after.
@@ -276,8 +282,19 @@ def exact_values(measure: SimilarityMeasure, probes: _Contexts, p_at: np.ndarray
 
 def _product(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The dot product of every row of ``rows`` with every row of
-    ``targets``: the one matrix product (BLAS) that scoring makes."""
-    return rows @ targets.T
+    ``targets``: the one matrix product (BLAS) that scoring makes, in calls
+    of at most _PRODUCT_MADDS multiply-adds each, over blocks of rows, and
+    of targets where one row's products alone are more."""
+    d = max(1, rows.shape[1])
+    width = max(1, min(len(targets), _PRODUCT_MADDS // d))
+    height = max(1, _PRODUCT_MADDS // (d * width))
+    out = np.empty((len(rows), len(targets)), dtype=np.result_type(rows, targets))
+    for first in range(0, len(targets), width):
+        block = targets[first:first + width].T
+        for start in range(0, len(rows), height):
+            np.matmul(rows[start:start + height], block,
+                      out=out[start:start + height, first:first + width])
+    return out
 
 
 def _scores(measure: SimilarityMeasure, product: np.ndarray, p_ids: np.ndarray,

@@ -1370,17 +1370,45 @@ class TestCorpusSplit:
         assert warnings() == [line.replace(str(regular), str(fifo)) for line in logged]
 
 
-# Records with blank lines, two rejected records and entities of a type
-# outside {"ORG"}; MIXED and PER_ONLY give sentences only under {"ORG", "PER"}.
+# Records with blank lines, two rejected records, entities of a type outside
+# {"ORG"} and one record with POS tags; MIXED and PER_ONLY give sentences only
+# under {"ORG", "PER"}.
 PER_ONLY = record(["Maria", "met", "Ann"], [PER(0, 1), PER(2, 3)])
-INDEXED_RECORDS = [OK, "", MIXED, OVERLAP, "  ", BAD_SPAN, PER_ONLY, OK, "\t", MIXED]
+TAGGED = record(["Acme", "bought", "Bolt"], [ORG(2, 3), ORG(0, 1)], ["NNP", "VBD", "NNP"])
+INDEXED_RECORDS = [OK, "", MIXED, OVERLAP, "  ", BAD_SPAN, PER_ONLY, TAGGED, "\t", MIXED]
+
+
+@st.composite
+def indexed_lines(draw):
+    """A corpus line: blank, or a record whose tokens and tags hold any
+    characters, lone surrogates and empty strings included, whose spans may
+    be bad, overlap or have a type outside {"ORG", "PER"}, and whose POS tags
+    are missing, null or drawn."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    n = draw(st.integers(0, 8))
+    text = st.text(st.characters(exclude_categories=()), max_size=3)
+    tokens = draw(st.lists(text, min_size=n, max_size=n))
+    bounds = sorted(draw(st.lists(st.integers(0, n), unique=True, min_size=min(n + 1, 4),
+                                  max_size=8)))
+    spans = list(zip(bounds[::2], bounds[1::2]))  # in order, none empty or overlapping
+    if spans and draw(st.integers(0, 3)) == 0:
+        spans.append(draw(st.sampled_from([(-1, 1), (1, 1), (0, n + 1), spans[0]])))
+    row = {"tokens": tokens,
+           "entities": [{"start": s, "end": e,
+                         "type": draw(st.sampled_from(["ORG", "PER", "ORG", "PER", "LOC"]))}
+                        for s, e in draw(st.permutations(spans))]}
+    pos = draw(st.sampled_from(["missing", "null", "tagged"]))
+    if pos != "missing":
+        row["pos"] = draw(st.lists(text, min_size=n, max_size=n)) if pos == "tagged" else None
+    return json.dumps(row)
 
 
 class TestCorpusIndex:
     """The first load of a corpus that parses without error writes its index
-    under its sha256 and type vocabulary; a later load decodes only the lines
-    of its sentences and gives the same corpus and warnings, and any doubt
-    about the index means a parse."""
+    under its sha256 and type vocabulary; a later load builds the sentences
+    from the index's columns without opening the corpus and gives the same
+    corpus and warnings, and any doubt about the index means a parse."""
 
     @pytest.fixture(autouse=True)
     def warnings(self, caplog):
@@ -1476,14 +1504,24 @@ class TestCorpusIndex:
     # a doubtful index is closed as it is found doubtful, not left to the collector
     @pytest.mark.filterwarnings("error::ResourceWarning",
                                 "error::pytest.PytestUnraisableExceptionWarning")
-    @pytest.mark.parametrize("damage", ["corpus-rewritten", "truncated", "corrupt",
-                                        "other-line", "line-count", "scalar", "pickled",
-                                        "other-version"])
+    @pytest.mark.parametrize("damage", [
+        "corpus-rewritten", "truncated", "corrupt", "scalar", "pickled", "other-version",
+        "offsets-fall", "offsets-overrun", "no-offsets", "token-offsets-fall",
+        "token-offsets-extra", "span-offsets-overrun", "sids-fall", "tagged-short",
+        "reasons-short", "not-utf8", "string-id-out-of-range", "one-span", "negative-span",
+        "span-past-sentence", "empty-span", "overlapping-spans", "type-out-of-range",
+        "tag-count"])
     def test_a_doubtful_index_means_a_parse_that_rewrites_it(self, tmp_path, table_cache,
                                                              warnings, damage):
         path = self.corpus(tmp_path / "corpus.jsonl")
         self.load(path)
         [index] = indexes(table_cache)
+        with np.load(index) as data:
+            columns = {name: data[name].copy() for name in data.files}
+        # sentence 0 is OK's: 3 tokens, spans (0, 1) and (2, 3), no tags
+        span_edits = {"negative-span": (0, 0, -1), "span-past-sentence": (1, 1, 4),
+                      "empty-span": (1, 1, 2), "overlapping-spans": (1, 0, 0),
+                      "type-out-of-range": (0, 2, 1)}
         if damage == "corpus-rewritten":  # same size and mtime: a PER becomes an ORG
             before = path.stat()
             with open(path, "r+b") as fh:
@@ -1495,29 +1533,60 @@ class TestCorpusIndex:
                 before.st_ino, before.st_size, before.st_mtime_ns)
         elif damage == "truncated":
             index.write_bytes(index.read_bytes()[:-100])
-        elif damage == "corrupt":  # a bit of the first sentence line flipped
+        elif damage == "corrupt":  # a bit of the first string flipped
             data = bytearray(index.read_bytes())
-            data[data.index(b"\x93NUMPY", data.index(b"sentence_lines")) + 128] ^= 1
+            data[data.index(b"\x93NUMPY", data.index(b"strings.npy")) + 128] ^= 1
             index.write_bytes(bytes(data))
-        elif damage == "other-line":  # the first sentence's line is a rejected record's
-            with np.load(index) as data:
-                lines = data["sentence_lines"].copy()
-            lines[0] = 4
-            rewrite_index(index, sentence_lines=lines)
-        elif damage == "line-count":  # one text line more than the corpus has
-            with np.load(index) as data:
-                counts = data["counts"] + [0, 0, 1]
-            rewrite_index(index, counts=counts)
         elif damage == "scalar":  # an array of no length
             rewrite_index(index, rejected_lines=np.array(4))
         elif damage == "pickled":  # an object array, which only a pickle holds
-            with np.load(index) as data:
-                reasons = data["reasons"].tobytes().decode("utf-8").split("\n")
+            reasons = columns["reasons"].tobytes().decode("utf-8").split("\n")
             rewrite_index(index, reasons=np.array(reasons, dtype=object))
-        else:
-            with np.load(index) as data:
-                digest, version, vocab = data["key"].item().split(" ", 2)
+        elif damage == "other-version":
+            digest, version, vocab = columns["key"].item().split(" ", 2)
             rewrite_index(index, key=np.array(f"{digest} {int(version) + 1} {vocab}"))
+        elif damage == "offsets-fall":  # "Acme" ends after "bought" does
+            columns["string_starts"][1] = columns["string_starts"][2] + 1
+            rewrite_index(index, string_starts=columns["string_starts"])
+        elif damage == "offsets-overrun":  # the last string ends past the text
+            columns["string_starts"][-1] += 1
+            rewrite_index(index, string_starts=columns["string_starts"])
+        elif damage == "token-offsets-fall":  # sentence 0 ends after sentence 1 does
+            columns["token_starts"][1] = columns["token_starts"][2] + 1
+            rewrite_index(index, token_starts=columns["token_starts"])
+        elif damage == "token-offsets-extra":  # one offset more than the sentences need
+            rewrite_index(index, token_starts=np.append(columns["token_starts"],
+                                                        columns["token_starts"][-1]))
+        elif damage == "span-offsets-overrun":  # the last sentence ends past the spans
+            columns["span_starts"][-1] += 1
+            rewrite_index(index, span_starts=columns["span_starts"])
+        elif damage == "sids-fall":
+            rewrite_index(index, sids=columns["sids"][::-1].copy())
+        elif damage == "tagged-short":  # no flag for the last sentence
+            rewrite_index(index, tagged=columns["tagged"][:-1].copy())
+        elif damage == "reasons-short":  # the last rejected record loses its reason
+            reasons = columns["reasons"].tobytes().decode("utf-8").split("\n")
+            rewrite_index(index, reasons=np.frombuffer("\n".join(reasons[:-1]).encode(),
+                                                       np.uint8))
+        elif damage == "no-offsets":  # not even the first string's start
+            rewrite_index(index, string_starts=np.zeros(0, np.int64))
+        elif damage == "not-utf8":  # a byte no UTF-8 text holds
+            columns["strings"][0] = 0xFF
+            rewrite_index(index, strings=columns["strings"])
+        elif damage == "string-id-out-of-range":
+            columns["token_ids"][0] = len(columns["string_starts"]) - 1
+            rewrite_index(index, token_ids=columns["token_ids"])
+        elif damage == "one-span":  # the last sentence loses its last span
+            columns["span_starts"][-1] -= 1
+            rewrite_index(index, spans=columns["spans"][:-1],
+                          span_starts=columns["span_starts"])
+        elif damage in span_edits:  # the type vocabulary is ["ORG"]: type ids 0 only
+            row, column, value = span_edits[damage]
+            columns["spans"][row, column] = value
+            rewrite_index(index, spans=columns["spans"])
+        else:  # sentence 0 has tokens and no tags
+            columns["tagged"][0] = True
+            rewrite_index(index, tagged=columns["tagged"])
         warnings()
         loaded, parsed = self.load(path)
         logged = warnings()
@@ -1557,19 +1626,72 @@ class TestCorpusIndex:
             assert parsed
             assert loaded == self.reference(path)
 
-    def test_a_warm_load_decodes_only_the_sentences_and_forks_nothing(self, tmp_path):
+    def test_a_warm_load_reads_no_corpus_byte_decodes_no_json_and_forks_nothing(
+            self, tmp_path):
         path = self.corpus(tmp_path / "corpus.jsonl", rows=INDEXED_RECORDS * 5)
         with mock.patch.object(os, "fork", wraps=os.fork) as fork:
             cold, parsed = self.load(path)
         assert parsed and fork.call_count == 1
-        with mock.patch.object(brex.corpus, "_as_object",
-                               wraps=brex.corpus._as_object) as as_object, \
+        hashed = brex.corpus.HashedPath(path)  # digested before the guards
+        opened = []
+
+        def spy(open_):
+            def wrapper(file, *args, **kwargs):
+                opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike))
+                              else file)
+                return open_(file, *args, **kwargs)
+            return wrapper
+
+        no_call = mock.Mock(side_effect=AssertionError("a warm load decodes no JSON"))
+        with mock.patch("builtins.open", spy(open)), \
+                mock.patch.object(io, "open", spy(io.open)), \
+                mock.patch.object(os, "open", spy(os.open)), \
+                mock.patch.object(brex.corpus, "_as_object", no_call), \
+                mock.patch.object(json.JSONDecoder, "raw_decode", no_call), \
                 mock.patch.object(os, "fork", wraps=os.fork) as fork:
-            warm, parsed = self.load(path)
-        assert not parsed and fork.call_count == 0
-        decoded_lines = [call.args[3] for call in as_object.call_args_list]
-        assert decoded_lines == [k * 10 + n for k in range(5) for n in (1, 3, 8, 10)]
+            warm, parsed = self.load(hashed)
+        assert not parsed and fork.call_count == 0 and not no_call.called
+        assert opened and str(path) not in opened  # the index was opened
+        assert warm == cold == self.reference(path)
+        assert [sent.sid for sent in warm.sentences] == [
+            k * 5 + n for k in range(5) for n in (0, 1, 3, 4)]
+
+    @pytest.mark.parametrize("tokens", [
+        ["a\nb", "Acme", "Bolt"], ["\r", " ", "Bolt"], ["Zoë", "😀", "\U00010000x"],
+        ["\ud800", "x\udfff", "\udfff\ud800"], ["", "", ""], ["été", "", "\n"]],
+        ids=["newline", "cr-space", "non-bmp", "lone-surrogate", "empty", "mixed"])
+    def test_warm_load_keeps_any_token(self, tmp_path, warnings, tokens):
+        tags = ["T" + t for t in tokens]  # tags spell anything too
+        rows = [record(tokens, [ORG(0, 1), ORG(2, 3)]), OVERLAP,
+                record(tokens, [ORG(2, 3), ORG(0, 1)], tags), OK,
+                record(tokens[::-1], [ORG(1, 2), ORG(0, 1)], tags[::-1])]
+        path = self.corpus(tmp_path / "corpus.jsonl", rows=rows)
+        cold, parsed = self.load(path)
+        logged = warnings()
+        assert parsed
+        warm, parsed = self.load(path)
+        assert not parsed
+        assert warnings() == logged
+        assert warm == cold == self.reference(path)
+        assert [sent.pos for sent in warm.sentences] == [
+            None, tuple(tags), None, tuple(tags[::-1])]
+        assert warm.sentences[0].tokens == tuple(tokens)
+
+    @given(st.lists(indexed_lines(), max_size=8), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_fuzzed_corpus_loads_warm_as_it_loads_cold(self, tmp_path, warnings, lines,
+                                                         end):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+        with support.fresh_cache():
+            cold = load_corpus(path, {"ORG", "PER"})
+            logged = warnings()
+            with mock.patch.object(brex.corpus, "_parse_split") as parse_split:
+                warm = load_corpus(path, {"ORG", "PER"})
+        assert not parse_split.called
         assert warm == cold
+        assert warnings() == logged
 
     def test_one_range_and_split_loads_write_the_same_index(self, tmp_path):
         path = self.corpus(tmp_path / "corpus.jsonl", rows=INDEXED_RECORDS * 5)

@@ -193,6 +193,50 @@ def clustered_world(rng, measure):
     return instances, tau_sim
 
 
+@contextmanager
+def counted_matmuls():
+    """Yields the multiply-adds of each np.matmul call in the block."""
+    matmul, madds = np.matmul, []
+
+    def counted(a, b, **kwargs):
+        madds.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    with mock.patch.object(np, "matmul", counted):
+        yield madds
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
+def test_products_are_made_in_calls_within_the_cap(measure):
+    """A world whose scoring products are many times the multiply-adds that
+    OpenBLAS runs on the calling thread (_PRODUCT_MADDS): each matmul call
+    stays within them, and the edges are the scalar oracle's."""
+    rng = np.random.default_rng(5)
+    dim = 50
+    instances = [make_instance(f"E{k}", "B", template=clustered_template(unit(
+        np.eye(dim)[k % 12] + 0.3 * rng.normal(size=dim) / np.sqrt(dim))))
+        for k in range(240)]
+    tau_sim = 0.5 if measure.kind == "match" else 0.8
+    with counted_matmuls() as madds:
+        edges = all_edges(graph_of(instances, measure, tau_sim))
+    assert sum(madds) > 10 * brex.similarity._PRODUCT_MADDS
+    assert max(madds) <= brex.similarity._PRODUCT_MADDS
+    assert len(edges) > 2 * len(instances)
+    assert edges == scalar_edges(instances, measure, tau_sim)
+
+
+def test_a_row_over_the_cap_splits_the_targets(monkeypatch):
+    """Where one row's products alone are over the cap, the targets are
+    taken a few at a time: at d = 50 and a cap of 120, two per call."""
+    monkeypatch.setattr(brex.similarity, "_PRODUCT_MADDS", 120)
+    rng = np.random.default_rng(6)
+    rows, targets = rng.normal(size=(7, 50)), rng.normal(size=(5, 50))
+    with counted_matmuls() as madds:
+        product = brex.similarity._product(rows, targets)
+    assert madds == [100] * 14 + [50] * 7
+    np.testing.assert_allclose(product, rows @ targets.T, rtol=1e-13, atol=1e-13)
+
+
 @pytest.fixture
 def exact_pairs(monkeypatch):
     """The (probe, target) stack positions of every pair whose exact value
