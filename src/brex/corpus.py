@@ -69,7 +69,6 @@ list of instances, for tests and API callers.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import gc
@@ -1223,9 +1222,10 @@ def _record_problem(record: dict) -> str | None:
 #   two      0.022  0.029    0.023  0.041  0.075  0.111  0.134
 #   won      13/16  12/16    16/16  14/16  16/16  16/16  16/16
 # (each size at its own time; compare within a column). On a dense corpus,
-# where 79% are (scale-brej's, repeated), two ranges took 0.22 s against
-# 0.20 s for one at 4.3 MiB and 0.40 s against 0.43 s at 8.6 MiB (medians
-# of 10). The floor stays, so that a corpus splits from 4 MiB on.
+# where 79% are (scale-brej's, repeated), two ranges took 0.21 s against
+# 0.19 s for one at 4.3 MiB and 0.46 s against 0.47 s at 8.6 MiB (medians
+# of 10 pairs, cold; two ranges won 5 and 6), neither clearly faster. The
+# floor stays, so that a corpus splits from 4 MiB on.
 _MIN_CORPUS_RANGE_BYTES = 2 << 20
 
 
@@ -1233,17 +1233,15 @@ _MIN_CORPUS_RANGE_BYTES = 2 << 20
 class _CorpusPart:
     """What bytes of the corpus give, with sids and line numbers counted from
     their first record and their first line. The kept sentences are columns
-    (see _sentences): each one's sid, token count, span count and whether it
-    has POS tags, then all their tokens, spans (start, end and type id, one
-    after another) and tags, in sentence order."""
+    (see _sentences): each one's sid, tokens, POS tags (None when it has
+    none) and span count, then all their spans (start, end and type id, one
+    after another), in sentence order."""
 
     sids: list[int] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
+    tokens: list[tuple[str, ...]] = field(default_factory=list)
+    tags: list[tuple[str, ...] | None] = field(default_factory=list)
     span_counts: list[int] = field(default_factory=list)
-    tagged: list[bool] = field(default_factory=list)
-    tokens: list[str] = field(default_factory=list)
     spans: list[int] = field(default_factory=list)
-    tags: list[str] = field(default_factory=list)
     accepted: int = 0
     dropped: int = 0
     rejected: list[tuple[int, str]] = field(default_factory=list)  # (line, why)
@@ -1275,7 +1273,8 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     it gives what the parse gave. A missing, corrupt or mismatched index,
     columns that no parse gives (see _indexed_corpus), or a corpus replaced
     since it was digested means the parse, which rewrites the index unless
-    the corpus was replaced. A pipe has no digest and is parsed every time.
+    the corpus was replaced. A pipe has no digest, and a corpus whose kept
+    tokens or tags hold a NUL no index; each is parsed every time.
     """
     hashed = path if isinstance(path, HashedPath) else HashedPath(path)
     types = sorted(type_vocab)
@@ -1292,8 +1291,9 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
             except CorpusFormatError as exc:
                 _log_rejected(path, exc.part.rejected)  # those before the bad record
                 raise
-            if index and hashed.unchanged():
-                _write_index(index, key, **_corpus_arrays(corpus))
+            arrays = index and hashed.unchanged() and _corpus_arrays(corpus)
+            if arrays:
+                _write_index(index, key, **arrays)
         sentences = _sentences(corpus, types)
     _log_rejected(path, corpus.rejected)
     if corpus.dropped:
@@ -1307,7 +1307,8 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
 def _gc_paused():
     """Pause the cyclic garbage collector in the block, whose tuples (none in
     a cycle) set it off again and again: building 30,320 sentences with it
-    on took twice as long."""
+    on took twice as long. The pause moves a collection later, but does not
+    avoid it: the first one after the block goes over all that it built."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -1323,7 +1324,7 @@ def _merged(parts: list[_CorpusPart]) -> _CorpusPart:
     whole = parts[0]
     for part in parts[1:]:
         whole.sids += [whole.accepted + sid for sid in part.sids]
-        for name in ("sizes", "span_counts", "tagged", "tokens", "spans", "tags"):
+        for name in ("tokens", "tags", "span_counts", "spans"):
             getattr(whole, name).extend(getattr(part, name))
         whole.rejected += [(whole.lines + n, why) for n, why in part.rejected]
         whole.accepted += part.accepted
@@ -1338,51 +1339,72 @@ def _log_rejected(path, rejected: list[tuple[int, str]]) -> None:
         log.warning("%s: line %d: %s, record rejected", path, lineno, why)
 
 
-def _corpus_arrays(corpus: _CorpusPart) -> dict:
+def _corpus_arrays(corpus: _CorpusPart) -> dict | None:
     """The arrays of a corpus's index (see _write_index): the counts, the
-    rejected records and the sentences' columns (see _CorpusPart), with
-    offsets for counts, the spans as (start, end, type id) rows, and the
-    distinct token and tag strings as one UTF-8 blob ("surrogatepass") with
-    character offsets, for which each token and tag is its string's id."""
-    strings = collections.defaultdict(itertools.count().__next__)  # in first-seen order
-    token_ids, tag_ids = (np.fromiter(map(strings.__getitem__, values), np.int64, len(values))
-                          for values in (corpus.tokens, corpus.tags))
+    rejected records and the sentences' columns (see _CorpusPart) as int32,
+    with offsets for counts and the spans as (start, end, type id) rows, and
+    the tokens and the tags each as one UTF-8 blob ("surrogatepass") with a
+    NUL between each two. None, so that no index is written, when a token or
+    a tag holds a NUL or a count is past int32: every value is at most the
+    line count or the token count."""
+    sizes = np.fromiter(map(len, corpus.tokens), np.int64, len(corpus.tokens))
+    tagged = np.fromiter(map(operator.is_not, corpus.tags, itertools.repeat(None)), bool,
+                         len(corpus.tags))
+    if max(corpus.lines, sizes.sum()) >= 1 << 31:
+        return None
+    tokens = _joined(itertools.chain.from_iterable(corpus.tokens), int(sizes.sum()))
+    tags = _joined(itertools.chain.from_iterable(filter(None, corpus.tags)),
+                   int(sizes[tagged].sum()))
+    if tokens is None or tags is None:
+        return None
     return {"counts": np.array([corpus.accepted, corpus.dropped, corpus.lines], np.int64),
-            "rejected_lines": np.array([n for n, _ in corpus.rejected], np.int64),
+            "rejected_lines": np.array([n for n, _ in corpus.rejected], np.int32),
             "reasons": np.frombuffer("\n".join(why for _, why in corpus.rejected).encode(),
                                      np.uint8),
-            "sids": np.array(corpus.sids, np.int64),
-            "token_starts": _starts(corpus.sizes), "span_starts": _starts(corpus.span_counts),
-            "spans": np.array(corpus.spans, np.int64).reshape(-1, 3),
-            "tagged": np.array(corpus.tagged, bool),
-            "strings": np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"),
-                                     np.uint8),
-            "string_starts": _starts(map(len, strings)),
-            "token_ids": token_ids, "tag_ids": tag_ids}
+            "sids": np.array(corpus.sids, np.int32),
+            "token_starts": _starts(sizes), "span_starts": _starts(corpus.span_counts),
+            "spans": np.array(corpus.spans, np.int32).reshape(-1, 3),
+            "tagged": tagged, "tokens": tokens, "tags": tags}
+
+
+def _joined(strings, count: int) -> np.ndarray | None:
+    """The ``count`` ``strings`` as one UTF-8 blob ("surrogatepass") with a
+    NUL between each two, or None when one of them holds a NUL (see
+    _split)."""
+    blob = np.frombuffer("\0".join(strings).encode("utf-8", "surrogatepass"), np.uint8)
+    # no other character's UTF-8 holds a 0 byte
+    return blob if np.count_nonzero(blob == 0) == max(count - 1, 0) else None
+
+
+def _split(blob: np.ndarray, count: int) -> list[str] | None:
+    """The ``count`` strings of a blob that _joined wrote, or None when the
+    blob is not UTF-8 or holds another number of strings."""
+    if blob.dtype != np.uint8 or blob.ndim != 1:
+        return None
+    try:
+        text = blob.tobytes().decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError:
+        return None
+    strings = text.split("\0") if count or text else []
+    return strings if len(strings) == count else None
 
 
 def _starts(counts) -> np.ndarray:
-    """The offsets 0, c0, c0 + c1, ... of runs of ``counts`` items, as int64."""
-    return np.cumsum(np.fromiter(itertools.chain([0], counts), np.int64))
+    """The offsets 0, c0, c0 + c1, ... of runs of ``counts`` items, as int32."""
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
 
 def _offsets(values: np.ndarray, count: int, end: int | None = None) -> bool:
-    """Whether ``values`` are ``count`` + 1 int64 offsets that rise from 0,
+    """Whether ``values`` are ``count`` + 1 int32 offsets that rise from 0,
     none below the one before, to ``end`` (to any end when None)."""
-    return (values.dtype == np.int64 and values.shape == (count + 1,) and values[0] == 0
+    return (values.dtype == np.int32 and values.shape == (count + 1,) and values[0] == 0
             and (end is None or values[-1] == end) and not (values[1:] < values[:-1]).any())
 
 
-def _ids(values: np.ndarray, count: int, bound: int) -> bool:
-    """Whether ``values`` are ``count`` int64s in [0, ``bound``)."""
-    return (values.dtype == np.int64 and values.shape == (count,)
-            and not ((values < 0) | (values >= bound)).any())
-
-
 def _ascending(values: np.ndarray, low: int, high: int) -> bool:
-    """Whether ``values`` are int64s rising strictly from ``low`` on, below
+    """Whether ``values`` are int32s rising strictly from ``low`` on, below
     ``high``."""
-    return values.dtype == np.int64 and values.ndim == 1 and (
+    return values.dtype == np.int32 and values.ndim == 1 and (
         not values.size or (values[0] >= low and values[-1] < high
                             and (np.diff(values) > 0).all()))
 
@@ -1397,27 +1419,24 @@ def _indexed_corpus(path: HashedPath, index: str, key: str,
     more, sorted without overlap, each non-empty and inside it, and a tagged
     one a tag per token."""
     arrays = _read_index(index, key, "counts", "rejected_lines", "reasons", "sids",
-                         "token_starts", "span_starts", "spans", "tagged", "strings",
-                         "string_starts", "token_ids", "tag_ids")
+                         "token_starts", "span_starts", "spans", "tagged", "tokens", "tags")
     if arrays is None or not path.unchanged():
         return None
-    (counts, rejected, reasons, sids, token_starts, span_starts, spans, tagged, strings,
-     string_starts, token_ids, tag_ids) = arrays
+    (counts, rejected, reasons, sids, token_starts, span_starts, spans, tagged, tokens,
+     tags) = arrays
     try:
         reasons = reasons.tobytes().decode("utf-8").split("\n") if reasons.size else []
-        text = strings.tobytes().decode("utf-8", "surrogatepass")
     except UnicodeDecodeError:
         return None
     if counts.dtype != np.int64 or counts.shape != (3,) or (counts < 0).any():
         return None
     accepted, dropped, lines = counts.tolist()
-    n, m = sids.size, max(string_starts.size - 1, 0)  # sentences, distinct strings
+    n = sids.size  # sentences
     if not (_ascending(sids, 0, accepted) and _ascending(rejected, 1, lines + 1)
             and len(reasons) == len(rejected) and _offsets(token_starts, n)
-            and spans.dtype == np.int64 and spans.ndim == 2 and spans.shape[1] == 3
+            and spans.dtype == np.int32 and spans.ndim == 2 and spans.shape[1] == 3
             and _offsets(span_starts, n, len(spans)) and tagged.dtype == bool
-            and tagged.shape == (n,) and strings.dtype == np.uint8
-            and _offsets(string_starts, m, len(text))):
+            and tagged.shape == (n,)):
         return None
     sizes, span_counts = np.diff(token_starts), np.diff(span_starts)
     owner = np.repeat(np.arange(n), span_counts)  # each span's sentence
@@ -1425,32 +1444,30 @@ def _indexed_corpus(path: HashedPath, index: str, key: str,
     if not ((span_counts >= 2).all() and (starts >= 0).all()
             and (starts < ends).all() and (ends <= sizes[owner]).all()
             and ((starts[1:] >= ends[:-1]) | (owner[1:] != owner[:-1])).all()
-            and _ids(type_ids, len(spans), type_count)
-            and _ids(token_ids, int(token_starts[-1]), m)
-            and _ids(tag_ids, int(sizes[tagged].sum()), m)):
+            and not ((type_ids < 0) | (type_ids >= type_count)).any()):
         return None
-    bounds = string_starts.tolist()
-    words = [text[a:b] for a, b in zip(bounds, bounds[1:])]
-    tokens, tags = (list(map(words.__getitem__, ids.tolist()))
-                    for ids in (token_ids, tag_ids))
-    return _CorpusPart(sids.tolist(), sizes.tolist(), span_counts.tolist(), tagged.tolist(),
-                       tokens, spans.ravel().tolist(), tags, accepted, dropped,
+    tag_starts = _starts(sizes * tagged)
+    tokens, tags = _split(tokens, int(token_starts[-1])), _split(tags, int(tag_starts[-1]))
+    if tokens is None or tags is None:
+        return None
+    tokens, tags, t, p = tuple(tokens), tuple(tags), token_starts.tolist(), tag_starts.tolist()
+    return _CorpusPart(sids.tolist(), list(map(tokens.__getitem__, map(slice, t, t[1:]))),
+                       [tags[a:b] if is_tagged else None
+                        for a, b, is_tagged in zip(p, p[1:], tagged.tolist())],
+                       span_counts.tolist(), spans.ravel().tolist(), accepted, dropped,
                        list(zip(rejected.tolist(), reasons)), lines)
 
 
 def _sentences(corpus: _CorpusPart, types: list[str]) -> list[TaggedSentence]:
     """The sentences of the columns of ``corpus`` (see _CorpusPart), whose
     type ids are places in ``types``."""
-    spans, tokens, tags = corpus.spans, tuple(corpus.tokens), tuple(corpus.tags)
+    spans = corpus.spans
     entities = tuple(map(_new_span, zip(spans[::3], spans[1::3],
                                         map(types.__getitem__, spans[2::3]))))
-    t, s, p = (list(itertools.accumulate(counts, initial=0)) for counts in (
-        corpus.sizes, corpus.span_counts, map(operator.mul, corpus.sizes, corpus.tagged)))
-    pos = [tags[a:b] if is_tagged else None
-           for a, b, is_tagged in zip(p, p[1:], corpus.tagged)]
-    return list(map(_new_sentence, zip(corpus.sids,
-                                       map(tokens.__getitem__, map(slice, t, t[1:])),
-                                       map(entities.__getitem__, map(slice, s, s[1:])), pos)))
+    s = list(itertools.accumulate(corpus.span_counts, initial=0))
+    return list(map(_new_sentence, zip(corpus.sids, corpus.tokens,
+                                       map(entities.__getitem__, map(slice, s, s[1:])),
+                                       corpus.tags)))
 
 
 def _parse_corpus(path, types: list[str], start: int, end: int | None) -> _CorpusPart:
@@ -1485,13 +1502,11 @@ def _parse_corpus(path, types: list[str], start: int, end: int | None) -> _Corpu
                 if len(kept) >= 2:
                     pos = record.get("pos")
                     part.sids.append(accepted)
-                    part.sizes.append(len(tokens))
+                    part.tokens.append(tuple(tokens))
+                    part.tags.append(None if pos is None else tuple(pos))
                     part.span_counts.append(len(kept))
-                    part.tagged.append(pos is not None)
-                    part.tokens += tokens
                     part.spans += itertools.chain.from_iterable(sorted(
                         [(ent["start"], ent["end"], type_ids[ent["type"]]) for ent in kept]))
-                    part.tags += pos or ()
             accepted += 1
     except StopIteration as stop:
         part.lines = stop.value

@@ -30,6 +30,7 @@ out the pairs that cannot be the maximum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import NamedTuple
@@ -154,12 +155,19 @@ _MARGIN_ULPS = 8.0
 # The before+after sums of _stack are built in chunks of that size too.
 _BLOCK_CELLS = 1 << 17
 _GATHER_CELLS = 1 << 15
-# The most multiply-adds per call of the matrix product (_product). OpenBLAS
-# runs a gemm of at most 65536 * GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds
-# on the calling thread and wakes its threads for a larger one, which stalls
-# on a 2-CPU host: with OPENBLAS_NUM_THREADS=2 a 1506x50 by 50x41 product took
-# 7.0 ms in one call and 0.29 ms in such calls.
+# The matrix product of scoring (_product). OpenBLAS runs a gemm of at most
+# 65536 * GEMM_MULTITHREAD_THRESHOLD (4) = _PRODUCT_MADDS multiply-adds on
+# the calling thread and wakes its threads for a larger one. On a 2-CPU host
+# under OPENBLAS_NUM_THREADS=2 the wake-up took ~8 ms in some processes, more
+# than a whole product of up to ~2^26 multiply-adds made in calls that stay
+# on the calling thread: a 1506x50 by 50x41 product took 8.0 ms in one call
+# and 0.17 ms in such calls, a 10000x50 by 50x130 one 8.0 against 4.1 ms.
+# So a product of at most _PRODUCT_SPLIT multiply-adds (each product of
+# _BLOCK_CELLS values is one while d <= 512) is made in such calls, and a
+# larger one in one call, whose threads gain more than they stall: a
+# 10000x50 by 50x1000 product took 17 ms in one call, 53 ms in small calls.
 _PRODUCT_MADDS = 1 << 18
+_PRODUCT_SPLIT = 1 << 26
 # The (probe window, target window) dot products of each measure, in the
 # order sim_instances combines them. Windows 0, 1 and 2 are before, between
 # and after; window 3 is before+after.
@@ -282,12 +290,17 @@ def exact_values(measure: SimilarityMeasure, probes: _Contexts, p_at: np.ndarray
 
 def _product(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The dot product of every row of ``rows`` with every row of
-    ``targets``: the one matrix product (BLAS) that scoring makes, in calls
-    of at most _PRODUCT_MADDS multiply-adds each, over blocks of rows, and
-    of targets where one row's products alone are more."""
+    ``targets``: the one matrix product (BLAS) that scoring makes. One call
+    makes a product of more than _PRODUCT_SPLIT multiply-adds; a smaller one
+    is made in calls of at most _PRODUCT_MADDS each, over blocks of rows and
+    of targets, as many targets as rows where both are many (a block of few
+    rows repacks its targets for little work)."""
     d = max(1, rows.shape[1])
-    width = max(1, min(len(targets), _PRODUCT_MADDS // d))
-    height = max(1, _PRODUCT_MADDS // (d * width))
+    if len(rows) * len(targets) * d > _PRODUCT_SPLIT:
+        return np.matmul(rows, targets.T)
+    cells = _PRODUCT_MADDS // d  # (row, target) pairs per call
+    width = max(1, min(len(targets), max(math.isqrt(cells), cells // max(1, len(rows)))))
+    height = max(1, cells // width)
     out = np.empty((len(rows), len(targets)), dtype=np.result_type(rows, targets))
     for first in range(0, len(targets), width):
         block = targets[first:first + width].T

@@ -1,6 +1,7 @@
 """Ingestion: corpus parsing, embeddings, windowing, passive reordering, seeds."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -1506,11 +1507,11 @@ class TestCorpusIndex:
                                 "error::pytest.PytestUnraisableExceptionWarning")
     @pytest.mark.parametrize("damage", [
         "corpus-rewritten", "truncated", "corrupt", "scalar", "pickled", "other-version",
-        "offsets-fall", "offsets-overrun", "no-offsets", "token-offsets-fall",
-        "token-offsets-extra", "span-offsets-overrun", "sids-fall", "tagged-short",
-        "reasons-short", "not-utf8", "string-id-out-of-range", "one-span", "negative-span",
-        "span-past-sentence", "empty-span", "overlapping-spans", "type-out-of-range",
-        "tag-count"])
+        "offsets-fall", "offsets-overrun", "no-offsets", "int64-offsets",
+        "token-offsets-fall", "token-offsets-extra", "span-offsets-overrun", "sids-fall",
+        "tagged-short", "reasons-short", "not-utf8", "tokens-short", "tags-extra",
+        "one-span", "negative-span", "span-past-sentence", "empty-span",
+        "overlapping-spans", "type-out-of-range", "tag-count", "negative-count"])
     def test_a_doubtful_index_means_a_parse_that_rewrites_it(self, tmp_path, table_cache,
                                                              warnings, damage):
         path = self.corpus(tmp_path / "corpus.jsonl")
@@ -1533,9 +1534,9 @@ class TestCorpusIndex:
                 before.st_ino, before.st_size, before.st_mtime_ns)
         elif damage == "truncated":
             index.write_bytes(index.read_bytes()[:-100])
-        elif damage == "corrupt":  # a bit of the first string flipped
+        elif damage == "corrupt":  # a bit of the first token flipped: "Acme" reads "@cme"
             data = bytearray(index.read_bytes())
-            data[data.index(b"\x93NUMPY", data.index(b"strings.npy")) + 128] ^= 1
+            data[data.index(b"\x93NUMPY", data.index(b"tokens.npy")) + 128] ^= 1
             index.write_bytes(bytes(data))
         elif damage == "scalar":  # an array of no length
             rewrite_index(index, rejected_lines=np.array(4))
@@ -1545,12 +1546,14 @@ class TestCorpusIndex:
         elif damage == "other-version":
             digest, version, vocab = columns["key"].item().split(" ", 2)
             rewrite_index(index, key=np.array(f"{digest} {int(version) + 1} {vocab}"))
-        elif damage == "offsets-fall":  # "Acme" ends after "bought" does
-            columns["string_starts"][1] = columns["string_starts"][2] + 1
-            rewrite_index(index, string_starts=columns["string_starts"])
-        elif damage == "offsets-overrun":  # the last string ends past the text
-            columns["string_starts"][-1] += 1
-            rewrite_index(index, string_starts=columns["string_starts"])
+        elif damage == "offsets-fall":  # sentence 0's spans end after sentence 1's do
+            columns["span_starts"][1] = columns["span_starts"][2] + 1
+            rewrite_index(index, span_starts=columns["span_starts"])
+        elif damage == "offsets-overrun":  # the last sentence ends past the tokens
+            columns["token_starts"][-1] += 1
+            rewrite_index(index, token_starts=columns["token_starts"])
+        elif damage == "int64-offsets":  # the right values in a type no parse writes
+            rewrite_index(index, token_starts=columns["token_starts"].astype(np.int64))
         elif damage == "token-offsets-fall":  # sentence 0 ends after sentence 1 does
             columns["token_starts"][1] = columns["token_starts"][2] + 1
             rewrite_index(index, token_starts=columns["token_starts"])
@@ -1568,18 +1571,24 @@ class TestCorpusIndex:
             reasons = columns["reasons"].tobytes().decode("utf-8").split("\n")
             rewrite_index(index, reasons=np.frombuffer("\n".join(reasons[:-1]).encode(),
                                                        np.uint8))
-        elif damage == "no-offsets":  # not even the first string's start
-            rewrite_index(index, string_starts=np.zeros(0, np.int64))
+        elif damage == "no-offsets":  # not even the first sentence's start
+            rewrite_index(index, token_starts=np.zeros(0, np.int32))
         elif damage == "not-utf8":  # a byte no UTF-8 text holds
-            columns["strings"][0] = 0xFF
-            rewrite_index(index, strings=columns["strings"])
-        elif damage == "string-id-out-of-range":
-            columns["token_ids"][0] = len(columns["string_starts"]) - 1
-            rewrite_index(index, token_ids=columns["token_ids"])
+            columns["tokens"][0] = 0xFF
+            rewrite_index(index, tokens=columns["tokens"])
+        elif damage == "tokens-short":  # the last token is gone
+            text = columns["tokens"].tobytes()
+            rewrite_index(index, tokens=np.frombuffer(text[:text.rindex(b"\0")], np.uint8))
+        elif damage == "tags-extra":  # one tag more than the tagged sentences' tokens
+            rewrite_index(index, tags=np.append(columns["tags"], np.frombuffer(b"\0NN",
+                                                                           np.uint8)))
         elif damage == "one-span":  # the last sentence loses its last span
             columns["span_starts"][-1] -= 1
             rewrite_index(index, spans=columns["spans"][:-1],
                           span_starts=columns["span_starts"])
+        elif damage == "negative-count":  # dropped entities: -1
+            columns["counts"][1] = -1
+            rewrite_index(index, counts=columns["counts"])
         elif damage in span_edits:  # the type vocabulary is ["ORG"]: type ids 0 only
             row, column, value = span_edits[damage]
             columns["spans"][row, column] = value
@@ -1677,6 +1686,41 @@ class TestCorpusIndex:
             None, tuple(tags), None, tuple(tags[::-1])]
         assert warm.sentences[0].tokens == tuple(tokens)
 
+    @pytest.mark.parametrize("tokens, tags", [(["a\0b", "Acme", "Bolt"], None),
+                                              (["Acme", "x", "Bolt"], ["NNP", "\0", "NNP"])],
+                             ids=["token", "tag"])
+    def test_a_nul_in_a_kept_token_or_tag_leaves_the_corpus_unindexed(
+            self, tmp_path, table_cache, warnings, tokens, tags):
+        rows = [record(tokens, [ORG(0, 1), ORG(2, 3)], tags), OVERLAP, OK]
+        path = self.corpus(tmp_path / "corpus.jsonl", rows=rows)
+        loads = []
+        for _ in range(2):
+            loaded, parsed = self.load(path)
+            assert parsed and indexes(table_cache) == []
+            loads.append((loaded, warnings()))
+        assert loads[0] == loads[1]
+        assert loads[0][0] == self.reference(path)
+        assert loads[0][0].sentences[0].tokens == tuple(tokens)
+
+    @pytest.mark.parametrize("rows", [INDEXED_RECORDS, INDEXED_RECORDS[:2] + ["{not json"]],
+                             ids=["loads", "raises"])
+    def test_the_collector_is_back_as_it_was_after_a_load(self, tmp_path, rows):
+        """load_corpus pauses the cyclic garbage collector while it loads and
+        leaves it on, or off, as it found it, also when the corpus is bad."""
+        path = self.corpus(tmp_path / "corpus.jsonl", rows=rows)
+        was = gc.isenabled()
+        try:
+            for enabled in (True, False, True):
+                (gc.enable if enabled else gc.disable)()
+                for _ in range(2):  # cold, then warm
+                    try:
+                        self.load(path)
+                    except CorpusFormatError:
+                        assert rows[-1] == "{not json"
+                    assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     @given(st.lists(indexed_lines(), max_size=8), st.sampled_from(["\n", "\r\n"]))
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1687,9 +1731,12 @@ class TestCorpusIndex:
         with support.fresh_cache():
             cold = load_corpus(path, {"ORG", "PER"})
             logged = warnings()
-            with mock.patch.object(brex.corpus, "_parse_split") as parse_split:
+            with mock.patch.object(brex.corpus, "_parse_split",
+                                   wraps=brex.corpus._parse_split) as parse_split:
                 warm = load_corpus(path, {"ORG", "PER"})
-        assert not parse_split.called
+        # a kept token or tag with a NUL leaves the corpus unindexed (see _joined)
+        assert parse_split.called == any("\0" in text for sent in cold.sentences
+                                         for text in sent.tokens + (sent.pos or ()))
         assert warm == cold
         assert warnings() == logged
 

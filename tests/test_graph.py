@@ -220,21 +220,37 @@ def test_products_are_made_in_calls_within_the_cap(measure):
     with counted_matmuls() as madds:
         edges = all_edges(graph_of(instances, measure, tau_sim))
     assert sum(madds) > 10 * brex.similarity._PRODUCT_MADDS
-    assert max(madds) <= brex.similarity._PRODUCT_MADDS
+    assert max(madds) <= brex.similarity._PRODUCT_MADDS < brex.similarity._PRODUCT_SPLIT
     assert len(edges) > 2 * len(instances)
     assert edges == scalar_edges(instances, measure, tau_sim)
 
 
-def test_a_row_over_the_cap_splits_the_targets(monkeypatch):
-    """Where one row's products alone are over the cap, the targets are
-    taken a few at a time: at d = 50 and a cap of 120, two per call."""
-    monkeypatch.setattr(brex.similarity, "_PRODUCT_MADDS", 120)
+def test_a_product_is_split_into_blocks_of_rows_and_targets(monkeypatch):
+    """Under a cap of 12 (row, target) pairs per call at d = 50, 7 rows by 5
+    targets are made in blocks of 4 rows by 3 targets: a block of one row
+    would repack the targets for each row."""
+    monkeypatch.setattr(brex.similarity, "_PRODUCT_MADDS", 12 * 50)
     rng = np.random.default_rng(6)
     rows, targets = rng.normal(size=(7, 50)), rng.normal(size=(5, 50))
     with counted_matmuls() as madds:
         product = brex.similarity._product(rows, targets)
-    assert madds == [100] * 14 + [50] * 7
+    assert madds == [4 * 3 * 50, 3 * 3 * 50, 4 * 2 * 50, 3 * 2 * 50]
     np.testing.assert_allclose(product, rows @ targets.T, rtol=1e-13, atol=1e-13)
+
+
+def test_a_product_over_the_split_size_is_one_call(monkeypatch):
+    """A product of more than _PRODUCT_SPLIT multiply-adds, where the BLAS
+    threads gain more than they stall, is one call; one of exactly that many
+    is split."""
+    rng = np.random.default_rng(7)
+    rows, targets = rng.normal(size=(7, 50)), rng.normal(size=(5, 50))
+    monkeypatch.setattr(brex.similarity, "_PRODUCT_MADDS", 12 * 50)
+    for split, calls in ((7 * 5 * 50 - 1, 1), (7 * 5 * 50, 4)):
+        monkeypatch.setattr(brex.similarity, "_PRODUCT_SPLIT", split)
+        with counted_matmuls() as madds:
+            product = brex.similarity._product(rows, targets)
+        assert len(madds) == calls and sum(madds) == 7 * 5 * 50
+        np.testing.assert_allclose(product, rows @ targets.T, rtol=1e-13, atol=1e-13)
 
 
 @pytest.fixture
