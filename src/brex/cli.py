@@ -188,12 +188,12 @@ def ingest_inputs(corpus_path, embeddings_path, seeds_path,
     spec = parse_seed_file(seeds_path)
     loaded = load_corpus(corpus_path, set(spec.type_pair))
     # context vectors only ever look up the tokens of the sentences that can
-    # yield an instance and those of the seed templates
-    vocab = {tok for sent in loaded.sentences for tok in sent.tokens}
+    # yield an instance (their distinct tokens) and those of the seed templates
+    vocab = set(loaded.columns.words)
     vocab.update(tok for text in spec.positive_templates + spec.negative_templates
                  for tok in text.split())
     emb = load_embeddings(embeddings_path, vocab)
-    extraction = extract_instances(loaded.sentences, emb, limits, spec.type_pair)
+    extraction = extract_instances(loaded.columns, emb, limits, spec.type_pair)
     counters = {
         "sentences": loaded.accepted_records,
         "rejected_records": loaded.rejected_records,

@@ -36,9 +36,10 @@ keyed by the table's sha256, and a later load of a table with that digest
 looks up the keys of its vocabulary there and reads only their rows (see
 load_embeddings). The index holds no vectors and no words, and the store it
 gives is the one a parse gives. A corpus is validated once per type
-vocabulary the same way: its index holds the sentences a parse kept, as
-columns, the counts and the rejected records, and a later load builds the
-sentences from them and never opens the corpus (see load_corpus). Both
+vocabulary the same way: its index holds the columns of the sentences a
+parse kept (see SentenceColumns), the counts and the rejected records, and
+a later load takes the columns from it and never opens the corpus (see
+load_corpus). Both
 indexes go through one path rule, writer and reader (_index_path,
 _write_index, _read_index), and both are read only while the file is the
 one the digest was taken of (HashedPath.unchanged). Each file is hashed
@@ -49,29 +50,30 @@ mtime and ctime are the memo's reads the digest there instead of the file.
 Every produced context vector is either the zero vector (empty window, or all
 tokens out of vocabulary) or unit-normalized, so downstream dot products are
 bounded cosines. The EmbeddingStore keeps one table of distinct contexts, a
-row per sorted token multiset: extract_instances and parse_seed_templates
-give each window its row (context_row), then build the new rows in one
-batch, as one read-only matrix (a corpus's contexts are one matrix), and
-every window of a multiset shares its row's array. Window sums run over
-tokens in sorted order, which makes the vectors bit-identical for any two
-windows with the same token multiset. A window whose sum or norm overflows
-float64 raises EmbeddingFormatError naming its tokens (exit 2), where it
-would otherwise give a NaN or zero vector and silently zero similarities.
+row per sorted token multiset: extract_instances gives its distinct windows
+their rows in one batch (window_rows), parse_seed_templates each of its
+windows (context_row), new rows are built as one read-only matrix per
+batch, and every window of a multiset shares its row's array. Window sums
+run over tokens in sorted order, which makes the vectors bit-identical for
+any two windows with the same token multiset. A window whose sum or norm
+overflows float64 raises EmbeddingFormatError naming its tokens (exit 2),
+where it would otherwise give a NaN or zero vector and silently zero
+similarities.
 
-extract_instances gives its instances as an InstanceTable, columns made in
-the pass that gives each window its context row: each row's three context
-rows, type-pair id, entity-key ids, sentence and spans. It builds no
-Instance: a row's Instance is built when a caller first reads it
-(``table[row]``) and kept, so a run builds those of its extractors' members
-and accepted rows only. InstanceTable.from_instances gives the table of a
-list of instances, for tests and API callers.
+extract_instances runs over the columns of the kept sentences: an int32 id
+per token, into the sorted table of the distinct tokens, and the spans as
+int32 rows. It gives its instances as an InstanceTable: each row's three
+context rows, type-pair id, entity-key ids, sentence and spans. It builds
+no Instance and no sentence tuple: a row's Instance is built, from the
+columns, when a caller first reads it (``table[row]``) and kept, so a run
+builds those of its extractors' members and accepted rows only.
+InstanceTable.from_instances gives the table of a list of instances, for
+tests and API callers.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import gc
 import hashlib
 import io
 import itertools
@@ -88,6 +90,7 @@ import tempfile
 import time
 import zipfile
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -162,9 +165,9 @@ class EntitySpan(NamedTuple):
 
 
 class TaggedSentence(NamedTuple):
-    """One corpus record that can yield an instance. Sentences and spans are
-    plain tuples: load_corpus makes one per kept record, and
-    extract_instances unpacks them."""
+    """One corpus record that can yield an instance, as plain tuples:
+    SentenceColumns.sentence builds one from the columns when a reader asks,
+    and SentenceColumns.of turns a list of them into columns."""
 
     sid: int
     tokens: tuple[str, ...]
@@ -172,12 +175,133 @@ class TaggedSentence(NamedTuple):
     pos: tuple[str, ...] | None = None
 
 
-@dataclass
+@dataclass(eq=False)
+class SentenceColumns:
+    """The sentences of a corpus that can yield an instance, as columns;
+    ``n`` sentences, ``T`` tokens and ``S`` spans in all:
+
+    - ``sids``: each sentence's sid;
+    - ``token_ids``: the tokens, sentence after sentence, each as its
+      position in ``words``, an int32 array of T; ``words`` holds the
+      distinct tokens sorted as sorted() sorts str, so that sorting ids
+      sorts the tokens as sorted() does;
+    - ``token_starts``: the offsets of each sentence's tokens, n + 1 of them;
+    - ``spans``: the entity spans as (start, end, type id) rows of int32,
+      each sentence's sorted, with offsets ``span_starts``; a type id is a
+      position in ``types``;
+    - ``tagged``: whether each sentence has POS tags, and ``tags``, the tags
+      of the tagged sentences, one after another.
+    """
+
+    sids: np.ndarray
+    token_ids: np.ndarray
+    words: list[str]
+    token_starts: np.ndarray
+    spans: np.ndarray
+    span_starts: np.ndarray
+    tagged: np.ndarray
+    tags: list[str]
+    types: list[str]
+
+    @classmethod
+    def build(cls, sids: list[int], tokens: list[str], sizes: list[int], spans: list[int],
+              span_counts: list[int], tagged: list[bool], tags: list[str],
+              types: list[str]) -> "SentenceColumns":
+        """The columns of sentences given as flat lists: their sids, all
+        their tokens and each one's token count, all their spans (start, end
+        and type id, one after another) and each one's span count, and each
+        one's tagged flag and the tags of the tagged ones."""
+        words = sorted(set(tokens))
+        ids = dict(zip(words, range(len(words))))
+        return cls(np.array(sids, np.int64),
+                   np.fromiter(map(ids.__getitem__, tokens), np.int32, len(tokens)), words,
+                   _starts(sizes), np.array(spans, np.int32).reshape(-1, 3),
+                   _starts(span_counts), np.array(tagged, bool).reshape(-1), tags, types)
+
+    @classmethod
+    def of(cls, sentences) -> "SentenceColumns":
+        """The columns of the TaggedSentences ``sentences`` (as tests and
+        API callers give them to extract_instances), each one's spans
+        sorted; their types are the spans' types, sorted."""
+        sentences = list(sentences)
+        types = sorted({span.etype for sent in sentences for span in sent.entities})
+        type_ids = dict(zip(types, range(len(types))))
+        spans = [sorted(sent.entities) for sent in sentences]
+        return cls.build([sent.sid for sent in sentences],
+                         [tok for sent in sentences for tok in sent.tokens],
+                         [len(sent.tokens) for sent in sentences],
+                         [value for entities in spans for start, end, etype in entities
+                          for value in (start, end, type_ids[etype])],
+                         list(map(len, spans)), [sent.pos is not None for sent in sentences],
+                         [tag for sent in sentences for tag in sent.pos or ()], types)
+
+    def __len__(self) -> int:
+        return len(self.sids)
+
+    @functools.cached_property
+    def tag_starts(self) -> np.ndarray:
+        """The offsets of each sentence's tags in ``tags``; an untagged
+        sentence has none."""
+        return _starts(np.diff(self.token_starts) * self.tagged)
+
+    def tokens(self, k: int) -> tuple[str, ...]:
+        """Sentence ``k``'s tokens."""
+        start, end = self.token_starts[k:k + 2].tolist()
+        return tuple(map(self.words.__getitem__, self.token_ids[start:end].tolist()))
+
+    def sentence(self, k: int) -> TaggedSentence:
+        """Sentence ``k`` as a TaggedSentence."""
+        tokens = self.tokens(k)
+        first, last = self.span_starts[k:k + 2].tolist()
+        tags = self.tag_starts[k].item()
+        return TaggedSentence(
+            self.sids[k].item(), tokens,
+            tuple(EntitySpan(a, b, self.types[etype])
+                  for a, b, etype in self.spans[first:last].tolist()),
+            tuple(self.tags[tags:tags + len(tokens)]) if self.tagged[k] else None)
+
+
+class _SentenceView(Sequence):
+    """The sentences ``at`` of ``columns``, each built when it is read."""
+
+    def __init__(self, columns: SentenceColumns, at: np.ndarray):
+        self._columns = columns
+        self._at = at
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, k: int) -> TaggedSentence:
+        return self._columns.sentence(self._at[k])
+
+    def sid_tokens(self, k: int) -> tuple[int, tuple[str, ...]]:
+        """The sid and the tokens of sentence ``k``, all that an Instance
+        reads of it."""
+        return self._columns.sids[self._at[k]].item(), self._columns.tokens(self._at[k])
+
+
+@dataclass(eq=False)
 class LoadedCorpus:
-    sentences: list[TaggedSentence]  # the accepted records that can yield an instance
+    """What load_corpus gives: the accepted records that can yield an
+    instance, as columns, and the counts. Two compare equal when their
+    sentences and counts do."""
+
+    columns: SentenceColumns
     accepted_records: int = 0  # every record not rejected; sids count these
     dropped_entities: int = 0  # entity type outside the configured vocabulary
     rejected_records: int = 0  # bad or overlapping spans
+
+    @functools.cached_property
+    def sentences(self) -> list[TaggedSentence]:
+        """The sentences as TaggedSentences, built on the first read."""
+        return [self.columns.sentence(k) for k in range(len(self.columns))]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LoadedCorpus):
+            return NotImplemented
+        return (self.sentences, self.accepted_records, self.dropped_entities,
+                self.rejected_records) == (other.sentences, other.accepted_records,
+                                           other.dropped_entities, other.rejected_records)
 
 
 def distinct_windows(templates) -> tuple[list[np.ndarray], np.ndarray]:
@@ -205,9 +329,10 @@ class InstanceTable:
       ids as an (N, 2) int32 array, from which pair_ids gives each row's
       pair id under a pairing;
     - of a table from extract_instances, ``sentences``, the sentences it
-      read that have a row, and ``spans``, each row's sentence (its index there), its two
-      entity spans in sentence order (start, end, start, end) and whether the
-      pair was swapped as passive (1) or not (0), as an (N, 6) int64 array.
+      read that have a row, each built as a TaggedSentence when it is read,
+      and ``spans``, each row's sentence (its index there), its two entity
+      spans in sentence order (start, end, start, end) and whether the pair
+      was swapped as passive (1) or not (0), as an (N, 6) int64 array.
 
     ``table[row]`` is row's Instance, built on the first read and kept: the
     same object on every read, whose template holds the arrays of
@@ -267,17 +392,16 @@ class InstanceTable:
 
     def _instance(self, row: int) -> Instance:
         index, a_start, a_end, b_start, b_end, swapped = self.spans[row].tolist()
-        sent = self.sentences[index]
-        tokens = sent.tokens
+        sid, tokens = self.sentences.sid_tokens(index)
         surfaces = " ".join(tokens[a_start:a_end]), " ".join(tokens[b_start:b_end])
         first, second = surfaces[::-1] if swapped else surfaces
         t1, t2 = self.type_pairs[self.type_ids[row]]
         pair = EntityPair(TypedEntity(first, t1), TypedEntity(second, t2))
         before, between, after = (self.contexts[k] for k in self.ids[row].tolist())
-        return Instance(id=f"s{sent.sid}:{a_start}.{a_end}-{b_start}.{b_end}", pair=pair,
+        return Instance(id=f"s{sid}:{a_start}.{a_end}-{b_start}.{b_end}", pair=pair,
                         template=Template(v_before=before, v_between=between,
                                           v_after=after, type_pair=pair.types),
-                        sentence_ref=sent.sid, tokens_between=tuple(tokens[a_end:b_start]))
+                        sentence_ref=sid, tokens_between=tokens[a_end:b_start])
 
     def row_of(self, template: Template) -> int | None:
         """The row whose built or given Instance holds ``template`` (the last
@@ -318,9 +442,11 @@ class EmbeddingStore:
     """Immutable word-vector table; unknown words map to the zero vector.
 
     The store also holds the table of distinct context vectors: each sorted
-    token multiset has one row (context_row), and context_rows builds the
-    rows added since its last call as one read-only matrix. Every window of
-    a multiset shares that row's array, a C-contiguous view of its matrix.
+    token multiset has one row, given by context_row to a window of tokens
+    and by window_rows to windows of token ids. context_rows builds the rows
+    context_row added since its last call, and window_rows its own at once,
+    each batch one read-only matrix. Every window of a multiset shares that
+    row's array, a C-contiguous view of its matrix.
     """
 
     def __init__(self, dimension: int, vectors: dict[str, np.ndarray]):
@@ -354,54 +480,88 @@ class EmbeddingStore:
 
     def context_rows(self) -> list[np.ndarray]:
         """The context vector of every row of the context table, by row,
-        after building those added since the last call (see _build)."""
+        after building those added since the last call (see _extend)."""
         if self._pending:
-            self._contexts.extend(self._build(self._pending))
-            self._pending = []
+            keys, self._pending = self._pending, []
+            words = sorted({word for key in keys for word in key})
+            ids = dict(zip(words, range(len(words))))
+            windows = np.full((len(keys), max(1, max(map(len, keys)))), len(words), np.int32)
+            for window, key in zip(windows, keys):
+                window[:len(key)] = list(map(ids.__getitem__, key))
+            self._extend(windows, words)
         return self._contexts
 
-    def _build(self, keys: list[tuple[str, ...]]) -> np.ndarray:
-        """The read-only (len(keys), d) matrix of the context vectors of the
-        sorted token multisets ``keys``, built _CONTEXT_WINDOWS windows at a
-        time.
+    def window_rows(self, windows: np.ndarray, words: list[str]) -> np.ndarray:
+        """The row of the context table of each window of ``windows``: rows
+        of ids into ``words`` (sorted as sorted() sorts str), each row
+        sorted, then padded with len(words). The distinct windows (one
+        np.unique) are looked up as context_row looks up a multiset, in the
+        order first seen, and those not seen before get the next rows,
+        built here at once (see _extend)."""
+        self.context_rows()  # the rows context_row added come first
+        distinct, window = _first_seen(windows)
+        windows, pad = windows[distinct], len(words)
+        sizes = (windows < pad).sum(1)
+        keys: list = [None] * len(windows)
+        vocabulary = np.array(words + [None], dtype=object)
+        for size in set(sizes.tolist()):
+            at = np.flatnonzero(sizes == size)
+            for k, key in zip(at.tolist(), map(tuple, vocabulary[windows[at, :size]].tolist())):
+                keys[k] = key
+        rows = self._rows
+        new = [k for k, row in enumerate(map(rows.get, keys)) if row is None]
+        rows.update(zip(map(keys.__getitem__, new), itertools.count(len(rows))))
+        if new:
+            self._extend(windows[new], words)
+        return np.fromiter(map(rows.__getitem__, keys), np.int64, len(keys))[window]
+
+    def _extend(self, windows: np.ndarray, words: list[str]) -> None:
+        """Append to the context table the read-only (len(windows), d)
+        matrix of the context vectors of ``windows``, rows of ids into
+        ``words``, sorted, then padded with len(words); built
+        _CONTEXT_WINDOWS windows at a time.
 
         A chunk's sums start from zeros and add the rows of each window's
-        first tokens, then of its second ones, and so on: each window's sum
+        first tokens, then of its second ones, and so on, each column one
+        gather from a table of the rows of the words used: each window's sum
         has the bits of ``total += lookup(tok)`` over its sorted tokens, and
-        equal multisets give bit-equal vectors. (A window that has run out
-        of tokens adds zeros, which leave a sum from zeros unchanged: such a
-        sum is never -0.0. np.add.reduce and reduceat would sum a window's
-        rows pairwise where numpy's loop order puts them innermost.) The
-        norm is sqrt(np.vecdot(s, s)), the dot kernel of np.linalg.norm's
+        equal multisets give bit-equal vectors. (The padding adds zeros,
+        which leave a sum from zeros unchanged: such a sum is never -0.0.
+        np.add.reduce and reduceat would sum a window's rows pairwise where
+        numpy's loop order puts them innermost.) The norm is
+        sqrt(np.vecdot(s, s)), the dot kernel of np.linalg.norm's
         ``s.dot(s)``; a norm below _ZERO_NORM gives the zero vector, any
         other divides the sum. A sum or norm that is not finite (the tokens'
         rows overflow float64) raises EmbeddingFormatError naming the
         tokens: such a context would make every similarity it enters NaN or
         0."""
-        out = np.empty((len(keys), self.dimension), dtype=np.float64)
-        for start in range(0, len(keys), _CONTEXT_WINDOWS):
-            chunk = keys[start:start + _CONTEXT_WINDOWS]
+        used, ids = np.unique(windows, return_inverse=True)
+        ids = ids.reshape(windows.shape)
+        table = np.array([self.lookup(words[k]) if k < len(words) else self._zero
+                          for k in used.tolist()], dtype=np.float64)
+        out = np.empty((len(windows), self.dimension), dtype=np.float64)
+        for start in range(0, len(windows), _CONTEXT_WINDOWS):
+            chunk = ids[start:start + _CONTEXT_WINDOWS]
             sums = np.zeros((len(chunk), self.dimension), dtype=np.float64)
             with np.errstate(over="ignore", invalid="ignore"):
-                for at in range(max(map(len, chunk))):
-                    sums += np.array([self.lookup(key[at]) if at < len(key) else self._zero
-                                      for key in chunk], dtype=np.float64)
+                for column in chunk.T:
+                    sums += table[column]
                 norms = np.sqrt(np.vecdot(sums, sums))
             # a sum that is not finite has no finite norm
             bad = np.flatnonzero(~np.isfinite(norms))
             if len(bad):
-                raise EmbeddingFormatError(
-                    f"the context vector of the tokens {list(chunk[bad[0]])} "
-                    f"overflows: its sum or norm is not finite")
+                tokens = [words[k] for k in windows[start + bad[0]].tolist() if k < len(words)]
+                raise EmbeddingFormatError(f"the context vector of the tokens {tokens} "
+                                           f"overflows: its sum or norm is not finite")
             zero = norms < _ZERO_NORM
             block = out[start:start + len(chunk)]
             np.divide(sums, norms[:, None], out=block, where=~zero[:, None])
             block[zero] = 0.0
         out.setflags(write=False)
-        return out
+        self._contexts.extend(out)
 
 
-# Windows per chunk of the context builder (EmbeddingStore._build): at d = 50
+# Windows per chunk of the context builder (EmbeddingStore._extend): at d = 50
 # a chunk's sums take 100 KB.
 _CONTEXT_WINDOWS = 256
 
@@ -1232,20 +1392,25 @@ _MIN_CORPUS_RANGE_BYTES = 2 << 20
 @dataclass
 class _CorpusPart:
     """What bytes of the corpus give, with sids and line numbers counted from
-    their first record and their first line. The kept sentences are columns
-    (see _sentences): each one's sid, tokens, POS tags (None when it has
-    none) and span count, then all their spans (start, end and type id, one
-    after another), in sentence order."""
+    their first record and their first line. The parse gives the kept
+    sentences as flat lists (see SentenceColumns.build): each one's sid,
+    token count, span count and tagged flag, and all their tokens, spans
+    (start, end and type id, one after another) and tags, in sentence order;
+    ``columns`` holds them as SentenceColumns once the parts are merged, or
+    as an index holds them."""
 
     sids: list[int] = field(default_factory=list)
-    tokens: list[tuple[str, ...]] = field(default_factory=list)
-    tags: list[tuple[str, ...] | None] = field(default_factory=list)
-    span_counts: list[int] = field(default_factory=list)
+    tokens: list[str] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)
     spans: list[int] = field(default_factory=list)
+    span_counts: list[int] = field(default_factory=list)
+    tagged: list[bool] = field(default_factory=list)
+    tags: list[str] = field(default_factory=list)
     accepted: int = 0
     dropped: int = 0
     rejected: list[tuple[int, str]] = field(default_factory=list)  # (line, why)
     lines: int = 0  # text lines, blank ones included
+    columns: SentenceColumns | None = None
 
 
 def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
@@ -1256,7 +1421,7 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     the file and the line. Entities with a type outside ``type_vocab`` are
     dropped and counted. Each accepted record gets the next sid, but only
     those with at least two entities left can yield an instance, so only they
-    are kept as sentences.
+    are kept as sentences, given as SentenceColumns.
 
     The corpus is read as parts of at least ``_MIN_CORPUS_RANGE_BYTES`` bytes,
     one per CPU, or as one part (see _parse_split); each part counts its sids
@@ -1264,13 +1429,13 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     sentences, counts and warnings are those of one pass.
 
     A corpus is validated once per type vocabulary: after a parse that raised
-    no error, its sentences as columns, the counts and the line and reason of
-    each rejected record are stored in an index in the cache directory (see
+    no error, its columns, the counts and the line and reason of each
+    rejected record are stored in an index in the cache directory (see
     _corpus_arrays), keyed by the corpus's sha256 (that of a HashedPath, else
     computed here) and the sorted ``type_vocab`` (see _index_path). A later
-    load with that key builds the sentences from the columns, after checks
-    on whole arrays, logs the stored warnings and never opens the corpus, so
-    it gives what the parse gave. A missing, corrupt or mismatched index,
+    load with that key takes the columns from the index, after checks on
+    whole arrays, logs the stored warnings and never opens the corpus, so it
+    gives what the parse gave. A missing, corrupt or mismatched index,
     columns that no parse gives (see _indexed_corpus), or a corpus replaced
     since it was digested means the parse, which rewrites the index unless
     the corpus was replaced. A pipe has no digest, and a corpus whose kept
@@ -1281,41 +1446,27 @@ def load_corpus(path, type_vocab: set[str]) -> LoadedCorpus:
     tag = json.dumps(types)
     index = _index_path(hashed.sha256, hashlib.sha256(tag.encode()).hexdigest()[:16])
     key = index and _index_key(hashed.sha256, _CORPUS_INDEX_VERSION, tag)
-    with _gc_paused():
-        corpus = index and _indexed_corpus(hashed, index, key, len(types))
-        if not corpus:
-            try:
-                corpus = _merged(_parse_split(
-                    path, _MIN_CORPUS_RANGE_BYTES,
-                    lambda start, end: _parse_corpus(path, types, start, end)))
-            except CorpusFormatError as exc:
-                _log_rejected(path, exc.part.rejected)  # those before the bad record
-                raise
-            arrays = index and hashed.unchanged() and _corpus_arrays(corpus)
-            if arrays:
-                _write_index(index, key, **arrays)
-        sentences = _sentences(corpus, types)
+    corpus = index and _indexed_corpus(hashed, index, key, types)
+    if not corpus:
+        try:
+            corpus = _merged(_parse_split(
+                path, _MIN_CORPUS_RANGE_BYTES,
+                lambda start, end: _parse_corpus(path, types, start, end)))
+        except CorpusFormatError as exc:
+            _log_rejected(path, exc.part.rejected)  # those before the bad record
+            raise
+        corpus.columns = SentenceColumns.build(
+            corpus.sids, corpus.tokens, corpus.sizes, corpus.spans, corpus.span_counts,
+            corpus.tagged, corpus.tags, types)
+        arrays = index and hashed.unchanged() and _corpus_arrays(corpus)
+        if arrays:
+            _write_index(index, key, **arrays)
     _log_rejected(path, corpus.rejected)
     if corpus.dropped:
         log.warning("dropped %d entities with types outside %s", corpus.dropped, types)
-    return LoadedCorpus(sentences=sentences, accepted_records=corpus.accepted,
+    return LoadedCorpus(corpus.columns, accepted_records=corpus.accepted,
                         dropped_entities=corpus.dropped,
                         rejected_records=len(corpus.rejected))
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector in the block, whose tuples (none in
-    a cycle) set it off again and again: building 30,320 sentences with it
-    on took twice as long. The pause moves a collection later, but does not
-    avoid it: the first one after the block goes over all that it built."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _merged(parts: list[_CorpusPart]) -> _CorpusPart:
@@ -1324,7 +1475,7 @@ def _merged(parts: list[_CorpusPart]) -> _CorpusPart:
     whole = parts[0]
     for part in parts[1:]:
         whole.sids += [whole.accepted + sid for sid in part.sids]
-        for name in ("tokens", "tags", "span_counts", "spans"):
+        for name in ("tokens", "sizes", "spans", "span_counts", "tagged", "tags"):
             getattr(whole, name).extend(getattr(part, name))
         whole.rejected += [(whole.lines + n, why) for n, why in part.rejected]
         whole.accepted += part.accepted
@@ -1341,30 +1492,27 @@ def _log_rejected(path, rejected: list[tuple[int, str]]) -> None:
 
 def _corpus_arrays(corpus: _CorpusPart) -> dict | None:
     """The arrays of a corpus's index (see _write_index): the counts, the
-    rejected records and the sentences' columns (see _CorpusPart) as int32,
-    with offsets for counts and the spans as (start, end, type id) rows, and
-    the tokens and the tags each as one UTF-8 blob ("surrogatepass") with a
-    NUL between each two. None, so that no index is written, when a token or
-    a tag holds a NUL or a count is past int32: every value is at most the
-    line count or the token count."""
-    sizes = np.fromiter(map(len, corpus.tokens), np.int64, len(corpus.tokens))
-    tagged = np.fromiter(map(operator.is_not, corpus.tags, itertools.repeat(None)), bool,
-                         len(corpus.tags))
-    if max(corpus.lines, sizes.sum()) >= 1 << 31:
+    rejected records and the columns (see SentenceColumns) as int32, the
+    distinct tokens (``words``) and the tags each as one UTF-8 blob
+    ("surrogatepass") with a NUL between each two. None, so that no index is
+    written, when a token or a tag holds a NUL or a count is past int32:
+    every value is at most the line count or the token count."""
+    columns = corpus.columns
+    if max(corpus.lines, len(columns.token_ids)) >= 1 << 31:
         return None
-    tokens = _joined(itertools.chain.from_iterable(corpus.tokens), int(sizes.sum()))
-    tags = _joined(itertools.chain.from_iterable(filter(None, corpus.tags)),
-                   int(sizes[tagged].sum()))
-    if tokens is None or tags is None:
+    words = _joined(columns.words, len(columns.words))
+    tags = _joined(columns.tags, len(columns.tags))
+    if words is None or tags is None:
         return None
     return {"counts": np.array([corpus.accepted, corpus.dropped, corpus.lines], np.int64),
             "rejected_lines": np.array([n for n, _ in corpus.rejected], np.int32),
             "reasons": np.frombuffer("\n".join(why for _, why in corpus.rejected).encode(),
                                      np.uint8),
-            "sids": np.array(corpus.sids, np.int32),
-            "token_starts": _starts(sizes), "span_starts": _starts(corpus.span_counts),
-            "spans": np.array(corpus.spans, np.int32).reshape(-1, 3),
-            "tagged": tagged, "tokens": tokens, "tags": tags}
+            "sids": columns.sids.astype(np.int32),
+            "token_starts": columns.token_starts.astype(np.int32),
+            "span_starts": columns.span_starts.astype(np.int32), "spans": columns.spans,
+            "tagged": columns.tagged, "token_ids": columns.token_ids, "words": words,
+            "tags": tags}
 
 
 def _joined(strings, count: int) -> np.ndarray | None:
@@ -1390,8 +1538,8 @@ def _split(blob: np.ndarray, count: int) -> list[str] | None:
 
 
 def _starts(counts) -> np.ndarray:
-    """The offsets 0, c0, c0 + c1, ... of runs of ``counts`` items, as int32."""
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    """The offsets 0, c0, c0 + c1, ... of runs of ``counts`` items."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
 def _offsets(values: np.ndarray, count: int, end: int | None = None) -> bool:
@@ -1410,20 +1558,22 @@ def _ascending(values: np.ndarray, low: int, high: int) -> bool:
 
 
 def _indexed_corpus(path: HashedPath, index: str, key: str,
-                    type_count: int) -> _CorpusPart | None:
-    """What the corpus at ``path`` gives (see load_corpus), read from the
-    index at ``index`` (see _corpus_arrays) alone, under a vocabulary of
-    ``type_count`` types. None when the index is missing or doubtful (see
-    _read_index), the corpus is not the file ``path`` digested, or the
-    columns are not ones a parse writes: each sentence needs two spans or
-    more, sorted without overlap, each non-empty and inside it, and a tagged
-    one a tag per token."""
+                    types: list[str]) -> _CorpusPart | None:
+    """What the corpus at ``path`` gives (see load_corpus) under the sorted
+    type vocabulary ``types``, read from the index at ``index`` (see
+    _corpus_arrays) alone: its counts, rejected records and columns. None
+    when the index is missing or doubtful (see _read_index), the corpus is
+    not the file ``path`` digested, or the columns are not ones a parse
+    writes: each sentence needs two spans or more, sorted without overlap,
+    each non-empty and inside it, and a tagged one a tag per token; each
+    token id names a word, the words rise strictly and each is some token's."""
     arrays = _read_index(index, key, "counts", "rejected_lines", "reasons", "sids",
-                         "token_starts", "span_starts", "spans", "tagged", "tokens", "tags")
+                         "token_starts", "span_starts", "spans", "tagged", "token_ids",
+                         "words", "tags")
     if arrays is None or not path.unchanged():
         return None
-    (counts, rejected, reasons, sids, token_starts, span_starts, spans, tagged, tokens,
-     tags) = arrays
+    (counts, rejected, reasons, sids, token_starts, span_starts, spans, tagged, token_ids,
+     words, tags) = arrays
     try:
         reasons = reasons.tobytes().decode("utf-8").split("\n") if reasons.size else []
     except UnicodeDecodeError:
@@ -1436,7 +1586,8 @@ def _indexed_corpus(path: HashedPath, index: str, key: str,
             and len(reasons) == len(rejected) and _offsets(token_starts, n)
             and spans.dtype == np.int32 and spans.ndim == 2 and spans.shape[1] == 3
             and _offsets(span_starts, n, len(spans)) and tagged.dtype == bool
-            and tagged.shape == (n,)):
+            and tagged.shape == (n,) and token_ids.dtype == np.int32
+            and token_ids.shape == (token_starts[-1],) and words.dtype == np.uint8):
         return None
     sizes, span_counts = np.diff(token_starts), np.diff(span_starts)
     owner = np.repeat(np.arange(n), span_counts)  # each span's sentence
@@ -1444,30 +1595,19 @@ def _indexed_corpus(path: HashedPath, index: str, key: str,
     if not ((span_counts >= 2).all() and (starts >= 0).all()
             and (starts < ends).all() and (ends <= sizes[owner]).all()
             and ((starts[1:] >= ends[:-1]) | (owner[1:] != owner[:-1])).all()
-            and not ((type_ids < 0) | (type_ids >= type_count)).any()):
+            and not ((type_ids < 0) | (type_ids >= len(types))).any()):
         return None
-    tag_starts = _starts(sizes * tagged)
-    tokens, tags = _split(tokens, int(token_starts[-1])), _split(tags, int(tag_starts[-1]))
-    if tokens is None or tags is None:
+    # a parse writes the words of the tokens, so some when there are tokens
+    words = _split(words, token_ids.size and np.count_nonzero(words == 0) + 1)
+    tags = _split(tags, int(np.dot(sizes, tagged)))
+    if (words is None or tags is None or not all(map(operator.lt, words, words[1:]))
+            or ((token_ids < 0) | (token_ids >= len(words))).any()
+            or not np.bincount(token_ids, minlength=len(words)).all()):
         return None
-    tokens, tags, t, p = tuple(tokens), tuple(tags), token_starts.tolist(), tag_starts.tolist()
-    return _CorpusPart(sids.tolist(), list(map(tokens.__getitem__, map(slice, t, t[1:]))),
-                       [tags[a:b] if is_tagged else None
-                        for a, b, is_tagged in zip(p, p[1:], tagged.tolist())],
-                       span_counts.tolist(), spans.ravel().tolist(), accepted, dropped,
-                       list(zip(rejected.tolist(), reasons)), lines)
-
-
-def _sentences(corpus: _CorpusPart, types: list[str]) -> list[TaggedSentence]:
-    """The sentences of the columns of ``corpus`` (see _CorpusPart), whose
-    type ids are places in ``types``."""
-    spans = corpus.spans
-    entities = tuple(map(_new_span, zip(spans[::3], spans[1::3],
-                                        map(types.__getitem__, spans[2::3]))))
-    s = list(itertools.accumulate(corpus.span_counts, initial=0))
-    return list(map(_new_sentence, zip(corpus.sids, corpus.tokens,
-                                       map(entities.__getitem__, map(slice, s, s[1:])),
-                                       corpus.tags)))
+    return _CorpusPart(accepted=accepted, dropped=dropped,
+                       rejected=list(zip(rejected.tolist(), reasons)), lines=lines,
+                       columns=SentenceColumns(sids, token_ids, words, token_starts, spans,
+                                               span_starts, tagged, tags, types))
 
 
 def _parse_corpus(path, types: list[str], start: int, end: int | None) -> _CorpusPart:
@@ -1502,11 +1642,14 @@ def _parse_corpus(path, types: list[str], start: int, end: int | None) -> _Corpu
                 if len(kept) >= 2:
                     pos = record.get("pos")
                     part.sids.append(accepted)
-                    part.tokens.append(tuple(tokens))
-                    part.tags.append(None if pos is None else tuple(pos))
-                    part.span_counts.append(len(kept))
+                    part.tokens += tokens
+                    part.sizes.append(len(tokens))
                     part.spans += itertools.chain.from_iterable(sorted(
                         [(ent["start"], ent["end"], type_ids[ent["type"]]) for ent in kept]))
+                    part.span_counts.append(len(kept))
+                    part.tagged.append(pos is not None)
+                    if pos is not None:
+                        part.tags += pos
             accepted += 1
     except StopIteration as stop:
         part.lines = stop.value
@@ -1516,13 +1659,6 @@ def _parse_corpus(path, types: list[str], start: int, end: int | None) -> _Corpu
     part.accepted = accepted
     part.dropped = dropped
     return part
-
-
-# _sentences' makers: tuple.__new__ runs in C, where a named tuple's own
-# __new__ is a Python function; on scale-brej's 1,516 kept records that saves
-# ~1 ms of a warm load
-_new_span = functools.partial(tuple.__new__, EntitySpan)
-_new_sentence = functools.partial(tuple.__new__, TaggedSentence)
 
 
 def _span_problem(entities: list, count: int) -> str | None:
@@ -1551,9 +1687,9 @@ def extract_instances(
 ) -> ExtractionResult:
     """The InstanceTable of one instance per in-sentence entity pair whose
     type pair, in its final orientation, is ``type_pair``, in sentence
-    order, then span order. Its rows are made in the pass that gives each
-    window its row of the store's context table, and no Instance is built
-    here (see InstanceTable).
+    order, then span order, of ``sentences``: SentenceColumns, or
+    TaggedSentences, which SentenceColumns.of turns into columns. No
+    Instance is built here (see InstanceTable).
 
     ``limits`` is (max_before, max_between, max_after). Pairs of the type pair
     separated by more than max_between tokens are skipped and counted; the
@@ -1569,57 +1705,147 @@ def extract_instances(
     the instances kept after a passive swap and the pairs the type gate
     dropped.
 
+    The pass runs over the columns' arrays. The span pairs of each sentence
+    are enumerated at once, and the gate and the between limit are masks.
+    Each window is its token ids sorted and padded with an id past every
+    word's, and the store gives the distinct ones their rows of its context
+    table in the order first seen, the order of a pass window by window
+    (see EmbeddingStore.window_rows); equal token multisets share a row.
+    Entity keys get their ids in the order first seen over the spans of the
+    sentences with a row.
+
     The entity spans of each sentence must not overlap, and sids must be
     unique, as load_corpus ensures: then no instance id repeats. Spans that
     touch form a pair with an empty between window.
     """
-    max_before, max_between, max_after = limits
-    context_row = emb.context_row
-    # the sentences with a pair (kept), and per pair, flat in one list: its
-    # sentence's index in kept, its spans in sentence order, whether it was
-    # swapped, the ids of its entities' keys (in the order first seen) and
-    # its windows' rows of the context table, whose rows are built in one
-    # batch once every window has its row
-    columns: list[int] = []
-    entities: dict[tuple[str, str], int] = {}
-    skipped = dropped = 0
-    kept = []
-    for sent in sentences:
-        _, tokens, spans, pos = sent
-        spans = sorted(spans)
-        keys = None
-        for a_idx, (a_start, a_end, a_type) in enumerate(spans):
-            for b_idx in range(a_idx + 1, len(spans)):
-                b_start, b_end, b_type = spans[b_idx]
-                between = tokens[a_end:b_start]
-                swapped = pos is not None and _passive(between, pos[a_end + 1:b_start])
-                if ((b_type, a_type) if swapped else (a_type, b_type)) != type_pair:
-                    dropped += 1
-                    continue
-                if len(between) > max_between:
-                    skipped += 1
-                    continue
-                if keys is None:
-                    kept.append(sent)
-                    keys = [entities.setdefault((" ".join(tokens[start:end]).lower(), etype),
-                                                len(entities))
-                            for start, end, etype in spans]
-                first, second = (b_idx, a_idx) if swapped else (a_idx, b_idx)
-                columns += (len(kept) - 1, a_start, a_end, b_start, b_end, swapped,
-                            keys[first], keys[second],
-                            context_row(tokens[max(0, a_start - max_before):a_start]),
-                            context_row(between),
-                            context_row(tokens[b_end:b_end + max_after]))
-    columns = np.array(columns, dtype=np.int64).reshape(-1, 11)
-    table = InstanceTable(list(emb.context_rows()), columns[:, 8:].astype(np.int32),
-                          [type_pair] if len(columns) else [],
-                          np.zeros(len(columns), dtype=np.int32), entities,
-                          columns[:, 6:8].astype(np.int32), kept, columns[:, :6])
+    columns = (sentences if isinstance(sentences, SentenceColumns)
+               else SentenceColumns.of(sentences))
+    spans, starts, token_ids, words = (columns.spans, columns.token_starts,
+                                       columns.token_ids, columns.words)
+    # no window is longer than the corpus, and no limit sum overflows int64
+    max_before, max_between, max_after = (min(limit, len(token_ids)) for limit in limits)
+    # every pair of spans of a sentence: span a, and each later span b of its sentence
+    span_counts = np.diff(columns.span_starts)
+    owner = np.repeat(np.arange(len(columns)), span_counts)  # each span's sentence
+    later = np.repeat(columns.span_starts[1:], span_counts) - np.arange(len(spans)) - 1
+    a = np.repeat(np.arange(len(spans)), later)
+    b = _ranges(np.arange(1, len(spans) + 1), later)
+    sent = owner[a]
+    (a_start, a_end, a_type), (b_start, b_end, b_type) = (spans[x].astype(np.int64).T
+                                                          for x in (a, b))
+    swapped = _passive_pairs(columns, sent, a_end, b_start)
+    first, second = (columns.types.index(t) if t in columns.types else -1 for t in type_pair)
+    gate = ((np.where(swapped, b_type, a_type) == first)
+            & (np.where(swapped, a_type, b_type) == second))
+    over = b_start - a_end > max_between
+    keep = np.flatnonzero(gate & ~over)
+    a, b, sent, swapped = a[keep], b[keep], sent[keep], swapped[keep]
+    a_start, a_end, b_start, b_end = a_start[keep], a_end[keep], b_start[keep], b_end[keep]
+    # each kept pair's windows (before, between, after), from token lo to hi
+    lo = starts[sent, None] + np.stack([np.maximum(a_start - max_before, 0), a_end, b_end], 1)
+    hi = starts[sent, None] + np.stack([a_start, b_start, b_end + max_after], 1)
+    hi[:, 2] = np.minimum(hi[:, 2], starts[sent + 1])
+    pad = len(words)
+    windows = emb.window_rows(
+        np.sort(_padded(token_ids, lo.ravel(), (hi - lo).ravel(), pad), axis=1), words)
+    # the spans of the sentences with a row, and the id of each one's entity key
+    kept = sent[np.flatnonzero(np.diff(sent, prepend=-1))]  # sent does not fall
+    on = _ranges(columns.span_starts[kept], span_counts[kept])
+    sizes = spans[on, 1] - spans[on, 0]
+    entities, keys = _entity_keys(_padded(token_ids, starts[owner[on]] + spans[on, 0], sizes, pad),
+                                  sizes, spans[on, 2], words, columns.types)
+    at = np.empty(len(spans), np.intp)
+    at[on] = np.arange(len(on))
+    entity_a, entity_b = (keys[at[x]] for x in (a, b))
+    entity_ids = np.stack([np.where(swapped, entity_b, entity_a),
+                           np.where(swapped, entity_a, entity_b)], 1).astype(np.int32)
+    table = InstanceTable(
+        list(emb.context_rows()), windows.astype(np.int32).reshape(-1, 3),
+        [type_pair] if len(keep) else [], np.zeros(len(keep), dtype=np.int32), entities,
+        entity_ids, _SentenceView(columns, kept),
+        np.stack([np.searchsorted(kept, sent), a_start, a_end, b_start, b_end, swapped],
+                 1).astype(np.int64))
+    skipped = int(np.count_nonzero(gate & over))
     if skipped:
         log.info("skipped %d entity pairs over the between-window limit", skipped)
     return ExtractionResult(table=table, skipped_over_limit=skipped,
-                            swapped_as_passive=int(columns[:, 5].sum()),
-                            dropped_by_type_gate=dropped)
+                            swapped_as_passive=int(np.count_nonzero(swapped)),
+                            dropped_by_type_gate=int(np.count_nonzero(~gate)))
+
+
+def _entity_keys(surfaces: np.ndarray, sizes: np.ndarray, type_ids: np.ndarray,
+                 words: list[str], types: list[str]) -> tuple[dict[tuple[str, str], int],
+                                                              np.ndarray]:
+    """The ids of the entity keys (TypedEntity.key) of spans whose tokens
+    are the first ``sizes`` ids into ``words`` of the rows of ``surfaces``
+    and whose types are the ``type_ids`` into ``types``: each distinct
+    key's id, in the order first seen, and each span's. A surface is
+    lowercased word by word, which is how str.lower treats the whole: no
+    character it maps by its context (a final sigma) sees past the space
+    between two words."""
+    used, ids = np.unique(surfaces, return_inverse=True)
+    ids = ids.reshape(surfaces.shape)
+    lowered = np.array([words[k].lower() for k in used[used < len(words)].tolist()] + [None],
+                       dtype=object)  # the padding's is None
+    text = lowered[ids[:, 0]]
+    for column in range(1, ids.shape[1]):
+        more = np.flatnonzero(sizes > column)
+        text[more] = text[more] + " " + lowered[ids[more, column]]
+    keys = list(zip(text.tolist(), map(types.__getitem__, type_ids.tolist())))
+    entities = dict(zip(dict.fromkeys(keys), itertools.count()))
+    return entities, np.fromiter(map(entities.__getitem__, keys), np.int64, len(keys))
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[k], ..., starts[k] + counts[k] - 1, one after
+    another."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _padded(ids: np.ndarray, starts: np.ndarray, sizes: np.ndarray, pad: int) -> np.ndarray:
+    """The int32 matrix whose row r holds ids[starts[r]:starts[r] + sizes[r]]
+    and then ``pad``, as wide as the longest row (one column at least)."""
+    out = np.full((len(starts), max(1, int(sizes.max(initial=0)))), pad, np.int32)
+    for at in range(out.shape[1]):
+        rows = np.flatnonzero(sizes > at)
+        out[rows, at] = ids[starts[rows] + at]
+    return out
+
+
+def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of the matrix ``rows``, in the
+    order first seen, and each row's position among them: one np.unique
+    over the rows' bytes."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _passive_pairs(columns: SentenceColumns, sent: np.ndarray, a_end: np.ndarray,
+                   b_start: np.ndarray) -> np.ndarray:
+    """Whether the tokens a_end[k]:b_start[k] of sentence sent[k] are a
+    passive construction (see _passive), for each k. Only those of a tagged
+    sentence, more than two, the last lowercasing to "by", can be: they go
+    through _passive, and the rule has that one implementation."""
+    swapped = np.zeros(len(sent), bool)
+    maybe = np.flatnonzero(columns.tagged[sent] & (b_start - a_end > 2))
+    starts = columns.token_starts[sent[maybe]]
+    final, which = np.unique(columns.token_ids[starts + b_start[maybe] - 1],
+                             return_inverse=True)
+    by = np.array([columns.words[k].lower() == "by" for k in final.tolist()], bool)[which]
+    maybe, starts = maybe[by], starts[by]
+    words, tags = columns.words, columns.tags
+    for pair, start, tag, first, last in zip(
+            maybe.tolist(), starts.tolist(), columns.tag_starts[sent[maybe]].tolist(),
+            a_end[maybe].tolist(), b_start[maybe].tolist()):
+        between = list(map(words.__getitem__, columns.token_ids[start + first:start + last]
+                           .tolist()))
+        swapped[pair] = _passive(between, tags[tag + first + 1:tag + last])
+    return swapped
 
 
 _TO_BE = {"be", "am", "is", "are", "was", "were", "been", "being"}

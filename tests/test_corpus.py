@@ -29,6 +29,7 @@ from brex.corpus import (
     EmbeddingStore,
     EntitySpan,
     LoadedCorpus,
+    SentenceColumns,
     TaggedSentence,
     TypedEntity,
     extract_instances,
@@ -1511,7 +1512,9 @@ class TestCorpusIndex:
         "token-offsets-fall", "token-offsets-extra", "span-offsets-overrun", "sids-fall",
         "tagged-short", "reasons-short", "not-utf8", "tokens-short", "tags-extra",
         "one-span", "negative-span", "span-past-sentence", "empty-span",
-        "overlapping-spans", "type-out-of-range", "tag-count", "negative-count"])
+        "overlapping-spans", "type-out-of-range", "tag-count", "negative-count",
+        "id-past-the-words", "negative-id", "words-unsorted", "words-repeated", "word-unused",
+        "int64-ids", "format-3"])
     def test_a_doubtful_index_means_a_parse_that_rewrites_it(self, tmp_path, table_cache,
                                                              warnings, damage):
         path = self.corpus(tmp_path / "corpus.jsonl")
@@ -1519,7 +1522,8 @@ class TestCorpusIndex:
         [index] = indexes(table_cache)
         with np.load(index) as data:
             columns = {name: data[name].copy() for name in data.files}
-        # sentence 0 is OK's: 3 tokens, spans (0, 1) and (2, 3), no tags
+        # sentence 0 is OK's: 3 tokens, spans (0, 1) and (2, 3), no tags; the
+        # words are Acme, Bolt, Maria, bought, for, left
         span_edits = {"negative-span": (0, 0, -1), "span-past-sentence": (1, 1, 4),
                       "empty-span": (1, 1, 2), "overlapping-spans": (1, 0, 0),
                       "type-out-of-range": (0, 2, 1)}
@@ -1534,9 +1538,9 @@ class TestCorpusIndex:
                 before.st_ino, before.st_size, before.st_mtime_ns)
         elif damage == "truncated":
             index.write_bytes(index.read_bytes()[:-100])
-        elif damage == "corrupt":  # a bit of the first token flipped: "Acme" reads "@cme"
+        elif damage == "corrupt":  # a bit of the first word flipped: "Acme" reads "@cme"
             data = bytearray(index.read_bytes())
-            data[data.index(b"\x93NUMPY", data.index(b"tokens.npy")) + 128] ^= 1
+            data[data.index(b"\x93NUMPY", data.index(b"words.npy")) + 128] ^= 1
             index.write_bytes(bytes(data))
         elif damage == "scalar":  # an array of no length
             rewrite_index(index, rejected_lines=np.array(4))
@@ -1574,11 +1578,29 @@ class TestCorpusIndex:
         elif damage == "no-offsets":  # not even the first sentence's start
             rewrite_index(index, token_starts=np.zeros(0, np.int32))
         elif damage == "not-utf8":  # a byte no UTF-8 text holds
-            columns["tokens"][0] = 0xFF
-            rewrite_index(index, tokens=columns["tokens"])
-        elif damage == "tokens-short":  # the last token is gone
-            text = columns["tokens"].tobytes()
-            rewrite_index(index, tokens=np.frombuffer(text[:text.rindex(b"\0")], np.uint8))
+            columns["words"][0] = 0xFF
+            rewrite_index(index, words=columns["words"])
+        elif damage == "tokens-short":  # the last token's id is gone
+            rewrite_index(index, token_ids=columns["token_ids"][:-1].copy())
+        elif damage in ("id-past-the-words", "negative-id"):  # the first token's id
+            columns["token_ids"][0] = 6 if damage == "id-past-the-words" else -1
+            rewrite_index(index, token_ids=columns["token_ids"])
+        elif damage in ("words-unsorted", "words-repeated", "word-unused"):
+            words = {"words-unsorted": "Bolt Acme Maria bought for left",  # ids in range
+                     "words-repeated": "Acme Acme Maria bought for left",
+                     "word-unused": "Acme Bolt Maria bought for left zoo"}[damage]
+            rewrite_index(index, words=np.frombuffer(words.replace(" ", "\0").encode(),
+                                                     np.uint8))
+        elif damage == "int64-ids":  # the right values in a type no parse writes
+            rewrite_index(index, token_ids=columns["token_ids"].astype(np.int64))
+        elif damage == "format-3":  # the tokens as one blob, as format 3 held them
+            words = columns["words"].tobytes().split(b"\0")
+            digest, _, vocab = columns.pop("key").item().split(" ", 2)
+            columns["tokens"] = np.frombuffer(b"\0".join(
+                words[k] for k in columns.pop("token_ids").tolist()), np.uint8)
+            del columns["words"]
+            with open(index, "wb") as fh:
+                np.savez(fh, key=np.array(f"{digest} 3 {vocab}"), **columns)
         elif damage == "tags-extra":  # one tag more than the tagged sentences' tokens
             rewrite_index(index, tags=np.append(columns["tags"], np.frombuffer(b"\0NN",
                                                                            np.uint8)))
@@ -1705,8 +1727,8 @@ class TestCorpusIndex:
     @pytest.mark.parametrize("rows", [INDEXED_RECORDS, INDEXED_RECORDS[:2] + ["{not json"]],
                              ids=["loads", "raises"])
     def test_the_collector_is_back_as_it_was_after_a_load(self, tmp_path, rows):
-        """load_corpus pauses the cyclic garbage collector while it loads and
-        leaves it on, or off, as it found it, also when the corpus is bad."""
+        """load_corpus leaves the cyclic garbage collector on, or off, as it
+        found it, also when the corpus is bad."""
         path = self.corpus(tmp_path / "corpus.jsonl", rows=rows)
         was = gc.isenabled()
         try:
@@ -1824,19 +1846,37 @@ def passive_row(first, second):
                     [(0, 1, first), (4, 5, second)], ["NNP", "VBD", "VBN", "IN", "NNP"])
 
 
-def check_table(result, sentences, vectors, limits):
+def check_table(result, sentences, vectors, limits, types=FUZZ_TYPES):
     """Every column of the instance table of ``result`` (extract_instances of
-    ``sentences``), and every Instance it builds, against the reference
-    builder (support.reference_instances) over the table rows ``vectors``,
-    with the result's counts; and that a row's Instance is built on its
-    first read only. The table keeps the sentences with a row only, in
-    sentence order."""
+    ``sentences`` under the type pair ``types``), and every Instance it
+    builds, against the reference builder (support.reference_instances)
+    over the 3-d table rows ``vectors``, with the result's counts; and that
+    a row's Instance is built on its first read only. The table keeps the
+    sentences with a row only, in sentence order; its entity ids are those
+    of the keys of their spans in the order first seen, and its context
+    rows those of the windows' token multisets in the order first seen (of
+    a store that had none)."""
     table = result.table
-    expected, counts = support.reference_instances(sentences, vectors, 3, limits,
-                                                   FUZZ_TYPES)
+    expected, counts = support.reference_instances(sentences, vectors, 3, limits, types)
     assert len(table) == len(expected)
     assert {key: getattr(result, key) for key in counts} == counts
-    assert table.type_pairs == [FUZZ_TYPES] * bool(expected)
+    assert table.type_pairs == [types] * bool(expected)
+    entities = {}
+    kept = {instance.sentence_ref for instance in expected}
+    for sent in sentences:
+        for start, end, etype in sorted(sent.entities) if sent.sid in kept else ():
+            entities.setdefault((" ".join(sent.tokens[start:end]).lower(), etype), len(entities))
+    assert list(table.entities.items()) == list(entities.items())
+    rows = {}
+    by_sid = {sent.sid: sent for sent in sentences}
+    for row, reference in enumerate(expected):
+        sid, a_start, a_end, b_start, b_end = map(int, re.findall(r"\d+", reference.id))
+        tokens = by_sid[sid].tokens
+        windows = (tokens[max(0, a_start - limits[0]):a_start], tokens[a_end:b_start],
+                   tokens[b_end:b_end + limits[2]])
+        assert table.ids[row].tolist() == [rows.setdefault(tuple(sorted(window)), len(rows))
+                                           for window in windows]
+
     assert [sent.sid for sent in table.sentences] == sorted(
         {instance.sentence_ref for instance in expected})
     assert np.unique(table.spans[:, 0]).tolist() == list(range(len(table.sentences)))
@@ -2180,7 +2220,7 @@ class TestJsonDecode:
         sentences = [sentence(row["tokens"], [(e["start"], e["end"], e["type"])
                                               for e in row["entities"]], sid=sid)
                      for sid, (_, row) in enumerate(expected) if len(row["entities"]) == 2]
-        corpus = LoadedCorpus(sentences, accepted_records=len(expected))
+        corpus = LoadedCorpus(SentenceColumns.of(sentences), accepted_records=len(expected))
         assert load_corpus(path, {"ORG"}) == corpus
         assert TestCorpusSplit.split_corpus(path)[0] == corpus
 
@@ -2446,3 +2486,105 @@ class TestSeedFile:
         with pytest.raises(SeedFormatError,
                            match=re.escape(f"{path}: invalid JSON ({problem}")):
             parse_seed_file(path)
+
+
+# Tokens of the pooled sentences: so few that windows and surfaces repeat,
+# with surfaces that differ only in case ("İ".lower() is "i̇", and "ΑΣ"
+# lowercases to "ας", with a final sigma) and "to be" and "by" in any case
+POOL = ("acquire", "merger", "with", "bought", "was", "WAS", "been", "by", "By", "BY",
+        "Acme", "ACME", "Σ", "σ", "ΑΣ", "ας", "İ", "i̇", "oov")
+
+
+@st.composite
+def pooled_sentences(draw):
+    """Sentences of POOL tokens, with sids 0, 1, ...: their spans cut a
+    sentence into pieces, touching or apart, from its first token to its
+    last, each ORG or PER; a span often follows a passive "be" + verb +
+    "by" spelled in any case, tagged VBN and IN, and a sentence is tagged
+    or not."""
+    sentences = []
+    for sid in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(2, 9))
+        tokens = [draw(st.sampled_from(POOL)) for _ in range(n)]
+        tags = [draw(st.sampled_from(FUZZ_TAGS)) for _ in range(n)]
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=3, max_size=7, unique=True)))
+        spans = [(start, end, draw(st.sampled_from(FUZZ_TYPES)))
+                 for start, end in zip(cuts, cuts[1:]) if draw(st.booleans())]
+        for start, _, _ in spans:
+            if start >= 3 and draw(st.booleans()):
+                tokens[start - 3:start] = [draw(st.sampled_from(["was", "WAS", "been"])),
+                                           "bought", draw(st.sampled_from(["by", "By"]))]
+                tags[start - 2:start] = ["VBN", "IN"]
+        sentences.append(sentence(tokens, spans, sid=sid,
+                                  pos=tags if draw(st.booleans()) else None))
+    return sentences
+
+
+class TestColumnarExtraction:
+    """extract_instances over the columns of SentenceColumns.of and of
+    load_corpus, cold and warm, gives the table of the per-pair reference
+    builder (support.reference_instances)."""
+
+    @given(pooled_sentences(), st.tuples(*[st.sampled_from([0, 1, 2, 3, 10 ** 12])] * 3),
+           st.sampled_from([FUZZ_TYPES, FUZZ_TYPES[::-1], ("ORG", "ORG")]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(sentences=[sentence(["ΑΣ", "Acme", "WAS", "bought", "By", "σ"],
+                                 [(0, 2, "PER"), (5, 6, "ORG")],
+                                 pos=["NNP", "NNP", "VBD", "VBN", "IN", "NNP"]),
+                        sentence(["ας", "ACME", "by", "Σ"], [(0, 2, "PER"), (3, 4, "ORG")],
+                                 sid=1),
+                        sentence(["İ", "i̇", "was"], [(0, 1, "ORG"), (1, 2, "ORG")], sid=2)],
+             limits=(0, 0, 0), types=("ORG", "PER"), seed=0)
+    # an untagged passive before a tagged one: only the tagged one swaps
+    @example(sentences=[sentence(["Acme", "was", "bought", "by", "Bolt"],
+                                 [(0, 1, "ORG"), (4, 5, "PER")]),
+                        sentence(["Acme", "was", "bought", "by", "Bolt"],
+                                 [(0, 1, "ORG"), (4, 5, "PER")], sid=1,
+                                 pos=["NNP", "VBD", "VBN", "IN", "NNP"])],
+             limits=(2, 6, 2), types=("ORG", "PER"), seed=0)
+    def test_columns_give_the_reference_table(self, tmp_path, sentences, limits, types, seed):
+        rng = np.random.default_rng(seed)
+        vectors = {word: rng.normal(size=3) for word in POOL[:-1]}  # "oov" has no row
+        check_table(extract_instances(sentences, EmbeddingStore(3, vectors), limits, types),
+                    sentences, vectors, limits, types)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(record(list(sent.tokens), [{"start": s, "end": e, "type": t}
+                                                           for s, e, t in sent.entities],
+                                       sent.pos and list(sent.pos)) + "\n"
+                                for sent in sentences), encoding="utf-8")
+        with support.fresh_cache():
+            for _ in ("cold", "warm"):
+                loaded = load_corpus(path, set(FUZZ_TYPES))
+                check_table(extract_instances(loaded.columns, EmbeddingStore(3, vectors), limits,
+                                              types), loaded.sentences, vectors, limits, types)
+
+    def test_a_seed_template_window_shares_a_corpus_windows_row(self, tmp_path, emb4):
+        """A seed template's window holds the context array of a corpus window
+        of the same token multiset, read from the index's columns."""
+        path = write_corpus(tmp_path, [record(["A", "with", "merger", "B"],
+                                              [ORG(0, 1), ORG(3, 4)])])
+        load_corpus(path, {"ORG"})  # writes the index the next load reads
+        table = extract_instances(load_corpus(path, {"ORG"}).columns, emb4, (2, 6, 2),
+                                  ("ORG", "ORG")).table
+        (seed,) = parse_seed_templates(["[X] merger with [Y]"], emb4, ("ORG", "ORG"))
+        assert seed.v_between is table.contexts[table.ids[0, 1]] is table[0].template.v_between
+
+    def test_ingest_looks_up_each_distinct_window_once(self, tmp_path):
+        """Corpus windows reach the context table once per distinct window,
+        through window_rows; context_row sees the seed templates' windows
+        only."""
+        paths = build_planted_fixture(n_sentences=80).write(tmp_path)
+        spec = parse_seed_file(paths["seeds"])
+        with mock.patch.object(EmbeddingStore, "context_row", autospec=True,
+                               side_effect=EmbeddingStore.context_row) as context_row, \
+                mock.patch.object(EmbeddingStore, "window_rows", autospec=True,
+                                  side_effect=EmbeddingStore.window_rows) as window_rows:
+            ingested = ingest_inputs(paths["corpus"], paths["embeddings"], paths["seeds"],
+                                     RunConfig().limits)
+            build_seed_state(spec, ingested.emb, "ordered")
+        templates = len(spec.positive_templates) + len(spec.negative_templates)
+        assert context_row.call_count == 3 * templates < 3 * len(ingested.table)
+        [(_, windows, _)] = [call.args for call in window_rows.call_args_list]
+        assert len(windows) == 3 * len(ingested.table)
