@@ -1723,6 +1723,10 @@ class TestCorpusIndex:
         assert loads[0] == loads[1]
         assert loads[0][0] == self.reference(path)
         assert loads[0][0].sentences[0].tokens == tuple(tokens)
+        loaded, limits = loads[0][0], (2, 6, 2)
+        check_table(extract_instances(loaded.columns, EmbeddingStore(3, {}), limits,
+                                      ("ORG", "ORG")),
+                    loaded.sentences, {}, limits, ("ORG", "ORG"))
 
     @pytest.mark.parametrize("rows", [INDEXED_RECORDS, INDEXED_RECORDS[:2] + ["{not json"]],
                              ids=["loads", "raises"])
